@@ -21,6 +21,9 @@ pairwise L-infinity reports, CSV/JSON/SVG emission), also reachable via
 the ``fracsis`` command line tool.
 """
 
+# defined before the submodule imports: the harness writes it to manifests
+__version__ = "0.1.0"
+
 from .coeffs import (
     CoeffKind,
     CoeffTable,
@@ -89,5 +92,3 @@ from .specfn import (
     mittag_leffler,
     ml_asymptotics,
 )
-
-__version__ = "0.1.0"

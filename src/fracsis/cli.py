@@ -27,8 +27,6 @@ from .coeffs import a_coeffs, euler_alpha
 from .errors import NumericError, ValidationError
 from .solvers import Method, TimeGrid
 
-_FMT = ".17g"
-
 
 def _add_config_flags(p: argparse.ArgumentParser, with_methods: bool = True) -> None:
     p.add_argument("--config", type=Path, help="JSON config or manifest to load")
@@ -49,25 +47,13 @@ def _add_config_flags(p: argparse.ArgumentParser, with_methods: bool = True) -> 
 
 
 def _merged_config(args, forced_methods=None) -> harness.RunConfig:
-    cfg = {}
-    if args.config is not None:
-        cfg.update(harness.read_config_dict(args.config))
-    overrides = {
-        "preset": getattr(args, "preset", None),
-        "beta": getattr(args, "beta", None),
-        "gamma": getattr(args, "gamma", None),
-        "mu": getattr(args, "mu", None),
-        "lambda": getattr(args, "lam", None),
-        "alpha": getattr(args, "alpha", None),
-        "i0": getattr(args, "i0", None),
-        "T": getattr(args, "T", None),
-        "dt": getattr(args, "dt", None),
-        "methods": getattr(args, "methods", None),
-        "terms": getattr(args, "terms", None),
-        "out": None if getattr(args, "out", None) is None else str(args.out),
-        "formats": getattr(args, "formats", None),
-    }
-    cfg.update({k: v for k, v in overrides.items() if v is not None})
+    cfg = {} if args.config is None else harness.read_config_dict(args.config)
+    # explicit flags override the file; dests match the config keys but for
+    # --lambda, whose dest is lam
+    for dest, value in vars(args).items():
+        key = "lambda" if dest == "lam" else dest
+        if key in harness.CONFIG_KEYS and value is not None:
+            cfg[key] = str(value) if isinstance(value, Path) else value
     if forced_methods is not None:
         cfg["methods"] = forced_methods
     return harness.config_from_dict(cfg)
@@ -76,9 +62,7 @@ def _merged_config(args, forced_methods=None) -> harness.RunConfig:
 def _cmd_coeffs(args) -> int:
     build = euler_alpha if args.kind == "euler" else a_coeffs
     table = build(args.alpha, args.K)
-    lines = ["k,value"]
-    lines += [f"{k},{format(v, _FMT)}" for k, v in enumerate(table.values)]
-    text = "\n".join(lines) + "\n"
+    text = harness.csv_text("k,value", enumerate(table.values))
     if args.out is not None:
         Path(args.out).write_text(text)
     else:
@@ -93,7 +77,7 @@ def _cmd_solve(args) -> int:
         for f in harness.emit({Method(args.method): traj}, [], cfg):
             print(f)
     else:
-        sys.stdout.write(harness._trajectory_csv(traj))
+        sys.stdout.write(harness.trajectory_csv(traj))
     return 0
 
 
@@ -113,7 +97,7 @@ def _cmd_compare(args) -> int:
 
 def _cmd_table1(args) -> int:
     reports = harness.run_table1(
-        terms=args.terms or 120,
+        terms=args.terms,
         out=args.out,
         formats=tuple((args.formats or "csv,json").replace(",", " ").split()),
     )
@@ -142,12 +126,7 @@ def _cmd_c0_suite(args) -> int:
 def _cmd_population(args) -> int:
     grid = TimeGrid(args.T, args.dt)
     n = harness.population_curve(args.alpha, args.lam, args.mu, args.n0, grid)
-    lines = ["t,N"]
-    lines += [
-        f"{format(float(t), _FMT)},{format(float(v), _FMT)}"
-        for t, v in zip(grid.nodes(), n)
-    ]
-    text = "\n".join(lines) + "\n"
+    text = harness.csv_text("t,N", ((float(t), float(v)) for t, v in zip(grid.nodes(), n)))
     if args.out is not None:
         out = Path(args.out)
         out.parent.mkdir(parents=True, exist_ok=True)
@@ -182,7 +161,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_compare)
 
     p = sub.add_parser("table1", help="pairwise error table on the c-nonzero preset")
-    p.add_argument("--terms", type=int, help="series truncation order (default 120)")
+    p.add_argument("--terms", type=int, default=120, help="series truncation order (default 120)")
     p.add_argument("--out", type=Path, help="output directory")
     p.add_argument("--formats", help="comma-separated subset of csv,json,svg")
     p.set_defaults(func=_cmd_table1)

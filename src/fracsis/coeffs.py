@@ -46,6 +46,7 @@ __all__ = [
     "MAX_ORDER",
     "euler_alpha",
     "a_coeffs",
+    "carrying_capacity_hypothesis",
     "radius_carrying_capacity",
     "radius_zero_capacity",
     "empirical_radius",
@@ -99,38 +100,20 @@ def _check_order(K: int) -> None:
         raise DomainError(f"table order capped at {MAX_ORDER}, got {K}")
 
 
-def _convolution_weights(alpha: float, K: int, form: str):
-    """Return R(i, j, k) as a closure over precomputed lgamma values."""
-    lg = [math.lgamma(alpha * k + 1.0) for k in range(K + 1)]
-    if form == "gamma":
-
-        def weight(i: int, j: int, k: int) -> float:
-            return math.exp(lg[k] - lg[i] - lg[j])
-
-    elif form == "beta":
-
-        def weight(i: int, j: int, k: int) -> float:
-            b = math.exp(lg[i] + lg[j] - math.lgamma(alpha * k + 2.0))
-            return 1.0 / ((alpha * k + 1.0) * b)
-
-    else:
-        raise DomainError(f"unknown recursion form {form!r}")
-    return weight
-
-
-def _recurse(alpha: float, K: int, c0: float, keep_linear: bool, form: str) -> tuple[float, ...]:
+def _recurse(alpha: float, K: int, c0: float, keep_linear: bool) -> tuple[float, ...]:
     """Shared quadratic-convolution recursion for both sequences.
 
     ``keep_linear`` selects ``c_{k+1} = c_k - conv`` (alpha-Euler) versus
     ``c_{k+1} = -conv`` (A-coefficients), where ``conv`` is the weighted
-    self-convolution of the prefix at order k.
+    self-convolution of the prefix at order k with the Gamma-ratio weight
+    ``R(i, j, k)``.
     """
-    weight = _convolution_weights(alpha, K, form)
+    lg = [math.lgamma(alpha * k + 1.0) for k in range(K + 1)]
     vals = [c0]
     for k in range(K):
         conv = 0.0
         for i in range(k + 1):
-            conv += weight(i, k - i, k) * vals[i] * vals[k - i]
+            conv += math.exp(lg[k] - lg[i] - lg[k - i]) * vals[i] * vals[k - i]
         nxt = (vals[k] - conv) if keep_linear else -conv
         if not math.isfinite(nxt):
             raise NumericOverflowError(
@@ -140,20 +123,15 @@ def _recurse(alpha: float, K: int, c0: float, keep_linear: bool, form: str) -> t
     return tuple(vals)
 
 
-def euler_alpha(alpha: float, K: int, form: str = "gamma") -> CoeffTable:
-    """alpha-Euler numbers E_0..E_K for the carrying-capacity series.
-
-    ``form`` selects how the convolution weight is computed ("gamma" for
-    the Gamma-ratio, "beta" for the Beta-function variant); the two are
-    algebraically identical and exist to cross-check each other.
-    """
+def euler_alpha(alpha: float, K: int) -> CoeffTable:
+    """alpha-Euler numbers E_0..E_K for the carrying-capacity series."""
     if not 0 < alpha <= 1:
         raise DomainError(f"euler_alpha requires alpha in (0, 1], got {alpha}")
     _check_order(K)
-    return CoeffTable(alpha, CoeffKind.EULER_ALPHA, _recurse(alpha, K, 0.5, True, form))
+    return CoeffTable(alpha, CoeffKind.EULER_ALPHA, _recurse(alpha, K, 0.5, True))
 
 
-def a_coeffs(alpha: float, K: int, a0: float = 0.5, form: str = "gamma") -> CoeffTable:
+def a_coeffs(alpha: float, K: int, a0: float = 0.5) -> CoeffTable:
     """A-coefficients A_0..A_K for the zero-capacity (pure decay) series.
 
     ``a0`` is the initial datum u(0); the canonical solution uses 1/2, the
@@ -165,7 +143,16 @@ def a_coeffs(alpha: float, K: int, a0: float = 0.5, form: str = "gamma") -> Coef
     if not 0 < a0 < 1:
         raise DomainError(f"a_coeffs requires a0 in (0, 1), got {a0}")
     _check_order(K)
-    return CoeffTable(alpha, CoeffKind.A_COEFF, _recurse(alpha, K, a0, False, form))
+    return CoeffTable(alpha, CoeffKind.A_COEFF, _recurse(alpha, K, a0, False))
+
+
+def carrying_capacity_hypothesis(alpha: float, b: float) -> bool:
+    """The carrying-capacity series hypothesis: b > 0 and b^(1/alpha) < 1.
+
+    b > 0 is the endemic regime c > 0; b^(1/alpha) < 1 keeps the
+    guaranteed radius of :func:`radius_carrying_capacity` meaningful.
+    """
+    return b > 0 and b ** (1.0 / alpha) < 1.0
 
 
 def radius_carrying_capacity(alpha: float, b: float) -> float:
@@ -179,7 +166,7 @@ def radius_carrying_capacity(alpha: float, b: float) -> float:
     """
     if not 0 < alpha <= 1:
         raise DomainError(f"radius requires alpha in (0, 1], got {alpha}")
-    if not b > 0 or b ** (1.0 / alpha) >= 1.0:
+    if not carrying_capacity_hypothesis(alpha, b):
         raise HypothesisError(
             f"carrying-capacity series needs 0 < b^(1/alpha) < 1; "
             f"got b={b}, alpha={alpha}"
@@ -205,7 +192,7 @@ def _theoretical_for(table: CoeffTable, b_scale: float) -> Optional[float]:
     """Matching guaranteed radius for a table/scale pair, if one is known."""
     if table.kind is CoeffKind.A_COEFF and b_scale == 1.0 and 0 < abs(table.values[0]) < 1:
         return radius_zero_capacity(table.alpha, abs(table.values[0]))
-    if table.kind is CoeffKind.EULER_ALPHA and 0 < b_scale < 1:
+    if table.kind is CoeffKind.EULER_ALPHA and carrying_capacity_hypothesis(table.alpha, b_scale):
         return radius_carrying_capacity(table.alpha, b_scale)
     return None
 

@@ -5,7 +5,14 @@ byte-identical CSV output (fixed summation orders, fixed 17-significant-
 digit formatting, sorted JSON keys, no timestamps).  Each emitted run
 carries a ``manifest.json`` that embeds the exact config under a
 ``"config"`` key, so a manifest can be fed back to :func:`load_config`
-to reproduce the run bit-for-bit.
+to reproduce the run bit-for-bit.  The manifest's ``series_radius`` is
+read from the series trajectory's meta, so a run builds its coefficient
+table and series once.
+
+The regime comes from :func:`~fracsis.model.derive` alone and the
+series hypothesis from :func:`~fracsis.coeffs.carrying_capacity_hypothesis`;
+one helper holds the series initial datum (c/2, or 1/(2 beta) at
+sigma = 1), which is both the default ``i0`` and what a series run checks.
 
 Two presets reproduce the reference experiments:
 
@@ -19,17 +26,17 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .coeffs import a_coeffs, euler_alpha
+from . import __version__
+from .coeffs import a_coeffs, carrying_capacity_hypothesis, euler_alpha
 from .errors import GridMismatchError, ValidationError
 from .model import ModelParams, DerivedParams, classical_sis, derive, logistic_rhs
 from .series import (
-    SeriesSolution,
     carrying_capacity_series,
     sample_trajectory,
     zero_capacity_series,
@@ -41,6 +48,7 @@ __all__ = [
     "RunConfig",
     "ComparisonReport",
     "PRESETS",
+    "CONFIG_KEYS",
     "TABLE1_ALPHAS",
     "C0_SUITE_ALPHAS",
     "preset_config",
@@ -55,16 +63,18 @@ __all__ = [
     "run_table1",
     "run_c0_suite",
     "population_curve",
+    "csv_text",
+    "trajectory_csv",
     "emit",
 ]
 
 TOOL_NAME = "fracsis"
-TOOL_VERSION = "0.1.0"
 
 #: number format used for every CSV value (17 significant digits)
 _FMT = ".17g"
 
-_CONFIG_KEYS = {
+#: the config key vocabulary
+CONFIG_KEYS = {
     "preset", "beta", "gamma", "mu", "lambda", "alpha", "i0",
     "T", "dt", "methods", "terms", "out", "formats",
 }
@@ -124,34 +134,28 @@ class RunConfig:
                 "the endpoint alpha = 1 is excluded"
             )
         if Method.SERIES in self.methods:
-            _check_series_hypotheses(self.params)
+            p = self.params
+            d = derive(p)
+            if d.c != 0.0 and not carrying_capacity_hypothesis(p.alpha, d.b):
+                raise ValidationError(
+                    f"carrying-capacity series requires c > 0 and b^(1/alpha) < 1, "
+                    f"got c={d.c}, b={d.b}"
+                )
+            want = _series_i0(p.beta, d)
+            if not math.isclose(p.i0, want, rel_tol=1e-12):
+                raise ValidationError(
+                    f"series requires i0 = {want!r} (c/2, or 1/(2 beta) at sigma = 1), "
+                    f"got {p.i0!r}"
+                )
 
 
-def _check_series_hypotheses(params: ModelParams) -> None:
-    """The explicit series exists only under its construction hypotheses."""
-    d = derive(params)
-    if d.c == 0.0:
-        want = 1.0 / (2.0 * params.beta)
-        if not math.isclose(params.i0, want, rel_tol=1e-12):
-            raise ValidationError(
-                f"zero-capacity series requires i0 = 1/(2 beta) = {want!r}, "
-                f"got {params.i0!r}"
-            )
-        return
-    if d.c < 0:
-        raise ValidationError(
-            f"series solution undefined for negative carrying capacity c={d.c}"
-        )
-    if d.b ** (1.0 / params.alpha) >= 1.0:
-        raise ValidationError(
-            f"carrying-capacity series requires b^(1/alpha) < 1, got b={d.b}"
-        )
-    want = d.c / 2.0
-    if not math.isclose(params.i0, want, rel_tol=1e-12):
-        raise ValidationError(
-            f"carrying-capacity series requires i0 = c/2 = {want!r}, "
-            f"got {params.i0!r}"
-        )
+def _series_i0(beta: float, d: DerivedParams) -> float:
+    """Initial datum the explicit series is built for.
+
+    c/2 in the endemic case, 1/(2 beta) at sigma = 1.  It is also the
+    preset convention for a config that gives no ``i0``.
+    """
+    return 1.0 / (2.0 * beta) if d.c == 0.0 else d.c / 2.0
 
 
 @dataclass(frozen=True)
@@ -173,17 +177,14 @@ def _build_params(cfg: dict) -> ModelParams:
     missing = [k for k in ("beta", "gamma", "mu", "alpha") if cfg.get(k) is None]
     if missing:
         raise ValidationError(f"missing required config keys: {missing}")
-    beta, gamma, mu = cfg["beta"], cfg["gamma"], cfg["mu"]
     i0 = cfg.get("i0")
-    if i0 is None:
-        # preset convention: c/2 in the endemic case, 1/(2 beta) at sigma=1
-        sigma = beta / (gamma + mu)
-        c = (sigma - 1.0) / sigma
-        i0 = 1.0 / (2.0 * beta) if c == 0.0 else c / 2.0
-    return ModelParams(
-        beta=beta, gamma=gamma, mu=mu, alpha=cfg["alpha"], i0=i0,
-        lam=cfg.get("lambda"),
+    params = ModelParams(
+        beta=cfg["beta"], gamma=cfg["gamma"], mu=cfg["mu"], alpha=cfg["alpha"],
+        i0=0.0 if i0 is None else i0, lam=cfg.get("lambda"),
     )
+    if i0 is None:
+        params = replace(params, i0=_series_i0(params.beta, derive(params)))
+    return params
 
 
 def _parse_methods(raw) -> tuple[Method, ...]:
@@ -198,9 +199,15 @@ def _parse_methods(raw) -> tuple[Method, ...]:
         ) from e
 
 
+def _get(cfg: dict, key: str, default):
+    """``cfg[key]``, or ``default`` only where the key is absent or None."""
+    value = cfg.get(key)
+    return default if value is None else value
+
+
 def config_from_dict(cfg: dict) -> RunConfig:
     """Validate a flat key-value mapping into a RunConfig."""
-    unknown = set(cfg) - _CONFIG_KEYS
+    unknown = set(cfg) - CONFIG_KEYS
     if unknown:
         raise ValidationError(f"unknown config keys: {sorted(unknown)}")
     preset = cfg.get("preset")
@@ -213,9 +220,8 @@ def config_from_dict(cfg: dict) -> RunConfig:
         merged.update({k: v for k, v in cfg.items() if k != "preset" and v is not None})
         cfg = merged
     params = _build_params(cfg)
-    grid = TimeGrid(float(cfg.get("T") or _DEFAULT_T), float(cfg.get("dt") or _DEFAULT_DT))
-    raw_methods = cfg.get("methods")
-    methods = _parse_methods(_DEFAULT_METHODS if raw_methods is None else raw_methods)
+    grid = TimeGrid(float(_get(cfg, "T", _DEFAULT_T)), float(_get(cfg, "dt", _DEFAULT_DT)))
+    methods = _parse_methods(_get(cfg, "methods", _DEFAULT_METHODS))
     out = cfg.get("out")
     formats = cfg.get("formats") or _DEFAULT_FORMATS
     if isinstance(formats, str):
@@ -224,7 +230,7 @@ def config_from_dict(cfg: dict) -> RunConfig:
         params=params,
         grid=grid,
         methods=methods,
-        series_terms=int(cfg.get("terms") or _DEFAULT_TERMS),
+        series_terms=int(_get(cfg, "terms", _DEFAULT_TERMS)),
         output_dir=Path(out) if out else None,
         formats=tuple(formats),
     )
@@ -268,22 +274,18 @@ def load_config(path) -> RunConfig:
     return config_from_dict(read_config_dict(path))
 
 
-def _series_solution(config: RunConfig) -> SeriesSolution:
-    p = config.params
-    d = derive(p)
-    if d.c == 0.0:
-        table = a_coeffs(p.alpha, config.series_terms)
-        return zero_capacity_series(p.beta, p.alpha, table)
-    table = euler_alpha(p.alpha, config.series_terms)
-    return carrying_capacity_series(d, p.alpha, table)
-
-
 def solve_method(config: RunConfig, method: Method) -> Trajectory:
     """Produce the trajectory of a single method under a config."""
     p = config.params
     d = derive(p)
     if method is Method.SERIES:
-        return sample_trajectory(_series_solution(config), config.grid)
+        if d.c == 0.0:
+            table = a_coeffs(p.alpha, config.series_terms)
+            series = zero_capacity_series(p.beta, p.alpha, table)
+        else:
+            table = euler_alpha(p.alpha, config.series_terms)
+            series = carrying_capacity_series(d, p.alpha, table)
+        return sample_trajectory(series, config.grid)
     if method is Method.CLASSICAL:
         i, _ = classical_sis(p, config.grid.nodes())
         return Trajectory(config.grid, np.asarray(i), Method.CLASSICAL, {"alpha": 1.0})
@@ -376,19 +378,12 @@ def run_table1(
 
 def _write_table1_csv(path: Path, reports: Sequence[ComparisonReport]) -> Path:
     path.parent.mkdir(parents=True, exist_ok=True)
-    lines = ["alpha,series_vs_pece,series_vs_l1,pece_vs_l1"]
-    for r in reports:
-        lines.append(
-            ",".join(
-                [
-                    format(r.alpha, _FMT),
-                    format(r.distance("series", "pece"), _FMT),
-                    format(r.distance("series", "l1"), _FMT),
-                    format(r.distance("pece", "l1"), _FMT),
-                ]
-            )
-        )
-    path.write_text("\n".join(lines) + "\n")
+    rows = [
+        (r.alpha, r.distance("series", "pece"), r.distance("series", "l1"),
+         r.distance("pece", "l1"))
+        for r in reports
+    ]
+    path.write_text(csv_text("alpha,series_vs_pece,series_vs_l1,pece_vs_l1", rows))
     return path
 
 
@@ -507,13 +502,16 @@ def _derived_dict(d: DerivedParams) -> dict:
     return {"sigma": d.sigma, "c": d.c, "b": d.b, "M": d.M, "r_alpha": d.r_alpha}
 
 
-def _trajectory_csv(traj: Trajectory) -> str:
-    lines = ["t,I,S"]
-    for t, i in zip(traj.grid.nodes(), traj.u):
-        lines.append(
-            f"{format(float(t), _FMT)},{format(float(i), _FMT)},{format(1.0 - float(i), _FMT)}"
-        )
+def csv_text(header: str, rows) -> str:
+    """CSV text: the header, then one line per row of numbers at 17 significant digits."""
+    lines = [header] + [",".join(format(v, _FMT) for v in row) for row in rows]
     return "\n".join(lines) + "\n"
+
+
+def trajectory_csv(traj: Trajectory) -> str:
+    """The ``t,I,S`` CSV of a trajectory, S written as 1 - I."""
+    rows = ((float(t), float(i), 1.0 - float(i)) for t, i in zip(traj.grid.nodes(), traj.u))
+    return csv_text("t,I,S", rows)
 
 
 def _svg_polyline(xs, ys, color: str, dashed: bool) -> str:
@@ -582,8 +580,9 @@ def emit(
 
     Every trajectory goes to ``<method>.csv`` with header ``t,I,S`` at 17
     significant digits (S written as 1 - I); the manifest records the
-    exact config, derived parameters, radius information, per-node series
-    convergence flags and the emitted file names.  Requires
+    exact config, derived parameters, the series radius recorded in the
+    series trajectory's meta, per-node series convergence flags and the
+    emitted file names.  Requires
     ``config.output_dir``.
     """
     if config.output_dir is None:
@@ -599,7 +598,7 @@ def emit(
         entry: dict = {}
         if "csv" in config.formats:
             f = out / f"{method.value}.csv"
-            f.write_text(_trajectory_csv(traj))
+            f.write_text(trajectory_csv(traj))
             written.append(f)
             entry["file"] = f.name
         if method is Method.SERIES:
@@ -618,21 +617,13 @@ def emit(
         f.write_text("\n".join(lines) + "\n")
         written.append(f)
     if "json" in config.formats or "csv" in config.formats:
-        d = derive(config.params)
-        radius = None
-        if Method.SERIES in trajectories:
-            sol = _series_solution(config)
-            radius = {
-                "theoretical": sol.radius.theoretical,
-                "empirical": sol.radius.empirical,
-                "k_used": sol.radius.k_used,
-            }
+        series = trajectories.get(Method.SERIES)
         manifest = {
             "tool": TOOL_NAME,
-            "version": TOOL_VERSION,
+            "version": __version__,
             "config": _config_dict(config),
-            "derived": _derived_dict(d),
-            "series_radius": radius,
+            "derived": _derived_dict(derive(config.params)),
+            "series_radius": None if series is None else series.meta["radius"],
             "comparisons": [
                 {"alpha": r.alpha, "pairs": [list(p) for p in r.pairs]}
                 for r in reports

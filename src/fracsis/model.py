@@ -14,6 +14,7 @@ curve N(t) for the non-constant-population variant.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -23,6 +24,7 @@ from . import coeffs, specfn
 from .errors import DomainError, ValidationError
 
 __all__ = [
+    "SIGMA_ONE_TOL",
     "ModelParams",
     "DerivedParams",
     "derive",
@@ -84,17 +86,33 @@ class DerivedParams:
     r_alpha: Optional[float] = None
 
 
+#: |sigma - 1| at or below which :func:`derive` takes sigma = 1 exactly:
+#: four ulps of 1, about 8.9e-16.  Rates typed as decimals with
+#: beta = gamma + mu, such as (0.6, 0.05, 0.55), land within one ulp of
+#: sigma = 1 in binary64; a real carrying capacity is never that small.
+SIGMA_ONE_TOL = 4 * sys.float_info.epsilon
+
+
 def derive(params: ModelParams) -> DerivedParams:
-    """Compute sigma, c, b and (when defined) M and the series radius."""
+    """Compute sigma, c, b and (when defined) M and the series radius.
+
+    This is the one place that decides the regime.  When sigma is within
+    ``SIGMA_ONE_TOL`` (8.9e-16) of 1 it returns ``sigma = 1.0`` and
+    ``c = b = 0.0`` exactly, so that rates which misround around
+    sigma = 1 take the zero-capacity route instead of a carrying
+    capacity of +-1e-16.  ``r_alpha`` is set where the carrying-capacity
+    series hypothesis (:func:`~fracsis.coeffs.carrying_capacity_hypothesis`)
+    holds.
+    """
     sigma = params.beta / (params.gamma + params.mu)
+    if abs(sigma - 1.0) <= SIGMA_ONE_TOL:
+        return DerivedParams(sigma=1.0, c=0.0, b=0.0)
     c = (sigma - 1.0) / sigma
     b = params.beta * c
-    M = None
+    M = b ** (-1.0 / params.alpha) if c > 0 else None
     r_alpha = None
-    if c > 0:
-        M = b ** (-1.0 / params.alpha)
-        if b ** (1.0 / params.alpha) < 1.0:
-            r_alpha = coeffs.radius_carrying_capacity(params.alpha, b)
+    if coeffs.carrying_capacity_hypothesis(params.alpha, b):
+        r_alpha = coeffs.radius_carrying_capacity(params.alpha, b)
     return DerivedParams(sigma=sigma, c=c, b=b, M=M, r_alpha=r_alpha)
 
 
@@ -119,7 +137,6 @@ def classical_sis(params: ModelParams, t):
         i = i0 / (1.0 + params.beta * i0 * t)
     if i.ndim == 0:
         i = float(i)
-        return i, 1.0 - i
     return i, 1.0 - i
 
 

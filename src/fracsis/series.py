@@ -16,6 +16,10 @@ that every solution in the family reads
   dilated in time by 2^q, extending its guaranteed interval of validity
   to (0, 2^q a0^(1/alpha)).
 
+:func:`sample_trajectory` evaluates a series on a grid and records the
+series' radius in the trajectory meta, so each run builds its series
+once.
+
 Evaluation sums terms in increasing k with ratio updates (one lgamma
 difference per order, cached per (alpha, K)).  Truncation follows
 :class:`~fracsis.specfn.EvalPolicy`; values past the guaranteed radius
@@ -27,7 +31,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -119,18 +123,13 @@ def _check_table(table: CoeffTable, kind: CoeffKind, alpha: float) -> None:
 def carrying_capacity_series(
     derived: DerivedParams, alpha: float, coeff_table: CoeffTable
 ) -> SeriesSolution:
-    """Series solution I(t) for the endemic case c != 0.
+    """Series solution I(t) for the endemic case c > 0.
 
-    Hypotheses: c > 0 and b^(1/alpha) < 1, with initial datum I(0) = c/2.
+    Hypotheses: c > 0 and b^(1/alpha) < 1, with initial datum I(0) = c/2;
+    :func:`~fracsis.coeffs.radius_carrying_capacity` raises
+    :class:`HypothesisError` where they fail.
     """
     _check_table(coeff_table, CoeffKind.EULER_ALPHA, alpha)
-    if derived.c == 0:
-        raise HypothesisError("carrying-capacity series requires c != 0")
-    if derived.c < 0 or derived.b ** (1.0 / alpha) >= 1.0:
-        raise HypothesisError(
-            f"carrying-capacity series requires 0 < b^(1/alpha) < 1, "
-            f"got c={derived.c}, b={derived.b}"
-        )
     theoretical = radius_carrying_capacity(alpha, derived.b)
     return SeriesSolution(
         alpha=alpha,
@@ -189,18 +188,13 @@ def rescaled_zero_capacity_series(
     q = 1.0 / a0 if a0 < 0.5 else 4.0 + 0.5 * (1.0 / a0 - 4.0)
     arg_scale = (2.0**-q) ** alpha
     theoretical = 2.0**q * a0 ** (1.0 / alpha)
-    try:
-        est = empirical_radius(coeff_table, arg_scale)
-        radius = RadiusEstimate(theoretical, est.empirical, est.k_used)
-    except InsufficientDataError:
-        radius = RadiusEstimate(theoretical, None, 0)
     return SeriesSolution(
         alpha=alpha,
         kind=SeriesKind.ZERO_CAPACITY,
         coeffs=coeff_table,
         scale_c=1.0,
         arg_scale=arg_scale,
-        radius=radius,
+        radius=_radius_for(coeff_table, arg_scale, theoretical),
     )
 
 
@@ -271,7 +265,12 @@ def evaluate(series: SeriesSolution, t: float, policy: EvalPolicy = DEFAULT_POLI
 def sample_trajectory(
     series: SeriesSolution, grid: TimeGrid, policy: EvalPolicy = DEFAULT_POLICY
 ) -> Trajectory:
-    """Evaluate the series on every grid node, aggregating the flags."""
+    """Evaluate the series on every grid node, aggregating the flags.
+
+    The meta also records the series' convergence radius under
+    ``"radius"`` (``theoretical``, ``empirical``, ``k_used``), so that
+    consumers such as the run manifest need not rebuild the series.
+    """
     nodes = grid.nodes()
     u = np.empty(nodes.size)
     converged = []
@@ -290,5 +289,6 @@ def sample_trajectory(
         "beyond_theoretical_radius": beyond,
         "terms_used": terms,
         "all_converged": all(converged),
+        "radius": asdict(series.radius),
     }
     return Trajectory(grid, u, Method.SERIES, meta)

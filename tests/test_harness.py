@@ -5,7 +5,8 @@ import json
 import numpy as np
 import pytest
 
-from fracsis import cli
+import fracsis
+from fracsis import cli, harness
 from fracsis.errors import GridMismatchError, ValidationError
 from fracsis.harness import (
     compare_methods,
@@ -84,6 +85,14 @@ class TestLoadConfig:
                 {"beta": 0.7, "gamma": 0.05, "mu": 0.12, "alpha": 0.7, "i0": 0.2,
                  "methods": "series,pece"}
             )
+
+    @pytest.mark.parametrize(
+        "key, match", [("T", "T=0"), ("dt", "dt=0"), ("terms", "terms")]
+    )
+    def test_zero_values_rejected_not_defaulted(self, key, match):
+        cfg = {"preset": "c-nonzero", "alpha": 0.7, key: 0}
+        with pytest.raises(ValidationError, match=match):
+            config_from_dict(cfg)
 
     def test_no_methods_rejected(self):
         with pytest.raises(ValidationError):
@@ -200,6 +209,7 @@ class TestEmit:
         emit(trajs, [compare_methods(trajs, 0.7)], cfg)
         manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
         assert manifest["tool"] == "fracsis"
+        assert manifest["version"] == fracsis.__version__
         assert manifest["config"]["alpha"] == 0.7
         assert manifest["derived"]["b"] == pytest.approx(0.53)
         assert manifest["series_radius"]["theoretical"] > 0
@@ -252,6 +262,19 @@ class TestEmit:
         text = svg.read_text()
         assert text.startswith("<svg") and "polyline" in text
 
+    def test_series_radius_from_the_run(self, tmp_path, monkeypatch):
+        # the manifest's radius comes from the series trajectory: one table
+        calls = []
+        real = harness.euler_alpha
+        monkeypatch.setattr(harness, "euler_alpha", lambda *a: calls.append(a) or real(*a))
+        rc = cli.main(
+            ["compare", "--preset", "c-nonzero", "--alpha", "0.7",
+             "--methods", "series,pece,l1", "--out", str(tmp_path / "run")]
+        )
+        assert rc == 0 and calls == [(0.7, 120)]
+        manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
+        assert manifest["series_radius"]["k_used"] > 0
+
     def test_requires_output_dir(self):
         cfg = preset_config("c-nonzero", 0.7, methods=("pece",))
         with pytest.raises(ValidationError):
@@ -301,6 +324,20 @@ class TestCli:
             ["solve", "--method", "l1", "--preset", "c-nonzero", "--alpha", "1.0"]
         )
         assert rc == 1
+        assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["compare", "--preset", "c-nonzero", "--alpha", "0.7", "--T", "0"],
+            ["compare", "--preset", "c-nonzero", "--alpha", "0.7", "--dt", "0"],
+            ["compare", "--preset", "c-nonzero", "--alpha", "0.7", "--terms", "0"],
+            ["table1", "--terms", "0"],
+        ],
+        ids=["T", "dt", "terms", "table1-terms"],
+    )
+    def test_zero_value_exit_code(self, argv, capsys):
+        assert cli.main(argv) == 1
         assert "error" in capsys.readouterr().err
 
     def test_numeric_failure_exit_code(self, capsys):

@@ -4,9 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from fracsis.errors import DomainError, ValidationError
+from fracsis.harness import config_from_dict, solve_method
 from fracsis.model import ModelParams, classical_sis, derive, logistic_rhs, population_nt
+from fracsis.solvers import Method
 
 # reference experiment parameters
 P_ENDEMIC = dict(beta=0.7, gamma=0.05, mu=0.12)
@@ -82,6 +86,57 @@ class TestDerive:
         for _ in range(100):
             beta, gamma, mu = rng.uniform(1e-3, 5.0, 3)
             assert derive(ModelParams(beta=beta, gamma=gamma, mu=mu, alpha=0.5, i0=0.5)).c < 1
+
+
+def typed(hundredths):
+    """A rate as typed with two decimals, parsed the way the CLI parses it."""
+    return float(f"{hundredths // 100}.{hundredths % 100:02d}")
+
+
+def assert_sigma_one(beta, gamma, mu):
+    """derive() and a series config both take the zero-capacity route."""
+    d = derive(ModelParams(beta=beta, gamma=gamma, mu=mu, alpha=0.7, i0=0.5))
+    assert (d.sigma, d.c, d.b) == (1.0, 0.0, 0.0)
+    cfg = config_from_dict(
+        {"beta": beta, "gamma": gamma, "mu": mu, "alpha": 0.7, "T": 0.5, "dt": 0.25,
+         "terms": 20, "methods": "series,pece,l1"}
+    )
+    assert cfg.params.i0 == 1.0 / (2.0 * beta)
+    assert solve_method(cfg, Method.SERIES).meta["kind"] == "zero-capacity"
+
+
+class TestSigmaOneRegime:
+    @pytest.mark.parametrize("rates", [(0.6, 0.05, 0.55), (0.63, 0.06, 0.57)])
+    def test_misrounded_rates_are_zero_capacity(self, rates):
+        # binary64 gives c = -2.2e-16 and +2.2e-16 for these
+        assert_sigma_one(*rates)
+
+    def test_misrounded_rates_with_small_beta(self):
+        # c = -1.1e-16 in binary64; 1/(2 beta) > 1 rules out the series here
+        d = derive(ModelParams(beta=0.3, gamma=0.1, mu=0.2, alpha=0.7, i0=0.5))
+        assert (d.sigma, d.c, d.b) == (1.0, 0.0, 0.0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 300), st.integers(0, 300))
+    @example(5, 55)
+    def test_typed_decimal_rates_summing_to_beta(self, g, m):
+        assume(g + m > 50)  # beta > 1/2 keeps 1/(2 beta) a valid fraction
+        assert_sigma_one(typed(g + m), typed(g), typed(m))
+
+    @pytest.mark.parametrize("eps", [1e-9, -1e-9])
+    def test_small_real_capacity_is_kept(self, eps):
+        # far outside SIGMA_ONE_TOL: the regime must not be swallowed
+        beta = 0.6 * (1.0 + eps)
+        d = derive(ModelParams(beta=beta, gamma=0.05, mu=0.55, alpha=0.7, i0=0.5))
+        assert d.sigma != 1.0
+        assert d.c == pytest.approx(eps, rel=1e-6)
+        if eps > 0:
+            cfg = config_from_dict(
+                {"beta": beta, "gamma": 0.05, "mu": 0.55, "alpha": 0.7, "T": 0.5,
+                 "dt": 0.25, "terms": 20, "methods": "series,pece"}
+            )
+            assert cfg.params.i0 == d.c / 2.0
+            assert solve_method(cfg, Method.SERIES).meta["kind"] == "carrying-capacity"
 
 
 class TestClassicalSis:
