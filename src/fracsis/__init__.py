@@ -61,7 +61,7 @@ from .harness import (
     run_table1,
     solve_method,
 )
-from .model import DerivedParams, ModelParams, classical_sis, derive, logistic_rhs, population_nt
+from .model import DerivedParams, ModelParams, classical_sis, derive, logistic_rhs
 from .series import (
     EvalResult,
     SeriesKind,

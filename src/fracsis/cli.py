@@ -9,9 +9,10 @@ Subcommands:
     c0-suite    run the zero-capacity preset (series blow-up showcase)
     population  N(t) via the Mittag-Leffler function
 
-Flags mirror the config key vocabulary (beta, gamma, mu, lambda, alpha,
-i0, T, dt, methods, terms, out, formats); ``--config FILE`` loads a JSON
-config (or a previously emitted manifest) and explicit flags override it.
+The flags of ``solve`` and ``compare`` mirror the config key vocabulary
+(beta, gamma, mu, alpha, i0, T, dt, methods, terms, out, formats); there
+``--config FILE`` loads a JSON config (or a previously emitted manifest)
+and explicit flags override it.
 
 Exit codes: 0 success, 1 validation error, 2 numeric failure.
 """
@@ -34,7 +35,6 @@ def _add_config_flags(p: argparse.ArgumentParser, with_methods: bool = True) -> 
     p.add_argument("--beta", type=float, help="contact rate")
     p.add_argument("--gamma", type=float, help="recovery removal rate")
     p.add_argument("--mu", type=float, help="birth/death removal rate")
-    p.add_argument("--lambda", dest="lam", type=float, help="birth rate (population utility)")
     p.add_argument("--alpha", type=float, help="fractional order in (0, 1]")
     p.add_argument("--i0", type=float, help="initial infected fraction")
     p.add_argument("--T", type=float, help="final time")
@@ -48,10 +48,8 @@ def _add_config_flags(p: argparse.ArgumentParser, with_methods: bool = True) -> 
 
 def _merged_config(args, forced_methods=None) -> harness.RunConfig:
     cfg = {} if args.config is None else harness.read_config_dict(args.config)
-    # explicit flags override the file; dests match the config keys but for
-    # --lambda, whose dest is lam
-    for dest, value in vars(args).items():
-        key = "lambda" if dest == "lam" else dest
+    # explicit flags override the file; dests match the config keys
+    for key, value in vars(args).items():
         if key in harness.CONFIG_KEYS and value is not None:
             cfg[key] = str(value) if isinstance(value, Path) else value
     if forced_methods is not None:
@@ -99,7 +97,7 @@ def _cmd_table1(args) -> int:
     reports = harness.run_table1(
         terms=args.terms,
         out=args.out,
-        formats=tuple((args.formats or "csv,json").replace(",", " ").split()),
+        formats=harness.parse_formats(args.formats),
     )
     print(harness.format_report_table(reports))
     return 0
@@ -108,7 +106,7 @@ def _cmd_table1(args) -> int:
 def _cmd_c0_suite(args) -> int:
     entries = harness.run_c0_suite(
         out=args.out,
-        formats=tuple((args.formats or "csv,json").replace(",", " ").split()),
+        formats=harness.parse_formats(args.formats),
     )
     for e in entries:
         status = (

@@ -22,7 +22,8 @@ scale ``s`` applied by the series evaluator:
   ``1 / (t + 2)``, i.e. ``(-1)^k k! / 2^(k+1)``.
 
 The module also provides the guaranteed convergence radii of both series
-and an empirical root-test estimate from a finite coefficient table.
+and an empirical root-test estimate from a finite coefficient table.  All
+log-Gammas come from :func:`fracsis.specfn.log_gamma_orders`.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from .errors import (
     InsufficientDataError,
     NumericOverflowError,
 )
+from .specfn import log_gamma_orders
 
 __all__ = [
     "CoeffKind",
@@ -108,7 +110,7 @@ def _recurse(alpha: float, K: int, c0: float, keep_linear: bool) -> tuple[float,
     self-convolution of the prefix at order k with the Gamma-ratio weight
     ``R(i, j, k)``.
     """
-    lg = [math.lgamma(alpha * k + 1.0) for k in range(K + 1)]
+    lg = log_gamma_orders(alpha, K)
     vals = [c0]
     for k in range(K):
         conv = 0.0
@@ -171,11 +173,8 @@ def radius_carrying_capacity(alpha: float, b: float) -> float:
             f"carrying-capacity series needs 0 < b^(1/alpha) < 1; "
             f"got b={b}, alpha={alpha}"
         )
-    g = math.exp(
-        math.lgamma(alpha + 1.0)
-        + math.lgamma(3.0 * alpha + 1.0)
-        - math.lgamma(2.0 * alpha + 1.0)
-    )
+    lg = log_gamma_orders(alpha, 3)
+    g = math.exp(lg[1] + lg[3] - lg[2])
     return b ** (-1.0 / alpha) * g ** (1.0 / (2.0 * alpha))
 
 
@@ -222,13 +221,12 @@ def empirical_radius(table: CoeffTable, b_scale: float = 1.0) -> RadiusEstimate:
     # at least _MIN_ROOT_TEST coefficients
     lo = min(K // 2, K + 1 - _MIN_ROOT_TEST)
     log_b = math.log(b_scale)
+    lg = log_gamma_orders(table.alpha, K)
     best = -math.inf
     for k in range(max(lo, 1), K + 1):
         if vals[k] == 0.0:
             continue
-        root = (
-            math.log(abs(vals[k])) + k * log_b - math.lgamma(table.alpha * k + 1.0)
-        ) / k
+        root = (math.log(abs(vals[k])) + k * log_b - lg[k]) / k
         best = max(best, root)
     radius = math.exp(-best / table.alpha)
     return RadiusEstimate(

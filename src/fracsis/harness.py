@@ -34,7 +34,7 @@ import numpy as np
 
 from . import __version__
 from .coeffs import a_coeffs, carrying_capacity_hypothesis, euler_alpha
-from .errors import GridMismatchError, ValidationError
+from .errors import DomainError, GridMismatchError, ValidationError
 from .model import ModelParams, DerivedParams, classical_sis, derive, logistic_rhs
 from .series import (
     carrying_capacity_series,
@@ -55,6 +55,7 @@ __all__ = [
     "load_config",
     "read_config_dict",
     "config_from_dict",
+    "parse_formats",
     "solve_method",
     "run_methods",
     "compare_methods",
@@ -75,7 +76,7 @@ _FMT = ".17g"
 
 #: the config key vocabulary
 CONFIG_KEYS = {
-    "preset", "beta", "gamma", "mu", "lambda", "alpha", "i0",
+    "preset", "beta", "gamma", "mu", "alpha", "i0",
     "T", "dt", "methods", "terms", "out", "formats",
 }
 _FORMATS = {"csv", "json", "svg"}
@@ -180,7 +181,7 @@ def _build_params(cfg: dict) -> ModelParams:
     i0 = cfg.get("i0")
     params = ModelParams(
         beta=cfg["beta"], gamma=cfg["gamma"], mu=cfg["mu"], alpha=cfg["alpha"],
-        i0=0.0 if i0 is None else i0, lam=cfg.get("lambda"),
+        i0=0.0 if i0 is None else i0,
     )
     if i0 is None:
         params = replace(params, i0=_series_i0(params.beta, derive(params)))
@@ -197,6 +198,16 @@ def _parse_methods(raw) -> tuple[Method, ...]:
             f"unknown method in {raw!r}; choose from "
             f"{[m.value for m in Method]}"
         ) from e
+
+
+def parse_formats(raw) -> tuple[str, ...]:
+    """Formats from a comma/space-separated string or a sequence; None gives the default."""
+    if raw is None:
+        return _DEFAULT_FORMATS
+    formats = tuple(raw.replace(",", " ").split() if isinstance(raw, str) else raw)
+    if not formats:
+        raise ValidationError(f"formats must name one of {sorted(_FORMATS)}, got {raw!r}")
+    return formats
 
 
 def _get(cfg: dict, key: str, default):
@@ -223,16 +234,13 @@ def config_from_dict(cfg: dict) -> RunConfig:
     grid = TimeGrid(float(_get(cfg, "T", _DEFAULT_T)), float(_get(cfg, "dt", _DEFAULT_DT)))
     methods = _parse_methods(_get(cfg, "methods", _DEFAULT_METHODS))
     out = cfg.get("out")
-    formats = cfg.get("formats") or _DEFAULT_FORMATS
-    if isinstance(formats, str):
-        formats = tuple(f for f in formats.replace(",", " ").split() if f)
     return RunConfig(
         params=params,
         grid=grid,
         methods=methods,
         series_terms=int(_get(cfg, "terms", _DEFAULT_TERMS)),
         output_dir=Path(out) if out else None,
-        formats=tuple(formats),
+        formats=parse_formats(cfg.get("formats")),
     )
 
 
@@ -266,8 +274,8 @@ def read_config_dict(path) -> dict:
 def load_config(path) -> RunConfig:
     """Load a flat JSON config (or a run manifest) into a RunConfig.
 
-    Key vocabulary: beta, gamma, mu, lambda, alpha, i0, T, dt, methods,
-    terms, out, formats, preset.  A manifest written by :func:`emit` is
+    Key vocabulary: beta, gamma, mu, alpha, i0, T, dt, methods, terms,
+    out, formats, preset.  A manifest written by :func:`emit` is
     accepted too: its embedded ``"config"`` object is used, which is what
     makes re-runs reproducible from the manifest alone.
     """
@@ -467,9 +475,9 @@ def population_curve(
     grid: TimeGrid,
     policy: EvalPolicy = EvalPolicy(),
 ) -> np.ndarray:
-    """N(t) = N0 E_alpha((lam - mu) t^alpha) sampled on a grid."""
+    """N(t) = N0 E_alpha((lam - mu) t^alpha) sampled on a grid: the package's one N(t)."""
     if not n0 > 0:
-        raise ValidationError(f"N0 must be positive, got {n0}")
+        raise DomainError(f"N0 must be positive, got {n0}")
     out = np.empty(grid.N + 1)
     for idx, t in enumerate(grid.nodes()):
         out[idx] = n0 * mittag_leffler(alpha, (lam - mu) * float(t) ** alpha, policy)
@@ -486,7 +494,6 @@ def _config_dict(config: RunConfig) -> dict:
         "beta": p.beta,
         "gamma": p.gamma,
         "mu": p.mu,
-        "lambda": p.lam,
         "alpha": p.alpha,
         "i0": p.i0,
         "T": config.grid.T,

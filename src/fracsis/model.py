@@ -7,9 +7,12 @@ scalar logistic equation for the infected fraction,
 
 with basic reproduction number ``sigma = beta / (gamma + mu)`` and
 carrying capacity ``c = (sigma - 1) / sigma``.  This module owns the
-parameter containers, the derivation of (sigma, c, b, M, radius), the
-alpha = 1 closed forms used as oracles, and the Mittag-Leffler population
-curve N(t) for the non-constant-population variant.
+parameter containers, the derivation of (sigma, c, b, M, radius) and the
+alpha = 1 closed forms used as oracles.  The population curve
+N(t) = N0 E_alpha((lambda - mu) t^alpha) of the non-constant-population
+variant is :func:`fracsis.harness.population_curve`; the birth rate
+lambda appears only there, since the constant-population model has
+lambda = mu.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from . import coeffs, specfn
+from . import coeffs
 from .errors import DomainError, ValidationError
 
 __all__ = [
@@ -29,26 +32,19 @@ __all__ = [
     "DerivedParams",
     "derive",
     "classical_sis",
-    "population_nt",
     "logistic_rhs",
 ]
 
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Epidemiological rates plus the fractional order.
-
-    ``lam`` (birth rate) is only used by the population utility
-    :func:`population_nt`; the constant-population model assumes
-    ``lam == mu``, which is the default when ``lam`` is omitted.
-    """
+    """Epidemiological rates plus the fractional order."""
 
     beta: float
     gamma: float
     mu: float
     alpha: float
     i0: float
-    lam: Optional[float] = None
 
     def __post_init__(self) -> None:
         if not self.beta > 0:
@@ -61,10 +57,6 @@ class ModelParams:
             raise ValidationError(f"alpha must be in (0, 1], got {self.alpha}")
         if not 0 <= self.i0 <= 1:
             raise ValidationError(f"i0 must be in [0, 1], got {self.i0}")
-        if self.lam is None:
-            object.__setattr__(self, "lam", self.mu)
-        elif self.lam < 0:
-            raise ValidationError(f"lam must be >= 0, got {self.lam}")
 
     @property
     def s0(self) -> float:
@@ -138,25 +130,6 @@ def classical_sis(params: ModelParams, t):
     if i.ndim == 0:
         i = float(i)
     return i, 1.0 - i
-
-
-def population_nt(
-    params: ModelParams,
-    n0: float,
-    t: float,
-    policy: specfn.EvalPolicy = specfn.DEFAULT_POLICY,
-) -> float:
-    """Total population N(t) = N0 * E_alpha((lam - mu) t^alpha).
-
-    Constant (== N0) when lam == mu, increasing for lam > mu, decreasing
-    for lam < mu.
-    """
-    if not n0 > 0:
-        raise DomainError(f"population_nt requires N0 > 0, got {n0}")
-    if t < 0:
-        raise DomainError(f"population_nt requires t >= 0, got {t}")
-    z = (params.lam - params.mu) * t**params.alpha
-    return n0 * specfn.mittag_leffler(params.alpha, z, policy)
 
 
 def logistic_rhs(params: ModelParams, derived: DerivedParams) -> Callable[[float], float]:

@@ -20,19 +20,19 @@ that every solution in the family reads
 series' radius in the trajectory meta, so each run builds its series
 once.
 
-Evaluation sums terms in increasing k with ratio updates (one lgamma
-difference per order, cached per (alpha, K)).  Truncation follows
+Evaluation sums terms in increasing k with the cached ratios of
+:func:`~fracsis.specfn.gamma_ratios`.  Truncation follows
 :class:`~fracsis.specfn.EvalPolicy`; values past the guaranteed radius
 are permitted but flagged, and sustained term growth flips ``converged``
-off in-band instead of raising.
+off in-band instead of raising, a rule the entire E_alpha of
+:func:`~fracsis.specfn.mittag_leffler` cannot share.  Vectorised over the
+nodes, :func:`sample_trajectory` gave the same values 3x slower at N = 100.
 """
 
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import asdict, dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -47,7 +47,7 @@ from .coeffs import (
 from .errors import DomainError, HypothesisError, InsufficientDataError
 from .model import DerivedParams
 from .solvers import Method, TimeGrid, Trajectory
-from .specfn import DEFAULT_POLICY, EvalPolicy
+from .specfn import _STOP_STREAK, DEFAULT_POLICY, EvalPolicy, gamma_ratios
 
 __all__ = [
     "SeriesKind",
@@ -60,8 +60,6 @@ __all__ = [
     "sample_trajectory",
 ]
 
-#: consecutive sub-tolerance terms that stop the summation
-_STOP_STREAK = 3
 #: consecutive growing (non-negligible) terms that flag divergence ...
 _GROW_STREAK = 5
 #: ... once at least this many terms have been summed
@@ -89,14 +87,12 @@ class SeriesSolution:
 class EvalResult:
     """Point evaluation with truncation/diagnostic flags.
 
-    ``value_s`` is 1 - value_i by construction.  ``converged`` is False
-    both when the stopping rule never fired within the available terms
-    and when sustained term growth was detected; in either case the value
-    fields carry the last partial sum.
+    ``converged`` is False both when the stopping rule never fired within
+    the available terms and when sustained term growth was detected; in
+    either case ``value_i`` carries the last partial sum.
     """
 
     value_i: float
-    value_s: float
     terms_used: int
     converged: bool
     beyond_theoretical_radius: bool
@@ -198,13 +194,6 @@ def rescaled_zero_capacity_series(
     )
 
 
-@lru_cache(maxsize=64)
-def _term_ratios(alpha: float, order: int) -> tuple[float, ...]:
-    """ratios[k] = Gamma(alpha (k-1) + 1) / Gamma(alpha k + 1), k = 1..order."""
-    lg = [math.lgamma(alpha * k + 1.0) for k in range(order + 1)]
-    return tuple(math.exp(lg[k - 1] - lg[k]) for k in range(1, order + 1))
-
-
 def evaluate(series: SeriesSolution, t: float, policy: EvalPolicy = DEFAULT_POLICY) -> EvalResult:
     """Evaluate the truncated series at a single time t >= 0.
 
@@ -222,9 +211,9 @@ def evaluate(series: SeriesSolution, t: float, policy: EvalPolicy = DEFAULT_POLI
     beyond = theo is not None and t > theo
     if t == 0.0:
         i0 = series.scale_c * vals[0]
-        return EvalResult(i0, 1.0 - i0, 1, True, beyond)
+        return EvalResult(i0, 1, True, beyond)
 
-    ratios = _term_ratios(series.alpha, series.coeffs.order)
+    ratios = gamma_ratios(series.alpha, series.coeffs.order)
     ta = series.arg_scale * t**series.alpha
     limit = min(len(vals), policy.max_terms)
     x = 1.0
@@ -258,8 +247,7 @@ def evaluate(series: SeriesSolution, t: float, policy: EvalPolicy = DEFAULT_POLI
             else:
                 grow = 0
             prev_mag = mag
-    value_i = series.scale_c * total
-    return EvalResult(value_i, 1.0 - value_i, terms_used, converged, beyond)
+    return EvalResult(series.scale_c * total, terms_used, converged, beyond)
 
 
 def sample_trajectory(

@@ -11,6 +11,14 @@ convergence; truncation is controlled by :class:`EvalPolicy`.  The small-
 and large-time asymptotic companions of E_a(-|r| t^a) are exposed
 separately rather than auto-switched.
 
+Every series of the package is normalised by Gamma(a k + 1):
+:func:`log_gamma_orders` is the one source of those log-Gammas, and
+:func:`gamma_ratios` caches the term ratios.  :func:`mittag_leffler`
+shares its stopping rule with :func:`fracsis.series.evaluate` but not
+that loop's divergence rule (stop after five growing terms at k >= 10):
+E_a is entire, and its terms may grow on the way to convergence (for
+E_0.5(3) from k = 10 to k = 17).
+
 All functions are pure and operate in binary64.
 """
 
@@ -18,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import DomainError, NonConvergenceError
 
@@ -27,6 +36,8 @@ __all__ = [
     "gamma",
     "log_gamma",
     "beta",
+    "log_gamma_orders",
+    "gamma_ratios",
     "mittag_leffler",
     "ml_asymptotics",
 ]
@@ -53,7 +64,8 @@ class EvalPolicy:
 
 DEFAULT_POLICY = EvalPolicy()
 
-#: consecutive sub-tolerance terms required by the stopping rule
+#: consecutive sub-tolerance terms required by the stopping rule of every
+#: power series in the package
 _STOP_STREAK = 3
 
 
@@ -91,11 +103,23 @@ def beta(x: float, y: float) -> float:
     return math.exp(math.lgamma(x) + math.lgamma(y) - math.lgamma(x + y))
 
 
+def log_gamma_orders(alpha: float, K: int) -> list[float]:
+    """lgamma(alpha k + 1) for k = 0..K: the series normalisation by order."""
+    return [math.lgamma(alpha * k + 1.0) for k in range(K + 1)]
+
+
+@lru_cache(maxsize=64)
+def gamma_ratios(alpha: float, order: int) -> tuple[float, ...]:
+    """ratios[k - 1] = Gamma(alpha (k-1) + 1) / Gamma(alpha k + 1), k = 1..order."""
+    lg = log_gamma_orders(alpha, order)
+    return tuple(math.exp(lg[k - 1] - lg[k]) for k in range(1, order + 1))
+
+
 def mittag_leffler(alpha: float, z: float, policy: EvalPolicy = DEFAULT_POLICY) -> float:
     """One-parameter Mittag-Leffler function E_alpha(z), alpha in (0, 1].
 
-    Direct summation of z^k / Gamma(alpha k + 1) with ratio updates (one
-    lgamma difference per term, no explicit powers).  E_1 reduces to exp;
+    Direct summation of z^k / Gamma(alpha k + 1) with ratio updates from
+    :func:`gamma_ratios` (no explicit powers).  E_1 reduces to exp;
     E_alpha(0) = 1 exactly for every alpha.
 
     Raises :class:`NonConvergenceError` if the stopping rule has not fired
@@ -103,14 +127,12 @@ def mittag_leffler(alpha: float, z: float, policy: EvalPolicy = DEFAULT_POLICY) 
     """
     if not 0 < alpha <= 1:
         raise DomainError(f"mittag_leffler requires alpha in (0, 1], got {alpha}")
+    ratios = gamma_ratios(alpha, policy.max_terms - 1)
     term = 1.0
     total = 1.0
     below = 0
-    lg_prev = 0.0  # lgamma(1)
     for k in range(1, policy.max_terms):
-        lg_next = math.lgamma(alpha * k + 1.0)
-        term *= z * math.exp(lg_prev - lg_next)
-        lg_prev = lg_next
+        term *= z * ratios[k - 1]
         total += term
         if abs(term) < policy.abs_tol:
             below += 1

@@ -13,8 +13,14 @@ import numpy as np
 import pytest
 
 from fracsis.coeffs import a_coeffs, empirical_radius, euler_alpha, radius_zero_capacity
-from fracsis.harness import preset_config, run_c0_suite, run_methods, run_table1
-from fracsis.model import ModelParams, classical_sis, derive, population_nt
+from fracsis.harness import (
+    population_curve,
+    preset_config,
+    run_c0_suite,
+    run_methods,
+    run_table1,
+)
+from fracsis.model import ModelParams, classical_sis, derive
 from fracsis.solvers import TimeGrid, discrete_caputo_l1, solve_l1, solve_pece
 from fracsis.specfn import mittag_leffler
 
@@ -210,8 +216,8 @@ def test_criterion_9_mittag_leffler():
         mittag_leffler(alpha, 0.0) == 1.0 for alpha in (0.2, 0.5, 0.8, 1.0)
     )
     erfc_dev = abs(mittag_leffler(0.5, -1.0) - float(mpmath.e * mpmath.erfc(1)))
-    p = ModelParams(beta=0.7, gamma=0.05, mu=0.12, alpha=0.6, i0=0.3)
-    const_n = all(population_nt(p, 3.0, t) == 3.0 for t in (0.0, 1.0, 7.5))
+    # the grid holds t = 0, 1 and 7.5
+    const_n = bool(np.all(population_curve(0.6, 0.12, 0.12, 3.0, TimeGrid(7.5, 0.5)) == 3.0))
     ok = dev_exp <= 1e-10 and exact_one and erfc_dev <= 1e-8 and const_n
     check(
         9,

@@ -1,9 +1,14 @@
 """Config handling, comparisons, emission, determinism, and the CLI."""
 
 import json
+import shutil
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fracsis
 from fracsis import cli, harness
@@ -93,6 +98,35 @@ class TestLoadConfig:
         cfg = {"preset": "c-nonzero", "alpha": 0.7, key: 0}
         with pytest.raises(ValidationError, match=match):
             config_from_dict(cfg)
+
+    @pytest.mark.parametrize(
+        "formats", ["", " , ", [], ()], ids=["empty", "separators", "list", "tuple"]
+    )
+    def test_empty_formats_rejected_not_defaulted(self, formats):
+        cfg = {"preset": "c-nonzero", "alpha": 0.7, "formats": formats}
+        with pytest.raises(ValidationError, match="formats"):
+            config_from_dict(cfg)
+
+    @pytest.mark.parametrize(
+        "raw, want",
+        [(None, ("csv", "json")), ("svg", ("svg",)), ("csv, svg", ("csv", "svg")),
+         (["json"], ("json",))],
+    )
+    def test_formats_parsed(self, raw, want):
+        cfg = {"preset": "c-nonzero", "alpha": 0.7, "formats": raw}
+        assert config_from_dict(cfg).formats == want
+
+    def test_manifest_with_lambda_refused(self, tmp_path):
+        # lambda is no config key: only the population curve reads a birth rate
+        cfg = preset_config("c-nonzero", 0.7, methods=("pece",), out=str(tmp_path / "run"))
+        emit(run_methods(cfg), [], cfg)
+        path = tmp_path / "run" / "manifest.json"
+        manifest = json.loads(path.read_text())
+        assert "lambda" not in manifest["config"]
+        manifest["config"]["lambda"] = 0.12
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(ValidationError, match="unknown config keys.*lambda"):
+            load_config(path)
 
     def test_no_methods_rejected(self):
         with pytest.raises(ValidationError):
@@ -231,6 +265,37 @@ class TestEmit:
         for name in ("series.csv", "pece.csv", "l1.csv", "comparison.csv"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
+    @given(
+        preset=st.sampled_from(sorted(harness.PRESETS)),
+        alpha=st.floats(min_value=0.05, max_value=0.99),
+        methods=st.lists(
+            st.sampled_from(["series", "pece", "l1", "classical"]),
+            min_size=1, max_size=4, unique=True,
+        ),
+        grid=st.sampled_from([(0.2, 0.02), (0.5, 0.05), (1.0, 0.1)]),
+        formats=st.sampled_from([("csv",), ("json",), ("csv", "json"), ("csv", "json", "svg")]),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_rerun_from_manifest_is_byte_identical(self, preset, alpha, methods, grid, formats):
+        def run_and_emit(cfg):
+            trajs = run_methods(cfg)
+            reports = [compare_methods(trajs, alpha)] if len(trajs) > 1 else []
+            emit(trajs, reports, cfg)
+
+        with tempfile.TemporaryDirectory() as tmp:
+            out = Path(tmp) / "run"
+            cfg = preset_config(
+                preset, alpha, methods=methods, T=grid[0], dt=grid[1],
+                out=str(out), formats=formats,
+            )
+            run_and_emit(cfg)
+            first = {p.name: p.read_bytes() for p in out.iterdir()}
+            rerun = load_config(out / "manifest.json")
+            assert rerun == cfg
+            shutil.rmtree(out)
+            run_and_emit(rerun)
+            assert {p.name: p.read_bytes() for p in out.iterdir()} == first
+
     def test_table1_determinism(self, tmp_path):
         # CSVs must be byte-identical across repeated runs (the manifests
         # differ only in their embedded output path)
@@ -339,6 +404,28 @@ class TestCli:
     def test_zero_value_exit_code(self, argv, capsys):
         assert cli.main(argv) == 1
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["table1", "--formats", ""], ["c0-suite", "--formats", ","]],
+        ids=["table1", "c0-suite"],
+    )
+    def test_empty_formats_exit_code(self, argv, capsys):
+        assert cli.main(argv) == 1
+        assert "formats" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["compare", "--preset", "c-nonzero", "--alpha", "0.7", "--lambda", "0.3"],
+         ["solve", "--method", "pece", "--preset", "c-nonzero", "--alpha", "0.7",
+          "--lambda", "0.3"]],
+        ids=["compare", "solve"],
+    )
+    def test_lambda_flag_only_on_population(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        assert "--lambda" in capsys.readouterr().err
 
     def test_numeric_failure_exit_code(self, capsys):
         rc = cli.main(

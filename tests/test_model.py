@@ -8,9 +8,9 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from fracsis.errors import DomainError, ValidationError
-from fracsis.harness import config_from_dict, solve_method
-from fracsis.model import ModelParams, classical_sis, derive, logistic_rhs, population_nt
-from fracsis.solvers import Method
+from fracsis.harness import config_from_dict, population_curve, solve_method
+from fracsis.model import ModelParams, classical_sis, derive, logistic_rhs
+from fracsis.solvers import Method, TimeGrid
 
 # reference experiment parameters
 P_ENDEMIC = dict(beta=0.7, gamma=0.05, mu=0.12)
@@ -24,9 +24,8 @@ def params(alpha=0.7, i0=0.3, **kw):
 
 
 class TestModelParams:
-    def test_lambda_defaults_to_mu(self):
+    def test_s0_is_one_minus_i0(self):
         p = params()
-        assert p.lam == p.mu
         assert p.s0 == 1.0 - p.i0
 
     def test_validation(self):
@@ -202,22 +201,22 @@ class TestLogisticRhs:
 
 
 class TestPopulation:
+    # N(t) = N0 E_alpha((lam - mu) t^alpha) at the endemic mu = 0.12
     def test_constant_when_rates_balance(self):
-        p = params(alpha=0.6)
-        for t in (0.0, 0.5, 3.0, 50.0):
-            assert population_nt(p, 2.5, t) == 2.5
+        n = population_curve(0.6, 0.12, 0.12, 2.5, TimeGrid(50.0, 0.5))  # holds 0, 0.5, 3, 50
+        assert np.all(n == 2.5)
 
     def test_exponential_at_alpha_one(self):
-        p = params(alpha=1.0, lam=0.12 + 0.1)
-        assert population_nt(p, 1.0, 2.0) == pytest.approx(math.exp(0.2), rel=1e-10)
+        n = population_curve(1.0, 0.12 + 0.1, 0.12, 1.0, TimeGrid(2.0, 0.5))
+        assert n[-1] == pytest.approx(math.exp(0.2), rel=1e-10)
 
     def test_decreasing_when_lambda_below_mu(self):
-        p = params(alpha=0.6, lam=0.02)
-        vals = [population_nt(p, 1.0, t) for t in np.linspace(0.1, 10.0, 25)]
-        assert all(a > b for a, b in zip(vals, vals[1:]))
+        n = population_curve(0.6, 0.02, 0.12, 1.0, TimeGrid(10.0, 0.1))
+        assert np.all(np.diff(n) < 0)
 
     def test_domain(self):
         with pytest.raises(DomainError):
-            population_nt(params(), 0.0, 1.0)
-        with pytest.raises(DomainError):
-            population_nt(params(), 1.0, -1.0)
+            population_curve(0.7, 0.12, 0.12, 0.0, TimeGrid(1.0, 0.5))
+        # negative times cannot reach the curve: the grid refuses them
+        with pytest.raises(ValidationError):
+            TimeGrid(-1.0, 0.5)

@@ -5,6 +5,7 @@ import pytest
 
 from fracsis.coeffs import a_coeffs, euler_alpha
 from fracsis.errors import DomainError, HypothesisError
+from fracsis.harness import trajectory_csv
 from fracsis.model import ModelParams, classical_sis, derive, logistic_rhs
 from fracsis.series import (
     EvalResult,
@@ -108,7 +109,7 @@ class TestEvaluate:
     def test_t_zero_exact(self):
         sol = zero_capacity_series(0.7, 0.5, a_coeffs(0.5, 40))
         r = evaluate(sol, 0.0)
-        assert r == EvalResult(sol.scale_c * 0.5, 1.0 - sol.scale_c * 0.5, 1, True, False)
+        assert r == EvalResult(sol.scale_c * 0.5, 1, True, False)
 
     def test_blowup_detected_past_radius(self):
         # guaranteed radius at alpha = 0.5 is 0.25; t = 1 lies far outside
@@ -126,10 +127,12 @@ class TestEvaluate:
         assert r.converged
 
     def test_s_complements_i_exactly(self):
+        # S is not stored: the trajectory CSV writes it as 1 - I
         d, sol = endemic_setup(0.7)
-        for t in (0.0, 0.3, 1.7, 4.2):
-            r = evaluate(sol, t)
-            assert r.value_s == 1.0 - r.value_i
+        text = trajectory_csv(sample_trajectory(sol, TimeGrid(4.2, 0.1)))
+        for line in text.splitlines()[1:]:
+            _, i, s = (float(v) for v in line.split(","))
+            assert s == 1.0 - i
 
     def test_monotone_truncation(self):
         d, sol = endemic_setup(0.7)

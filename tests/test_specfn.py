@@ -21,6 +21,37 @@ from fracsis.specfn import (
 mpmath.mp.dps = 40
 
 
+def per_term_lgamma_ml(alpha, z, policy=EvalPolicy()):
+    """E_alpha(z) with one lgamma difference per term.
+
+    A bit-exact reference for the cached-ratio loop of :func:`mittag_leffler`.
+    """
+    term = 1.0
+    total = 1.0
+    below = 0
+    lg_prev = 0.0  # lgamma(1)
+    for k in range(1, policy.max_terms):
+        lg_next = math.lgamma(alpha * k + 1.0)
+        term *= z * math.exp(lg_prev - lg_next)
+        lg_prev = lg_next
+        total += term
+        if abs(term) < policy.abs_tol:
+            below += 1
+            if below >= 3:
+                return total
+        else:
+            below = 0
+    raise NonConvergenceError(f"not converged after {policy.max_terms} terms")
+
+
+def outcome(fn, *args):
+    """The value of a call, or the type of the exception it raised."""
+    try:
+        return fn(*args)
+    except Exception as e:
+        return type(e)
+
+
 class TestGamma:
     def test_known_values(self):
         assert gamma(1.0) == 1.0
@@ -116,6 +147,18 @@ class TestMittagLeffler:
             ts = np.linspace(0.01, 20.0, 60)
             vals = [mittag_leffler(alpha, -float(t) ** alpha) for t in ts]
             assert all(a > b for a, b in zip(vals, vals[1:]))
+
+    @pytest.mark.parametrize(
+        "policy",
+        [EvalPolicy(), EvalPolicy(max_terms=5), EvalPolicy(abs_tol=1e-8, max_terms=60)],
+        ids=["default", "max_terms=5", "loose"],
+    )
+    @pytest.mark.parametrize("alpha", [0.05, 0.1, 0.3, 0.5, 0.7, 0.9, 0.99, 1.0])
+    def test_cached_ratios_match_per_term_lgamma(self, alpha, policy):
+        zs = [-40.0, -12.0, -5.0, -1.0, -0.25, 0.0, 1e-3, 0.5, 3.0, 12.0]
+        for z in zs:
+            got = outcome(mittag_leffler, alpha, z, policy)
+            assert got == outcome(per_term_lgamma_ml, alpha, z, policy), z
 
     def test_non_convergence_error(self):
         with pytest.raises(NonConvergenceError):
