@@ -77,9 +77,8 @@ from .solvers import (
     TimeGrid,
     Trajectory,
     discrete_caputo_l1,
-    l1_coeffs,
-    pece_weights_a,
-    pece_weights_b,
+    l1_kernel,
+    pece_kernels,
     solve_l1,
     solve_pece,
 )

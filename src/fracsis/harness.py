@@ -59,6 +59,7 @@ __all__ = [
     "solve_method",
     "run_methods",
     "compare_methods",
+    "format_report_table",
     "linf_distance",
     "crossing_node",
     "run_table1",

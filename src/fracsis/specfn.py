@@ -127,19 +127,25 @@ def mittag_leffler(alpha: float, z: float, policy: EvalPolicy = DEFAULT_POLICY) 
     """
     if not 0 < alpha <= 1:
         raise DomainError(f"mittag_leffler requires alpha in (0, 1], got {alpha}")
-    ratios = gamma_ratios(alpha, policy.max_terms - 1)
+    # most calls stop after a few dozen terms: request 32 ratios and double
+    # the request only when the sum runs past them, rather than build all
+    # max_terms - 1 ratios for each fresh alpha
+    last = policy.max_terms - 1
+    done, size = 0, min(32, last)
     term = 1.0
     total = 1.0
     below = 0
-    for k in range(1, policy.max_terms):
-        term *= z * ratios[k - 1]
-        total += term
-        if abs(term) < policy.abs_tol:
-            below += 1
-            if below >= _STOP_STREAK:
-                return total
-        else:
-            below = 0
+    while done < last:
+        for ratio in gamma_ratios(alpha, size)[done:]:
+            term *= z * ratio
+            total += term
+            if abs(term) < policy.abs_tol:
+                below += 1
+                if below >= _STOP_STREAK:
+                    return total
+            else:
+                below = 0
+        done, size = size, min(2 * size, last)
     raise NonConvergenceError(
         f"Mittag-Leffler series not converged after {policy.max_terms} terms "
         f"(alpha={alpha}, z={z}); last term {term:.3e}"

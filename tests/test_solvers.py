@@ -1,4 +1,4 @@
-"""Scheme weights, marches, discrete-operator properties, and limits."""
+"""Scheme kernels, marches, discrete-operator properties, limits and orders."""
 
 import math
 
@@ -8,21 +8,104 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fracsis.errors import DomainError, NumericOverflowError, ValidationError
+from fracsis.harness import preset_config, solve_method
 from fracsis.model import ModelParams, classical_sis, derive, logistic_rhs
 from fracsis.solvers import (
     Method,
     TimeGrid,
     Trajectory,
     discrete_caputo_l1,
-    l1_coeffs,
-    pece_weights_a,
-    pece_weights_b,
+    l1_kernel,
+    pece_kernels,
     solve_l1,
     solve_pece,
 )
 
 ENDEMIC = dict(beta=0.7, gamma=0.05, mu=0.12)
 SIGMA1 = dict(beta=0.7, gamma=0.07, mu=0.63)
+SUBCRITICAL = dict(beta=0.3, gamma=0.2, mu=0.3)
+
+# ---------------------------------------------------------------------------
+# reference: the weights of one step n, built from their textbook formulas,
+# and the marches built on them (O(N^2) weight evaluations per run)
+
+
+def pece_weights_b(alpha, n, dt):
+    """Rectangle-rule weights b_{j,n+1}, j = 0..n."""
+    j = np.arange(n + 1, dtype=float)
+    return dt**alpha / alpha * ((n + 1 - j) ** alpha - (n - j) ** alpha)
+
+
+def pece_weights_a(alpha, n, dt):
+    """Trapezoidal weights a_{j,n+1}, j = 0..n+1."""
+    k = dt**alpha / (alpha * (alpha + 1.0))
+    a = np.empty(n + 2)
+    a[0] = k * (n ** (alpha + 1.0) - (n - alpha) * (n + 1.0) ** alpha)
+    if n >= 1:
+        j = np.arange(1, n + 1, dtype=float)
+        a[1 : n + 1] = k * (
+            (n - j + 2.0) ** (alpha + 1.0)
+            - 2.0 * (n - j + 1.0) ** (alpha + 1.0)
+            + (n - j) ** (alpha + 1.0)
+        )
+    a[n + 1] = k
+    return a
+
+
+def l1_coeffs(alpha, n):
+    """L1 weights C_{n,j}, j = 0..n-1, of u_j in the derivative at t_n.
+
+    With g(r) = r^(1-alpha) - (r-1)^(1-alpha): C_{n,0} = g(n) and
+    C_{n,j} = g(n-j) - g(n-j+1) for j >= 1.
+    """
+    r = np.arange(1, n + 1, dtype=float)
+    g = r ** (1.0 - alpha) - (r - 1.0) ** (1.0 - alpha)
+    c = np.empty(n)
+    c[0] = g[n - 1]
+    if n >= 2:
+        j = np.arange(1, n)
+        c[1:] = g[n - j - 1] - g[n - j]
+    return c
+
+
+def reference_pece(f, u0, grid, alpha):
+    inv_gamma = 1.0 / math.gamma(alpha)
+    u = np.empty(grid.N + 1)
+    fu = np.empty(grid.N + 1)
+    u[0], fu[0] = u0, f(u0)
+    for n in range(grid.N):
+        pred = u0 + inv_gamma * (pece_weights_b(alpha, n, grid.dt) @ fu[: n + 1])
+        aw = pece_weights_a(alpha, n, grid.dt)
+        u[n + 1] = u0 + inv_gamma * (aw[: n + 1] @ fu[: n + 1] + aw[n + 1] * f(pred))
+        fu[n + 1] = f(u[n + 1])
+    return u
+
+
+def reference_l1(f, u0, grid, alpha):
+    """u_{n+1} = sum_j C_{n+1,j} u_j + Gamma(2-alpha) dt^alpha f(u_n).
+
+    The history sum is taken as u_n + sum_j C_j (u_j - u_n) (the weights
+    sum to one), which avoids cancelling the full values.
+    """
+    gain = math.gamma(2.0 - alpha) * grid.dt**alpha
+    u = np.empty(grid.N + 1)
+    u[0] = u0
+    for n in range(grid.N):
+        hist = u[n] + l1_coeffs(alpha, n + 1) @ (u[: n + 1] - u[n])
+        u[n + 1] = hist + gain * f(u[n])
+    return u
+
+
+def reference_caputo(u, alpha, dt):
+    """sum_{j<n} C_{n,j} (u_n - u_j) / (Gamma(2-alpha) dt^alpha), n = 1..len(u)-1."""
+    scale = 1.0 / (math.gamma(2.0 - alpha) * dt**alpha)
+    return np.array([scale * (l1_coeffs(alpha, n) @ (u[n] - u[:n])) for n in range(1, u.size)])
+
+
+def l1_weights_on_values(g, n):
+    """C_{n,j}, j = 0..n-1, from the increment kernel: g[n-1], then g[n-j-1] - g[n-j]."""
+    j = np.arange(1, n)
+    return np.concatenate([[g[n - 1]], g[n - j - 1] - g[n - j]])
 
 
 def endemic_problem(alpha):
@@ -52,33 +135,52 @@ class TestTimeGrid:
 
 
 class TestPeceWeights:
+    @pytest.mark.parametrize("alpha", [0.3, 0.7, 1.0])
+    def test_kernels_match_per_step_formulas(self, alpha):
+        dt = 0.05
+        b, a, a0 = pece_kernels(alpha, 200, dt)
+        k = dt**alpha / (alpha * (alpha + 1.0))
+        for n in range(200):
+            assert np.array_equal(b[n::-1], pece_weights_b(alpha, n, dt))
+            want = np.concatenate([[a0[n]], a[:n][::-1], [k]])
+            assert np.array_equal(want, pece_weights_a(alpha, n, dt))
+
     def test_rectangle_weights_alpha_one(self):
-        w = pece_weights_b(1.0, 7, 0.05)
-        np.testing.assert_allclose(w, 0.05, rtol=0, atol=0)
+        b, _, _ = pece_kernels(1.0, 8, 0.05)
+        np.testing.assert_allclose(b, 0.05, rtol=0, atol=0)
 
     def test_rectangle_weight_half_order(self):
-        assert pece_weights_b(0.5, 0, 1.0)[0] == pytest.approx(2.0, rel=1e-15)
+        assert pece_kernels(0.5, 1, 1.0)[0][0] == pytest.approx(2.0, rel=1e-15)
 
     def test_rectangle_weights_positive_decreasing(self):
         for alpha in (0.3, 0.7, 1.0):
-            w = pece_weights_b(alpha, 50, 0.05)
-            assert np.all(w > 0)
-            # weight grows with j, i.e. decreases with the age n - j
-            assert np.all(np.diff(w) >= 0)
+            b, _, _ = pece_kernels(alpha, 51, 0.05)
+            assert np.all(b > 0)
+            # weight decreases with the lag n - j
+            assert np.all(np.diff(b) <= 0)
 
     def test_trapezoid_weights_alpha_one(self):
+        # first-node weight dt/2, inner weights dt; the endpoint weight
+        # k = dt/2 on the predicted value is checked by the AM1 oracle of
+        # TestSolvePece
         dt = 0.05
-        w = pece_weights_a(1.0, 6, dt)
-        assert w[0] == pytest.approx(dt / 2.0, rel=1e-14)
-        np.testing.assert_allclose(w[1:7], dt, rtol=1e-14)
-        assert w[7] == pytest.approx(dt / 2.0, rel=1e-14)
+        _, a, a0 = pece_kernels(1.0, 7, dt)
+        np.testing.assert_allclose(a0, dt / 2.0, rtol=1e-14)
+        np.testing.assert_allclose(a, dt, rtol=1e-14)
 
     def test_trapezoid_first_step(self):
-        assert pece_weights_a(1.0, 0, 0.05)[0] == pytest.approx(0.025, rel=1e-14)
+        assert pece_kernels(1.0, 1, 0.05)[2][0] == pytest.approx(0.025, rel=1e-14)
 
     def test_trapezoid_weights_nonnegative_brute(self):
         for alpha in np.linspace(0.05, 1.0, 20):
-            assert np.all(pece_weights_a(float(alpha), 10_000, 0.1) >= 0)
+            for w in pece_kernels(float(alpha), 10_000, 0.1):
+                assert np.all(w >= 0)
+
+    def test_endpoints(self):
+        with pytest.raises(DomainError):
+            pece_kernels(0.0, 5, 0.1)
+        with pytest.raises(DomainError):
+            pece_kernels(1.5, 5, 0.1)
 
 
 class TestSolvePece:
@@ -127,26 +229,36 @@ class TestSolvePece:
 
 
 class TestL1Coeffs:
+    @pytest.mark.parametrize("alpha", [0.3, 0.7])
+    def test_kernel_matches_per_step_formula(self, alpha):
+        g = l1_kernel(alpha, 200)
+        for n in range(1, 201):
+            assert np.array_equal(l1_weights_on_values(g, n), l1_coeffs(alpha, n))
+
     @pytest.mark.parametrize("alpha,n", [(0.3, 50), (0.5, 1), (0.7, 7), (0.95, 200)])
     def test_weights_sum_to_one(self, alpha, n):
-        assert l1_coeffs(alpha, n).sum() == pytest.approx(1.0, abs=1e-12)
+        # the increment weights telescope to n^(1-alpha), so the weights
+        # on the values u_j sum to g[0] = 1
+        g = l1_kernel(alpha, n)
+        assert g.sum() == pytest.approx(n ** (1.0 - alpha), rel=1e-12)
+        assert l1_weights_on_values(g, n).sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_first_step_weight_is_one(self):
         for alpha in (0.1, 0.5, 0.9):
-            np.testing.assert_allclose(l1_coeffs(alpha, 1), [1.0], rtol=0, atol=0)
+            assert l1_kernel(alpha, 5)[0] == 1.0
 
     def test_alpha_to_one_degenerates_to_last_value(self):
-        c = l1_coeffs(1.0 - 1e-12, 25)
+        g = l1_kernel(1.0 - 1e-12, 25)
+        assert np.max(np.abs(g[1:])) < 1e-9
+        c = l1_weights_on_values(g, 25)
         assert c[-1] == pytest.approx(1.0, abs=1e-9)
         assert np.max(np.abs(c[:-1])) < 1e-9
 
     def test_endpoints_excluded(self):
         with pytest.raises(DomainError):
-            l1_coeffs(1.0, 5)
+            l1_kernel(1.0, 5)
         with pytest.raises(DomainError):
-            l1_coeffs(0.0, 5)
-        with pytest.raises(DomainError):
-            l1_coeffs(0.5, 0)
+            l1_kernel(0.0, 5)
 
 
 class TestSolveL1:
@@ -180,12 +292,25 @@ class TestSolveL1:
         # reference magnitude ~2e-3 for this grid; require the same decade
         assert 2e-4 <= dist <= 2e-2
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_overflow_reports_step(self):
+        # u_1 = 1e100 + gain * 1e200 is finite; f(u_1) overflows
+        with pytest.raises(NumericOverflowError, match="at step 2$"):
+            solve_l1(lambda u: u * u, 1e100, TimeGrid(1.0, 0.1), 0.5)
+
     def test_alpha_one_rejected(self):
         with pytest.raises(DomainError):
             solve_l1(lambda u: 0.0, 1.0, TimeGrid(1.0, 0.1), 1.0)
 
 
 class TestDiscreteCaputo:
+    def test_domain(self):
+        for alpha in (0.0, 1.0, 2.0):
+            with pytest.raises(DomainError, match="alpha"):
+                discrete_caputo_l1(np.arange(5.0), alpha, 0.1)
+        with pytest.raises(DomainError):
+            discrete_caputo_l1([1.0], 0.5, 0.1)
+
     def test_annihilates_constants(self):
         u = np.full(80, 0.73)
         assert np.max(np.abs(discrete_caputo_l1(u, 0.5, 0.05))) <= 1e-12
@@ -256,3 +381,75 @@ class TestLimitsAndConsistency:
             solve_l1(f0, p0.i0, TimeGrid(1.0, 0.01), alpha),
         ):
             assert np.all((traj.u >= 0.0) & (traj.u <= 1.0))
+
+
+REGIMES = {
+    "c>0": (ENDEMIC, None),
+    "c=0": (SIGMA1, 1.0 / 1.4),
+    "c<0": (SUBCRITICAL, 0.4),
+}
+
+
+def regime_problem(regime, alpha):
+    rates, i0 = REGIMES[regime]
+    p = ModelParams(alpha=alpha, i0=0.5 if i0 is None else i0, **rates)
+    d = derive(p)
+    if i0 is None:
+        p = ModelParams(alpha=alpha, i0=d.c / 2.0, **rates)
+    return p, logistic_rhs(p, d)
+
+
+class TestReferenceMarches:
+    """The lag-kernel marches against the per-step-weight marches."""
+
+    GRID = TimeGrid(5.0, 0.0025)  # N = 2000
+
+    @pytest.mark.parametrize("regime", sorted(REGIMES))
+    @pytest.mark.parametrize("alpha", [0.3, 0.7, 1.0])
+    def test_pece(self, regime, alpha):
+        p, f = regime_problem(regime, alpha)
+        got = solve_pece(f, p.i0, self.GRID, alpha).u
+        np.testing.assert_allclose(got, reference_pece(f, p.i0, self.GRID, alpha), rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("regime", sorted(REGIMES))
+    @pytest.mark.parametrize("alpha", [0.3, 0.7])
+    def test_l1_and_its_discrete_caputo(self, regime, alpha):
+        p, f = regime_problem(regime, alpha)
+        u = solve_l1(f, p.i0, self.GRID, alpha).u
+        np.testing.assert_allclose(u, reference_l1(f, p.i0, self.GRID, alpha), rtol=0, atol=1e-14)
+        np.testing.assert_allclose(
+            discrete_caputo_l1(u, alpha, self.GRID.dt),
+            reference_caputo(u, alpha, self.GRID.dt),
+            rtol=0,
+            atol=1e-14,
+        )
+
+
+class TestConvergenceOrder:
+    """Observed orders against the converged carrying-capacity series.
+
+    Error at t = 1 on the c-nonzero preset, dt halved from 0.01 to
+    0.000625; PECE converges like dt^(1+alpha), explicit L1 like dt.  (The
+    maximum over all nodes is dominated by the t^alpha start and shows
+    order alpha for L1.)
+    """
+
+    DTS = [0.01 / 2**i for i in range(5)]
+
+    def orders(self, solver, alpha):
+        cfg = preset_config("c-nonzero", alpha, T=1.0, dt=self.DTS[-1], terms=200)
+        ref = solve_method(cfg, Method.SERIES)
+        assert ref.meta["all_converged"]
+        p = cfg.params
+        f = logistic_rhs(p, derive(p))
+        err = [abs(solver(f, p.i0, TimeGrid(1.0, dt), alpha).u[-1] - ref.u[-1]) for dt in self.DTS]
+        return np.log2(np.array(err[:-1]) / err[1:])
+
+    @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.7, 0.9])
+    def test_pece(self, alpha):
+        assert np.all(np.abs(self.orders(solve_pece, alpha) - (1.0 + alpha)) <= 0.1)
+
+    @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.7, 0.9])
+    def test_l1(self, alpha):
+        p = self.orders(solve_l1, alpha)
+        assert np.all((p >= 0.8) & (p <= 1.1))
