@@ -1,5 +1,6 @@
 """Scheme kernels, marches, discrete-operator properties, limits and orders."""
 
+import itertools
 import math
 
 import numpy as np
@@ -11,6 +12,7 @@ from fracsis.errors import DomainError, NumericOverflowError, ValidationError
 from fracsis.harness import preset_config, solve_method
 from fracsis.model import ModelParams, classical_sis, derive, logistic_rhs
 from fracsis.solvers import (
+    BLOCK,
     Method,
     TimeGrid,
     Trajectory,
@@ -292,7 +294,7 @@ class TestSolveL1:
         # reference magnitude ~2e-3 for this grid; require the same decade
         assert 2e-4 <= dist <= 2e-2
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflow_reports_step(self):
         # u_1 = 1e100 + gain * 1e200 is finite; f(u_1) overflows
         with pytest.raises(NumericOverflowError, match="at step 2$"):
@@ -312,8 +314,12 @@ class TestDiscreteCaputo:
             discrete_caputo_l1([1.0], 0.5, 0.1)
 
     def test_annihilates_constants(self):
-        u = np.full(80, 0.73)
-        assert np.max(np.abs(discrete_caputo_l1(u, 0.5, 0.05))) <= 1e-12
+        # zero increments transform to zeros, so the FFT product is exact
+        for size in (2, 80, 4001):
+            u = np.full(size, 0.73)
+            got = discrete_caputo_l1(u, 0.5, 0.05)
+            assert np.max(np.abs(got)) == 0.0
+            assert np.array_equal(got, reference_caputo(u, 0.5, 0.05))
 
     @given(
         st.floats(min_value=-5, max_value=5),
@@ -423,6 +429,88 @@ class TestReferenceMarches:
             rtol=0,
             atol=1e-14,
         )
+
+
+def inf_from_call(m, f):
+    """f, except that the m-th call and every later one return inf."""
+    calls = itertools.count(1)
+    return lambda u: math.inf if next(calls) >= m else f(u)
+
+
+class TestBlockedMarches:
+    """The block-by-block marches at and around the block boundaries."""
+
+    NS = [*range(1, 41), 47, 48, 49, 63, 64, 65]
+
+    @staticmethod
+    def grid(N):
+        return TimeGrid(N * 0.05, 0.05)
+
+    @pytest.mark.parametrize("alpha", [0.3, 0.7])
+    def test_pece(self, alpha):
+        p, _, f = endemic_problem(alpha)
+        for N in self.NS:
+            g = self.grid(N)
+            np.testing.assert_allclose(
+                solve_pece(f, p.i0, g, alpha).u,
+                reference_pece(f, p.i0, g, alpha),
+                rtol=0,
+                atol=1e-14,
+                err_msg=f"N={N}",
+            )
+
+    @pytest.mark.parametrize("alpha", [0.3, 0.7])
+    def test_l1_and_its_discrete_caputo(self, alpha):
+        p, _, f = endemic_problem(alpha)
+        for N in self.NS:
+            g = self.grid(N)
+            u = solve_l1(f, p.i0, g, alpha).u
+            np.testing.assert_allclose(
+                u, reference_l1(f, p.i0, g, alpha), rtol=0, atol=1e-14, err_msg=f"N={N}"
+            )
+            np.testing.assert_allclose(
+                discrete_caputo_l1(u, alpha, g.dt),
+                reference_caputo(u, alpha, g.dt),
+                rtol=0,
+                atol=1e-14,
+                err_msg=f"N={N}",
+            )
+
+    @pytest.mark.parametrize("solver", [solve_pece, solve_l1])
+    def test_rhs_called_with_python_floats(self, solver):
+        p, _, f = endemic_problem(0.6)
+        seen = set()
+
+        def rhs(u):
+            seen.add(type(u))
+            return f(u)
+
+        solver(rhs, np.float64(p.i0), self.grid(3 * BLOCK + 5), 0.6)
+        assert seen == {float}
+
+    # PECE calls f at u_0, then at the predicted and at the corrected value
+    # of each step: call 42 is the prediction of step 21, call 65 the
+    # corrected u_32, whose inf reaches step 33, the first of the third
+    # block.  L1 calls f once per step, at u_n for step n + 1.
+    @pytest.mark.parametrize(
+        "solver,reference,m",
+        [
+            (solve_pece, reference_pece, 42),
+            (solve_pece, reference_pece, 65),
+            (solve_l1, reference_l1, 20),
+            (solve_l1, reference_l1, 33),
+        ],
+    )
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflow_step_in_later_blocks(self, solver, reference, m):
+        p, _, f = endemic_problem(0.6)
+        g = self.grid(5 * BLOCK)
+        with np.errstate(all="ignore"):
+            ref = reference(inf_from_call(m, f), p.i0, g, 0.6)
+        step = int(np.argmax(~np.isfinite(ref)))
+        assert (step - 1) // BLOCK in (1, 2)
+        with pytest.raises(NumericOverflowError, match=f"at step {step}$"):
+            solver(inf_from_call(m, f), p.i0, g, 0.6)
 
 
 class TestConvergenceOrder:
