@@ -1,29 +1,29 @@
 """Coefficient sequences of the fractional power-series solutions.
 
-Two sequences are generated, both normalised so that the series reads
-``sum_k c_k * s^k * t^(alpha k) / Gamma(alpha k + 1)`` for a per-index
-scale ``s`` applied by the series evaluator:
+Both sequences are stored normalised, as ``d_k = c_k / Gamma(alpha k + 1)``,
+so that the series evaluator sums ``sum_k d_k x^k`` with
+``x = s * t^alpha`` for a scale ``s`` it applies.  In this form the
+fractional convolution weight cancels from both recursions, and a table
+stays finite for every alpha in (0, 1] up to :data:`MAX_ORDER`.  With
+``S_k = sum_{i=0..k} d_i d_{k-i}`` and ``r_k = Gamma(alpha k + 1) /
+Gamma(alpha k + alpha + 1)`` (:func:`fracsis.specfn.gamma_ratios`):
 
 * alpha-Euler numbers ``E_k`` for the carrying-capacity logistic equation
-  ``D^alpha v = v (1 - v) / M^alpha`` with ``v(0) = 1/2``.  They satisfy
-  ``E_0 = 1/2`` and the one-step recursion
-
-      E_{k+1} = E_k - sum_{i+j=k} R(i, j, k) E_i E_j,
-
-  where ``R(i, j, k) = Gamma(alpha k + 1) / (Gamma(alpha i + 1)
-  Gamma(alpha j + 1))`` is the fractional convolution weight (equivalently
-  ``1 / ((alpha k + 1) B(alpha i + 1, alpha j + 1))``).  Every even-index
+  ``D^alpha v = v (1 - v) / M^alpha`` with ``v(0) = 1/2``:
+  ``d_0 = 1/2`` and ``d_{k+1} = r_k (d_k - S_k)``.  Every even-index
   entry past ``E_0`` vanishes, and at alpha = 1 the table reduces to the
   Taylor coefficients of the sigmoid ``1 / (1 + e^{-t})``.
 
 * A-coefficients ``A_k`` for the pure-decay equation ``D^alpha u = -u^2``
-  with ``u(0) = a0``: ``A_{k+1} = -sum_{i+j=k} R(i, j, k) A_i A_j``.  At
-  alpha -> 1 with ``a0 = 1/2`` they reduce to the Taylor coefficients of
-  ``1 / (t + 2)``, i.e. ``(-1)^k k! / 2^(k+1)``.
+  with ``u(0) = a0``: ``d_0 = a0`` and ``d_{k+1} = -r_k S_k``.  At
+  alpha -> 1 with ``a0 = 1/2`` the ``A_k`` reduce to the Taylor
+  coefficients of ``1 / (t + 2)``, i.e. ``(-1)^k k! / 2^(k+1)``.
 
-The module also provides the guaranteed convergence radii of both series
-and an empirical root-test estimate from a finite coefficient table.  All
-log-Gammas come from :func:`fracsis.specfn.log_gamma_orders`.
+:attr:`CoeffTable.values` is the one view of the unnormalised ``c_k``
+(``E_k`` or ``A_k``); it refuses, with :class:`NumericOverflowError`, an
+entry beyond binary64.  The module also provides the guaranteed
+convergence radii of both series and an empirical root-test estimate from
+a finite coefficient table.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from .errors import (
     InsufficientDataError,
     NumericOverflowError,
 )
-from .specfn import log_gamma_orders
+from .specfn import gamma_ratios, log_gamma_orders
 
 __all__ = [
     "CoeffKind",
@@ -54,8 +54,8 @@ __all__ = [
     "empirical_radius",
 ]
 
-#: largest supported table order; beyond this the entries overflow binary64
-#: for small alpha well before they could be useful.
+#: largest supported table order: it bounds the O(K^2) recursion, whose
+#: normalised entries stay finite for every alpha in (0, 1] up to here.
 MAX_ORDER = 200
 
 #: minimum number of non-vanishing coefficients for a root-test estimate.
@@ -69,16 +69,36 @@ class CoeffKind(enum.Enum):
 
 @dataclass(frozen=True)
 class CoeffTable:
-    """A finite prefix ``values[0..K]`` of a coefficient sequence."""
+    """A finite prefix ``d[0..K]`` of a normalised coefficient sequence.
+
+    ``d[k] = c_k / Gamma(alpha k + 1)``; ``d[0] = c_0``.
+    """
 
     alpha: float
     kind: CoeffKind
-    values: tuple[float, ...]
+    d: tuple[float, ...]
 
     @property
     def order(self) -> int:
         """Largest index K held by the table."""
-        return len(self.values) - 1
+        return len(self.d) - 1
+
+    @property
+    def values(self) -> tuple[float, ...]:
+        """The unnormalised coefficients ``c_k = d_k Gamma(alpha k + 1)``.
+
+        Formed in log space, so no Gamma is formed on its own.  Raises
+        :class:`NumericOverflowError` at the first c_k beyond binary64.
+        """
+        vals = []
+        for k, (dk, lg) in enumerate(zip(self.d, log_gamma_orders(self.alpha, self.order))):
+            try:
+                vals.append(math.copysign(math.exp(math.log(abs(dk)) + lg), dk) if dk else dk)
+            except OverflowError:
+                raise NumericOverflowError(
+                    f"coefficient overflow at index {k} (alpha={self.alpha})"
+                ) from None
+        return tuple(vals)
 
 
 @dataclass(frozen=True)
@@ -102,27 +122,19 @@ def _check_order(K: int) -> None:
         raise DomainError(f"table order capped at {MAX_ORDER}, got {K}")
 
 
-def _recurse(alpha: float, K: int, c0: float, keep_linear: bool) -> tuple[float, ...]:
-    """Shared quadratic-convolution recursion for both sequences.
+def _recurse(alpha: float, K: int, d0: float, keep_linear: bool) -> tuple[float, ...]:
+    """Shared quadratic-convolution recursion for both normalised sequences.
 
-    ``keep_linear`` selects ``c_{k+1} = c_k - conv`` (alpha-Euler) versus
-    ``c_{k+1} = -conv`` (A-coefficients), where ``conv`` is the weighted
-    self-convolution of the prefix at order k with the Gamma-ratio weight
-    ``R(i, j, k)``.
+    ``keep_linear`` selects ``d_{k+1} = r_k (d_k - S_k)`` (alpha-Euler)
+    versus ``d_{k+1} = -r_k S_k`` (A-coefficients), where ``S_k`` is the
+    self-convolution of the prefix at order k, summed exactly.
     """
-    lg = log_gamma_orders(alpha, K)
-    vals = [c0]
+    r = gamma_ratios(alpha, K)
+    d = [d0]
     for k in range(K):
-        conv = 0.0
-        for i in range(k + 1):
-            conv += math.exp(lg[k] - lg[i] - lg[k - i]) * vals[i] * vals[k - i]
-        nxt = (vals[k] - conv) if keep_linear else -conv
-        if not math.isfinite(nxt):
-            raise NumericOverflowError(
-                f"coefficient overflow at index {k + 1} (alpha={alpha})"
-            )
-        vals.append(nxt)
-    return tuple(vals)
+        s = math.fsum(d[i] * d[k - i] for i in range(k + 1))
+        d.append(r[k] * ((d[k] - s) if keep_linear else -s))
+    return tuple(d)
 
 
 def euler_alpha(alpha: float, K: int) -> CoeffTable:
@@ -189,8 +201,8 @@ def radius_zero_capacity(alpha: float, a0: float = 0.5) -> float:
 
 def _theoretical_for(table: CoeffTable, b_scale: float) -> Optional[float]:
     """Matching guaranteed radius for a table/scale pair, if one is known."""
-    if table.kind is CoeffKind.A_COEFF and b_scale == 1.0 and 0 < abs(table.values[0]) < 1:
-        return radius_zero_capacity(table.alpha, abs(table.values[0]))
+    if table.kind is CoeffKind.A_COEFF and b_scale == 1.0 and 0 < abs(table.d[0]) < 1:
+        return radius_zero_capacity(table.alpha, abs(table.d[0]))
     if table.kind is CoeffKind.EULER_ALPHA and carrying_capacity_hypothesis(table.alpha, b_scale):
         return radius_carrying_capacity(table.alpha, b_scale)
     return None
@@ -199,8 +211,8 @@ def _theoretical_for(table: CoeffTable, b_scale: float) -> Optional[float]:
 def empirical_radius(table: CoeffTable, b_scale: float = 1.0) -> RadiusEstimate:
     """Root-test radius estimate from the tail of a coefficient table.
 
-    The radius of ``sum_k c_k b^k t^(alpha k) / Gamma(alpha k + 1)`` is
-    ``(limsup_k |c_k b^k / Gamma(alpha k + 1)|^(1/k))^(-1/alpha)``.  The
+    The radius of ``sum_k d_k (b t^alpha)^k`` is
+    ``(b limsup_k |d_k|^(1/k))^(-1/alpha)``.  The
     limsup is estimated by the *maximum* of the k-th roots over the last
     half of the table: a tail maximum, because structurally vanishing
     entries (even-index alpha-Euler numbers) make the pointwise root
@@ -208,8 +220,8 @@ def empirical_radius(table: CoeffTable, b_scale: float = 1.0) -> RadiusEstimate:
     """
     if not b_scale > 0:
         raise DomainError(f"b_scale must be positive, got {b_scale}")
-    vals = table.values
-    bearing = sum(1 for v in vals if v != 0.0)
+    d = table.d
+    bearing = sum(1 for v in d if v != 0.0)
     if bearing < _MIN_ROOT_TEST or table.order < _MIN_ROOT_TEST:
         raise InsufficientDataError(
             f"root test needs a table of order >= {_MIN_ROOT_TEST} with >= "
@@ -220,15 +232,11 @@ def empirical_radius(table: CoeffTable, b_scale: float = 1.0) -> RadiusEstimate:
     # last half of the table, widened if needed so the window itself holds
     # at least _MIN_ROOT_TEST coefficients
     lo = min(K // 2, K + 1 - _MIN_ROOT_TEST)
-    log_b = math.log(b_scale)
-    lg = log_gamma_orders(table.alpha, K)
     best = -math.inf
     for k in range(max(lo, 1), K + 1):
-        if vals[k] == 0.0:
-            continue
-        root = (math.log(abs(vals[k])) + k * log_b - lg[k]) / k
-        best = max(best, root)
-    radius = math.exp(-best / table.alpha)
+        if d[k] != 0.0:
+            best = max(best, math.log(abs(d[k])) / k)
+    radius = math.exp(-(best + math.log(b_scale)) / table.alpha)
     return RadiusEstimate(
         theoretical=_theoretical_for(table, b_scale),
         empirical=radius,

@@ -33,7 +33,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import __version__
-from .coeffs import a_coeffs, carrying_capacity_hypothesis, euler_alpha
+from .coeffs import MAX_ORDER, a_coeffs, carrying_capacity_hypothesis, euler_alpha
 from .errors import DomainError, GridMismatchError, ValidationError
 from .model import ModelParams, DerivedParams, classical_sis, derive, logistic_rhs
 from .series import (
@@ -126,9 +126,9 @@ class RunConfig:
         unknown = set(self.formats) - _FORMATS
         if unknown:
             raise ValidationError(f"unknown output formats: {sorted(unknown)}")
-        if not 1 <= self.series_terms <= 200:
+        if not 1 <= self.series_terms <= MAX_ORDER:
             raise ValidationError(
-                f"terms must be in [1, 200], got {self.series_terms}"
+                f"terms must be in [1, {MAX_ORDER}], got {self.series_terms}"
             )
         if Method.L1 in self.methods and not self.params.alpha < 1:
             raise ValidationError(

@@ -1,15 +1,15 @@
 """Evaluation of the explicit fractional power-series solutions.
 
-A :class:`SeriesSolution` packages a coefficient table with two scales so
-that every solution in the family reads
+A :class:`SeriesSolution` packages a normalised coefficient table
+``d_k = c_k / Gamma(alpha k + 1)`` with two scales so that every solution
+in the family reads
 
-    value(t) = scale_c * sum_k c_k * arg_scale^k * t^(alpha k)
-                                   / Gamma(alpha k + 1).
+    value(t) = scale_c * sum_k d_k x^k,    x = arg_scale * t^alpha.
 
 * carrying-capacity case (c != 0, b^(1/alpha) < 1):  I(t) with
   ``scale_c = c`` and ``arg_scale = b`` over the alpha-Euler table, i.e.
   the k-th term is E_k b^k t^(alpha k) / Gamma(alpha k + 1).  The initial
-  datum is pinned to I(0) = c/2 by the table normalisation E_0 = 1/2.
+  datum is pinned to I(0) = c/2 by the table entry d_0 = E_0 = 1/2.
 * zero-capacity case (sigma = 1):  I(t) with ``scale_c = 1/beta`` and
   ``arg_scale = 1`` over the A-table; I(0) = 1/(2 beta).
 * rescaled decay solution: the A-series with initial datum a0 in (0, 1)
@@ -20,8 +20,8 @@ that every solution in the family reads
 series' radius in the trajectory meta, so each run builds its series
 once.
 
-Evaluation sums terms in increasing k with the cached ratios of
-:func:`~fracsis.specfn.gamma_ratios`.  Truncation follows
+Evaluation sums the terms ``d_k x^k`` in increasing k; the table already
+carries the Gamma(alpha k + 1) normalisation.  Truncation follows
 :class:`~fracsis.specfn.EvalPolicy`; values past the guaranteed radius
 are permitted but flagged, and sustained term growth flips ``converged``
 off in-band instead of raising, a rule the entire E_alpha of
@@ -47,7 +47,7 @@ from .coeffs import (
 from .errors import DomainError, HypothesisError, InsufficientDataError
 from .model import DerivedParams
 from .solvers import Method, TimeGrid, Trajectory
-from .specfn import _STOP_STREAK, DEFAULT_POLICY, EvalPolicy, gamma_ratios
+from .specfn import _STOP_STREAK, DEFAULT_POLICY, EvalPolicy
 
 __all__ = [
     "SeriesKind",
@@ -146,10 +146,10 @@ def zero_capacity_series(beta: float, alpha: float, coeff_table: CoeffTable) -> 
     _check_table(coeff_table, CoeffKind.A_COEFF, alpha)
     if not beta > 0:
         raise HypothesisError(f"zero-capacity series requires beta > 0, got {beta}")
-    if coeff_table.values[0] != 0.5:
+    if coeff_table.d[0] != 0.5:
         raise HypothesisError(
             f"zero-capacity epidemic series requires A_0 = 1/2, "
-            f"got {coeff_table.values[0]}"
+            f"got {coeff_table.d[0]}"
         )
     theoretical = radius_zero_capacity(alpha)
     return SeriesSolution(
@@ -177,9 +177,9 @@ def rescaled_zero_capacity_series(
     if not 0 < a0 < 1:
         raise DomainError(f"rescaled series requires a0 in (0, 1), got {a0}")
     _check_table(coeff_table, CoeffKind.A_COEFF, alpha)
-    if coeff_table.values[0] != a0:
+    if coeff_table.d[0] != a0:
         raise HypothesisError(
-            f"table initial datum {coeff_table.values[0]} does not match a0={a0}"
+            f"table initial datum {coeff_table.d[0]} does not match a0={a0}"
         )
     q = 1.0 / a0 if a0 < 0.5 else 4.0 + 0.5 * (1.0 / a0 - 4.0)
     arg_scale = (2.0**-q) ** alpha
@@ -206,26 +206,25 @@ def evaluate(series: SeriesSolution, t: float, policy: EvalPolicy = DEFAULT_POLI
     """
     if t < 0:
         raise DomainError(f"series evaluation requires t >= 0, got {t}")
-    vals = series.coeffs.values
+    d = series.coeffs.d
     theo = series.radius.theoretical
     beyond = theo is not None and t > theo
     if t == 0.0:
-        i0 = series.scale_c * vals[0]
+        i0 = series.scale_c * d[0]
         return EvalResult(i0, 1, True, beyond)
 
-    ratios = gamma_ratios(series.alpha, series.coeffs.order)
-    ta = series.arg_scale * t**series.alpha
-    limit = min(len(vals), policy.max_terms)
-    x = 1.0
-    total = vals[0]
+    x = series.arg_scale * t**series.alpha
+    limit = min(len(d), policy.max_terms)
+    xk = 1.0
+    total = d[0]
     terms_used = 1
     converged = False
     below = 0
     grow = 0
-    prev_mag = abs(vals[0])
+    prev_mag = abs(d[0])
     for k in range(1, limit):
-        x *= ta * ratios[k - 1]
-        term = vals[k] * x
+        xk *= x
+        term = d[k] * xk
         total += term
         terms_used += 1
         mag = abs(term)

@@ -13,7 +13,10 @@ separately rather than auto-switched.
 
 Every series of the package is normalised by Gamma(a k + 1):
 :func:`log_gamma_orders` is the one source of those log-Gammas, and
-:func:`gamma_ratios` caches the term ratios.  :func:`mittag_leffler`
+:func:`gamma_ratios` caches the ratios Gamma(a k + 1) / Gamma(a k + a + 1).
+They step the terms of :func:`mittag_leffler` and the recursions of
+:mod:`fracsis.coeffs`, whose tables then carry the normalisation, so that
+:func:`fracsis.series.evaluate` needs none.  :func:`mittag_leffler`
 shares its stopping rule with :func:`fracsis.series.evaluate` but not
 that loop's divergence rule (stop after five growing terms at k >= 10):
 E_a is entire, and its terms may grow on the way to convergence (for
@@ -110,7 +113,7 @@ def log_gamma_orders(alpha: float, K: int) -> list[float]:
 
 @lru_cache(maxsize=64)
 def gamma_ratios(alpha: float, order: int) -> tuple[float, ...]:
-    """ratios[k - 1] = Gamma(alpha (k-1) + 1) / Gamma(alpha k + 1), k = 1..order."""
+    """ratios[k] = Gamma(alpha k + 1) / Gamma(alpha k + alpha + 1), k = 0..order-1."""
     lg = log_gamma_orders(alpha, order)
     return tuple(math.exp(lg[k - 1] - lg[k]) for k in range(1, order + 1))
 

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from fracsis.coeffs import (
+    MAX_ORDER,
     CoeffKind,
     CoeffTable,
     a_coeffs,
@@ -16,7 +17,12 @@ from fracsis.coeffs import (
     radius_carrying_capacity,
     radius_zero_capacity,
 )
-from fracsis.errors import DomainError, HypothesisError, InsufficientDataError
+from fracsis.errors import (
+    DomainError,
+    HypothesisError,
+    InsufficientDataError,
+    NumericOverflowError,
+)
 
 mpmath.mp.dps = 40
 
@@ -52,6 +58,39 @@ def beta_form_recursion(alpha, K, c0, keep_linear):
             conv += vals[i] * vals[k - i] / ((alpha * k + 1.0) * b)
         vals.append((vals[k] - conv) if keep_linear else -conv)
     return vals
+
+
+def gamma_weight_recursion(alpha, K, c0, keep_linear):
+    """The unnormalised c_k recursion with its per-pair Gamma-ratio weight.
+
+    c_{k+1} = [c_k] - sum_i exp(lg_k - lg_i - lg_{k-i}) c_i c_{k-i}: an
+    independent reference for ``CoeffTable.values``.  Returns the prefix
+    before the first entry that overflows binary64, and the index of that
+    entry (None if there is none).
+    """
+    lg = [math.lgamma(alpha * k + 1.0) for k in range(K + 1)]
+    vals = [c0]
+    for k in range(K):
+        conv = 0.0
+        for i in range(k + 1):
+            conv += math.exp(lg[k] - lg[i] - lg[k - i]) * vals[i] * vals[k - i]
+        nxt = (vals[k] - conv) if keep_linear else -conv
+        if not math.isfinite(nxt):
+            return vals, k + 1
+        vals.append(nxt)
+    return vals, None
+
+
+def mp_normalised_table(alpha, K, d0, keep_linear):
+    """d_k = c_k / Gamma(alpha k + 1) by the same recursion at 60 digits."""
+    with mpmath.workdps(60):
+        a = mpmath.mpf(alpha)
+        d = [mpmath.mpf(d0)]
+        for k in range(K):
+            r = mpmath.gamma(a * k + 1) / mpmath.gamma(a * k + a + 1)
+            s = mpmath.fsum(d[i] * d[k - i] for i in range(k + 1))
+            d.append(r * ((d[k] - s) if keep_linear else -s))
+        return d
 
 
 def decay_taylor_oracle(K):
@@ -201,10 +240,9 @@ class TestEmpiricalRadius:
         assert est.k_used >= 20
 
     def test_geometric_table(self):
-        # values[k] = q^k * Gamma(k+1) makes the root-test ratio exactly q
+        # d[k] = q^k makes the root-test ratio exactly q
         q = 0.35
-        vals = tuple(q**k * math.gamma(k + 1.0) for k in range(41))
-        table = CoeffTable(1.0, CoeffKind.A_COEFF, vals)
+        table = CoeffTable(1.0, CoeffKind.A_COEFF, tuple(q**k for k in range(41)))
         est = empirical_radius(table, 1.0)
         assert est.empirical == pytest.approx(1.0 / q, rel=1e-9)
 
@@ -220,3 +258,42 @@ class TestEmpiricalRadius:
     def test_domain(self):
         with pytest.raises(DomainError):
             empirical_radius(a_coeffs(0.5, 40), 0.0)
+
+
+KINDS = [(euler_alpha, True), (a_coeffs, False)]
+KIND_IDS = ["euler", "a"]
+
+
+class TestNormalisedTables:
+    @pytest.mark.parametrize("build, linear", KINDS, ids=KIND_IDS)
+    @pytest.mark.parametrize("alpha", [0.3, 0.7, 0.95, 0.99, 1.0])
+    def test_mpmath_oracle_at_max_order(self, build, linear, alpha):
+        got = build(alpha, MAX_ORDER).d
+        want = mp_normalised_table(alpha, MAX_ORDER, 0.5, linear)
+        for k, (g, w) in enumerate(zip(got, want)):
+            if w == 0:
+                assert g == 0.0, f"k={k}"
+            else:
+                assert abs(g - w) <= 1e-12 * abs(w), f"k={k}"
+
+    @pytest.mark.parametrize("build", [euler_alpha, a_coeffs], ids=KIND_IDS)
+    def test_finite_for_every_alpha(self, build):
+        # tables are prefixes of one another, so order MAX_ORDER covers all K
+        for alpha in (0.01, 0.05) + tuple(np.linspace(0.1, 1.0, 19)):
+            assert all(map(math.isfinite, build(float(alpha), MAX_ORDER).d)), alpha
+
+    def test_values_refuse_overflow(self):
+        table = a_coeffs(0.99, MAX_ORDER)
+        with pytest.raises(NumericOverflowError, match=r"at index 199 \(alpha=0\.99\)$"):
+            table.values
+
+    @pytest.mark.parametrize("build, linear", KINDS, ids=KIND_IDS)
+    @pytest.mark.parametrize("alpha", [0.05, 0.3, 0.7, 0.95, 0.98, 0.99, 1.0])
+    def test_values_match_gamma_weight_recursion(self, build, linear, alpha):
+        want, overflow = gamma_weight_recursion(alpha, MAX_ORDER, 0.5, linear)
+        if overflow is not None:
+            with pytest.raises(NumericOverflowError, match=f"at index {overflow} "):
+                build(alpha, MAX_ORDER).values
+        got = build(alpha, len(want) - 1).values
+        for k, (g, w) in enumerate(zip(got, want)):
+            assert abs(g - w) <= 1e-13 * abs(w), f"k={k}"

@@ -1,9 +1,12 @@
 """Series construction and evaluation against closed forms and the schemes."""
 
+import json
+
 import numpy as np
 import pytest
 
-from fracsis.coeffs import a_coeffs, euler_alpha
+from fracsis import cli
+from fracsis.coeffs import MAX_ORDER, a_coeffs, euler_alpha
 from fracsis.errors import DomainError, HypothesisError
 from fracsis.harness import trajectory_csv
 from fracsis.model import ModelParams, classical_sis, derive, logistic_rhs
@@ -228,3 +231,20 @@ class TestRescaledSeries:
             rescaled_zero_capacity_series(1.0, 0.5, a_coeffs(0.5, 10))
         with pytest.raises(HypothesisError):
             rescaled_zero_capacity_series(0.25, 0.5, a_coeffs(0.5, 10, a0=0.5))
+
+
+class TestZeroCapacityAtMaxOrder:
+    def test_compare_near_alpha_one(self, tmp_path):
+        # the A-table's c_199 overflows binary64 at alpha = 0.99, but the
+        # normalised table the series sums does not
+        out = tmp_path / "run"
+        argv = ["compare", "--preset", "c-zero", "--alpha", "0.99",
+                "--terms", str(MAX_ORDER), "--methods", "series,pece",
+                "--out", str(out), "--formats", "csv,json"]
+        assert cli.main(argv) == 0
+        flags = json.loads((out / "manifest.json").read_text())["trajectories"]["series"]
+        trusted = np.array(flags["converged"]) & ~np.array(flags["beyond_theoretical_radius"])
+        series, pece = (np.loadtxt(out / f"{m}.csv", delimiter=",", skiprows=1)[:, 1]
+                        for m in ("series", "pece"))
+        assert trusted.sum() >= 40
+        assert np.max(np.abs(series - pece)[trusted]) <= 1e-5
