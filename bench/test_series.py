@@ -1,11 +1,13 @@
 """Series-layer timings: the coefficient recursions and trajectory sampling.
 
-The tables are built at K = MAX_ORDER (200) and alpha = 0.6; the sampled
-series is the carrying-capacity solution of the endemic reference rates
-(beta = 0.7, gamma = 0.05, mu = 0.12) over that alpha-Euler table, on the
-preset horizon T = 5 with N = 1000 steps.  The directory lies outside the
-test paths, so the tier-1 suite does not run it.  From the root of a
-checkout:
+The tables are built at K = MAX_ORDER (200) and alpha = 0.6.  Trajectories
+are sampled on the preset horizon T = 5 at two shapes: the paper's
+(N = 100 steps over K = 120 tables) and the stress shape (N = 1000 over
+K = 200).  The carrying-capacity series is the solution of the endemic
+reference rates (beta = 0.7, gamma = 0.05, mu = 0.12) over the alpha-Euler
+table; the zero-capacity series has beta = 0.7 over the A-table.  The
+directory lies outside the test paths, so the tier-1 suite does not run
+it.  From the root of a checkout:
 
     PYTHONPATH=src python -m pytest bench --benchmark-only
 """
@@ -14,10 +16,20 @@ import pytest
 
 from fracsis.coeffs import MAX_ORDER, a_coeffs, euler_alpha
 from fracsis.model import ModelParams, derive
-from fracsis.series import carrying_capacity_series, sample_trajectory
+from fracsis.series import carrying_capacity_series, sample_trajectory, zero_capacity_series
 from fracsis.solvers import TimeGrid
 
 ALPHA = 0.6
+T = 5.0
+
+
+def carrying(K):
+    derived = derive(ModelParams(beta=0.7, gamma=0.05, mu=0.12, alpha=ALPHA, i0=0.5))
+    return carrying_capacity_series(derived, ALPHA, euler_alpha(ALPHA, K))
+
+
+def zero_capacity(K):
+    return zero_capacity_series(0.7, ALPHA, a_coeffs(ALPHA, K))
 
 
 @pytest.mark.parametrize("build", [euler_alpha, a_coeffs])
@@ -26,9 +38,8 @@ def test_coeff_table(benchmark, build):
     assert table.order == MAX_ORDER
 
 
-def test_sample_trajectory(benchmark):
-    derived = derive(ModelParams(beta=0.7, gamma=0.05, mu=0.12, alpha=ALPHA, i0=0.5))
-    series = carrying_capacity_series(derived, ALPHA, euler_alpha(ALPHA, MAX_ORDER))
-    N = 1000
-    traj = benchmark(sample_trajectory, series, TimeGrid(5.0, 5.0 / N))
+@pytest.mark.parametrize("K, N", [(120, 100), (MAX_ORDER, 1000)], ids=["paper", "stress"])
+@pytest.mark.parametrize("build", [carrying, zero_capacity])
+def test_sample_trajectory(benchmark, build, K, N):
+    traj = benchmark(sample_trajectory, build(K), TimeGrid(T, T / N))
     assert traj.u.size == N + 1

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 from dataclasses import dataclass
 from typing import Optional
 
@@ -127,12 +128,16 @@ def _recurse(alpha: float, K: int, d0: float, keep_linear: bool) -> tuple[float,
 
     ``keep_linear`` selects ``d_{k+1} = r_k (d_k - S_k)`` (alpha-Euler)
     versus ``d_{k+1} = -r_k S_k`` (A-coefficients), where ``S_k`` is the
-    self-convolution of the prefix at order k, summed exactly.
+    self-convolution of the prefix at order k, summed exactly.  Each
+    symmetric pair ``d_i d_{k-i}`` is formed once and summed twice, with
+    the middle square once when k is even: the same exact sum.
     """
     r = gamma_ratios(alpha, K)
     d = [d0]
     for k in range(K):
-        s = math.fsum(d[i] * d[k - i] for i in range(k + 1))
+        h = (k + 1) // 2
+        p = list(map(operator.mul, d[:h], d[k : k - h : -1]))
+        s = math.fsum(p + p + [d[h] * d[h]] if k % 2 == 0 else p + p)
         d.append(r[k] * ((d[k] - s) if keep_linear else -s))
     return tuple(d)
 

@@ -16,11 +16,13 @@ Every series of the package is normalised by Gamma(a k + 1):
 :func:`gamma_ratios` caches the ratios Gamma(a k + 1) / Gamma(a k + a + 1).
 They step the terms of :func:`mittag_leffler` and the recursions of
 :mod:`fracsis.coeffs`, whose tables then carry the normalisation, so that
-:func:`fracsis.series.evaluate` needs none.  :func:`mittag_leffler`
-shares its stopping rule with :func:`fracsis.series.evaluate` but not
-that loop's divergence rule (stop after five growing terms at k >= 10):
-E_a is entire, and its terms may grow on the way to convergence (for
-E_0.5(3) from k = 10 to k = 17).
+:mod:`fracsis.series` needs none.  :func:`mittag_leffler` shares its
+stopping rule with the series' term-matrix kernel
+(``fracsis.series._sum_terms``, behind :func:`fracsis.series.evaluate`
+and :func:`fracsis.series.sample_trajectory`) but not that kernel's
+divergence rule (stop after five growing terms at k >= 10): E_a is
+entire, and its terms may grow on the way to convergence (for E_0.5(3)
+from k = 10 to k = 17).
 
 All functions are pure and operate in binary64.
 """

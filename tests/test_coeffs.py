@@ -23,6 +23,7 @@ from fracsis.errors import (
     InsufficientDataError,
     NumericOverflowError,
 )
+from fracsis.specfn import gamma_ratios
 
 mpmath.mp.dps = 40
 
@@ -91,6 +92,16 @@ def mp_normalised_table(alpha, K, d0, keep_linear):
             s = mpmath.fsum(d[i] * d[k - i] for i in range(k + 1))
             d.append(r * ((d[k] - s) if keep_linear else -s))
         return d
+
+
+def generator_recursion(alpha, K, d0, keep_linear):
+    """The d-form recursion with S_k as one fsum over every pair d_i d_{k-i}."""
+    r = gamma_ratios(alpha, K)
+    d = [d0]
+    for k in range(K):
+        s = math.fsum(d[i] * d[k - i] for i in range(k + 1))
+        d.append(r[k] * ((d[k] - s) if keep_linear else -s))
+    return tuple(d)
 
 
 def decay_taylor_oracle(K):
@@ -297,3 +308,11 @@ class TestNormalisedTables:
         got = build(alpha, len(want) - 1).values
         for k, (g, w) in enumerate(zip(got, want)):
             assert abs(g - w) <= 1e-13 * abs(w), f"k={k}"
+
+    @pytest.mark.parametrize("K", [0, 1, 2, 3, MAX_ORDER])
+    @pytest.mark.parametrize("alpha", [0.05, 0.3, 0.7, 0.99, 1.0])
+    def test_paired_convolution_matches_generator_form(self, alpha, K):
+        # each symmetric pair is summed twice: the exact sum, so the same bits
+        assert euler_alpha(alpha, K).d == generator_recursion(alpha, K, 0.5, True)
+        for a0 in (0.5, 0.01, 0.25, 0.7, 0.999):
+            assert a_coeffs(alpha, K, a0).d == generator_recursion(alpha, K, a0, False)

@@ -1,17 +1,30 @@
 """Series construction and evaluation against closed forms and the schemes."""
 
 import json
+import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
 
 from fracsis import cli
-from fracsis.coeffs import MAX_ORDER, a_coeffs, euler_alpha
+from fracsis.coeffs import (
+    MAX_ORDER,
+    CoeffKind,
+    CoeffTable,
+    RadiusEstimate,
+    a_coeffs,
+    euler_alpha,
+)
 from fracsis.errors import DomainError, HypothesisError
 from fracsis.harness import trajectory_csv
 from fracsis.model import ModelParams, classical_sis, derive, logistic_rhs
 from fracsis.series import (
+    _GROW_MIN_K,
+    _GROW_STREAK,
     EvalResult,
+    SeriesKind,
+    SeriesSolution,
     carrying_capacity_series,
     evaluate,
     rescaled_zero_capacity_series,
@@ -19,7 +32,7 @@ from fracsis.series import (
     zero_capacity_series,
 )
 from fracsis.solvers import TimeGrid, solve_pece
-from fracsis.specfn import EvalPolicy
+from fracsis.specfn import _STOP_STREAK, DEFAULT_POLICY, EvalPolicy
 
 ENDEMIC = dict(beta=0.7, gamma=0.05, mu=0.12)
 SIGMA1 = dict(beta=0.7, gamma=0.07, mu=0.63)
@@ -29,6 +42,59 @@ def endemic_setup(alpha, K=120):
     d = derive(ModelParams(alpha=alpha, i0=0.5, **ENDEMIC))
     table = euler_alpha(alpha, K)
     return d, carrying_capacity_series(d, alpha, table)
+
+
+def scalar_evaluate(series, t, policy=DEFAULT_POLICY):
+    """The per-term loop of the stopping rule: the bit-for-bit reference."""
+    d = series.coeffs.d
+    theo = series.radius.theoretical
+    beyond = theo is not None and t > theo
+    if t == 0.0:
+        return EvalResult(series.scale_c * d[0], 1, True, beyond)
+    x = series.arg_scale * t**series.alpha
+    limit = min(len(d), policy.max_terms)
+    xk = 1.0
+    total = d[0]
+    terms_used = 1
+    converged = False
+    below = 0
+    grow = 0
+    prev_mag = abs(d[0])
+    for k in range(1, limit):
+        xk *= x
+        term = d[k] * xk
+        total += term
+        terms_used += 1
+        mag = abs(term)
+        if mag < policy.abs_tol:
+            below += 1
+            if below >= _STOP_STREAK:
+                converged = True
+                break
+        else:
+            below = 0
+            if mag > prev_mag and k >= _GROW_MIN_K:
+                grow += 1
+                if grow >= _GROW_STREAK:
+                    converged = False
+                    break
+            else:
+                grow = 0
+            prev_mag = mag
+    return EvalResult(series.scale_c * total, terms_used, converged, beyond)
+
+
+def table_series(d):
+    """A series over a hand-made table; at t = 1 its terms are the d_k."""
+    table = CoeffTable(1.0, CoeffKind.A_COEFF, tuple(d))
+    return SeriesSolution(1.0, SeriesKind.ZERO_CAPACITY, table, 1.0, 1.0, RadiusEstimate())
+
+
+def assert_same(got, want):
+    """Equal bit for bit (nan matching nan), with the same Python types."""
+    got, want = astuple(got), astuple(want)
+    assert [type(v) for v in got] == [type(v) for v in want]
+    assert repr(got) == repr(want)
 
 
 class TestCarryingCapacitySeries:
@@ -150,6 +216,12 @@ class TestEvaluate:
         with pytest.raises(DomainError):
             evaluate(sol, -0.5)
 
+    @pytest.mark.parametrize("t", [math.nan, math.inf])
+    def test_non_finite_time_rejected(self, t):
+        _, sol = endemic_setup(0.7)
+        with pytest.raises(DomainError, match=f"finite t, got t={t}"):
+            evaluate(sol, t)
+
 
 class TestSampleTrajectory:
     def test_single_node_grid(self):
@@ -181,6 +253,90 @@ class TestSampleTrajectory:
         want = i0 / (1.0 + 0.7 * i0 * grid.nodes())
         traj = sample_trajectory(sol, grid)
         assert np.max(np.abs(traj.u - want)) <= 1e-8
+
+
+def carrying(alpha, K):
+    return endemic_setup(alpha, K)[1]
+
+
+def zero_capacity(alpha, K):
+    return zero_capacity_series(0.7, alpha, a_coeffs(alpha, K))
+
+
+def rescaled(alpha, K):
+    return rescaled_zero_capacity_series(0.25, alpha, a_coeffs(alpha, K, a0=0.25))
+
+
+POLICIES = {
+    "default": DEFAULT_POLICY,
+    "one-term": EvalPolicy(max_terms=1),
+    "15-terms": EvalPolicy(max_terms=15),
+    "loose": EvalPolicy(abs_tol=1e-3),
+}
+# the paper grid, N = 1, past the radius, and t = 1e10, where x^k
+# overflows in rows past each node's stop
+GRIDS = [TimeGrid(5.0, 0.05), TimeGrid(0.3, 0.3), TimeGrid(1e3, 25.0), TimeGrid(1e10, 2.5e9)]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestTermMatrixMatchesScalarLoop:
+    @pytest.mark.parametrize("build", [carrying, zero_capacity, rescaled])
+    @pytest.mark.parametrize("K", [1, 2, 3, 5, 20, MAX_ORDER])
+    @pytest.mark.parametrize("policy", POLICIES.values(), ids=POLICIES.keys())
+    def test_every_node(self, build, K, policy):
+        for alpha in (0.5, 0.9, 1.0):
+            sol = build(alpha, K)
+            for grid in GRIDS:
+                traj = sample_trajectory(sol, grid, policy)
+                meta = traj.meta
+                for i, t in enumerate(grid.nodes().tolist()):
+                    want = scalar_evaluate(sol, t, policy)
+                    assert_same(evaluate(sol, t, policy), want)
+                    assert_same(EvalResult(
+                        float(traj.u[i]), meta["terms_used"][i], meta["converged"][i],
+                        meta["beyond_theoretical_radius"][i]), want)
+
+    def test_cases_include_growth_stops(self):
+        # past the radius 0.25 some nodes of the A-series stop by growth,
+        # short of the MAX_ORDER + 1 terms of the table
+        sol = zero_capacity(0.5, MAX_ORDER)
+        meta = sample_trajectory(sol, GRIDS[0]).meta
+        grown = [n for n, ok in zip(meta["terms_used"], meta["converged"]) if not ok]
+        assert min(grown) <= MAX_ORDER
+
+    def test_growth_compares_across_negligible_terms(self):
+        # each live term is compared with the one three rows back, across
+        # two zeros: shrinking blocks never grow, so the table runs out
+        d = [1.0] * 10 + [v for j in range(8) for v in (10.0 - j, 0.0, 0.0)]
+        sol = table_series(d)
+        want = scalar_evaluate(sol, 1.0)
+        assert want.terms_used == len(d) and not want.converged
+        assert_same(evaluate(sol, 1.0), want)
+
+    def test_random_tables(self):
+        # magnitudes around abs_tol with zeros mixed in: runs of one and two
+        # negligible terms, growth streaks and restarts
+        rng = np.random.default_rng(7)
+        grid = TimeGrid(1.5, 0.25)
+        for _ in range(200):
+            d = rng.choice([-1.0, 1.0], 60) * 10.0 ** rng.uniform(-17, 2, 60)
+            d[rng.random(60) < 0.3] = 0.0
+            d[0] = 1.0
+            sol = table_series(d.tolist())
+            traj = sample_trajectory(sol, grid)
+            for i, t in enumerate(grid.nodes().tolist()):
+                want = scalar_evaluate(sol, t)
+                assert traj.u[i] == want.value_i
+                assert traj.meta["terms_used"][i] == want.terms_used
+                assert traj.meta["converged"][i] == want.converged
+
+    @pytest.mark.parametrize("build", [carrying, zero_capacity])
+    def test_overflow_inside_the_summed_terms(self, build):
+        # x^2 overflows, so the loop itself sums inf and nan terms
+        sol = build(1.0, 40)
+        want = scalar_evaluate(sol, 1e300)
+        assert not want.converged and not math.isfinite(want.value_i)
+        assert_same(evaluate(sol, 1e300), want)
 
 
 class TestClassicalReductionNearRadius:
