@@ -1,0 +1,31 @@
+"""Special-function timings: the Mittag-Leffler function and N(t).
+
+``mittag_leffler`` is timed at one z and a repeated alpha = 0.6, so its
+cached Gamma ratios are warm and each call is one kernel call over a
+single column.  ``population_curve`` runs at the stress shape: alpha = 0.6,
+lam - mu = -1, T = 5 and dt = 0.005 (N = 1000 nodes, one kernel call).
+The directory lies outside the test paths, so the tier-1 suite does not
+run it.  From the root of a checkout:
+
+    PYTHONPATH=src python -m pytest bench --benchmark-only
+"""
+
+import pytest
+
+from fracsis.harness import population_curve
+from fracsis.solvers import TimeGrid
+from fracsis.specfn import mittag_leffler
+
+ALPHA = 0.6
+
+
+@pytest.mark.parametrize("z", [-1.0, -5.0, 0.5])
+def test_mittag_leffler_scalar(benchmark, z):
+    value = benchmark(mittag_leffler, ALPHA, z)
+    assert isinstance(value, float) and value > 0
+
+
+def test_population_curve(benchmark):
+    grid = TimeGrid(5.0, 0.005)
+    n = benchmark(population_curve, ALPHA, 0.2, 1.2, 1.0, grid)
+    assert n.size == grid.N + 1 and n[0] == 1.0

@@ -24,19 +24,9 @@ Evaluation sums the terms ``d_k x^k`` in increasing k; the table already
 carries the Gamma(alpha k + 1) normalisation.  Truncation follows
 :class:`~fracsis.specfn.EvalPolicy`; values past the guaranteed radius
 are permitted but flagged, and sustained term growth flips ``converged``
-off in-band instead of raising, a rule the entire E_alpha of
-:func:`~fracsis.specfn.mittag_leffler` cannot share.
-
-One kernel, :func:`_sum_terms`, applies that rule for :func:`evaluate`
-(one node) and :func:`sample_trajectory` (every node).  It lays a chunk of
-nodes out as a term matrix, terms down the rows and nodes across the
-columns, and forms ``x^k`` and the partial sums with sequential
-accumulates down the rows, so each column rounds exactly as a scalar
-loop ``xk *= x; total += term`` would.  The stopping rule is evaluated on
-every column at once.  The growth test compares a term with the previous
-non-negligible one; before any stop no ``_STOP_STREAK`` consecutive terms
-are negligible, so that term lies at most ``_STOP_STREAK`` rows back, and
-a lookback of that depth is exact.
+off in-band instead of raising.  The sums and both rules live in the
+package's one power-series kernel, ``fracsis.specfn._sum_terms``, called
+once per :func:`evaluate` or :func:`sample_trajectory`.
 """
 
 from __future__ import annotations
@@ -58,7 +48,7 @@ from .coeffs import (
 from .errors import DomainError, HypothesisError, InsufficientDataError
 from .model import DerivedParams
 from .solvers import Method, TimeGrid, Trajectory
-from .specfn import _STOP_STREAK, DEFAULT_POLICY, EvalPolicy
+from .specfn import DEFAULT_POLICY, EvalPolicy, _sum_terms
 
 __all__ = [
     "SeriesKind",
@@ -70,19 +60,6 @@ __all__ = [
     "evaluate",
     "sample_trajectory",
 ]
-
-#: consecutive growing (non-negligible) terms that flag divergence ...
-_GROW_STREAK = 5
-#: ... once at least this many terms have been summed
-_GROW_MIN_K = 10
-
-#: node columns per term matrix: at K = 200 a chunk is about 200 KB, and
-#: chunks of 64 to 256 columns ran 2x faster than one 199 x 1001 matrix
-_CHUNK = 128
-#: first row budget of a chunk, doubled for the nodes still running:
-#: zero-capacity nodes stop after 21 to 38 terms on average, where a
-#: full-depth 199-row matrix was slower than a scalar loop
-_FIRST_ROWS = 32
 
 
 class SeriesKind(enum.Enum):
@@ -213,89 +190,19 @@ def rescaled_zero_capacity_series(
     )
 
 
-def _term_matrix(
-    d: np.ndarray, x: np.ndarray, abs_tol: float, rows: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Sum the first ``rows`` terms for the nodes ``x`` and find each stop.
-
-    Row ``k - 1`` holds the term ``d_k x^k``.  Returns, per column,
-    whether the stopping rule fired within the rows, the terms used, the
-    ``converged`` flag and the partial sum at the stop; a column that did
-    not stop reports all ``rows + 1`` terms, unconverged.  Rows past a
-    column's stop may overflow; they are never read.
-    """
-    terms = np.empty((rows, x.size))
-    terms[:] = x
-    np.multiply.accumulate(terms, axis=0, out=terms)
-    terms *= d[1 : rows + 1, None]
-    totals = np.empty((rows + 1, x.size))
-    totals[0] = d[0]
-    totals[1:] = terms
-    np.add.accumulate(totals, axis=0, out=totals)
-
-    # |term| and negligibility, padded above by _STOP_STREAK rows that
-    # stand for d_0: it opens the growth comparison as a non-negligible term
-    pad = _STOP_STREAK
-    mag = np.empty((pad + rows, x.size))
-    mag[:pad] = abs(d[0])
-    np.abs(terms, out=mag[pad:])
-    neg = np.zeros((pad + rows, x.size), dtype=bool)
-    np.less(mag[pad:], abs_tol, out=neg[pad:])
-    # converged: the row ends a run of _STOP_STREAK negligible terms.
-    # prev: the previous non-negligible |term|, found within pad rows back
-    # because no earlier row ended such a run
-    converged = neg[pad:].copy()
-    prev = mag[:rows].copy()
-    for lo in range(1, pad):
-        converged &= neg[lo : lo + rows]
-        np.copyto(prev, mag[lo : lo + rows], where=~neg[lo : lo + rows])
-    mag, neg = mag[pad:], neg[pad:]
-
-    up = ~neg & (mag > prev)
-    up[: _GROW_MIN_K - 1] = False
-    # the growth streak restarts at each non-negligible term that does not
-    # grow; the count of growing terms never decreases, so its running
-    # maximum over those rows is its value at the latest one
-    count = np.cumsum(up, axis=0)
-    restart = np.where(neg | up, 0, count)
-    np.maximum.accumulate(restart, axis=0, out=restart)
-    stop = converged | (count - restart >= _GROW_STREAK)
-
-    stopped = stop.any(axis=0)
-    last = np.where(stopped, stop.argmax(axis=0), rows - 1)
-    cols = np.arange(x.size)
-    return stopped, last + 2, converged[last, cols], totals[last + 1, cols]
-
-
-def _sum_terms(
+def _sum_nodes(
     series: SeriesSolution, ts: np.ndarray, policy: EvalPolicy
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Values, terms used and ``converged`` flags at the nodes ``ts >= 0``.
 
-    t = 0 gives ``scale_c d_0`` from one term, converged.  The other nodes
-    go through :func:`_term_matrix` in chunks of ``_CHUNK``; those that
-    have not stopped retry with twice the rows, up to the table depth the
-    policy allows.
+    t = 0 gives ``scale_c d_0`` from one term, converged.
     """
     d = np.asarray(series.coeffs.d)
-    cap = min(d.size, policy.max_terms) - 1
-    # libm pow on Python floats, as a scalar loop would form x; numpy's
-    # vectorised pow may differ by one ulp
+    # libm pow on Python floats; numpy's vectorised pow may differ by one ulp
     x = np.array([series.arg_scale * t**series.alpha for t in ts.tolist()])
-    total = np.full(ts.size, d[0])
-    used = np.ones(ts.size, dtype=int)
-    converged = ts == 0.0
-    later = np.flatnonzero(ts)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for start in range(0, later.size if cap else 0, _CHUNK):
-            cols = later[start : start + _CHUNK]
-            rows = min(_FIRST_ROWS, cap)
-            while cols.size:
-                stopped, n, ok, s = _term_matrix(d, x[cols], policy.abs_tol, rows)
-                done = stopped | (rows == cap)
-                at = cols[done]
-                total[at], used[at], converged[at] = s[done], n[done], ok[done]
-                cols, rows = cols[~done], min(2 * rows, cap)
+    total, used, converged, _ = _sum_terms(x, policy, d)
+    at0 = ts == 0.0
+    total[at0], used[at0], converged[at0] = d[0], 1, True
     return series.scale_c * total, used, converged
 
 
@@ -308,13 +215,17 @@ def evaluate(series: SeriesSolution, t: float, policy: EvalPolicy = DEFAULT_POLI
     evaluation is flagged via ``beyond_theoretical_radius`` and sustained
     growth (five consecutive growing terms after k >= 10) clears
     ``converged``.
+
+    The call is one kernel call with a single column, which costs tens
+    of microseconds: a caller with many points should pass them as one
+    grid to :func:`sample_trajectory`.
     """
     if not math.isfinite(t):
         raise DomainError(f"series evaluation requires a finite t, got t={t}")
     if t < 0:
         raise DomainError(f"series evaluation requires t >= 0, got {t}")
     theo = series.radius.theoretical
-    u, used, converged = _sum_terms(series, np.array([float(t)]), policy)
+    u, used, converged = _sum_nodes(series, np.array([float(t)]), policy)
     return EvalResult(
         float(u[0]), int(used[0]), bool(converged[0]), theo is not None and t > theo
     )
@@ -330,7 +241,7 @@ def sample_trajectory(
     consumers such as the run manifest need not rebuild the series.
     """
     nodes = grid.nodes()
-    u, terms, converged = _sum_terms(series, nodes, policy)
+    u, terms, converged = _sum_nodes(series, nodes, policy)
     theo = series.radius.theoretical
     beyond = nodes > theo if theo is not None else np.zeros(nodes.size, dtype=bool)
     converged = converged.tolist()

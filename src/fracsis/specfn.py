@@ -1,4 +1,4 @@
-"""Scalar special functions used throughout the package.
+"""Special functions and the package's one power-series kernel.
 
 Gamma, log-Gamma and Beta are thin, domain-checked wrappers around the
 platform libm (whose minimax implementations comfortably exceed every
@@ -15,14 +15,13 @@ Every series of the package is normalised by Gamma(a k + 1):
 :func:`log_gamma_orders` is the one source of those log-Gammas, and
 :func:`gamma_ratios` caches the ratios Gamma(a k + 1) / Gamma(a k + a + 1).
 They step the terms of :func:`mittag_leffler` and the recursions of
-:mod:`fracsis.coeffs`, whose tables then carry the normalisation, so that
-:mod:`fracsis.series` needs none.  :func:`mittag_leffler` shares its
-stopping rule with the series' term-matrix kernel
-(``fracsis.series._sum_terms``, behind :func:`fracsis.series.evaluate`
-and :func:`fracsis.series.sample_trajectory`) but not that kernel's
-divergence rule (stop after five growing terms at k >= 10): E_a is
-entire, and its terms may grow on the way to convergence (for E_0.5(3)
-from k = 10 to k = 17).
+:mod:`fracsis.coeffs`, whose tables then carry the normalisation.
+
+One kernel, :func:`_sum_terms`, sums every power series of the package
+and holds their stopping rule: the series terms ``d_k x^k`` of
+:mod:`fracsis.series` and the terms of :func:`mittag_leffler`.  Only the
+series apply its divergence rule: E_a is entire, and its terms may grow
+on the way to convergence (for E_0.5(3) from k = 10 to k = 17).
 
 All functions are pure and operate in binary64.
 """
@@ -31,7 +30,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
+
+import numpy as np
 
 from .errors import DomainError, NonConvergenceError
 
@@ -72,6 +73,18 @@ DEFAULT_POLICY = EvalPolicy()
 #: consecutive sub-tolerance terms required by the stopping rule of every
 #: power series in the package
 _STOP_STREAK = 3
+#: consecutive growing (non-negligible) terms that flag divergence ...
+_GROW_STREAK = 5
+#: ... once at least this many terms have been summed
+_GROW_MIN_K = 10
+
+#: node columns per term matrix: at K = 200 a chunk is about 200 KB, and
+#: chunks of 64 to 256 columns ran 2x faster than one 199 x 1001 matrix
+_CHUNK = 128
+#: first row budget of a chunk, doubled for the nodes still running:
+#: zero-capacity nodes stop after 21 to 38 terms on average, where a
+#: full-depth 199-row matrix was slower than a scalar loop
+_FIRST_ROWS = 32
 
 
 def gamma(x: float) -> float:
@@ -120,41 +133,120 @@ def gamma_ratios(alpha: float, order: int) -> tuple[float, ...]:
     return tuple(math.exp(lg[k - 1] - lg[k]) for k in range(1, order + 1))
 
 
-def mittag_leffler(alpha: float, z: float, policy: EvalPolicy = DEFAULT_POLICY) -> float:
+def _term_matrix(
+    x: np.ndarray, d, r, abs_tol: float, rows: int, grow: bool
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Sum ``rows`` terms past ``t_0`` at the nodes ``x`` and find each stop.
+
+    Row ``k - 1`` holds ``t_k = d_k prod_{j<k} (x r_j)``, where ``d_k = 1``
+    (and ``t_0 = 1``) if ``d`` is None and ``r_j = 1`` if ``r`` is None;
+    sequential accumulates down the rows round as a scalar loop would.
+    Returns, per column, whether the stopping rule fired, the terms used,
+    ``converged``, and the partial sum and the term at the stop (else at
+    the last row).  Rows past a stop may overflow; they are never read.
+    """
+    first = 1.0 if d is None else d[0]
+    terms = np.empty((rows, x.size))
+    np.multiply(x, 1.0 if r is None else r[:rows, None], out=terms)
+    np.multiply.accumulate(terms, axis=0, out=terms)
+    if d is not None:
+        terms *= d[1 : rows + 1, None]
+    totals = np.empty((rows + 1, x.size))
+    totals[0] = first
+    totals[1:] = terms
+    np.add.accumulate(totals, axis=0, out=totals)
+
+    # |term| and negligibility, padded above by _STOP_STREAK rows that
+    # stand for t_0: it opens the growth comparison as a non-negligible term
+    pad = _STOP_STREAK
+    mag = np.empty((pad + rows, x.size))
+    mag[:pad] = abs(first)
+    np.abs(terms, out=mag[pad:])
+    neg = np.zeros((pad + rows, x.size), dtype=bool)
+    np.less(mag[pad:], abs_tol, out=neg[pad:])
+    # converged: the row ends a run of _STOP_STREAK negligible terms.
+    # prev: the previous non-negligible |term|, found within pad rows back
+    # because no earlier row ended such a run
+    converged = neg[pad:].copy()
+    prev = mag[:rows].copy() if grow else None
+    for lo in range(1, pad):
+        converged &= neg[lo : lo + rows]
+        if grow:
+            np.copyto(prev, mag[lo : lo + rows], where=~neg[lo : lo + rows])
+    stop = converged
+    if grow:
+        up = ~neg[pad:] & (mag[pad:] > prev)
+        up[: _GROW_MIN_K - 1] = False
+        # the growth streak restarts at each non-negligible term that does
+        # not grow; the count of growing terms never decreases, so its
+        # running maximum over those rows is its value at the latest one
+        count = np.cumsum(up, axis=0)
+        restart = np.where(neg[pad:] | up, 0, count)
+        np.maximum.accumulate(restart, axis=0, out=restart)
+        stop = converged | (count - restart >= _GROW_STREAK)
+
+    stopped = stop.any(axis=0)
+    last = np.where(stopped, stop.argmax(axis=0), rows - 1)
+    cols = np.arange(x.size)
+    return stopped, last + 2, converged[last, cols], totals[last + 1, cols], terms[last, cols]
+
+
+def _sum_terms(
+    x: np.ndarray, policy: EvalPolicy, d=None, ratios=None, grow: bool = True
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Partial sums, terms used, ``converged`` flags and last terms at the nodes ``x``.
+
+    At most ``policy.max_terms`` terms of :func:`_term_matrix`, and no more
+    than the table ``d`` holds; ``ratios(n)`` gives the first n ratios and
+    ``grow`` turns the divergence rule on.  Nodes go in chunks of
+    ``_CHUNK``; those not stopped retry with twice the rows.
+    """
+    cap = (policy.max_terms if d is None else min(len(d), policy.max_terms)) - 1
+    first = 1.0 if d is None else d[0]
+    total, last = np.full(x.size, first), np.full(x.size, first)
+    used, converged = np.ones(x.size, dtype=int), np.zeros(x.size, dtype=bool)
+    r = None if ratios is None else np.empty(0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, x.size if cap else 0, _CHUNK):
+            cols = np.arange(start, min(start + _CHUNK, x.size))
+            rows = min(_FIRST_ROWS, cap)
+            while cols.size:
+                if r is not None and r.size < rows:
+                    r = np.asarray(ratios(rows))
+                stopped, n, ok, s, t = _term_matrix(x[cols], d, r, policy.abs_tol, rows, grow)
+                done = stopped | (rows == cap)
+                at = cols[done]
+                total[at], used[at], converged[at], last[at] = s[done], n[done], ok[done], t[done]
+                cols, rows = cols[~done], min(2 * rows, cap)
+    return total, used, converged, last
+
+
+def mittag_leffler(alpha: float, z, policy: EvalPolicy = DEFAULT_POLICY) -> float | np.ndarray:
     """One-parameter Mittag-Leffler function E_alpha(z), alpha in (0, 1].
 
-    Direct summation of z^k / Gamma(alpha k + 1) with ratio updates from
-    :func:`gamma_ratios` (no explicit powers).  E_1 reduces to exp;
-    E_alpha(0) = 1 exactly for every alpha.
+    Sums z^k / Gamma(alpha k + 1), each term the previous one times z and
+    a ratio of :func:`gamma_ratios`; E_alpha(0) = 1 exactly.  alpha = 1 is
+    summed too, not taken as exp, so E_1 shares the cancellation of the
+    series on the negative axis (E_1(-20) is ~100x too large; ROADMAP 1).
 
-    Raises :class:`NonConvergenceError` if the stopping rule has not fired
-    after ``policy.max_terms`` terms.
+    ``z`` is a float (giving a float) or an array, summed by one kernel
+    call (:func:`_sum_terms`) with a column per z; as even one column
+    costs tens of microseconds, pass many points as one array.  Raises
+    :class:`NonConvergenceError`, naming the first z at fault and its last
+    term, if the stopping rule has not fired within ``policy.max_terms`` terms.
     """
     if not 0 < alpha <= 1:
         raise DomainError(f"mittag_leffler requires alpha in (0, 1], got {alpha}")
-    # most calls stop after a few dozen terms: request 32 ratios and double
-    # the request only when the sum runs past them, rather than build all
-    # max_terms - 1 ratios for each fresh alpha
-    last = policy.max_terms - 1
-    done, size = 0, min(32, last)
-    term = 1.0
-    total = 1.0
-    below = 0
-    while done < last:
-        for ratio in gamma_ratios(alpha, size)[done:]:
-            term *= z * ratio
-            total += term
-            if abs(term) < policy.abs_tol:
-                below += 1
-                if below >= _STOP_STREAK:
-                    return total
-            else:
-                below = 0
-        done, size = size, min(2 * size, last)
-    raise NonConvergenceError(
-        f"Mittag-Leffler series not converged after {policy.max_terms} terms "
-        f"(alpha={alpha}, z={z}); last term {term:.3e}"
-    )
+    zs = np.asarray(z, dtype=float)
+    ratios = partial(gamma_ratios, alpha)
+    total, _, converged, last = _sum_terms(zs.ravel(), policy, ratios=ratios, grow=False)
+    if not converged.all():
+        i = int(converged.argmin())
+        raise NonConvergenceError(
+            f"Mittag-Leffler series not converged after {policy.max_terms} terms "
+            f"(alpha={alpha}, z={float(zs.flat[i])}); last term {last[i]:.3e}"
+        )
+    return float(total[0]) if zs.ndim == 0 else total.reshape(zs.shape)
 
 
 def ml_asymptotics(alpha: float, lam_minus_mu: float, t: float) -> tuple[float, float]:

@@ -20,8 +20,6 @@ from fracsis.errors import DomainError, HypothesisError
 from fracsis.harness import trajectory_csv
 from fracsis.model import ModelParams, classical_sis, derive, logistic_rhs
 from fracsis.series import (
-    _GROW_MIN_K,
-    _GROW_STREAK,
     EvalResult,
     SeriesKind,
     SeriesSolution,
@@ -32,7 +30,7 @@ from fracsis.series import (
     zero_capacity_series,
 )
 from fracsis.solvers import TimeGrid, solve_pece
-from fracsis.specfn import _STOP_STREAK, DEFAULT_POLICY, EvalPolicy
+from fracsis.specfn import _GROW_MIN_K, _GROW_STREAK, _STOP_STREAK, DEFAULT_POLICY, EvalPolicy
 
 ENDEMIC = dict(beta=0.7, gamma=0.05, mu=0.12)
 SIGMA1 = dict(beta=0.7, gamma=0.07, mu=0.63)

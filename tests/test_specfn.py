@@ -9,6 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fracsis.errors import DomainError, NonConvergenceError
+from fracsis.harness import population_curve
+from fracsis.solvers import TimeGrid
 from fracsis.specfn import (
     EvalPolicy,
     beta,
@@ -41,7 +43,9 @@ def per_term_lgamma_ml(alpha, z, policy=EvalPolicy()):
                 return total
         else:
             below = 0
-    raise NonConvergenceError(f"not converged after {policy.max_terms} terms")
+    raise NonConvergenceError(
+        f"not converged after {policy.max_terms} terms; last term {term:.3e}"
+    )
 
 
 def outcome(fn, *args):
@@ -150,8 +154,9 @@ class TestMittagLeffler:
 
     @pytest.mark.parametrize(
         "policy",
-        [EvalPolicy(), EvalPolicy(max_terms=5), EvalPolicy(abs_tol=1e-8, max_terms=60)],
-        ids=["default", "max_terms=5", "loose"],
+        [EvalPolicy(), EvalPolicy(max_terms=5), EvalPolicy(abs_tol=1e-8, max_terms=60),
+         EvalPolicy(max_terms=1), EvalPolicy(max_terms=2)],
+        ids=["default", "max_terms=5", "loose", "max_terms=1", "max_terms=2"],
     )
     @pytest.mark.parametrize("alpha", [0.05, 0.1, 0.3, 0.5, 0.7, 0.9, 0.99, 1.0])
     def test_cached_ratios_match_per_term_lgamma(self, alpha, policy):
@@ -159,6 +164,30 @@ class TestMittagLeffler:
         for z in zs:
             got = outcome(mittag_leffler, alpha, z, policy)
             assert got == outcome(per_term_lgamma_ml, alpha, z, policy), z
+
+    @pytest.mark.parametrize("alpha", [0.3, 0.7, 1.0])
+    def test_array_matches_scalar_calls(self, alpha):
+        # more z than one 128-column chunk, spread so that some stop in the
+        # first 32 rows and others need the doubled budgets
+        zs = np.concatenate([[0.0, -0.0], np.linspace(-3.0, 2.0, 301)])
+        got = mittag_leffler(alpha, zs)
+        assert isinstance(got, np.ndarray) and got.shape == zs.shape
+        want = [mittag_leffler(alpha, float(z)) for z in zs]
+        assert all(type(v) is float for v in want)
+        assert got.tobytes() == np.array(want).tobytes()
+
+    def test_empty_array(self):
+        got = mittag_leffler(0.5, np.array([]))
+        assert isinstance(got, np.ndarray) and got.size == 0
+
+    def test_array_names_first_unconverged_z(self):
+        zs = np.array([-1.0, 80.0, -0.5, 90.0])
+        with pytest.raises(NonConvergenceError) as scalar:
+            mittag_leffler(0.5, 80.0)
+        with pytest.raises(NonConvergenceError) as array:
+            mittag_leffler(0.5, zs)
+        assert "(alpha=0.5, z=80.0); last term" in str(array.value)
+        assert str(array.value) == str(scalar.value)
 
     def test_non_convergence_error(self):
         with pytest.raises(NonConvergenceError):
@@ -175,6 +204,34 @@ class TestMittagLeffler:
             EvalPolicy(abs_tol=0.0)
         with pytest.raises(DomainError):
             EvalPolicy(max_terms=0)
+
+
+class TestPopulationCurve:
+    @pytest.mark.parametrize("alpha", [0.3, 0.6, 0.9, 1.0])
+    @pytest.mark.parametrize("rate", [-5.0, -2.0, -0.7, 0.0, 1.0])
+    def test_matches_per_node_reference(self, alpha, rate):
+        # N(t) = n0 E_alpha(rate t^alpha) node by node, or the error naming
+        # the first node whose series does not converge
+        grid, n0, mu = TimeGrid(5.0, 0.005), 2.5, 0.3
+        lam = mu + rate
+        want = []
+        for t in grid.nodes().tolist():
+            z = (lam - mu) * t**alpha
+            try:
+                want.append(n0 * per_term_lgamma_ml(alpha, z))
+            except NonConvergenceError as e:
+                last = str(e).rsplit("; ", 1)[1]
+                with pytest.raises(NonConvergenceError) as got:
+                    population_curve(alpha, lam, mu, n0, grid)
+                assert str(got.value).endswith(f"(alpha={alpha}, z={z}); {last}")
+                return
+        got = population_curve(alpha, lam, mu, n0, grid)
+        assert got.tobytes() == np.array(want).tobytes()
+
+    def test_cases_include_raises(self):
+        # the cases above cover both outcomes: alpha = 0.3, rate = -5 raises
+        with pytest.raises(NonConvergenceError):
+            population_curve(0.3, 0.3 - 5.0, 0.3, 2.5, TimeGrid(5.0, 0.005))
 
 
 class TestAsymptotics:
