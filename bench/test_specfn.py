@@ -3,7 +3,10 @@
 ``mittag_leffler`` is timed at one z and a repeated alpha = 0.6, so its
 cached Gamma ratios are warm and each call is one kernel call over a
 single column.  ``population_curve`` runs at the stress shape: alpha = 0.6,
-lam - mu = -1, T = 5 and dt = 0.005 (N = 1000 nodes, one kernel call).
+lam - mu = -1, T = 5 and dt = 0.005 (N = 1000 nodes, one kernel call), and
+on the same grid at alpha = 0.3, lam - mu = -4.7, where the series fails at
+z = -3.14 (node 52, in the first 128-node chunk) and the call is timed
+until it raises.
 The directory lies outside the test paths, so the tier-1 suite does not
 run it.  From the root of a checkout:
 
@@ -12,6 +15,7 @@ run it.  From the root of a checkout:
 
 import pytest
 
+from fracsis.errors import NonConvergenceError
 from fracsis.harness import population_curve
 from fracsis.solvers import TimeGrid
 from fracsis.specfn import mittag_leffler
@@ -29,3 +33,13 @@ def test_population_curve(benchmark):
     grid = TimeGrid(5.0, 0.005)
     n = benchmark(population_curve, ALPHA, 0.2, 1.2, 1.0, grid)
     assert n.size == grid.N + 1 and n[0] == 1.0
+
+
+def test_population_curve_failing_grid(benchmark):
+    grid = TimeGrid(5.0, 0.005)
+
+    def until_raised():
+        with pytest.raises(NonConvergenceError, match=r"z=-3\.13"):
+            population_curve(0.3, 0.0, 4.7, 1.0, grid)
+
+    benchmark(until_raised)

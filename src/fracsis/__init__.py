@@ -82,12 +82,4 @@ from .solvers import (
     solve_l1,
     solve_pece,
 )
-from .specfn import (
-    DEFAULT_POLICY,
-    EvalPolicy,
-    beta,
-    gamma,
-    log_gamma,
-    mittag_leffler,
-    ml_asymptotics,
-)
+from .specfn import beta, gamma, log_gamma, mittag_leffler, ml_asymptotics

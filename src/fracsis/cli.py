@@ -57,12 +57,21 @@ def _merged_config(args, forced_methods=None) -> harness.RunConfig:
     return harness.config_from_dict(cfg)
 
 
+def _write_out(path: Path, text: str) -> None:
+    """Write an ``--out`` file, creating its parent directories."""
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
+    except OSError as e:
+        raise ValidationError(f"cannot write {path}: {e}") from e
+
+
 def _cmd_coeffs(args) -> int:
     build = euler_alpha if args.kind == "euler" else a_coeffs
     table = build(args.alpha, args.K)
     text = harness.csv_text("k,value", enumerate(table.values))
     if args.out is not None:
-        Path(args.out).write_text(text)
+        _write_out(args.out, text)
     else:
         sys.stdout.write(text)
     return 0
@@ -126,10 +135,8 @@ def _cmd_population(args) -> int:
     n = harness.population_curve(args.alpha, args.lam, args.mu, args.n0, grid)
     text = harness.csv_text("t,N", ((float(t), float(v)) for t, v in zip(grid.nodes(), n)))
     if args.out is not None:
-        out = Path(args.out)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(text)
-        print(out)
+        _write_out(args.out, text)
+        print(args.out)
     else:
         sys.stdout.write(text)
     return 0

@@ -42,7 +42,7 @@ from .series import (
     zero_capacity_series,
 )
 from .solvers import Method, TimeGrid, Trajectory, solve_l1, solve_pece
-from .specfn import EvalPolicy, mittag_leffler
+from .specfn import mittag_leffler
 
 __all__ = [
     "RunConfig",
@@ -465,20 +465,13 @@ def run_c0_suite(
     return entries
 
 
-def population_curve(
-    alpha: float,
-    lam: float,
-    mu: float,
-    n0: float,
-    grid: TimeGrid,
-    policy: EvalPolicy = EvalPolicy(),
-) -> np.ndarray:
+def population_curve(alpha: float, lam: float, mu: float, n0: float, grid: TimeGrid) -> np.ndarray:
     """N(t) = N0 E_alpha((lam - mu) t^alpha) sampled on a grid: the package's one N(t)."""
     if not n0 > 0:
         raise DomainError(f"N0 must be positive, got {n0}")
     # libm pow on Python floats; numpy's vectorised pow may differ by one ulp
     z = np.array([(lam - mu) * t**alpha for t in grid.nodes().tolist()])
-    return n0 * mittag_leffler(alpha, z, policy)
+    return n0 * mittag_leffler(alpha, z)
 
 
 # ---------------------------------------------------------------------------
@@ -507,8 +500,13 @@ def _derived_dict(d: DerivedParams) -> dict:
 
 
 def csv_text(header: str, rows) -> str:
-    """CSV text: the header, then one line per row of numbers at 17 significant digits."""
-    lines = [header] + [",".join(format(v, _FMT) for v in row) for row in rows]
+    """CSV text: the header, then one line per row, numbers at 17 significant digits.
+
+    ``str`` cells (method names) are written as they are.
+    """
+    lines = [header] + [
+        ",".join(v if isinstance(v, str) else format(v, _FMT) for v in row) for row in rows
+    ]
     return "\n".join(lines) + "\n"
 
 
@@ -614,11 +612,7 @@ def emit(
         written.append(_write_svg(out / "trajectories.svg", trajectories))
     if reports and "csv" in config.formats:
         f = out / "comparison.csv"
-        lines = ["method_a,method_b,linf"]
-        for r in reports:
-            for ma, mb, dist in r.pairs:
-                lines.append(f"{ma},{mb},{format(dist, _FMT)}")
-        f.write_text("\n".join(lines) + "\n")
+        f.write_text(csv_text("method_a,method_b,linf", (p for r in reports for p in r.pairs)))
         written.append(f)
     if "json" in config.formats or "csv" in config.formats:
         series = trajectories.get(Method.SERIES)

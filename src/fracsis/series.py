@@ -21,12 +21,14 @@ series' radius in the trajectory meta, so each run builds its series
 once.
 
 Evaluation sums the terms ``d_k x^k`` in increasing k; the table already
-carries the Gamma(alpha k + 1) normalisation.  Truncation follows
-:class:`~fracsis.specfn.EvalPolicy`; values past the guaranteed radius
-are permitted but flagged, and sustained term growth flips ``converged``
-off in-band instead of raising.  The sums and both rules live in the
-package's one power-series kernel, ``fracsis.specfn._sum_terms``, called
-once per :func:`evaluate` or :func:`sample_trajectory`.
+carries the Gamma(alpha k + 1) normalisation.  Truncation is set by the
+table order and by the stopping rule's constants in :mod:`fracsis.specfn`
+(``_ABS_TOL``, ``_STOP_STREAK``, ``_MAX_TERMS``); values past the
+guaranteed radius are permitted but flagged, and sustained term growth
+(``_GROW_STREAK``, ``_GROW_MIN_K``) flips ``converged`` off in-band
+instead of raising.  The sums and both rules live in the package's one
+power-series kernel, ``fracsis.specfn._sum_terms``, called once per
+:func:`evaluate` or :func:`sample_trajectory`.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ from .coeffs import (
 from .errors import DomainError, HypothesisError, InsufficientDataError
 from .model import DerivedParams
 from .solvers import Method, TimeGrid, Trajectory
-from .specfn import DEFAULT_POLICY, EvalPolicy, _sum_terms
+from .specfn import _sum_terms
 
 __all__ = [
     "SeriesKind",
@@ -191,7 +193,7 @@ def rescaled_zero_capacity_series(
 
 
 def _sum_nodes(
-    series: SeriesSolution, ts: np.ndarray, policy: EvalPolicy
+    series: SeriesSolution, ts: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Values, terms used and ``converged`` flags at the nodes ``ts >= 0``.
 
@@ -200,18 +202,19 @@ def _sum_nodes(
     d = np.asarray(series.coeffs.d)
     # libm pow on Python floats; numpy's vectorised pow may differ by one ulp
     x = np.array([series.arg_scale * t**series.alpha for t in ts.tolist()])
-    total, used, converged, _ = _sum_terms(x, policy, d)
+    total, used, converged, _ = _sum_terms(x, d)
     at0 = ts == 0.0
     total[at0], used[at0], converged[at0] = d[0], 1, True
     return series.scale_c * total, used, converged
 
 
-def evaluate(series: SeriesSolution, t: float, policy: EvalPolicy = DEFAULT_POLICY) -> EvalResult:
+def evaluate(series: SeriesSolution, t: float) -> EvalResult:
     """Evaluate the truncated series at a single finite time t >= 0.
 
-    The sum is accumulated in increasing k (fixed order, deterministic);
-    it stops early once three consecutive terms drop below
-    ``policy.abs_tol``.  Divergence is never an exception: past-radius
+    The sum is accumulated in increasing k (fixed order, deterministic)
+    over the table, and at most ``specfn._MAX_TERMS`` terms; it stops
+    early once three consecutive terms drop below ``specfn._ABS_TOL``
+    (1e-14).  Divergence is never an exception: past-radius
     evaluation is flagged via ``beyond_theoretical_radius`` and sustained
     growth (five consecutive growing terms after k >= 10) clears
     ``converged``.
@@ -225,15 +228,13 @@ def evaluate(series: SeriesSolution, t: float, policy: EvalPolicy = DEFAULT_POLI
     if t < 0:
         raise DomainError(f"series evaluation requires t >= 0, got {t}")
     theo = series.radius.theoretical
-    u, used, converged = _sum_nodes(series, np.array([float(t)]), policy)
+    u, used, converged = _sum_nodes(series, np.array([float(t)]))
     return EvalResult(
         float(u[0]), int(used[0]), bool(converged[0]), theo is not None and t > theo
     )
 
 
-def sample_trajectory(
-    series: SeriesSolution, grid: TimeGrid, policy: EvalPolicy = DEFAULT_POLICY
-) -> Trajectory:
+def sample_trajectory(series: SeriesSolution, grid: TimeGrid) -> Trajectory:
     """Evaluate the series on every grid node, aggregating the flags.
 
     The meta also records the series' convergence radius under
@@ -241,7 +242,7 @@ def sample_trajectory(
     consumers such as the run manifest need not rebuild the series.
     """
     nodes = grid.nodes()
-    u, terms, converged = _sum_nodes(series, nodes, policy)
+    u, terms, converged = _sum_nodes(series, nodes)
     theo = series.radius.theoretical
     beyond = nodes > theo if theo is not None else np.zeros(nodes.size, dtype=bool)
     converged = converged.tolist()

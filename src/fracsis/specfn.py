@@ -7,9 +7,9 @@ downstream tolerance).  The one-parameter Mittag-Leffler function
     E_a(z) = sum_{k>=0} z^k / Gamma(a k + 1)
 
 is evaluated by its defining power series, which has infinite radius of
-convergence; truncation is controlled by :class:`EvalPolicy`.  The small-
-and large-time asymptotic companions of E_a(-|r| t^a) are exposed
-separately rather than auto-switched.
+convergence; it is cut by the stopping rule below, after at most
+``_MAX_TERMS`` terms.  The small- and large-time asymptotic companions
+of E_a(-|r| t^a) are exposed separately rather than auto-switched.
 
 Every series of the package is normalised by Gamma(a k + 1):
 :func:`log_gamma_orders` is the one source of those log-Gammas, and
@@ -19,9 +19,15 @@ They step the terms of :func:`mittag_leffler` and the recursions of
 
 One kernel, :func:`_sum_terms`, sums every power series of the package
 and holds their stopping rule: the series terms ``d_k x^k`` of
-:mod:`fracsis.series` and the terms of :func:`mittag_leffler`.  Only the
-series apply its divergence rule: E_a is entire, and its terms may grow
-on the way to convergence (for E_0.5(3) from k = 10 to k = 17).
+:mod:`fracsis.series` and the terms of :func:`mittag_leffler`.  The rule
+is five module constants: a sum is accepted once ``_STOP_STREAK``
+consecutive terms fall below ``_ABS_TOL`` in absolute value and is
+abandoned after ``_MAX_TERMS`` terms (or the end of a shorter table).
+Only the series apply its divergence rule, ``_GROW_STREAK`` consecutive
+growing terms once ``_GROW_MIN_K`` terms are summed: E_a is entire, and
+its terms may grow on the way to convergence (for E_0.5(3) from k = 10
+to k = 17).  A series of the solution is truncated, as in the paper, by
+the order of its coefficient table.
 
 All functions are pure and operate in binary64.
 """
@@ -29,7 +35,6 @@ All functions are pure and operate in binary64.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache, partial
 
 import numpy as np
@@ -37,8 +42,6 @@ import numpy as np
 from .errors import DomainError, NonConvergenceError
 
 __all__ = [
-    "EvalPolicy",
-    "DEFAULT_POLICY",
     "gamma",
     "log_gamma",
     "beta",
@@ -49,30 +52,13 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class EvalPolicy:
-    """Truncation control for power-series evaluation.
-
-    A series is accepted once three consecutive terms fall below
-    ``abs_tol`` in absolute value; it is abandoned (with an error or an
-    in-band flag, depending on the caller) after ``max_terms`` terms.
-    """
-
-    abs_tol: float = 1e-14
-    max_terms: int = 500
-
-    def __post_init__(self) -> None:
-        if not self.abs_tol > 0:
-            raise DomainError(f"abs_tol must be positive, got {self.abs_tol}")
-        if self.max_terms < 1:
-            raise DomainError(f"max_terms must be >= 1, got {self.max_terms}")
-
-
-DEFAULT_POLICY = EvalPolicy()
-
-#: consecutive sub-tolerance terms required by the stopping rule of every
+#: a term below this in absolute value is negligible
+_ABS_TOL = 1e-14
+#: consecutive negligible terms required by the stopping rule of every
 #: power series in the package
 _STOP_STREAK = 3
+#: terms summed at most, d_0 (or 1) included
+_MAX_TERMS = 500
 #: consecutive growing (non-negligible) terms that flag divergence ...
 _GROW_STREAK = 5
 #: ... once at least this many terms have been summed
@@ -134,7 +120,7 @@ def gamma_ratios(alpha: float, order: int) -> tuple[float, ...]:
 
 
 def _term_matrix(
-    x: np.ndarray, d, r, abs_tol: float, rows: int, grow: bool
+    x: np.ndarray, d, r, rows: int, grow: bool
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Sum ``rows`` terms past ``t_0`` at the nodes ``x`` and find each stop.
 
@@ -163,7 +149,7 @@ def _term_matrix(
     mag[:pad] = abs(first)
     np.abs(terms, out=mag[pad:])
     neg = np.zeros((pad + rows, x.size), dtype=bool)
-    np.less(mag[pad:], abs_tol, out=neg[pad:])
+    np.less(mag[pad:], _ABS_TOL, out=neg[pad:])
     # converged: the row ends a run of _STOP_STREAK negligible terms.
     # prev: the previous non-negligible |term|, found within pad rows back
     # because no earlier row ended such a run
@@ -192,16 +178,19 @@ def _term_matrix(
 
 
 def _sum_terms(
-    x: np.ndarray, policy: EvalPolicy, d=None, ratios=None, grow: bool = True
+    x: np.ndarray, d=None, ratios=None, grow: bool = True
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Partial sums, terms used, ``converged`` flags and last terms at the nodes ``x``.
 
-    At most ``policy.max_terms`` terms of :func:`_term_matrix`, and no more
-    than the table ``d`` holds; ``ratios(n)`` gives the first n ratios and
+    At most ``_MAX_TERMS`` terms of :func:`_term_matrix`, and no more than
+    the table ``d`` holds; ``ratios(n)`` gives the first n ratios and
     ``grow`` turns the divergence rule on.  Nodes go in chunks of
-    ``_CHUNK``; those not stopped retry with twice the rows.
+    ``_CHUNK``; those not stopped retry with twice the rows.  With ``grow``
+    off (E_alpha, whose caller raises at any unconverged node) the chunks
+    after the first one holding an unconverged node are not summed: their
+    nodes read unconverged, and the first unconverged node keeps its last term.
     """
-    cap = (policy.max_terms if d is None else min(len(d), policy.max_terms)) - 1
+    cap = (_MAX_TERMS if d is None else min(len(d), _MAX_TERMS)) - 1
     first = 1.0 if d is None else d[0]
     total, last = np.full(x.size, first), np.full(x.size, first)
     used, converged = np.ones(x.size, dtype=int), np.zeros(x.size, dtype=bool)
@@ -213,15 +202,17 @@ def _sum_terms(
             while cols.size:
                 if r is not None and r.size < rows:
                     r = np.asarray(ratios(rows))
-                stopped, n, ok, s, t = _term_matrix(x[cols], d, r, policy.abs_tol, rows, grow)
+                stopped, n, ok, s, t = _term_matrix(x[cols], d, r, rows, grow)
                 done = stopped | (rows == cap)
                 at = cols[done]
                 total[at], used[at], converged[at], last[at] = s[done], n[done], ok[done], t[done]
                 cols, rows = cols[~done], min(2 * rows, cap)
+            if not grow and not converged[start : start + _CHUNK].all():
+                break
     return total, used, converged, last
 
 
-def mittag_leffler(alpha: float, z, policy: EvalPolicy = DEFAULT_POLICY) -> float | np.ndarray:
+def mittag_leffler(alpha: float, z) -> float | np.ndarray:
     """One-parameter Mittag-Leffler function E_alpha(z), alpha in (0, 1].
 
     Sums z^k / Gamma(alpha k + 1), each term the previous one times z and
@@ -233,17 +224,17 @@ def mittag_leffler(alpha: float, z, policy: EvalPolicy = DEFAULT_POLICY) -> floa
     call (:func:`_sum_terms`) with a column per z; as even one column
     costs tens of microseconds, pass many points as one array.  Raises
     :class:`NonConvergenceError`, naming the first z at fault and its last
-    term, if the stopping rule has not fired within ``policy.max_terms`` terms.
+    term, if the stopping rule has not fired within ``_MAX_TERMS`` terms.
     """
     if not 0 < alpha <= 1:
         raise DomainError(f"mittag_leffler requires alpha in (0, 1], got {alpha}")
     zs = np.asarray(z, dtype=float)
     ratios = partial(gamma_ratios, alpha)
-    total, _, converged, last = _sum_terms(zs.ravel(), policy, ratios=ratios, grow=False)
+    total, _, converged, last = _sum_terms(zs.ravel(), ratios=ratios, grow=False)
     if not converged.all():
         i = int(converged.argmin())
         raise NonConvergenceError(
-            f"Mittag-Leffler series not converged after {policy.max_terms} terms "
+            f"Mittag-Leffler series not converged after {_MAX_TERMS} terms "
             f"(alpha={alpha}, z={float(zs.flat[i])}); last term {last[i]:.3e}"
         )
     return float(total[0]) if zs.ndim == 0 else total.reshape(zs.shape)

@@ -434,6 +434,30 @@ class TestCli:
         )
         assert rc == 2
 
+    def test_coeffs_out_creates_parent_directories(self, tmp_path, capsys):
+        out = tmp_path / "nope" / "x.csv"
+        assert cli.main(["coeffs", "--kind", "a", "--alpha", "0.5", "--out", str(out)]) == 0
+        assert out.read_text().startswith("k,value\n0,0.5\n")
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("target", ["directory", "under-a-file"])
+    @pytest.mark.parametrize(
+        "argv",
+        [["coeffs", "--kind", "euler", "--alpha", "0.5"],
+         ["population", "--alpha", "0.5", "--lambda", "0.2", "--mu", "0.3"]],
+        ids=["coeffs", "population"],
+    )
+    def test_unwritable_out_exit_code(self, argv, target, tmp_path, capsys):
+        # an OSError from --out is a validation error naming the path, not
+        # a traceback
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        out = tmp_path if target == "directory" else blocker / "x.csv"
+        assert cli.main(argv + ["--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: cannot write {out}: ")
+        assert captured.out == ""
+
     def test_table1_emits_files(self, tmp_path, capsys):
         rc = cli.main(["table1", "--out", str(tmp_path / "t1")])
         assert rc == 0

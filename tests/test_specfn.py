@@ -8,11 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fracsis import specfn
 from fracsis.errors import DomainError, NonConvergenceError
 from fracsis.harness import population_curve
 from fracsis.solvers import TimeGrid
 from fracsis.specfn import (
-    EvalPolicy,
+    _ABS_TOL,
+    _CHUNK,
+    _MAX_TERMS,
     beta,
     gamma,
     log_gamma,
@@ -23,7 +26,7 @@ from fracsis.specfn import (
 mpmath.mp.dps = 40
 
 
-def per_term_lgamma_ml(alpha, z, policy=EvalPolicy()):
+def per_term_lgamma_ml(alpha, z):
     """E_alpha(z) with one lgamma difference per term.
 
     A bit-exact reference for the cached-ratio loop of :func:`mittag_leffler`.
@@ -32,19 +35,19 @@ def per_term_lgamma_ml(alpha, z, policy=EvalPolicy()):
     total = 1.0
     below = 0
     lg_prev = 0.0  # lgamma(1)
-    for k in range(1, policy.max_terms):
+    for k in range(1, _MAX_TERMS):
         lg_next = math.lgamma(alpha * k + 1.0)
         term *= z * math.exp(lg_prev - lg_next)
         lg_prev = lg_next
         total += term
-        if abs(term) < policy.abs_tol:
+        if abs(term) < _ABS_TOL:
             below += 1
             if below >= 3:
                 return total
         else:
             below = 0
     raise NonConvergenceError(
-        f"not converged after {policy.max_terms} terms; last term {term:.3e}"
+        f"not converged after {_MAX_TERMS} terms; last term {term:.3e}"
     )
 
 
@@ -152,18 +155,12 @@ class TestMittagLeffler:
             vals = [mittag_leffler(alpha, -float(t) ** alpha) for t in ts]
             assert all(a > b for a, b in zip(vals, vals[1:]))
 
-    @pytest.mark.parametrize(
-        "policy",
-        [EvalPolicy(), EvalPolicy(max_terms=5), EvalPolicy(abs_tol=1e-8, max_terms=60),
-         EvalPolicy(max_terms=1), EvalPolicy(max_terms=2)],
-        ids=["default", "max_terms=5", "loose", "max_terms=1", "max_terms=2"],
-    )
     @pytest.mark.parametrize("alpha", [0.05, 0.1, 0.3, 0.5, 0.7, 0.9, 0.99, 1.0])
-    def test_cached_ratios_match_per_term_lgamma(self, alpha, policy):
+    def test_cached_ratios_match_per_term_lgamma(self, alpha):
         zs = [-40.0, -12.0, -5.0, -1.0, -0.25, 0.0, 1e-3, 0.5, 3.0, 12.0]
         for z in zs:
-            got = outcome(mittag_leffler, alpha, z, policy)
-            assert got == outcome(per_term_lgamma_ml, alpha, z, policy), z
+            got = outcome(mittag_leffler, alpha, z)
+            assert got == outcome(per_term_lgamma_ml, alpha, z), z
 
     @pytest.mark.parametrize("alpha", [0.3, 0.7, 1.0])
     def test_array_matches_scalar_calls(self, alpha):
@@ -189,21 +186,35 @@ class TestMittagLeffler:
         assert "(alpha=0.5, z=80.0); last term" in str(array.value)
         assert str(array.value) == str(scalar.value)
 
+    @pytest.mark.parametrize("bad", [3, 130])
+    def test_array_stops_after_the_chunk_of_the_first_failure(self, bad, monkeypatch):
+        # the call raises anyway, so no node past the chunk of the first
+        # unconverged z is summed
+        zs = np.linspace(-1.0, 1.0, 3 * _CHUNK + 5)
+        zs[bad], zs[bad + 3] = 80.0, 90.0
+        summed = []
+        term_matrix = specfn._term_matrix
+
+        def spy(x, *args):
+            summed.extend(x.tolist())
+            return term_matrix(x, *args)
+
+        monkeypatch.setattr(specfn, "_term_matrix", spy)
+        with pytest.raises(NonConvergenceError) as err:
+            mittag_leffler(0.5, zs)
+        assert "(alpha=0.5, z=80.0); last term" in str(err.value)
+        end = (bad // _CHUNK + 1) * _CHUNK
+        assert set(summed) == set(zs[:end].tolist())
+
     def test_non_convergence_error(self):
-        with pytest.raises(NonConvergenceError):
-            mittag_leffler(0.5, 50.0, EvalPolicy(abs_tol=1e-14, max_terms=5))
+        with pytest.raises(NonConvergenceError, match=f"after {_MAX_TERMS} terms"):
+            mittag_leffler(0.5, 50.0)
 
     def test_domain(self):
         with pytest.raises(DomainError):
             mittag_leffler(0.0, 1.0)
         with pytest.raises(DomainError):
             mittag_leffler(1.5, 1.0)
-
-    def test_policy_validation(self):
-        with pytest.raises(DomainError):
-            EvalPolicy(abs_tol=0.0)
-        with pytest.raises(DomainError):
-            EvalPolicy(max_terms=0)
 
 
 class TestPopulationCurve:
