@@ -1,6 +1,7 @@
 """Special-function tests against high-precision and identity oracles."""
 
 import math
+from functools import partial
 
 import mpmath
 import numpy as np
@@ -18,6 +19,7 @@ from fracsis.specfn import (
     _MAX_TERMS,
     beta,
     gamma,
+    gamma_ratios,
     log_gamma,
     mittag_leffler,
     ml_asymptotics,
@@ -26,8 +28,8 @@ from fracsis.specfn import (
 mpmath.mp.dps = 40
 
 
-def per_term_lgamma_ml(alpha, z):
-    """E_alpha(z) with one lgamma difference per term.
+def per_term_lgamma_ml(alpha, z, max_terms=_MAX_TERMS):
+    """E_alpha(z) with one lgamma difference per term, at most ``max_terms`` terms.
 
     A bit-exact reference for the cached-ratio loop of :func:`mittag_leffler`.
     """
@@ -35,7 +37,7 @@ def per_term_lgamma_ml(alpha, z):
     total = 1.0
     below = 0
     lg_prev = 0.0  # lgamma(1)
-    for k in range(1, _MAX_TERMS):
+    for k in range(1, max_terms):
         lg_next = math.lgamma(alpha * k + 1.0)
         term *= z * math.exp(lg_prev - lg_next)
         lg_prev = lg_next
@@ -47,8 +49,22 @@ def per_term_lgamma_ml(alpha, z):
         else:
             below = 0
     raise NonConvergenceError(
-        f"not converged after {_MAX_TERMS} terms; last term {term:.3e}"
+        f"not converged after {max_terms} terms; last term {term:.3e}"
     )
+
+
+def capped_ml(alpha, z, max_terms):
+    """E_alpha(z) summed by the kernel of :func:`mittag_leffler`, cut at
+    ``max_terms`` terms by a table of that many ones."""
+    ratios = partial(gamma_ratios, alpha)
+    total, _, converged, last = specfn._sum_terms(
+        np.array([z]), d=np.ones(max_terms), ratios=ratios, grow=False
+    )
+    if not converged[0]:
+        raise NonConvergenceError(
+            f"not converged after {max_terms} terms; last term {last[0]:.3e}"
+        )
+    return float(total[0])
 
 
 def outcome(fn, *args):
@@ -155,12 +171,21 @@ class TestMittagLeffler:
             vals = [mittag_leffler(alpha, -float(t) ** alpha) for t in ts]
             assert all(a > b for a, b in zip(vals, vals[1:]))
 
+    @pytest.mark.parametrize(
+        "max_terms", [None, 5, 1, 2],
+        ids=["default", "max_terms=5", "max_terms=1", "max_terms=2"],
+    )
     @pytest.mark.parametrize("alpha", [0.05, 0.1, 0.3, 0.5, 0.7, 0.9, 0.99, 1.0])
-    def test_cached_ratios_match_per_term_lgamma(self, alpha):
+    def test_cached_ratios_match_per_term_lgamma(self, alpha, max_terms):
         zs = [-40.0, -12.0, -5.0, -1.0, -0.25, 0.0, 1e-3, 0.5, 3.0, 12.0]
         for z in zs:
-            got = outcome(mittag_leffler, alpha, z)
-            assert got == outcome(per_term_lgamma_ml, alpha, z), z
+            if max_terms is None:
+                got = outcome(mittag_leffler, alpha, z)
+                want = outcome(per_term_lgamma_ml, alpha, z)
+            else:
+                got = outcome(capped_ml, alpha, z, max_terms)
+                want = outcome(per_term_lgamma_ml, alpha, z, max_terms)
+            assert got == want, z
 
     @pytest.mark.parametrize("alpha", [0.3, 0.7, 1.0])
     def test_array_matches_scalar_calls(self, alpha):
