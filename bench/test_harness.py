@@ -1,0 +1,33 @@
+"""End-to-end timings: the two preset suites and one CLI ``compare``.
+
+``run_table1`` and ``run_c0_suite`` run their three alphas in memory
+(series, PECE and L1 each, no files).  The CLI case runs the c-nonzero
+preset at alpha = 0.7 with all three methods and writes CSVs and the
+manifest to a temporary directory, so it includes argument parsing and
+file emission.  The directory lies outside the test paths, so the tier-1
+suite does not run it.  From the root of a checkout:
+
+    PYTHONPATH=src python -m pytest bench --benchmark-only
+"""
+
+from fracsis import cli
+from fracsis.harness import C0_SUITE_ALPHAS, TABLE1_ALPHAS, run_c0_suite, run_table1
+
+
+def test_run_table1(benchmark):
+    reports = benchmark(run_table1)
+    assert [r.alpha for r in reports] == list(TABLE1_ALPHAS)
+
+
+def test_run_c0_suite(benchmark):
+    entries = benchmark(run_c0_suite)
+    assert [e.alpha for e in entries] == list(C0_SUITE_ALPHAS)
+
+
+def test_cli_compare(benchmark, tmp_path, capsys):
+    argv = [
+        "compare", "--preset", "c-nonzero", "--alpha", "0.7",
+        "--methods", "series,pece,l1", "--out", str(tmp_path), "--formats", "csv,json",
+    ]
+    assert benchmark(cli.main, argv) == 0
+    assert (tmp_path / "manifest.json").is_file()

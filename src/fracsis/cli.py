@@ -28,6 +28,9 @@ from .coeffs import a_coeffs, euler_alpha
 from .errors import NumericError, ValidationError
 from .solvers import Method, TimeGrid
 
+_METHODS_HELP = f"comma-separated subset of {','.join(m.value for m in Method)}"
+_FORMATS_HELP = f"comma-separated subset of {','.join(sorted(harness._FORMATS))}"
+
 
 def _add_config_flags(p: argparse.ArgumentParser, with_methods: bool = True) -> None:
     p.add_argument("--config", type=Path, help="JSON config or manifest to load")
@@ -40,10 +43,10 @@ def _add_config_flags(p: argparse.ArgumentParser, with_methods: bool = True) -> 
     p.add_argument("--T", type=float, help="final time")
     p.add_argument("--dt", type=float, help="time step")
     if with_methods:
-        p.add_argument("--methods", help="comma-separated subset of series,pece,l1,classical")
+        p.add_argument("--methods", help=_METHODS_HELP)
     p.add_argument("--terms", type=int, help="series truncation order")
     p.add_argument("--out", type=Path, help="output directory")
-    p.add_argument("--formats", help="comma-separated subset of csv,json,svg")
+    p.add_argument("--formats", help=_FORMATS_HELP)
 
 
 def _merged_config(args, forced_methods=None) -> harness.RunConfig:
@@ -57,21 +60,12 @@ def _merged_config(args, forced_methods=None) -> harness.RunConfig:
     return harness.config_from_dict(cfg)
 
 
-def _write_out(path: Path, text: str) -> None:
-    """Write an ``--out`` file, creating its parent directories."""
-    try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(text)
-    except OSError as e:
-        raise ValidationError(f"cannot write {path}: {e}") from e
-
-
 def _cmd_coeffs(args) -> int:
     build = euler_alpha if args.kind == "euler" else a_coeffs
     table = build(args.alpha, args.K)
     text = harness.csv_text("k,value", enumerate(table.values))
     if args.out is not None:
-        _write_out(args.out, text)
+        harness._write(args.out, text)
     else:
         sys.stdout.write(text)
     return 0
@@ -135,7 +129,7 @@ def _cmd_population(args) -> int:
     n = harness.population_curve(args.alpha, args.lam, args.mu, args.n0, grid)
     text = harness.csv_text("t,N", ((float(t), float(v)) for t, v in zip(grid.nodes(), n)))
     if args.out is not None:
-        _write_out(args.out, text)
+        harness._write(args.out, text)
         print(args.out)
     else:
         sys.stdout.write(text)
@@ -166,14 +160,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_compare)
 
     p = sub.add_parser("table1", help="pairwise error table on the c-nonzero preset")
-    p.add_argument("--terms", type=int, default=120, help="series truncation order (default 120)")
+    p.add_argument("--terms", type=int, default=harness._DEFAULT_TERMS,
+                   help="series truncation order (default %(default)s)")
     p.add_argument("--out", type=Path, help="output directory")
-    p.add_argument("--formats", help="comma-separated subset of csv,json,svg")
+    p.add_argument("--formats", help=_FORMATS_HELP)
     p.set_defaults(func=_cmd_table1)
 
     p = sub.add_parser("c0-suite", help="zero-capacity preset across alphas")
     p.add_argument("--out", type=Path, help="output directory")
-    p.add_argument("--formats", help="comma-separated subset of csv,json,svg")
+    p.add_argument("--formats", help=_FORMATS_HELP)
     p.set_defaults(func=_cmd_c0_suite)
 
     p = sub.add_parser("population", help="population curve N(t) = N0 E_alpha((lambda-mu) t^alpha)")

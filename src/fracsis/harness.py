@@ -14,6 +14,10 @@ series hypothesis from :func:`~fracsis.coeffs.carrying_capacity_hypothesis`;
 one helper holds the series initial datum (c/2, or 1/(2 beta) at
 sigma = 1), which is both the default ``i0`` and what a series run checks.
 
+File writing and the preset-suite loop each live in one place: every file
+goes through ``_write`` (parent directories made, an ``OSError`` raised as
+a ValidationError naming the path), and both suites run ``_run_suite``.
+
 Two presets reproduce the reference experiments:
 
 * ``c-nonzero`` — beta=0.7, gamma=0.05, mu=0.12 (sigma ~ 4.118,
@@ -28,7 +32,7 @@ import json
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -167,7 +171,6 @@ class ComparisonReport:
     """Pairwise L-infinity distances between trajectories on one grid."""
 
     alpha: float
-    grid: TimeGrid
     pairs: tuple[tuple[str, str, float], ...]
 
     def distance(self, a: str, b: str) -> float:
@@ -328,14 +331,13 @@ def compare_methods(trajectories: dict[Method, Trajectory], alpha: float) -> Com
     if len(trajectories) < 2:
         raise ValidationError("comparison needs at least two trajectories")
     methods = list(trajectories)
-    grid = trajectories[methods[0]].grid
     pairs = []
     for i, ma in enumerate(methods):
         for mb in methods[i + 1 :]:
             pairs.append(
                 (ma.value, mb.value, linf_distance(trajectories[ma], trajectories[mb]))
             )
-    return ComparisonReport(alpha=alpha, grid=grid, pairs=tuple(pairs))
+    return ComparisonReport(alpha=alpha, pairs=tuple(pairs))
 
 
 def crossing_node(traj: Trajectory) -> Optional[float]:
@@ -356,43 +358,42 @@ def crossing_node(traj: Trajectory) -> Optional[float]:
     return float(nodes[hits[0]])
 
 
+def _run_suite(
+    preset: str, alphas: Sequence[float], out: Optional[Path], formats: Sequence[str], **overrides
+) -> Iterator[tuple[RunConfig, dict[Method, Trajectory], ComparisonReport]]:
+    """Yield ``(config, trajectories, report)`` of series, PECE and L1 on a
+    preset per alpha, emitted to ``out/alpha-<alpha>`` when ``out`` is given."""
+    for alpha in alphas:
+        cfg = preset_config(
+            preset, alpha, methods=("series", "pece", "l1"), formats=tuple(formats),
+            out=None if out is None else Path(out) / f"alpha-{alpha:g}", **overrides,
+        )
+        trajs = run_methods(cfg)
+        report = compare_methods(trajs, alpha)
+        if out is not None:
+            emit(trajs, [report], cfg)
+        yield cfg, trajs, report
+
+
 def run_table1(
-    alphas: Sequence[float] = TABLE1_ALPHAS,
     terms: int = _DEFAULT_TERMS,
     out: Optional[Path] = None,
     formats: Sequence[str] = _DEFAULT_FORMATS,
 ) -> list[ComparisonReport]:
     """Reproduce the pairwise error table on the c-nonzero preset.
 
-    For each alpha, runs the series solution and both schemes on the
-    preset grid and reports the three pairwise distances.  When ``out``
-    is given, per-alpha artifacts plus a summary ``table1.csv`` with
-    header ``alpha,series_vs_pece,series_vs_l1,pece_vs_l1`` are emitted.
+    For each alpha of ``TABLE1_ALPHAS``, runs the series solution and both
+    schemes on the preset grid and reports the three pairwise distances.
+    When ``out`` is given, per-alpha artifacts plus a summary ``table1.csv``
+    with header ``alpha,series_vs_pece,series_vs_l1,pece_vs_l1`` are emitted.
     """
-    reports = []
-    for alpha in alphas:
-        cfg = preset_config(
-            "c-nonzero", alpha,
-            methods=("series", "pece", "l1"), terms=terms,
-            out=None if out is None else Path(out) / f"alpha-{alpha:g}",
-            formats=tuple(formats),
-        )
-        trajs = run_methods(cfg)
-        report = compare_methods(trajs, alpha)
-        reports.append(report)
-        if out is not None:
-            emit(trajs, [report], cfg)
+    suite = _run_suite("c-nonzero", TABLE1_ALPHAS, out, formats, terms=terms)
+    reports = [report for _, _, report in suite]
     if out is not None:
-        _write_table1_csv(Path(out) / "table1.csv", reports)
+        header = ",".join(["alpha"] + [f"{a}_vs_{b}" for a, b in _TABLE1_PAIRS])
+        rows = [(r.alpha, *(r.distance(a, b) for a, b in _TABLE1_PAIRS)) for r in reports]
+        _write(Path(out) / "table1.csv", csv_text(header, rows))
     return reports
-
-
-def _write_table1_csv(path: Path, reports: Sequence[ComparisonReport]) -> Path:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    header = ",".join(["alpha"] + [f"{a}_vs_{b}" for a, b in _TABLE1_PAIRS])
-    rows = [(r.alpha, *(r.distance(a, b) for a, b in _TABLE1_PAIRS)) for r in reports]
-    path.write_text(csv_text(header, rows))
-    return path
 
 
 def format_report_table(reports: Sequence[ComparisonReport]) -> str:
@@ -418,11 +419,10 @@ class C0SuiteEntry:
 
 
 def run_c0_suite(
-    alphas: Sequence[float] = C0_SUITE_ALPHAS,
     out: Optional[Path] = None,
     formats: Sequence[str] = _DEFAULT_FORMATS,
 ) -> list[C0SuiteEntry]:
-    """Run the zero-capacity preset for each alpha.
+    """Run the zero-capacity preset for each alpha of ``C0_SUITE_ALPHAS``.
 
     The explicit series is only trustworthy inside its convergence radius
     (it blows up in finite time for small alpha, e.g. alpha = 0.5 on
@@ -431,13 +431,7 @@ def run_c0_suite(
     the schemes, and the I/S crossing node per method.
     """
     entries = []
-    for alpha in alphas:
-        cfg = preset_config(
-            "c-zero", alpha,
-            methods=("series", "pece", "l1"), out=None if out is None else Path(out) / f"alpha-{alpha:g}",
-            formats=tuple(formats),
-        )
-        trajs = run_methods(cfg)
+    for cfg, trajs, report in _run_suite("c-zero", C0_SUITE_ALPHAS, out, formats):
         flags = trajs[Method.SERIES].meta["converged"]
         nodes = cfg.grid.nodes()
         diverged_at = None
@@ -452,7 +446,7 @@ def run_c0_suite(
         crossing = {m.value: crossing_node(t) for m, t in trajs.items()}
         entries.append(
             C0SuiteEntry(
-                alpha=alpha,
+                alpha=report.alpha,
                 trajectories=trajs,
                 series_converged=flags,
                 series_diverged_at=diverged_at,
@@ -460,8 +454,6 @@ def run_c0_suite(
                 crossing=crossing,
             )
         )
-        if out is not None:
-            emit(trajs, [compare_methods(trajs, alpha)], cfg)
     return entries
 
 
@@ -476,6 +468,16 @@ def population_curve(alpha: float, lam: float, mu: float, n0: float, grid: TimeG
 
 # ---------------------------------------------------------------------------
 # file emission
+
+
+def _write(path: Path, text: str) -> Path:
+    """Write ``text`` to ``path`` and its parent directories; an OSError names the path."""
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
+    except OSError as e:
+        raise ValidationError(f"cannot write {path}: {e}") from e
+    return path
 
 
 def _config_dict(config: RunConfig) -> dict:
@@ -533,7 +535,7 @@ _SVG_COLORS = {
 }
 
 
-def _write_svg(path: Path, trajectories: dict[Method, Trajectory]) -> Path:
+def _svg_text(trajectories: dict[Method, Trajectory]) -> str:
     """Static line plot: I (solid) and S (dashed) against t per method."""
     w, h = 800.0, 500.0
     mx, my = 60.0, 40.0
@@ -569,8 +571,7 @@ def _write_svg(path: Path, trajectories: dict[Method, Trajectory]) -> Path:
         )
         legend_y += 16.0
     parts.append("</svg>")
-    path.write_text("\n".join(parts) + "\n")
-    return path
+    return "\n".join(parts) + "\n"
 
 
 def emit(
@@ -584,23 +585,18 @@ def emit(
     significant digits (S written as 1 - I); the manifest records the
     exact config, derived parameters, the series radius recorded in the
     series trajectory's meta, per-node series convergence flags and the
-    emitted file names.  Requires
-    ``config.output_dir``.
+    emitted file names.  Requires ``config.output_dir``, which is created
+    with its parents if missing; returns the written paths.
     """
     if config.output_dir is None:
         raise ValidationError("emit requires an output directory in the config")
     out = Path(config.output_dir)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as e:
-        raise ValidationError(f"cannot create output directory {out}: {e}") from e
     written: list[Path] = []
     manifest_trajs = {}
     for method, traj in trajectories.items():
         entry: dict = {}
         if "csv" in config.formats:
-            f = out / f"{method.value}.csv"
-            f.write_text(trajectory_csv(traj))
+            f = _write(out / f"{method.value}.csv", trajectory_csv(traj))
             written.append(f)
             entry["file"] = f.name
         if method is Method.SERIES:
@@ -609,11 +605,10 @@ def emit(
             entry["all_converged"] = traj.meta["all_converged"]
         manifest_trajs[method.value] = entry
     if "svg" in config.formats:
-        written.append(_write_svg(out / "trajectories.svg", trajectories))
+        written.append(_write(out / "trajectories.svg", _svg_text(trajectories)))
     if reports and "csv" in config.formats:
-        f = out / "comparison.csv"
-        f.write_text(csv_text("method_a,method_b,linf", (p for r in reports for p in r.pairs)))
-        written.append(f)
+        rows = (p for r in reports for p in r.pairs)
+        written.append(_write(out / "comparison.csv", csv_text("method_a,method_b,linf", rows)))
     if "json" in config.formats or "csv" in config.formats:
         series = trajectories.get(Method.SERIES)
         manifest = {
@@ -628,7 +623,6 @@ def emit(
             ],
             "trajectories": manifest_trajs,
         }
-        f = out / "manifest.json"
-        f.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-        written.append(f)
+        text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
+        written.append(_write(out / "manifest.json", text))
     return written

@@ -340,6 +340,14 @@ class TestEmit:
         manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
         assert manifest["series_radius"]["k_used"] > 0
 
+    def test_creates_missing_nested_output_dir(self, tmp_path):
+        out = tmp_path / "a" / "b" / "run"
+        cfg = preset_config("c-nonzero", 0.7, methods=("pece", "l1"), out=str(out))
+        trajs = run_methods(cfg)
+        files = emit(trajs, [compare_methods(trajs, 0.7)], cfg)
+        assert [f.name for f in files] == ["pece.csv", "l1.csv", "comparison.csv", "manifest.json"]
+        assert all(f.parent == out and f.is_file() for f in files)
+
     def test_requires_output_dir(self):
         cfg = preset_config("c-nonzero", 0.7, methods=("pece",))
         with pytest.raises(ValidationError):
@@ -440,23 +448,40 @@ class TestCli:
         assert out.read_text().startswith("k,value\n0,0.5\n")
         assert capsys.readouterr().out == ""
 
-    @pytest.mark.parametrize("target", ["directory", "under-a-file"])
+    COEFFS = ["coeffs", "--kind", "euler", "--alpha", "0.5"]
+    POPULATION = ["population", "--alpha", "0.5", "--lambda", "0.2", "--mu", "0.3"]
+    PRESET = ["--preset", "c-nonzero", "--alpha", "0.7"]
+
     @pytest.mark.parametrize(
-        "argv",
-        [["coeffs", "--kind", "euler", "--alpha", "0.5"],
-         ["population", "--alpha", "0.5", "--lambda", "0.2", "--mu", "0.3"]],
-        ids=["coeffs", "population"],
+        "argv, out, named, printed",
+        [
+            (COEFFS, ".", ".", 0),
+            (COEFFS, "file/x.csv", "file/x.csv", 0),
+            (POPULATION, ".", ".", 0),
+            (POPULATION, "file/x.csv", "file/x.csv", 0),
+            (["compare", *PRESET, "--methods", "pece,l1"], "d", "d/pece.csv", 1),
+            (["solve", "--method", "pece", *PRESET], "file/run", "file/run/pece.csv", 0),
+            (["table1"], "d", "d/table1.csv", 0),
+        ],
+        ids=[
+            "coeffs-directory", "coeffs-under-a-file",
+            "population-directory", "population-under-a-file",
+            "compare-csv-is-a-directory", "solve-under-a-file", "table1-csv-is-a-directory",
+        ],
     )
-    def test_unwritable_out_exit_code(self, argv, target, tmp_path, capsys):
-        # an OSError from --out is a validation error naming the path, not
-        # a traceback
-        blocker = tmp_path / "file"
-        blocker.write_text("")
-        out = tmp_path if target == "directory" else blocker / "x.csv"
-        assert cli.main(argv + ["--out", str(out)]) == 1
+    def test_unwritable_out_exit_code(self, argv, out, named, printed, tmp_path, capsys):
+        # an OSError from --out is a validation error naming the file it
+        # could not write, not a traceback.  `file` is a regular file; a
+        # named path outside it is made a directory.  `printed` counts the
+        # stdout lines written before the failure (compare's pair line).
+        (tmp_path / "file").write_text("")
+        if not named.startswith("file"):
+            (tmp_path / named).mkdir(parents=True, exist_ok=True)
+        assert cli.main(argv + ["--out", str(tmp_path / out)]) == 1
         captured = capsys.readouterr()
-        assert captured.err.startswith(f"error: cannot write {out}: ")
-        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot write {tmp_path / named}: ")
+        assert len(captured.out.splitlines()) == printed
+        assert str(tmp_path) not in captured.out
 
     def test_table1_emits_files(self, tmp_path, capsys):
         rc = cli.main(["table1", "--out", str(tmp_path / "t1")])
