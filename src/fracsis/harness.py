@@ -361,8 +361,10 @@ def crossing_node(traj: Trajectory) -> Optional[float]:
 def _run_suite(
     preset: str, alphas: Sequence[float], out: Optional[Path], formats: Sequence[str], **overrides
 ) -> Iterator[tuple[RunConfig, dict[Method, Trajectory], ComparisonReport]]:
-    """Yield ``(config, trajectories, report)`` of series, PECE and L1 on a
-    preset per alpha, emitted to ``out/alpha-<alpha>`` when ``out`` is given."""
+    """Yield ``(config, trajectories, report)`` of series, PECE and L1 per alpha.
+
+    With ``out`` given, each alpha's artifacts are emitted to ``out/alpha-<alpha>``.
+    """
     for alpha in alphas:
         cfg = preset_config(
             preset, alpha, methods=("series", "pece", "l1"), formats=tuple(formats),
