@@ -1,22 +1,32 @@
-"""Series-layer timings: the coefficient recursions and trajectory sampling.
+"""Series-layer timings: the coefficient recursions, one series evaluation
+and trajectory sampling.
 
-The tables are built at K = MAX_ORDER (200) and alpha = 0.6.  Trajectories
-are sampled on the preset horizon T = 5 at two shapes: the paper's
-(N = 100 steps over K = 120 tables) and the stress shape (N = 1000 over
-K = 200).  The carrying-capacity series is the solution of the endemic
-reference rates (beta = 0.7, gamma = 0.05, mu = 0.12) over the alpha-Euler
-table; the zero-capacity series has beta = 0.7 over the A-table.  The
-directory lies outside the test paths, so the tier-1 suite does not run
-it.  From the root of a checkout:
+The tables are built at K = MAX_ORDER (200) and alpha = 0.6, cold (the
+table cache is cleared before every round, so each round runs the
+recursion) and warm (every call after the first is a cache hit behind the
+argument checks).  ``evaluate`` sums one node, t = 3, over K = 200
+tables.  Trajectories are sampled on the preset horizon T = 5 at two
+shapes: the paper's (N = 100 steps over K = 120 tables) and the stress
+shape (N = 1000 over K = 200).  The carrying-capacity series is the
+solution of the endemic reference rates (beta = 0.7, gamma = 0.05,
+mu = 0.12) over the alpha-Euler table; the zero-capacity series has
+beta = 0.7 over the A-table.  The directory lies outside the test paths,
+so the tier-1 suite does not run it.  From the root of a checkout:
 
     PYTHONPATH=src python -m pytest bench --benchmark-only
 """
 
 import pytest
 
+from fracsis import coeffs
 from fracsis.coeffs import MAX_ORDER, a_coeffs, euler_alpha
 from fracsis.model import ModelParams, derive
-from fracsis.series import carrying_capacity_series, sample_trajectory, zero_capacity_series
+from fracsis.series import (
+    carrying_capacity_series,
+    evaluate,
+    sample_trajectory,
+    zero_capacity_series,
+)
 from fracsis.solvers import TimeGrid
 
 ALPHA = 0.6
@@ -34,8 +44,22 @@ def zero_capacity(K):
 
 @pytest.mark.parametrize("build", [euler_alpha, a_coeffs])
 def test_coeff_table(benchmark, build):
+    table = benchmark.pedantic(
+        build, (ALPHA, MAX_ORDER), setup=coeffs._recurse.cache_clear, rounds=100
+    )
+    assert table.order == MAX_ORDER
+
+
+@pytest.mark.parametrize("build", [euler_alpha, a_coeffs])
+def test_coeff_table_warm(benchmark, build):
     table = benchmark(build, ALPHA, MAX_ORDER)
     assert table.order == MAX_ORDER
+
+
+@pytest.mark.parametrize("build", [carrying, zero_capacity])
+def test_evaluate(benchmark, build):
+    result = benchmark(evaluate, build(MAX_ORDER), 3.0)
+    assert result.terms_used > 0
 
 
 @pytest.mark.parametrize("K, N", [(120, 100), (MAX_ORDER, 1000)], ids=["paper", "stress"])

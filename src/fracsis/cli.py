@@ -14,6 +14,9 @@ The flags of ``solve`` and ``compare`` mirror the config key vocabulary
 ``--config FILE`` loads a JSON config (or a previously emitted manifest)
 and explicit flags override it.
 
+The parser is built once per process, on the first :func:`main` call,
+and reused by every later one.
+
 Exit codes: 0 success, 1 validation error, 2 numeric failure.
 """
 
@@ -21,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import lru_cache
 from pathlib import Path
 
 from . import harness
@@ -136,6 +140,7 @@ def _cmd_population(args) -> int:
     return 0
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fracsis",

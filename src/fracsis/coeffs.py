@@ -24,6 +24,13 @@ Gamma(alpha k + alpha + 1)`` (:func:`fracsis.specfn.gamma_ratios`):
 entry beyond binary64.  The module also provides the guaranteed
 convergence radii of both series and an empirical root-test estimate from
 a finite coefficient table.
+
+Tables are cached per (alpha, K, d0, kind) in a bounded LRU cache of 32
+entries (about 0.2 MB at :data:`MAX_ORDER`), as ``specfn.gamma_ratios``
+is, so a sweep that repeats its alphas builds each table once.  The cache
+sits below :func:`euler_alpha` and :func:`a_coeffs`, so their argument
+checks run on every call, and it holds immutable tuples, which callers
+share safely.
 """
 
 from __future__ import annotations
@@ -32,6 +39,7 @@ import enum
 import math
 import operator
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 from .errors import (
@@ -123,6 +131,7 @@ def _check_order(K: int) -> None:
         raise DomainError(f"table order capped at {MAX_ORDER}, got {K}")
 
 
+@lru_cache(maxsize=32)
 def _recurse(alpha: float, K: int, d0: float, keep_linear: bool) -> tuple[float, ...]:
     """Shared quadratic-convolution recursion for both normalised sequences.
 

@@ -7,6 +7,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from fracsis import coeffs
 from fracsis.coeffs import (
     MAX_ORDER,
     CoeffKind,
@@ -316,3 +317,41 @@ class TestNormalisedTables:
         assert euler_alpha(alpha, K).d == generator_recursion(alpha, K, 0.5, True)
         for a0 in (0.5, 0.01, 0.25, 0.7, 0.999):
             assert a_coeffs(alpha, K, a0).d == generator_recursion(alpha, K, a0, False)
+
+
+class TestTableCache:
+    @pytest.mark.parametrize(
+        "build, args",
+        [
+            (euler_alpha, (0.0, 120)),
+            (euler_alpha, (0.7, MAX_ORDER + 1)),
+            (a_coeffs, (0.7, -1)),
+            (a_coeffs, (0.7, 120, 1.0)),
+        ],
+        ids=["euler-alpha-zero", "euler-past-max-order", "a-negative-order", "a-a0-one"],
+    )
+    def test_checks_run_on_warm_calls(self, build, args):
+        euler_alpha(0.7, 120)
+        a_coeffs(0.7, 120)
+        with pytest.raises(DomainError):
+            build(*args)
+
+    @pytest.mark.parametrize("build, linear", KINDS, ids=KIND_IDS)
+    def test_cached_table_is_the_recursion_bit_for_bit(self, build, linear):
+        build(0.7, 120)
+        hits = coeffs._recurse.cache_info().hits
+        got = build(0.7, 120).d
+        assert coeffs._recurse.cache_info().hits == hits + 1
+        want = coeffs._recurse.__wrapped__(0.7, 120, 0.5, linear)
+        assert np.array(got).tobytes() == np.array(want).tobytes()
+
+    def test_a0_is_in_the_key(self):
+        for a0 in (0.25, 0.5, 0.25):
+            assert a_coeffs(0.5, 3, a0=a0).d == generator_recursion(0.5, 3, a0, False)
+        assert a_coeffs(0.5, 3, a0=0.25).d != a_coeffs(0.5, 3).d
+
+    def test_cache_is_bounded(self):
+        maxsize = coeffs._recurse.cache_info().maxsize
+        for alpha in np.linspace(0.1, 0.9, maxsize + 5):
+            euler_alpha(float(alpha), 10)
+        assert coeffs._recurse.cache_info().currsize <= maxsize

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fracsis
-from fracsis import cli, harness
+from fracsis import cli, coeffs, harness, specfn
 from fracsis.errors import GridMismatchError, ValidationError
 from fracsis.harness import (
     compare_methods,
@@ -316,6 +316,25 @@ class TestEmit:
             ma["config"].pop("out"), mb["config"].pop("out")
             assert ma == mb
 
+    @pytest.mark.parametrize("suite", [run_table1, run_c0_suite], ids=["table1", "c0-suite"])
+    def test_warm_cache_output_identity(self, suite, tmp_path, monkeypatch):
+        # the second run takes every table from the cache; with the same
+        # relative out path the two trees, manifests included, are equal
+        def tree(root):
+            return {p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+        coeffs._recurse.cache_clear()
+        specfn.gamma_ratios.cache_clear()
+        trees = []
+        for side in ("cold", "warm"):
+            (tmp_path / side).mkdir()
+            monkeypatch.chdir(tmp_path / side)
+            misses = coeffs._recurse.cache_info().misses
+            suite(out=Path("out"), formats=("csv", "json", "svg"))
+            trees.append(tree(tmp_path / side))
+        assert coeffs._recurse.cache_info().misses == misses  # the warm run built no table
+        assert trees[0] == trees[1]
+
     def test_svg_output(self, tmp_path):
         cfg = preset_config(
             "c-nonzero", 0.7, methods=("pece", "l1"),
@@ -497,3 +516,48 @@ class TestCli:
         assert rc == 0
         out = capsys.readouterr().out.splitlines()
         assert len(out) == 12  # header + 11 nodes
+
+
+class TestSharedParser:
+    """Calls in one process share one parser; no call leaks into the next."""
+
+    def test_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_default_order_after_explicit_one(self, capsys):
+        argv = ["coeffs", "--kind", "euler", "--alpha", "0.5"]
+        assert cli.main(argv + ["-K", "5"]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 7
+        assert cli.main(argv) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 42  # header + 41 rows
+
+    def test_no_out_after_out(self, tmp_path, capsys):
+        argv = ["compare", "--preset", "c-nonzero", "--alpha", "0.7", "--methods", "series,pece,l1"]
+        assert cli.main(argv + ["--out", str(tmp_path / "d")]) == 0
+        assert str(tmp_path) in capsys.readouterr().out
+        assert cli.main(argv) == 0
+        out = capsys.readouterr().out
+        assert len(out.splitlines()) == 3 and str(tmp_path) not in out
+
+    def test_good_call_after_bad_one(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["coeffs", "--kind", "euler", "--alpha", "zero"])
+        assert exc.value.code == 2
+        assert cli.main(["coeffs", "--kind", "a", "--alpha", "0.5", "-K", "2"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out.splitlines()[:2] == ["k,value", "0,0.5"]
+
+    def test_help_repeats_byte_identical(self, capsys):
+        def helps():
+            texts = []
+            for sub in ([], ["coeffs"], ["solve"], ["compare"], ["table1"], ["c0-suite"],
+                        ["population"]):
+                with pytest.raises(SystemExit) as exc:
+                    cli.main(sub + ["--help"])
+                assert exc.value.code == 0
+                texts.append(capsys.readouterr())
+            return texts
+
+        first = helps()
+        assert all(t.out.startswith("usage: fracsis") and t.err == "" for t in first)
+        assert helps() == first
