@@ -6,16 +6,16 @@ population equation and interpolating between power-law and exponential
 decay.
 """
 
+import math
+
 import numpy as np
 
 from fracsis import (
     ModelParams,
     NonConvergenceError,
     TimeGrid,
-    beta,
     classical_sis,
     derive,
-    gamma,
     mittag_leffler,
     ml_asymptotics,
     population_curve,
@@ -37,8 +37,9 @@ i_inf, s_inf = classical_sis(p, 1e9)
 print("\nclassical equilibrium: I ->", round(i_inf, 6), " (c =", round(d.c, 6), ")")
 
 # Special functions under the hood.
-print("\nGamma(1/2)^2 =", gamma(0.5) ** 2, " (pi)")
-print("B(1.5, 2.5)  =", beta(1.5, 2.5), " (pi/16)")
+print("\nGamma(1/2)^2 =", math.gamma(0.5) ** 2, " (pi)")
+B = math.exp(math.lgamma(1.5) + math.lgamma(2.5) - math.lgamma(4.0))
+print("B(1.5, 2.5)  =", B, " (pi/16)")
 
 # E_alpha(-t^alpha) interpolates between stretched-exponential behaviour
 # at small t and an algebraic t^(-alpha) tail at large t.  The direct

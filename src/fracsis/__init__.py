@@ -64,7 +64,6 @@ from .harness import (
 from .model import DerivedParams, ModelParams, classical_sis, derive, logistic_rhs
 from .series import (
     EvalResult,
-    SeriesKind,
     SeriesSolution,
     carrying_capacity_series,
     evaluate,
@@ -82,4 +81,4 @@ from .solvers import (
     solve_l1,
     solve_pece,
 )
-from .specfn import beta, gamma, log_gamma, mittag_leffler, ml_asymptotics
+from .specfn import mittag_leffler, ml_asymptotics

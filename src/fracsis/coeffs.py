@@ -114,9 +114,10 @@ class CoeffTable:
 class RadiusEstimate:
     """Convergence-radius information, in time units.
 
-    ``theoretical`` is a guaranteed lower bound (when one is known for the
-    sequence at hand); ``empirical`` is the root-test estimate from the
-    tail of a finite table, derived from ``k_used`` coefficients.
+    ``theoretical`` is the guaranteed lower bound that a series
+    constructor of :mod:`fracsis.series` pairs with its table;
+    ``empirical`` is the root-test estimate from the tail of a finite
+    table, derived from ``k_used`` coefficients.
     """
 
     theoretical: Optional[float] = None
@@ -213,15 +214,6 @@ def radius_zero_capacity(alpha: float, a0: float = 0.5) -> float:
     return a0 ** (1.0 / alpha)
 
 
-def _theoretical_for(table: CoeffTable, b_scale: float) -> Optional[float]:
-    """Matching guaranteed radius for a table/scale pair, if one is known."""
-    if table.kind is CoeffKind.A_COEFF and b_scale == 1.0 and 0 < abs(table.d[0]) < 1:
-        return radius_zero_capacity(table.alpha, abs(table.d[0]))
-    if table.kind is CoeffKind.EULER_ALPHA and carrying_capacity_hypothesis(table.alpha, b_scale):
-        return radius_carrying_capacity(table.alpha, b_scale)
-    return None
-
-
 def empirical_radius(table: CoeffTable, b_scale: float = 1.0) -> RadiusEstimate:
     """Root-test radius estimate from the tail of a coefficient table.
 
@@ -230,7 +222,7 @@ def empirical_radius(table: CoeffTable, b_scale: float = 1.0) -> RadiusEstimate:
     limsup is estimated by the *maximum* of the k-th roots over the last
     half of the table: a tail maximum, because structurally vanishing
     entries (even-index alpha-Euler numbers) make the pointwise root
-    oscillate.
+    oscillate.  ``theoretical`` is left None.
     """
     if not b_scale > 0:
         raise DomainError(f"b_scale must be positive, got {b_scale}")
@@ -251,8 +243,4 @@ def empirical_radius(table: CoeffTable, b_scale: float = 1.0) -> RadiusEstimate:
         if d[k] != 0.0:
             best = max(best, math.log(abs(d[k])) / k)
     radius = math.exp(-(best + math.log(b_scale)) / table.alpha)
-    return RadiusEstimate(
-        theoretical=_theoretical_for(table, b_scale),
-        empirical=radius,
-        k_used=K + 1 - lo,
-    )
+    return RadiusEstimate(empirical=radius, k_used=K + 1 - lo)

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterator, Optional, Sequence
@@ -85,6 +86,28 @@ CONFIG_KEYS = {
     "T", "dt", "methods", "terms", "out", "formats",
 }
 _FORMATS = {"csv", "json", "svg"}
+
+
+def _is_number(v) -> bool:
+    return isinstance(v, numbers.Real) and not isinstance(v, bool)
+
+
+def _is_integer(v) -> bool:
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
+def _is_names(v) -> bool:
+    return isinstance(v, str) or (
+        isinstance(v, (list, tuple)) and all(isinstance(m, str) for m in v)
+    )
+
+
+#: the test that a given value of a typed config key must pass, and what it asks for
+_KEY_TYPES = {
+    **dict.fromkeys(("beta", "gamma", "mu", "alpha", "i0", "T", "dt"), (_is_number, "a number")),
+    "terms": (_is_integer, "an integer"),
+    **dict.fromkeys(("methods", "formats"), (_is_names, "a string or a list of strings")),
+}
 
 _DEFAULT_T = 5.0
 _DEFAULT_DT = 0.05
@@ -223,10 +246,14 @@ def _get(cfg: dict, key: str, default):
 
 
 def config_from_dict(cfg: dict) -> RunConfig:
-    """Validate a flat key-value mapping into a RunConfig."""
+    """Validate a flat key-value mapping into a RunConfig; bad keys and values are named."""
     unknown = set(cfg) - CONFIG_KEYS
     if unknown:
         raise ValidationError(f"unknown config keys: {sorted(unknown)}")
+    for key, (test, want) in _KEY_TYPES.items():
+        value = cfg.get(key)
+        if value is not None and not test(value):
+            raise ValidationError(f"config key {key!r} must be {want}, got {value!r}")
     preset = cfg.get("preset")
     if preset is not None:
         if preset not in PRESETS:

@@ -58,10 +58,6 @@ class ModelParams:
         if not 0 <= self.i0 <= 1:
             raise ValidationError(f"i0 must be in [0, 1], got {self.i0}")
 
-    @property
-    def s0(self) -> float:
-        return 1.0 - self.i0
-
 
 @dataclass(frozen=True)
 class DerivedParams:

@@ -33,9 +33,8 @@ power-series kernel, ``fracsis.specfn._sum_terms``, called once per
 
 from __future__ import annotations
 
-import enum
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -53,7 +52,6 @@ from .solvers import Method, TimeGrid, Trajectory
 from .specfn import _sum_terms
 
 __all__ = [
-    "SeriesKind",
     "SeriesSolution",
     "EvalResult",
     "carrying_capacity_series",
@@ -64,9 +62,11 @@ __all__ = [
 ]
 
 
-class SeriesKind(enum.Enum):
-    CARRYING_CAPACITY = "carrying-capacity"
-    ZERO_CAPACITY = "zero-capacity"
+#: the meta ``"kind"`` of a series, named by the family of its table
+_KIND_NAMES = {
+    CoeffKind.EULER_ALPHA: "carrying-capacity",
+    CoeffKind.A_COEFF: "zero-capacity",
+}
 
 
 @dataclass(frozen=True)
@@ -74,7 +74,6 @@ class SeriesSolution:
     """An evaluatable truncated series solution."""
 
     alpha: float
-    kind: SeriesKind
     coeffs: CoeffTable
     scale_c: float
     arg_scale: float
@@ -97,10 +96,9 @@ class EvalResult:
 
 
 def _radius_for(table: CoeffTable, b_scale: float, theoretical: float) -> RadiusEstimate:
-    """Empirical + guaranteed radius pair; empirical omitted for short tables."""
+    """Guaranteed + empirical radius pair; empirical omitted for short tables."""
     try:
-        est = empirical_radius(table, b_scale)
-        return RadiusEstimate(theoretical, est.empirical, est.k_used)
+        return replace(empirical_radius(table, b_scale), theoretical=theoretical)
     except InsufficientDataError:
         return RadiusEstimate(theoretical, None, 0)
 
@@ -127,7 +125,6 @@ def carrying_capacity_series(
     theoretical = radius_carrying_capacity(alpha, derived.b)
     return SeriesSolution(
         alpha=alpha,
-        kind=SeriesKind.CARRYING_CAPACITY,
         coeffs=coeff_table,
         scale_c=derived.c,
         arg_scale=derived.b,
@@ -152,7 +149,6 @@ def zero_capacity_series(beta: float, alpha: float, coeff_table: CoeffTable) -> 
     theoretical = radius_zero_capacity(alpha)
     return SeriesSolution(
         alpha=alpha,
-        kind=SeriesKind.ZERO_CAPACITY,
         coeffs=coeff_table,
         scale_c=1.0 / beta,
         arg_scale=1.0,
@@ -181,10 +177,9 @@ def rescaled_zero_capacity_series(
         )
     q = 1.0 / a0 if a0 < 0.5 else 4.0 + 0.5 * (1.0 / a0 - 4.0)
     arg_scale = (2.0**-q) ** alpha
-    theoretical = 2.0**q * a0 ** (1.0 / alpha)
+    theoretical = 2.0**q * radius_zero_capacity(alpha, a0)
     return SeriesSolution(
         alpha=alpha,
-        kind=SeriesKind.ZERO_CAPACITY,
         coeffs=coeff_table,
         scale_c=1.0,
         arg_scale=arg_scale,
@@ -248,7 +243,7 @@ def sample_trajectory(series: SeriesSolution, grid: TimeGrid) -> Trajectory:
     converged = converged.tolist()
     meta = {
         "alpha": series.alpha,
-        "kind": series.kind.value,
+        "kind": _KIND_NAMES[series.coeffs.kind],
         "converged": converged,
         "beyond_theoretical_radius": beyond.tolist(),
         "terms_used": terms.tolist(),

@@ -61,8 +61,8 @@ BLOCK = 16
 class TimeGrid:
     """Uniform grid t_n = n*dt, n = 0..N, with N = round(T/dt).
 
-    (T, dt) must divide evenly: construction fails if
-    |N*dt - T| > 1e-9 * max(1, |T|).
+    T, dt and T/dt must be positive and finite, and (T, dt) must divide
+    evenly: construction fails if |N*dt - T| > 1e-9 * max(1, |T|).
     """
 
     T: float
@@ -72,6 +72,8 @@ class TimeGrid:
     def __post_init__(self) -> None:
         if not self.T > 0 or not self.dt > 0:
             raise ValidationError(f"need T > 0 and dt > 0, got T={self.T}, dt={self.dt}")
+        if not all(map(math.isfinite, (self.T, self.dt, self.T / self.dt))):
+            raise ValidationError(f"need finite T, dt and T/dt, got T={self.T}, dt={self.dt}")
         n = round(self.T / self.dt)
         # rounding alone guarantees |n*dt - T| <= dt/2, so evenness has to
         # be enforced at rounding-noise scale instead

@@ -1,8 +1,6 @@
 """Special functions and the package's one power-series kernel.
 
-Gamma, log-Gamma and Beta are thin, domain-checked wrappers around the
-platform libm (whose minimax implementations comfortably exceed every
-downstream tolerance).  The one-parameter Mittag-Leffler function
+The one-parameter Mittag-Leffler function
 
     E_a(z) = sum_{k>=0} z^k / Gamma(a k + 1)
 
@@ -42,9 +40,6 @@ import numpy as np
 from .errors import DomainError, NonConvergenceError
 
 __all__ = [
-    "gamma",
-    "log_gamma",
-    "beta",
     "log_gamma_orders",
     "gamma_ratios",
     "mittag_leffler",
@@ -71,40 +66,6 @@ _CHUNK = 128
 #: zero-capacity nodes stop after 21 to 38 terms on average, where a
 #: full-depth 199-row matrix was slower than a scalar loop
 _FIRST_ROWS = 32
-
-
-def gamma(x: float) -> float:
-    """Euler gamma function for positive real arguments.
-
-    Raises :class:`DomainError` for x <= 0 and lets the libm
-    ``OverflowError`` propagate for arguments beyond ~171.6 where the
-    result is no longer representable in binary64.
-    """
-    if not x > 0:
-        raise DomainError(f"gamma requires x > 0, got {x}")
-    return math.gamma(x)
-
-
-def log_gamma(x: float) -> float:
-    """Natural log of the gamma function for x > 0.
-
-    Safe for the large arguments (x ~ alpha*K) that appear in coefficient
-    ratios where ``gamma`` itself would overflow.
-    """
-    if not x > 0:
-        raise DomainError(f"log_gamma requires x > 0, got {x}")
-    return math.lgamma(x)
-
-
-def beta(x: float, y: float) -> float:
-    """Beta function B(x, y) = Gamma(x) Gamma(y) / Gamma(x + y).
-
-    Formed in log space so that large arguments do not overflow.  The
-    symmetric code path makes B(x, y) == B(y, x) bit-exact.
-    """
-    if not (x > 0 and y > 0):
-        raise DomainError(f"beta requires positive arguments, got ({x}, {y})")
-    return math.exp(math.lgamma(x) + math.lgamma(y) - math.lgamma(x + y))
 
 
 def log_gamma_orders(alpha: float, K: int) -> list[float]:

@@ -248,7 +248,6 @@ class TestEmpiricalRadius:
         table = euler_alpha(1.0, 60)
         est = empirical_radius(table, 0.525)
         assert est.empirical == pytest.approx(math.pi / 0.525, rel=0.10)
-        assert est.theoretical == pytest.approx(math.sqrt(3.0) / 0.525, rel=1e-12)
         assert est.k_used >= 20
 
     def test_geometric_table(self):

@@ -433,6 +433,32 @@ class TestCli:
         assert "error" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "key, value",
+        [("terms", "abc"), ("terms", 12.7), ("terms", True), ("T", "x"), ("alpha", "0.7"),
+         ("beta", True), ("methods", 5), ("methods", ["pece", 5]), ("formats", 5)],
+        ids=["terms-str", "terms-float", "terms-bool", "T-str", "alpha-str", "beta-bool",
+             "methods-int", "methods-list-int", "formats-int"],
+    )
+    def test_wrong_typed_config_value_exit_code(self, key, value, tmp_path, capsys):
+        path = write_config(tmp_path, {"preset": "c-nonzero", "alpha": 0.7, key: value})
+        assert cli.main(["compare", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and repr(key) in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["compare", "--preset", "c-nonzero", "--alpha", "0.7", "--T", "inf"],
+         ["compare", "--preset", "c-nonzero", "--alpha", "0.7", "--T", "1e300",
+          "--dt", "1e-300"],
+         ["population", "--alpha", "0.5", "--lambda", "0.1", "--mu", "0.1", "--T", "inf"]],
+        ids=["compare-T", "compare-T-over-dt", "population-T"],
+    )
+    def test_non_finite_grid_exit_code(self, argv, capsys):
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "T=" in err and "dt=" in err
+
+    @pytest.mark.parametrize(
         "argv",
         [["table1", "--formats", ""], ["c0-suite", "--formats", ","]],
         ids=["table1", "c0-suite"],

@@ -24,10 +24,6 @@ def params(alpha=0.7, i0=0.3, **kw):
 
 
 class TestModelParams:
-    def test_s0_is_one_minus_i0(self):
-        p = params()
-        assert p.s0 == 1.0 - p.i0
-
     def test_validation(self):
         with pytest.raises(ValidationError):
             ModelParams(beta=0.0, gamma=0.1, mu=0.1, alpha=0.5, i0=0.5)

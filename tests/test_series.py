@@ -21,7 +21,6 @@ from fracsis.harness import trajectory_csv
 from fracsis.model import ModelParams, classical_sis, derive, logistic_rhs
 from fracsis.series import (
     EvalResult,
-    SeriesKind,
     SeriesSolution,
     carrying_capacity_series,
     evaluate,
@@ -85,7 +84,7 @@ def scalar_evaluate(series, t):
 def table_series(d):
     """A series over a hand-made table; at t = 1 its terms are the d_k."""
     table = CoeffTable(1.0, CoeffKind.A_COEFF, tuple(d))
-    return SeriesSolution(1.0, SeriesKind.ZERO_CAPACITY, table, 1.0, 1.0, RadiusEstimate())
+    return SeriesSolution(1.0, table, 1.0, 1.0, RadiusEstimate())
 
 
 def assert_same(got, want):
@@ -262,6 +261,17 @@ def zero_capacity(alpha, K):
 
 def rescaled(alpha, K):
     return rescaled_zero_capacity_series(0.25, alpha, a_coeffs(alpha, K, a0=0.25))
+
+
+@pytest.mark.parametrize(
+    "build, kind",
+    [(carrying, "carrying-capacity"), (zero_capacity, "zero-capacity"),
+     (rescaled, "zero-capacity")],
+    ids=["carrying", "zero-capacity", "rescaled"],
+)
+def test_meta_kind_names_the_table_family(build, kind):
+    # perfbench/worker.py reads these strings from the meta
+    assert sample_trajectory(build(0.7, 40), TimeGrid(1.0, 0.5)).meta["kind"] == kind
 
 
 # caps on the terms summed, set through the table: a cut lowers the

@@ -130,6 +130,15 @@ class TestTimeGrid:
         with pytest.raises(ValidationError):
             TimeGrid(-1.0, 0.1)
 
+    @pytest.mark.parametrize(
+        "T, dt",
+        [(math.inf, 0.1), (1.0, math.inf), (math.inf, math.inf), (1e300, 1e-300)],
+        ids=["T", "dt", "both", "ratio"],
+    )
+    def test_non_finite_grid_rejected(self, T, dt):
+        with pytest.raises(ValidationError, match=r"finite T, dt and T/dt.*T=.*dt="):
+            TimeGrid(T, dt)
+
     def test_trajectory_shape_checked(self):
         g = TimeGrid(1.0, 0.5)
         with pytest.raises(ValidationError):

@@ -6,8 +6,6 @@ from functools import partial
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from fracsis import specfn
 from fracsis.errors import DomainError, NonConvergenceError
@@ -17,10 +15,7 @@ from fracsis.specfn import (
     _ABS_TOL,
     _CHUNK,
     _MAX_TERMS,
-    beta,
-    gamma,
     gamma_ratios,
-    log_gamma,
     mittag_leffler,
     ml_asymptotics,
 )
@@ -73,79 +68,6 @@ def outcome(fn, *args):
         return fn(*args)
     except Exception as e:
         return type(e)
-
-
-class TestGamma:
-    def test_known_values(self):
-        assert gamma(1.0) == 1.0
-        assert gamma(0.5) == pytest.approx(math.sqrt(math.pi), rel=1e-14)
-        assert gamma(10.0) == pytest.approx(362880.0, rel=1e-14)
-
-    def test_against_high_precision_over_domain(self):
-        # digit-table oracle: mpmath at 40 digits over (0, 170]
-        rng = np.random.default_rng(7)
-        xs = np.concatenate([rng.uniform(1e-3, 170.0, 200), [1e-6, 169.99, 170.0]])
-        for x in xs:
-            want = float(mpmath.gamma(mpmath.mpf(float(x))))
-            assert gamma(float(x)) == pytest.approx(want, rel=1e-12)
-
-    def test_recurrence_1000_random_points(self):
-        rng = np.random.default_rng(13)
-        for x in rng.uniform(0.1, 80.0, 1000):
-            assert gamma(x + 1.0) == pytest.approx(x * gamma(x), rel=1e-11)
-
-    def test_domain_and_overflow(self):
-        with pytest.raises(DomainError):
-            gamma(0.0)
-        with pytest.raises(DomainError):
-            gamma(-3.5)
-        with pytest.raises(OverflowError):
-            gamma(1e4)
-
-
-class TestLogGamma:
-    def test_trivial_zeros(self):
-        assert log_gamma(1.0) == 0.0
-        assert log_gamma(2.0) == 0.0
-
-    def test_171_against_log_sum_oracle(self):
-        # ln Gamma(171) = sum of ln k for k = 1..170, summed exactly
-        want = math.fsum(math.log(k) for k in range(1, 171))
-        got = log_gamma(171.0)
-        assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
-
-    def test_matches_gamma_where_both_defined(self):
-        for x in (0.3, 1.7, 12.5, 100.0):
-            assert log_gamma(x) == pytest.approx(math.log(gamma(x)), rel=1e-12)
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            log_gamma(-1.0)
-
-
-class TestBeta:
-    def test_known_values(self):
-        assert beta(2.0, 2.0) == pytest.approx(1.0 / 6.0, rel=1e-12)
-        # Gamma(1.5) Gamma(2.5) / Gamma(4) = pi/16
-        assert beta(1.5, 2.5) == pytest.approx(math.pi / 16.0, rel=1e-11)
-
-    @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.7, 1.0])
-    def test_first_argument_one(self, alpha):
-        assert beta(1.0, alpha + 1.0) == pytest.approx(1.0 / (alpha + 1.0), rel=1e-12)
-
-    @given(
-        st.floats(min_value=0.05, max_value=50.0),
-        st.floats(min_value=0.05, max_value=50.0),
-    )
-    @settings(max_examples=200, deadline=None)
-    def test_symmetry_bit_exact(self, x, y):
-        assert beta(x, y) == beta(y, x)
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            beta(0.0, 1.0)
-        with pytest.raises(DomainError):
-            beta(1.0, -2.0)
 
 
 class TestMittagLeffler:
