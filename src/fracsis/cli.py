@@ -53,14 +53,10 @@ def _add_config_flags(p: argparse.ArgumentParser, with_methods: bool = True) -> 
     p.add_argument("--formats", help=_FORMATS_HELP)
 
 
-def _merged_config(args, forced_methods=None) -> harness.RunConfig:
+def _merged_config(args) -> harness.RunConfig:
     cfg = {} if args.config is None else harness.read_config_dict(args.config)
     # explicit flags override the file; dests match the config keys
-    for key, value in vars(args).items():
-        if key in harness.CONFIG_KEYS and value is not None:
-            cfg[key] = str(value) if isinstance(value, Path) else value
-    if forced_methods is not None:
-        cfg["methods"] = forced_methods
+    cfg.update((k, v) for k, v in vars(args).items() if k in harness.CONFIG_KEYS and v is not None)
     return harness.config_from_dict(cfg)
 
 
@@ -76,10 +72,11 @@ def _cmd_coeffs(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    cfg = _merged_config(args, forced_methods=[args.method])
-    traj = harness.solve_method(cfg, Method(args.method))
+    cfg = _merged_config(args)
+    method = cfg.methods[0]
+    traj = harness.solve_method(cfg, method)
     if cfg.output_dir is not None:
-        for f in harness.emit({Method(args.method): traj}, [], cfg):
+        for f in harness.emit({method: traj}, [], cfg):
             print(f)
     else:
         sys.stdout.write(harness.trajectory_csv(traj))
@@ -101,20 +98,13 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_table1(args) -> int:
-    reports = harness.run_table1(
-        terms=args.terms,
-        out=args.out,
-        formats=harness.parse_formats(args.formats),
-    )
+    reports = harness.run_table1(terms=args.terms, out=args.out, formats=args.formats)
     print(harness.format_report_table(reports))
     return 0
 
 
 def _cmd_c0_suite(args) -> int:
-    entries = harness.run_c0_suite(
-        out=args.out,
-        formats=harness.parse_formats(args.formats),
-    )
+    entries = harness.run_c0_suite(out=args.out, formats=args.formats)
     for e in entries:
         status = (
             "converged on the whole grid"
@@ -156,7 +146,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_coeffs)
 
     p = sub.add_parser("solve", help="run a single method")
-    p.add_argument("--method", choices=[m.value for m in Method], required=True)
+    p.add_argument("--method", dest="methods", choices=[m.value for m in Method], required=True)
     _add_config_flags(p, with_methods=False)
     p.set_defaults(func=_cmd_solve)
 

@@ -14,6 +14,12 @@ series hypothesis from :func:`~fracsis.coeffs.carrying_capacity_hypothesis`;
 one helper holds the series initial datum (c/2, or 1/(2 beta) at
 sigma = 1), which is both the default ``i0`` and what a series run checks.
 
+Config values reach a run in one pass: :func:`config_from_dict` checks
+every key against its type rule, lays the given values over the preset's
+and the defaults in one merge, and parses them into a RunConfig, which
+derives the model parameters once (``RunConfig.derived``).  Every later
+step reads the RunConfig and parses or derives nothing again.
+
 File writing and the preset-suite loop each live in one place: every file
 goes through ``_write`` (parent directories made, an ``OSError`` raised as
 a ValidationError naming the path), and both suites run ``_run_suite``.
@@ -31,7 +37,8 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from dataclasses import dataclass, replace
+import os
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Iterator, Optional, Sequence
 
@@ -60,7 +67,6 @@ __all__ = [
     "load_config",
     "read_config_dict",
     "config_from_dict",
-    "parse_formats",
     "solve_method",
     "run_methods",
     "compare_methods",
@@ -80,11 +86,6 @@ TOOL_NAME = "fracsis"
 #: number format used for every CSV value (17 significant digits)
 _FMT = ".17g"
 
-#: the config key vocabulary
-CONFIG_KEYS = {
-    "preset", "beta", "gamma", "mu", "alpha", "i0",
-    "T", "dt", "methods", "terms", "out", "formats",
-}
 _FORMATS = {"csv", "json", "svg"}
 
 
@@ -102,18 +103,24 @@ def _is_names(v) -> bool:
     )
 
 
-#: the test that a given value of a typed config key must pass, and what it asks for
+#: the config key vocabulary: the test that a given value of each key must pass,
+#: and what it asks for
 _KEY_TYPES = {
+    "preset": (lambda v: isinstance(v, str), "a preset name"),
     **dict.fromkeys(("beta", "gamma", "mu", "alpha", "i0", "T", "dt"), (_is_number, "a number")),
     "terms": (_is_integer, "an integer"),
     **dict.fromkeys(("methods", "formats"), (_is_names, "a string or a list of strings")),
+    "out": (lambda v: isinstance(v, (str, os.PathLike)), "a path"),
 }
+CONFIG_KEYS = set(_KEY_TYPES)
 
-_DEFAULT_T = 5.0
-_DEFAULT_DT = 0.05
 _DEFAULT_TERMS = 120
-_DEFAULT_METHODS = ("pece", "l1")
 _DEFAULT_FORMATS = ("csv", "json")
+#: the value of each key that neither the config nor its preset gives
+_DEFAULTS = {
+    "T": 5.0, "dt": 0.05, "methods": ("pece", "l1"),
+    "terms": _DEFAULT_TERMS, "formats": _DEFAULT_FORMATS,
+}
 
 TABLE1_ALPHAS = (0.99, 0.7, 0.3)
 #: the method pairs of the table1 columns, in order
@@ -146,6 +153,8 @@ class RunConfig:
     series_terms: int = _DEFAULT_TERMS
     output_dir: Optional[Path] = None
     formats: tuple[str, ...] = _DEFAULT_FORMATS
+    #: ``derive(params)``, computed once at construction for every later step
+    derived: DerivedParams = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.methods:
@@ -164,9 +173,9 @@ class RunConfig:
                 "the L1 scheme requires alpha strictly inside (0, 1); "
                 "the endpoint alpha = 1 is excluded"
             )
+        object.__setattr__(self, "derived", derive(self.params))
         if Method.SERIES in self.methods:
-            p = self.params
-            d = derive(p)
+            p, d = self.params, self.derived
             if d.c != 0.0 and not carrying_capacity_hypothesis(p.alpha, d.b):
                 raise ValidationError(
                     f"carrying-capacity series requires c > 0 and b^(1/alpha) < 1, "
@@ -229,24 +238,22 @@ def _parse_methods(raw) -> tuple[Method, ...]:
         ) from e
 
 
-def parse_formats(raw) -> tuple[str, ...]:
-    """Formats from a comma/space-separated string or a sequence; None gives the default."""
-    if raw is None:
-        return _DEFAULT_FORMATS
+def _parse_formats(raw) -> tuple[str, ...]:
+    """Formats from a comma/space-separated string or a sequence of names."""
     formats = tuple(raw.replace(",", " ").split() if isinstance(raw, str) else raw)
     if not formats:
         raise ValidationError(f"formats must name one of {sorted(_FORMATS)}, got {raw!r}")
     return formats
 
 
-def _get(cfg: dict, key: str, default):
-    """``cfg[key]``, or ``default`` only where the key is absent or None."""
-    value = cfg.get(key)
-    return default if value is None else value
-
-
 def config_from_dict(cfg: dict) -> RunConfig:
-    """Validate a flat key-value mapping into a RunConfig; bad keys and values are named."""
+    """Validate a flat key-value mapping into a RunConfig; bad keys and values are named.
+
+    The one pass from config values to a run.  Every key is checked
+    against its type rule; then the given values that are not None
+    override the preset's, which override ``_DEFAULTS``; then the merged
+    values are parsed and the RunConfig derives its parameters once.
+    """
     unknown = set(cfg) - CONFIG_KEYS
     if unknown:
         raise ValidationError(f"unknown config keys: {sorted(unknown)}")
@@ -255,33 +262,24 @@ def config_from_dict(cfg: dict) -> RunConfig:
         if value is not None and not test(value):
             raise ValidationError(f"config key {key!r} must be {want}, got {value!r}")
     preset = cfg.get("preset")
-    if preset is not None:
-        if preset not in PRESETS:
-            raise ValidationError(
-                f"unknown preset {preset!r}; available: {sorted(PRESETS)}"
-            )
-        merged = dict(PRESETS[preset])
-        merged.update({k: v for k, v in cfg.items() if k != "preset" and v is not None})
-        cfg = merged
-    params = _build_params(cfg)
-    grid = TimeGrid(float(_get(cfg, "T", _DEFAULT_T)), float(_get(cfg, "dt", _DEFAULT_DT)))
-    methods = _parse_methods(_get(cfg, "methods", _DEFAULT_METHODS))
+    if preset is not None and preset not in PRESETS:
+        raise ValidationError(f"unknown preset {preset!r}; available: {sorted(PRESETS)}")
+    given = {k: v for k, v in cfg.items() if v is not None}
+    cfg = {**_DEFAULTS, **PRESETS.get(preset, {}), **given}
     out = cfg.get("out")
     return RunConfig(
-        params=params,
-        grid=grid,
-        methods=methods,
-        series_terms=int(_get(cfg, "terms", _DEFAULT_TERMS)),
+        params=_build_params(cfg),
+        grid=TimeGrid(float(cfg["T"]), float(cfg["dt"])),
+        methods=_parse_methods(cfg["methods"]),
+        series_terms=int(cfg["terms"]),
         output_dir=Path(out) if out else None,
-        formats=parse_formats(cfg.get("formats")),
+        formats=_parse_formats(cfg["formats"]),
     )
 
 
 def preset_config(name: str, alpha: float, **overrides) -> RunConfig:
     """Build a RunConfig from a named preset at the given alpha."""
-    cfg = {"preset": name, "alpha": alpha}
-    cfg.update(overrides)
-    return config_from_dict(cfg)
+    return config_from_dict({"preset": name, "alpha": alpha, **overrides})
 
 
 def read_config_dict(path) -> dict:
@@ -307,18 +305,16 @@ def read_config_dict(path) -> dict:
 def load_config(path) -> RunConfig:
     """Load a flat JSON config (or a run manifest) into a RunConfig.
 
-    Key vocabulary: beta, gamma, mu, alpha, i0, T, dt, methods, terms,
-    out, formats, preset.  A manifest written by :func:`emit` is
-    accepted too: its embedded ``"config"`` object is used, which is what
-    makes re-runs reproducible from the manifest alone.
+    The key vocabulary is ``CONFIG_KEYS``.  A manifest written by
+    :func:`emit` is accepted too: its embedded ``"config"`` object is
+    used, which is what makes re-runs reproducible from the manifest alone.
     """
     return config_from_dict(read_config_dict(path))
 
 
 def solve_method(config: RunConfig, method: Method) -> Trajectory:
     """Produce the trajectory of a single method under a config."""
-    p = config.params
-    d = derive(p)
+    p, d = config.params, config.derived
     if method is Method.SERIES:
         if d.c == 0.0:
             table = a_coeffs(p.alpha, config.series_terms)
@@ -386,15 +382,16 @@ def crossing_node(traj: Trajectory) -> Optional[float]:
 
 
 def _run_suite(
-    preset: str, alphas: Sequence[float], out: Optional[Path], formats: Sequence[str], **overrides
+    preset: str, alphas: Sequence[float], out: Optional[Path], formats=None, **overrides
 ) -> Iterator[tuple[RunConfig, dict[Method, Trajectory], ComparisonReport]]:
     """Yield ``(config, trajectories, report)`` of series, PECE and L1 per alpha.
 
     With ``out`` given, each alpha's artifacts are emitted to ``out/alpha-<alpha>``.
+    ``formats`` is a config value, parsed by :func:`config_from_dict`.
     """
     for alpha in alphas:
         cfg = preset_config(
-            preset, alpha, methods=("series", "pece", "l1"), formats=tuple(formats),
+            preset, alpha, methods=("series", "pece", "l1"), formats=formats,
             out=None if out is None else Path(out) / f"alpha-{alpha:g}", **overrides,
         )
         trajs = run_methods(cfg)
@@ -407,7 +404,7 @@ def _run_suite(
 def run_table1(
     terms: int = _DEFAULT_TERMS,
     out: Optional[Path] = None,
-    formats: Sequence[str] = _DEFAULT_FORMATS,
+    formats: Optional[str | Sequence[str]] = None,
 ) -> list[ComparisonReport]:
     """Reproduce the pairwise error table on the c-nonzero preset.
 
@@ -449,7 +446,7 @@ class C0SuiteEntry:
 
 def run_c0_suite(
     out: Optional[Path] = None,
-    formats: Sequence[str] = _DEFAULT_FORMATS,
+    formats: Optional[str | Sequence[str]] = None,
 ) -> list[C0SuiteEntry]:
     """Run the zero-capacity preset for each alpha of ``C0_SUITE_ALPHAS``.
 
@@ -524,10 +521,6 @@ def _config_dict(config: RunConfig) -> dict:
         "formats": list(config.formats),
         "out": None if config.output_dir is None else str(config.output_dir),
     }
-
-
-def _derived_dict(d: DerivedParams) -> dict:
-    return {"sigma": d.sigma, "c": d.c, "b": d.b, "M": d.M, "r_alpha": d.r_alpha}
 
 
 def csv_text(header: str, rows) -> str:
@@ -644,7 +637,7 @@ def emit(
             "tool": TOOL_NAME,
             "version": __version__,
             "config": _config_dict(config),
-            "derived": _derived_dict(derive(config.params)),
+            "derived": asdict(config.derived),
             "series_radius": None if series is None else series.meta["radius"],
             "comparisons": [
                 {"alpha": r.alpha, "pairs": [list(p) for p in r.pairs]}

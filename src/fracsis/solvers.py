@@ -55,14 +55,17 @@ __all__ = [
 # once per block and the near lags per step; on the long_horizon op stream
 # 16 was the fastest of 8, 16, 24, 32 and 48.
 BLOCK = 16
+#: numpy's largest array, in bytes; read once, as ``np.iinfo`` costs microseconds
+_MAX_ARRAY_BYTES = np.iinfo(np.intp).max
 
 
 @dataclass(frozen=True)
 class TimeGrid:
     """Uniform grid t_n = n*dt, n = 0..N, with N = round(T/dt).
 
-    T, dt and T/dt must be positive and finite, and (T, dt) must divide
-    evenly: construction fails if |N*dt - T| > 1e-9 * max(1, |T|).
+    T, dt and T/dt must be positive and finite, the N + 1 float64 nodes must
+    fit in one numpy array, and (T, dt) must divide evenly: construction
+    fails if |N*dt - T| > 1e-9 * max(1, |T|).
     """
 
     T: float
@@ -75,6 +78,8 @@ class TimeGrid:
         if not all(map(math.isfinite, (self.T, self.dt, self.T / self.dt))):
             raise ValidationError(f"need finite T, dt and T/dt, got T={self.T}, dt={self.dt}")
         n = round(self.T / self.dt)
+        if (n + 1) * 8 > _MAX_ARRAY_BYTES:
+            raise ValidationError(f"too many nodes for one array, got T={self.T}, dt={self.dt}")
         # rounding alone guarantees |n*dt - T| <= dt/2, so evenness has to
         # be enforced at rounding-noise scale instead
         if n < 1 or abs(n * self.dt - self.T) > 1e-9 * max(1.0, abs(self.T)):

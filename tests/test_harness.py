@@ -1,5 +1,6 @@
 """Config handling, comparisons, emission, determinism, and the CLI."""
 
+import dataclasses
 import json
 import shutil
 import tempfile
@@ -127,6 +128,20 @@ class TestLoadConfig:
         path.write_text(json.dumps(manifest))
         with pytest.raises(ValidationError, match="unknown config keys.*lambda"):
             load_config(path)
+
+    @pytest.mark.parametrize("preset", ["c-nonzero", "c-zero"])
+    def test_built_config_carries_everything_a_run_needs(self, preset, tmp_path, monkeypatch):
+        # a run reads the derived parameters from its RunConfig, never derives them again
+        cfg = preset_config(preset, 0.7, methods=("series", "pece", "l1"), out=str(tmp_path))
+
+        def refuse(params):
+            raise AssertionError("derive called after the config was built")
+
+        monkeypatch.setattr(harness, "derive", refuse)
+        trajs = run_methods(cfg)
+        emit(trajs, [compare_methods(trajs, 0.7)], cfg)
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["derived"] == dataclasses.asdict(derive(cfg.params))
 
     def test_no_methods_rejected(self):
         with pytest.raises(ValidationError):
@@ -435,9 +450,10 @@ class TestCli:
     @pytest.mark.parametrize(
         "key, value",
         [("terms", "abc"), ("terms", 12.7), ("terms", True), ("T", "x"), ("alpha", "0.7"),
-         ("beta", True), ("methods", 5), ("methods", ["pece", 5]), ("formats", 5)],
+         ("beta", True), ("methods", 5), ("methods", ["pece", 5]), ("formats", 5),
+         ("preset", ["c-nonzero"]), ("out", 5)],
         ids=["terms-str", "terms-float", "terms-bool", "T-str", "alpha-str", "beta-bool",
-             "methods-int", "methods-list-int", "formats-int"],
+             "methods-int", "methods-list-int", "formats-int", "preset-list", "out-int"],
     )
     def test_wrong_typed_config_value_exit_code(self, key, value, tmp_path, capsys):
         path = write_config(tmp_path, {"preset": "c-nonzero", "alpha": 0.7, key: value})
@@ -450,8 +466,13 @@ class TestCli:
         [["compare", "--preset", "c-nonzero", "--alpha", "0.7", "--T", "inf"],
          ["compare", "--preset", "c-nonzero", "--alpha", "0.7", "--T", "1e300",
           "--dt", "1e-300"],
-         ["population", "--alpha", "0.5", "--lambda", "0.1", "--mu", "0.1", "--T", "inf"]],
-        ids=["compare-T", "compare-T-over-dt", "population-T"],
+         ["population", "--alpha", "0.5", "--lambda", "0.1", "--mu", "0.1", "--T", "inf"],
+         ["compare", "--preset", "c-nonzero", "--alpha", "0.7", "--T", "1e200",
+          "--dt", "1e-100"],
+         ["population", "--alpha", "0.5", "--lambda", "0.1", "--mu", "0.1", "--T", "1e200",
+          "--dt", "1e-100"]],
+        ids=["compare-T", "compare-T-over-dt", "population-T", "compare-huge-N",
+             "population-huge-N"],
     )
     def test_non_finite_grid_exit_code(self, argv, capsys):
         assert cli.main(argv) == 1
@@ -532,6 +553,15 @@ class TestCli:
         rc = cli.main(["table1", "--out", str(tmp_path / "t1")])
         assert rc == 0
         assert (tmp_path / "t1" / "table1.csv").exists()
+
+    def test_solve_method_overrides_config_methods(self, tmp_path, capsys):
+        raw = {"preset": "c-nonzero", "alpha": 0.7, "methods": ["pece", "l1"]}
+        p = write_config(tmp_path, raw)
+        assert cli.main(["solve", "--method", "series", "--config", str(p)]) == 0
+        cfg = preset_config("c-nonzero", 0.7, methods=("series",))
+        out = capsys.readouterr().out
+        assert out == harness.trajectory_csv(harness.solve_method(cfg, Method.SERIES))
+        assert len(out.splitlines()) == 102  # header + 101 nodes
 
     def test_config_file_with_flag_override(self, tmp_path, capsys):
         p = tmp_path / "cfg.json"

@@ -139,6 +139,14 @@ class TestTimeGrid:
         with pytest.raises(ValidationError, match=r"finite T, dt and T/dt.*T=.*dt="):
             TimeGrid(T, dt)
 
+    @pytest.mark.parametrize(
+        "T, dt", [(1e200, 1e-100), (2.0**61, 1.0)], ids=["N-1e300", "N-2**61"]
+    )
+    def test_grid_too_large_for_an_array_rejected(self, T, dt):
+        # only N above the bound: any N below it would ask numpy for petabytes
+        with pytest.raises(ValidationError, match=r"one array.*T=.*dt="):
+            TimeGrid(T, dt)
+
     def test_trajectory_shape_checked(self):
         g = TimeGrid(1.0, 0.5)
         with pytest.raises(ValidationError):
