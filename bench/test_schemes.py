@@ -2,9 +2,9 @@
 
 Each case runs on the logistic right-hand side of the endemic reference
 rates (beta = 0.7, gamma = 0.05, mu = 0.12, I0 = c/2) at alpha = 0.6 and
-dt = 0.025, with N = 1000 and N = 4000 steps.  The directory lies outside
-the test paths, so the tier-1 suite does not run it.  From the root of a
-checkout:
+dt = 0.025, with N = 100 (the paper's grid size), 1000 and 4000 steps.
+The directory lies outside the test paths, so the tier-1 suite does not
+run it.  From the root of a checkout:
 
     PYTHONPATH=src python -m pytest bench --benchmark-only
 """
@@ -16,7 +16,7 @@ from fracsis.solvers import TimeGrid, discrete_caputo_l1, solve_l1, solve_pece
 
 ALPHA = 0.6
 DT = 0.025
-SIZES = [1000, 4000]
+SIZES = [100, 1000, 4000]
 
 
 def logistic_problem():

@@ -121,7 +121,7 @@ def _cmd_c0_suite(args) -> int:
 def _cmd_population(args) -> int:
     grid = TimeGrid(args.T, args.dt)
     n = harness.population_curve(args.alpha, args.lam, args.mu, args.n0, grid)
-    text = harness.csv_text("t,N", ((float(t), float(v)) for t, v in zip(grid.nodes(), n)))
+    text = harness._columns_csv("t,N", grid.nodes(), n)
     if args.out is not None:
         harness._write(args.out, text)
         print(args.out)

@@ -191,7 +191,7 @@ def radius_carrying_capacity(alpha: float, b: float) -> float:
                             / Gamma(2 alpha+1))^(1/(2 alpha))
 
     Requires the series hypothesis b^(1/alpha) < 1.  At alpha = 1 this is
-    sqrt(3)/b.
+    sqrt(3)/b.  A radius past binary64 is returned as ``math.inf``.
     """
     if not 0 < alpha <= 1:
         raise DomainError(f"radius requires alpha in (0, 1], got {alpha}")
@@ -202,7 +202,11 @@ def radius_carrying_capacity(alpha: float, b: float) -> float:
         )
     lg = log_gamma_orders(alpha, 3)
     g = math.exp(lg[1] + lg[3] - lg[2])
-    return b ** (-1.0 / alpha) * g ** (1.0 / (2.0 * alpha))
+    try:
+        scale = b ** (-1.0 / alpha)
+    except OverflowError:  # past binary64
+        return math.inf
+    return scale * g ** (1.0 / (2.0 * alpha))
 
 
 def radius_zero_capacity(alpha: float, a0: float = 0.5) -> float:
@@ -222,7 +226,8 @@ def empirical_radius(table: CoeffTable, b_scale: float = 1.0) -> RadiusEstimate:
     limsup is estimated by the *maximum* of the k-th roots over the last
     half of the table: a tail maximum, because structurally vanishing
     entries (even-index alpha-Euler numbers) make the pointwise root
-    oscillate.  ``theoretical`` is left None.
+    oscillate.  ``theoretical`` is left None.  A radius past binary64 is
+    ``math.inf``.
     """
     if not b_scale > 0:
         raise DomainError(f"b_scale must be positive, got {b_scale}")
@@ -242,5 +247,8 @@ def empirical_radius(table: CoeffTable, b_scale: float = 1.0) -> RadiusEstimate:
     for k in range(max(lo, 1), K + 1):
         if d[k] != 0.0:
             best = max(best, math.log(abs(d[k])) / k)
-    radius = math.exp(-(best + math.log(b_scale)) / table.alpha)
+    try:
+        radius = math.exp(-(best + math.log(b_scale)) / table.alpha)
+    except OverflowError:  # past binary64
+        radius = math.inf
     return RadiusEstimate(empirical=radius, k_used=K + 1 - lo)

@@ -84,7 +84,7 @@ __all__ = [
 TOOL_NAME = "fracsis"
 
 #: number format used for every CSV value (17 significant digits)
-_FMT = ".17g"
+_FMT = "%.17g"
 
 _FORMATS = {"csv", "json", "svg"}
 
@@ -529,15 +529,22 @@ def csv_text(header: str, rows) -> str:
     ``str`` cells (method names) are written as they are.
     """
     lines = [header] + [
-        ",".join(v if isinstance(v, str) else format(v, _FMT) for v in row) for row in rows
+        ",".join(v if isinstance(v, str) else _FMT % v for v in row) for row in rows
     ]
     return "\n".join(lines) + "\n"
 
 
+def _columns_csv(header: str, *columns) -> str:
+    """The :func:`csv_text` of numeric columns, formatted by one ``%``."""
+    cells = np.column_stack(columns)
+    rows, width = cells.shape
+    line = ",".join([_FMT] * width) + "\n"
+    return header + "\n" + (line * rows) % tuple(cells.ravel().tolist())
+
+
 def trajectory_csv(traj: Trajectory) -> str:
     """The ``t,I,S`` CSV of a trajectory, S written as 1 - I."""
-    rows = ((float(t), float(i), 1.0 - float(i)) for t, i in zip(traj.grid.nodes(), traj.u))
-    return csv_text("t,I,S", rows)
+    return _columns_csv("t,I,S", traj.grid.nodes(), traj.u, 1.0 - traj.u)
 
 
 def _svg_polyline(xs, ys, color: str, dashed: bool) -> str:

@@ -17,6 +17,7 @@ lambda = mu.
 
 from __future__ import annotations
 
+import math
 import sys
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -64,7 +65,9 @@ class DerivedParams:
     """Quantities derived from :class:`ModelParams`.
 
     ``M = b**(-1/alpha)`` is populated for c > 0; the guaranteed series
-    radius ``r_alpha`` additionally needs ``b**(1/alpha) < 1``.
+    radius ``r_alpha`` additionally needs ``b**(1/alpha) < 1``.  Where M or
+    ``r_alpha`` lies past binary64 (small alpha and small b) it is
+    ``math.inf``, not an ``OverflowError``.
     """
 
     sigma: float
@@ -97,7 +100,10 @@ def derive(params: ModelParams) -> DerivedParams:
         return DerivedParams(sigma=1.0, c=0.0, b=0.0)
     c = (sigma - 1.0) / sigma
     b = params.beta * c
-    M = b ** (-1.0 / params.alpha) if c > 0 else None
+    try:
+        M = b ** (-1.0 / params.alpha) if c > 0 else None
+    except OverflowError:  # M past binary64
+        M = math.inf
     r_alpha = None
     if coeffs.carrying_capacity_hypothesis(params.alpha, b):
         r_alpha = coeffs.radius_carrying_capacity(params.alpha, b)

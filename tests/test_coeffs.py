@@ -235,6 +235,13 @@ class TestRadii:
         with pytest.raises(HypothesisError):
             radius_carrying_capacity(0.5, -0.2)
 
+    def test_carrying_capacity_past_binary64_is_inf(self):
+        assert radius_carrying_capacity(0.01, 1e-4) == math.inf
+        assert radius_carrying_capacity(0.02, 1e-4) == pytest.approx(
+            1e200 * math.exp(math.lgamma(1.02) + math.lgamma(1.06) - math.lgamma(1.04)) ** 25,
+            rel=1e-10,
+        )
+
     def test_zero_capacity_values(self):
         assert radius_zero_capacity(0.5) == pytest.approx(0.25, rel=1e-13)
         assert radius_zero_capacity(1.0) == pytest.approx(0.5, rel=1e-13)
@@ -261,6 +268,14 @@ class TestEmpiricalRadius:
     def test_dominates_guaranteed_bound(self, alpha):
         est = empirical_radius(a_coeffs(alpha, 60), 1.0)
         assert est.empirical >= 0.95 * radius_zero_capacity(alpha)
+
+    def test_radius_past_binary64_is_inf(self):
+        # d[k] = q^k puts the radius at q^(-1/alpha): 1e400 at alpha = 0.01
+        q = 1e-4
+        d = tuple(q**k for k in range(41))
+        assert empirical_radius(CoeffTable(0.01, CoeffKind.A_COEFF, d)).empirical == math.inf
+        est = empirical_radius(CoeffTable(0.02, CoeffKind.A_COEFF, d))
+        assert est.empirical == pytest.approx(1e200, rel=1e-9)
 
     def test_insufficient_data(self):
         with pytest.raises(InsufficientDataError):

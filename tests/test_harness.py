@@ -479,6 +479,21 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "T=" in err and "dt=" in err
 
+    # sigma ~ 1.00014 and b ~ 1.0e-4 at alpha = 0.01: M and both series radii
+    # are past binary64 and are written as Infinity
+    @pytest.mark.parametrize(
+        "methods",
+        [["--i0", "0.1", "--methods", "pece,l1"], ["--methods", "series,pece,l1"]],
+        ids=["pece-l1", "series-pece-l1"],
+    )
+    def test_derived_values_past_binary64_exit_code(self, methods, tmp_path, capsys):
+        argv = ["compare", "--beta", "0.7", "--gamma", "0.69", "--mu", "0.0099",
+                "--alpha", "0.01", *methods, "--out", str(tmp_path)]
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().err == ""
+        derived = json.loads((tmp_path / "manifest.json").read_text())["derived"]
+        assert derived["M"] == float("inf") and derived["r_alpha"] == float("inf")
+
     @pytest.mark.parametrize(
         "argv",
         [["table1", "--formats", ""], ["c0-suite", "--formats", ","]],

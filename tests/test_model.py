@@ -76,6 +76,17 @@ class TestDerive:
             assert d2.c == pytest.approx(d1.c, rel=1e-12, abs=1e-15)
             assert d2.b == pytest.approx(k * d1.b, rel=1e-12)
 
+    def test_values_past_binary64_are_inf(self):
+        # sigma ~ 1.00014, b ~ 1.0e-4: M = b**(-100) ~ 1e400, and so is r_alpha
+        d = derive(ModelParams(beta=0.7, gamma=0.69, mu=0.0099, alpha=0.01, i0=0.1))
+        assert 0 < d.b < 2e-4
+        assert d.M == math.inf and d.r_alpha == math.inf
+
+    @pytest.mark.parametrize("alpha", [0.02, 0.5, 1.0])
+    def test_finite_M_is_the_plain_power(self, alpha):
+        d = derive(ModelParams(beta=0.7, gamma=0.69, mu=0.0099, alpha=alpha, i0=0.1))
+        assert d.M == d.b ** (-1.0 / alpha) and math.isfinite(d.M)
+
     def test_c_below_one(self):
         rng = np.random.default_rng(4)
         for _ in range(100):

@@ -457,7 +457,9 @@ def inf_from_call(m, f):
 class TestBlockedMarches:
     """The block-by-block marches at and around the block boundaries."""
 
-    NS = [*range(1, 41), 47, 48, 49, 63, 64, 65]
+    # every N through two blocks and eight steps into the third, then both
+    # sides of the third and fourth block ends
+    NS = [*range(1, 2 * BLOCK + 9), *(k * BLOCK + d for k in (3, 4) for d in (-1, 0, 1))]
 
     @staticmethod
     def grid(N):
@@ -505,17 +507,27 @@ class TestBlockedMarches:
         solver(rhs, np.float64(p.i0), self.grid(3 * BLOCK + 5), 0.6)
         assert seen == {float}
 
+    @pytest.mark.parametrize("solver", [solve_pece, solve_l1])
+    @pytest.mark.parametrize("alpha", [0.3, 0.7])
+    def test_zero_initial_value_stays_zero(self, solver, alpha):
+        # f(u_0) = 0 at u_0 = 0, so every history term, a0[n] f(u_0) among
+        # them, is an exact zero
+        _, _, f = endemic_problem(alpha)
+        u = solver(f, 0.0, self.grid(3 * BLOCK + 5), alpha).u
+        assert not np.any(u) and not np.any(np.signbit(u))
+
     # PECE calls f at u_0, then at the predicted and at the corrected value
-    # of each step: call 42 is the prediction of step 21, call 65 the
-    # corrected u_32, whose inf reaches step 33, the first of the third
-    # block.  L1 calls f once per step, at u_n for step n + 1.
+    # of each step: call 2 * BLOCK + 10 is the prediction of step BLOCK + 5,
+    # call 4 * BLOCK + 1 the corrected u_{2 BLOCK}, whose inf reaches step
+    # 2 * BLOCK + 1, the first of the third block.  L1 calls f once per
+    # step, at u_n for step n + 1.
     @pytest.mark.parametrize(
         "solver,reference,m",
         [
-            (solve_pece, reference_pece, 42),
-            (solve_pece, reference_pece, 65),
-            (solve_l1, reference_l1, 20),
-            (solve_l1, reference_l1, 33),
+            (solve_pece, reference_pece, 2 * BLOCK + 10),
+            (solve_pece, reference_pece, 4 * BLOCK + 1),
+            (solve_l1, reference_l1, BLOCK + 4),
+            (solve_l1, reference_l1, 2 * BLOCK + 1),
         ],
     )
     @pytest.mark.filterwarnings("error::RuntimeWarning")
