@@ -142,7 +142,7 @@ def _recurse(alpha: float, K: int, d0: float, keep_linear: bool) -> tuple[float,
     symmetric pair ``d_i d_{k-i}`` is formed once and summed twice, with
     the middle square once when k is even: the same exact sum.
     """
-    r = gamma_ratios(alpha, K)
+    r = gamma_ratios(alpha)[:K].tolist()
     d = [d0]
     for k in range(K):
         h = (k + 1) // 2
@@ -175,13 +175,13 @@ def a_coeffs(alpha: float, K: int, a0: float = 0.5) -> CoeffTable:
     return CoeffTable(alpha, CoeffKind.A_COEFF, _recurse(alpha, K, a0, False))
 
 
-def carrying_capacity_hypothesis(alpha: float, b: float) -> bool:
-    """The carrying-capacity series hypothesis: b > 0 and b^(1/alpha) < 1.
+def carrying_capacity_hypothesis(b: float) -> bool:
+    """The carrying-capacity series hypothesis b > 0 and b^(1/alpha) < 1: 0 < b < 1.
 
-    b > 0 is the endemic regime c > 0; b^(1/alpha) < 1 keeps the
-    guaranteed radius of :func:`radius_carrying_capacity` meaningful.
+    b > 0 is the endemic regime c > 0; b^(1/alpha) < 1, which for alpha in
+    (0, 1] is b < 1, keeps :func:`radius_carrying_capacity` meaningful.
     """
-    return b > 0 and b ** (1.0 / alpha) < 1.0
+    return 0.0 < b < 1.0
 
 
 def radius_carrying_capacity(alpha: float, b: float) -> float:
@@ -195,7 +195,7 @@ def radius_carrying_capacity(alpha: float, b: float) -> float:
     """
     if not 0 < alpha <= 1:
         raise DomainError(f"radius requires alpha in (0, 1], got {alpha}")
-    if not carrying_capacity_hypothesis(alpha, b):
+    if not carrying_capacity_hypothesis(b):
         raise HypothesisError(
             f"carrying-capacity series needs 0 < b^(1/alpha) < 1; "
             f"got b={b}, alpha={alpha}"

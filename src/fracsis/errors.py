@@ -2,8 +2,8 @@
 
 Validation-type errors (bad arguments, violated hypotheses, malformed
 configs) derive from :class:`ValidationError`; numeric failures that occur
-mid-computation (a series still unconverged at the ``specfn._MAX_TERMS``
-cap, an overflowing coefficient or scheme iterate) derive from
+mid-computation (a series still unconverged at the end of its table, an
+overflowing coefficient or scheme iterate) derive from
 :class:`NumericError`.  The CLI maps the former to exit code 1 and the
 latter to exit code 2.
 """
@@ -38,7 +38,7 @@ class NumericError(FracsisError, ArithmeticError):
 
 
 class NonConvergenceError(NumericError):
-    """A series did not satisfy its stopping rule within ``specfn._MAX_TERMS`` terms."""
+    """A series did not meet its stopping rule within its table (E_alpha: ``_MAX_TERMS`` terms)."""
 
 
 class NumericOverflowError(NumericError):

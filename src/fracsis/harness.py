@@ -9,10 +9,10 @@ to reproduce the run bit-for-bit.  The manifest's ``series_radius`` is
 read from the series trajectory's meta, so a run builds its coefficient
 table and series once.
 
-The regime comes from :func:`~fracsis.model.derive` alone and the
-series hypothesis from :func:`~fracsis.coeffs.carrying_capacity_hypothesis`;
-one helper holds the series initial datum (c/2, or 1/(2 beta) at
-sigma = 1), which is both the default ``i0`` and what a series run checks.
+The regime and the series hypothesis come from :func:`~fracsis.model.derive`
+alone (``r_alpha`` is None exactly where the hypothesis fails); one
+helper holds the series initial datum (c/2, or 1/(2 beta) at sigma = 1),
+which is both the default ``i0`` and what a series run checks.
 
 Config values reach a run in one pass: :func:`config_from_dict` checks
 every key against its type rule, lays the given values over the preset's
@@ -39,13 +39,14 @@ import math
 import numbers
 import os
 from dataclasses import asdict, dataclass, field, replace
+from itertools import chain
 from pathlib import Path
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
 from . import __version__
-from .coeffs import MAX_ORDER, a_coeffs, carrying_capacity_hypothesis, euler_alpha
+from .coeffs import MAX_ORDER, a_coeffs, euler_alpha
 from .errors import DomainError, GridMismatchError, ValidationError
 from .model import ModelParams, DerivedParams, classical_sis, derive, logistic_rhs
 from .series import (
@@ -176,7 +177,7 @@ class RunConfig:
         object.__setattr__(self, "derived", derive(self.params))
         if Method.SERIES in self.methods:
             p, d = self.params, self.derived
-            if d.c != 0.0 and not carrying_capacity_hypothesis(p.alpha, d.b):
+            if d.c != 0.0 and d.r_alpha is None:
                 raise ValidationError(
                     f"carrying-capacity series requires c > 0 and b^(1/alpha) < 1, "
                     f"got c={d.c}, b={d.b}"
@@ -526,25 +527,17 @@ def _config_dict(config: RunConfig) -> dict:
 def csv_text(header: str, rows) -> str:
     """CSV text: the header, then one line per row, numbers at 17 significant digits.
 
-    ``str`` cells (method names) are written as they are.
+    ``str`` cells (method names) are written as they are.  The whole file
+    is formatted by one ``%``, with the cell types of the first row.
     """
-    lines = [header] + [
-        ",".join(v if isinstance(v, str) else _FMT % v for v in row) for row in rows
-    ]
-    return "\n".join(lines) + "\n"
-
-
-def _columns_csv(header: str, *columns) -> str:
-    """The :func:`csv_text` of numeric columns, formatted by one ``%``."""
-    cells = np.column_stack(columns)
-    rows, width = cells.shape
-    line = ",".join([_FMT] * width) + "\n"
-    return header + "\n" + (line * rows) % tuple(cells.ravel().tolist())
+    rows = list(rows)
+    line = ",".join("%s" if isinstance(v, str) else _FMT for row in rows[:1] for v in row)
+    return header + "\n" + ((line + "\n") * len(rows)) % tuple(chain.from_iterable(rows))
 
 
 def trajectory_csv(traj: Trajectory) -> str:
     """The ``t,I,S`` CSV of a trajectory, S written as 1 - I."""
-    return _columns_csv("t,I,S", traj.grid.nodes(), traj.u, 1.0 - traj.u)
+    return csv_text("t,I,S", np.column_stack((traj.grid.nodes(), traj.u, 1.0 - traj.u)).tolist())
 
 
 def _svg_polyline(xs, ys, color: str, dashed: bool) -> str:

@@ -91,9 +91,9 @@ def derive(params: ModelParams) -> DerivedParams:
     ``SIGMA_ONE_TOL`` (8.9e-16) of 1 it returns ``sigma = 1.0`` and
     ``c = b = 0.0`` exactly, so that rates which misround around
     sigma = 1 take the zero-capacity route instead of a carrying
-    capacity of +-1e-16.  ``r_alpha`` is set where the carrying-capacity
-    series hypothesis (:func:`~fracsis.coeffs.carrying_capacity_hypothesis`)
-    holds.
+    capacity of +-1e-16.  It also decides the carrying-capacity series
+    hypothesis (:func:`~fracsis.coeffs.carrying_capacity_hypothesis`):
+    ``r_alpha`` is None exactly where it fails.
     """
     sigma = params.beta / (params.gamma + params.mu)
     if abs(sigma - 1.0) <= SIGMA_ONE_TOL:
@@ -105,7 +105,7 @@ def derive(params: ModelParams) -> DerivedParams:
     except OverflowError:  # M past binary64
         M = math.inf
     r_alpha = None
-    if coeffs.carrying_capacity_hypothesis(params.alpha, b):
+    if coeffs.carrying_capacity_hypothesis(b):
         r_alpha = coeffs.radius_carrying_capacity(params.alpha, b)
     return DerivedParams(sigma=sigma, c=c, b=b, M=M, r_alpha=r_alpha)
 

@@ -96,11 +96,13 @@ class EvalResult:
 
 
 def _radius_for(table: CoeffTable, b_scale: float, theoretical: float) -> RadiusEstimate:
-    """Guaranteed + empirical radius pair; empirical omitted for short tables."""
+    """Guaranteed + empirical radius pair; empirical omitted for short tables,
+    and ``math.inf`` for a ``b_scale`` that underflowed to 0.0."""
     try:
-        return replace(empirical_radius(table, b_scale), theoretical=theoretical)
+        est = empirical_radius(table, b_scale or 1.0)
     except InsufficientDataError:
         return RadiusEstimate(theoretical, None, 0)
+    return replace(est, theoretical=theoretical, empirical=est.empirical if b_scale else math.inf)
 
 
 def _check_table(table: CoeffTable, kind: CoeffKind, alpha: float) -> None:
@@ -166,7 +168,7 @@ def rescaled_zero_capacity_series(
         q = 1/a0                      if a0 < 1/2,
         q = 4 + (1/a0 - 4) / 2        otherwise,
 
-    which stretches the guaranteed radius to 2^q * a0^(1/alpha).
+    which stretches the guaranteed radius to 2^q * a0^(1/alpha) (inf past binary64).
     """
     if not 0 < a0 < 1:
         raise DomainError(f"rescaled series requires a0 in (0, 1), got {a0}")
@@ -176,8 +178,15 @@ def rescaled_zero_capacity_series(
             f"table initial datum {coeff_table.d[0]} does not match a0={a0}"
         )
     q = 1.0 / a0 if a0 < 0.5 else 4.0 + 0.5 * (1.0 / a0 - 4.0)
-    arg_scale = (2.0**-q) ** alpha
-    theoretical = 2.0**q * radius_zero_capacity(alpha, a0)
+    if q <= 1022:  # 2^-q is a normal float: the plain forms, within an ulp
+        arg_scale = (2.0**-q) ** alpha
+        theoretical = 2.0**q * radius_zero_capacity(alpha, a0)
+    else:  # 2^-q loses digits and 2^q overflows: 2^(-q alpha), the radius by logs
+        arg_scale = 2.0 ** (-q * alpha)
+        try:
+            theoretical = math.exp(q * math.log(2.0) + math.log(a0) / alpha)
+        except OverflowError:  # past binary64
+            theoretical = math.inf
     return SeriesSolution(
         alpha=alpha,
         coeffs=coeff_table,

@@ -172,9 +172,11 @@ def solve_pece(
     b, a, a0 = pece_kernels(alpha, N, grid.dt)
     k = grid.dt**alpha / (alpha * (alpha + 1.0))  # the k of pece_kernels
     # weight tails: step s + j of a block pairs b[j..0] and a[j..0] with
-    # the near list f(u_s..u_{s+j})
+    # the near list f(u_s..u_{s+j}); in block 0 f(u_0) takes a0[n] alone,
+    # so its a weight is zero: [0.0] + a[j-1..0] (a[j-1::-1] wraps at j = 0)
     wb = [b[j::-1].tolist() for j in range(min(BLOCK, N))]
     wa = [a[j::-1].tolist() for j in range(min(BLOCK, N))]
+    wa0 = [[0.0] + a[:j][::-1].tolist() for j in range(min(BLOCK, N))]
     inv_gamma = 1.0 / math.gamma(alpha)
     u0 = float(u0)
     u = [u0]
@@ -191,20 +193,15 @@ def solve_pece(
         else:
             far_b = far_a = [0.0] * e
         near = [fn]
-        # in block 0 the corrector sum leaves out f(u_0): its list starts
-        # empty and step j pairs it with a[j-1..0]
-        wc, near_c = (wa, near) if s else ([[]] + wa, [])
-        for wbj, wcj, fb, fc, a0fn in zip(wb, wc, far_b, far_a, a0f[s:e]):
+        for wbj, waj, fb, fc, a0fn in zip(wb, wa if s else wa0, far_b, far_a, a0f[s:e]):
             pred = u0 + inv_gamma * (fb + sum(map(mul, wbj, near)))
-            hist = a0fn + (fc + sum(map(mul, wcj, near_c)))
+            hist = a0fn + (fc + sum(map(mul, waj, near)))
             nxt = u0 + inv_gamma * (hist + k * f(pred))
             if not math.isfinite(nxt):  # u holds u_0..u_n: this is step n + 1
                 raise NumericOverflowError(f"PECE iterate overflowed at step {len(u)}")
             u.append(nxt)
             fn = f(nxt)
             near.append(fn)
-            if near_c is not near:
-                near_c.append(fn)
         fa[s : e + 1] = near
     return Trajectory(grid, np.array(u), Method.PECE, {"alpha": alpha, "u0": u0})
 

@@ -11,16 +11,17 @@ of E_a(-|r| t^a) are exposed separately rather than auto-switched.
 
 Every series of the package is normalised by Gamma(a k + 1):
 :func:`log_gamma_orders` is the one source of those log-Gammas, and
-:func:`gamma_ratios` caches the ratios Gamma(a k + 1) / Gamma(a k + a + 1).
-They step the terms of :func:`mittag_leffler` and the recursions of
+:func:`gamma_ratios` the one table per alpha of the ``_MAX_TERMS - 1``
+ratios Gamma(a k + 1) / Gamma(a k + a + 1).  They step the terms of
+:func:`mittag_leffler`, and their prefixes the recursions of
 :mod:`fracsis.coeffs`, whose tables then carry the normalisation.
 
 One kernel, :func:`_sum_terms`, sums every power series of the package
 and holds their stopping rule: the series terms ``d_k x^k`` of
 :mod:`fracsis.series` and the terms of :func:`mittag_leffler`.  The rule
 is five module constants: a sum is accepted once ``_STOP_STREAK``
-consecutive terms fall below ``_ABS_TOL`` in absolute value and is
-abandoned after ``_MAX_TERMS`` terms (or the end of a shorter table).
+consecutive terms fall below ``_ABS_TOL`` in absolute value and is cut
+by the table it is given (E_a's ratio table makes ``_MAX_TERMS`` terms).
 Only the series apply its divergence rule, ``_GROW_STREAK`` consecutive
 growing terms once ``_GROW_MIN_K`` terms are summed: E_a is entire, and
 its terms may grow on the way to convergence (for E_0.5(3) from k = 10
@@ -33,7 +34,7 @@ All functions are pure and operate in binary64.
 from __future__ import annotations
 
 import math
-from functools import lru_cache, partial
+from functools import lru_cache
 
 import numpy as np
 
@@ -74,10 +75,12 @@ def log_gamma_orders(alpha: float, K: int) -> list[float]:
 
 
 @lru_cache(maxsize=64)
-def gamma_ratios(alpha: float, order: int) -> tuple[float, ...]:
-    """ratios[k] = Gamma(alpha k + 1) / Gamma(alpha k + alpha + 1), k = 0..order-1."""
-    lg = log_gamma_orders(alpha, order)
-    return tuple(math.exp(lg[k - 1] - lg[k]) for k in range(1, order + 1))
+def gamma_ratios(alpha: float) -> np.ndarray:
+    """Read-only r[k] = Gamma(alpha k + 1) / Gamma(alpha k + alpha + 1), k < _MAX_TERMS - 1."""
+    lg = log_gamma_orders(alpha, _MAX_TERMS - 1)
+    r = np.array([math.exp(lg[k - 1] - lg[k]) for k in range(1, _MAX_TERMS)])
+    r.flags.writeable = False
+    return r
 
 
 def _term_matrix(
@@ -139,30 +142,28 @@ def _term_matrix(
 
 
 def _sum_terms(
-    x: np.ndarray, d=None, ratios=None, grow: bool = True
+    x: np.ndarray, d=None, r=None, grow: bool = True
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Partial sums, terms used, ``converged`` flags and last terms at the nodes ``x``.
 
-    At most ``_MAX_TERMS`` terms of :func:`_term_matrix`, and no more than
-    the table ``d`` holds; ``ratios(n)`` gives the first n ratios and
+    The terms of :func:`_term_matrix`, cut by the table given: at most
+    ``len(d)`` terms of a series table ``d``, else ``len(r) + 1`` of a
+    ratio table ``r`` (``_MAX_TERMS`` for :func:`gamma_ratios`).
     ``grow`` turns the divergence rule on.  Nodes go in chunks of
     ``_CHUNK``; those not stopped retry with twice the rows.  With ``grow``
     off (E_alpha, whose caller raises at any unconverged node) the chunks
     after the first one holding an unconverged node are not summed: their
     nodes read unconverged, and the first unconverged node keeps its last term.
     """
-    cap = (_MAX_TERMS if d is None else min(len(d), _MAX_TERMS)) - 1
+    cap = len(r) if d is None else len(d) - 1
     first = 1.0 if d is None else d[0]
     total, last = np.full(x.size, first), np.full(x.size, first)
     used, converged = np.ones(x.size, dtype=int), np.zeros(x.size, dtype=bool)
-    r = None if ratios is None else np.empty(0)
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, x.size if cap else 0, _CHUNK):
             cols = np.arange(start, min(start + _CHUNK, x.size))
             rows = min(_FIRST_ROWS, cap)
             while cols.size:
-                if r is not None and r.size < rows:
-                    r = np.asarray(ratios(rows))
                 stopped, n, ok, s, t = _term_matrix(x[cols], d, r, rows, grow)
                 done = stopped | (rows == cap)
                 at = cols[done]
@@ -190,8 +191,7 @@ def mittag_leffler(alpha: float, z) -> float | np.ndarray:
     if not 0 < alpha <= 1:
         raise DomainError(f"mittag_leffler requires alpha in (0, 1], got {alpha}")
     zs = np.asarray(z, dtype=float)
-    ratios = partial(gamma_ratios, alpha)
-    total, _, converged, last = _sum_terms(zs.ravel(), ratios=ratios, grow=False)
+    total, _, converged, last = _sum_terms(zs.ravel(), r=gamma_ratios(alpha), grow=False)
     if not converged.all():
         i = int(converged.argmin())
         raise NonConvergenceError(

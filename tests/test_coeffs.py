@@ -7,12 +7,13 @@ import mpmath
 import numpy as np
 import pytest
 
-from fracsis import coeffs
+from fracsis import coeffs, specfn
 from fracsis.coeffs import (
     MAX_ORDER,
     CoeffKind,
     CoeffTable,
     a_coeffs,
+    carrying_capacity_hypothesis,
     empirical_radius,
     euler_alpha,
     radius_carrying_capacity,
@@ -97,7 +98,7 @@ def mp_normalised_table(alpha, K, d0, keep_linear):
 
 def generator_recursion(alpha, K, d0, keep_linear):
     """The d-form recursion with S_k as one fsum over every pair d_i d_{k-i}."""
-    r = gamma_ratios(alpha, K)
+    r = gamma_ratios(alpha)[:K].tolist()
     d = [d0]
     for k in range(K):
         s = math.fsum(d[i] * d[k - i] for i in range(k + 1))
@@ -235,6 +236,15 @@ class TestRadii:
         with pytest.raises(HypothesisError):
             radius_carrying_capacity(0.5, -0.2)
 
+    def test_hypothesis_is_b_below_one(self):
+        # for alpha in (0, 1], b^(1/alpha) < 1 holds exactly when b < 1
+        rng = np.random.default_rng(15)
+        for _ in range(2000):
+            alpha, b = float(rng.uniform(0.02, 1.0)), float(rng.uniform(-2.0, 3.0))
+            b = float(rng.choice([b, 0.0, 1.0, np.nextafter(1.0, 0.0), 1e-300]))
+            assert carrying_capacity_hypothesis(b) == (b > 0 and b ** (1.0 / alpha) < 1.0)
+        assert carrying_capacity_hypothesis(0.5) and not carrying_capacity_hypothesis(2.0)
+
     def test_carrying_capacity_past_binary64_is_inf(self):
         assert radius_carrying_capacity(0.01, 1e-4) == math.inf
         assert radius_carrying_capacity(0.02, 1e-4) == pytest.approx(
@@ -363,6 +373,20 @@ class TestTableCache:
         for a0 in (0.25, 0.5, 0.25):
             assert a_coeffs(0.5, 3, a0=a0).d == generator_recursion(0.5, 3, a0, False)
         assert a_coeffs(0.5, 3, a0=0.25).d != a_coeffs(0.5, 3).d
+
+    def test_one_ratio_table_per_alpha(self):
+        # both kinds at MAX_ORDER and an E_alpha sum of 363 terms read
+        # prefixes of one ratio table
+        coeffs._recurse.cache_clear()
+        specfn.gamma_ratios.cache_clear()
+        euler_alpha(0.5123, MAX_ORDER)
+        a_coeffs(0.5123, MAX_ORDER)
+        _, used, converged, _ = specfn._sum_terms(
+            np.array([8.0]), r=specfn.gamma_ratios(0.5123), grow=False
+        )
+        assert converged[0] and used[0] > 256
+        assert specfn.mittag_leffler(0.5123, 8.0) > 0
+        assert specfn.gamma_ratios.cache_info().currsize == 1
 
     def test_cache_is_bounded(self):
         maxsize = coeffs._recurse.cache_info().maxsize

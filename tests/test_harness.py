@@ -387,6 +387,30 @@ class TestEmit:
         with pytest.raises(ValidationError):
             emit(run_methods(cfg), [], cfg)
 
+    def test_csv_text_matches_per_cell_format(self):
+        # one % per file, checked against formatting each cell on its own;
+        # every row has the cell types of the first
+        def reference(header, rows):
+            lines = [",".join(v if isinstance(v, str) else format(v, ".17g") for v in row)
+                     for row in rows]
+            return "\n".join([header, *lines]) + "\n"
+
+        rng = np.random.default_rng(15)
+        specials = [np.inf, -np.inf, np.nan, 0.0, -0.0, 5e-324, -2.5e-310, 1e308, 0.1]
+        cells = {
+            "float": lambda: float(rng.choice(specials)) if rng.random() < 0.5
+            else float(rng.standard_normal() * 10.0 ** rng.integers(-300, 300)),
+            "int": lambda: int(rng.integers(-10**6, 10**6)),
+            "str": lambda: str(rng.choice(["series", "pece", "l1", "%s", "a,b"])),
+        }
+        assert harness.csv_text("t,N", []) == "t,N\n"
+        assert harness.csv_text("t,N", iter([])) == "t,N\n"
+        for _ in range(200):
+            kinds = rng.choice(list(cells), size=int(rng.integers(1, 5)))
+            rows = [tuple(cells[k]() for k in kinds) for _ in range(int(rng.integers(0, 6)))]
+            assert harness.csv_text("h", rows) == reference("h", rows)
+            assert harness.csv_text("h", iter(rows)) == reference("h", rows)
+
 
 class TestPopulationCurve:
     def test_constant_population(self):
@@ -493,6 +517,21 @@ class TestCli:
         assert capsys.readouterr().err == ""
         derived = json.loads((tmp_path / "manifest.json").read_text())["derived"]
         assert derived["M"] == float("inf") and derived["r_alpha"] == float("inf")
+
+    # b = 2 at alpha = 1e-4: b^(1/alpha) is past binary64.  The schemes do
+    # not use the series hypothesis, and a series run is refused by it
+    @pytest.mark.parametrize(
+        "methods, code, err",
+        [("pece,l1", 0, ""),
+         ("series,pece,l1", 1, "error: carrying-capacity series requires c > 0 and "
+                               "b^(1/alpha) < 1, got c=0.6666666666666666, b=2.0\n")],
+        ids=["pece-l1", "series-pece-l1"],
+    )
+    def test_hypothesis_power_past_binary64_exit_code(self, methods, code, err, capsys):
+        argv = ["compare", "--beta", "3", "--gamma", "0.5", "--mu", "0.5",
+                "--alpha", "0.0001", "--i0", "0.1", "--methods", methods]
+        assert cli.main(argv) == code
+        assert capsys.readouterr().err == err
 
     @pytest.mark.parametrize(
         "argv",

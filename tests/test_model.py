@@ -82,6 +82,13 @@ class TestDerive:
         assert 0 < d.b < 2e-4
         assert d.M == math.inf and d.r_alpha == math.inf
 
+    def test_hypothesis_forms_no_power(self):
+        # b = 2 at alpha = 1e-4: b^(1/alpha) = 2^10000 is past binary64, but
+        # the hypothesis fails as b >= 1, and M = 2^-10000 underflows to 0
+        d = derive(ModelParams(beta=3.0, gamma=0.5, mu=0.5, alpha=1e-4, i0=0.1))
+        assert d.b == 2.0
+        assert d.r_alpha is None and d.M == 0.0
+
     @pytest.mark.parametrize("alpha", [0.02, 0.5, 1.0])
     def test_finite_M_is_the_plain_power(self, alpha):
         d = derive(ModelParams(beta=0.7, gamma=0.69, mu=0.0099, alpha=alpha, i0=0.1))

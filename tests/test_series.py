@@ -4,6 +4,7 @@ import json
 import math
 from dataclasses import astuple
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -381,6 +382,34 @@ class TestRescaledSeries:
         # q = 1/a0 = 4, radius = 2^4 * 0.25^2 = 1
         assert sol.radius.theoretical == pytest.approx(1.0, rel=1e-14)
         assert evaluate(sol, 0.0).value_i == 0.25
+
+    @pytest.mark.parametrize("alpha", [0.05, 0.5])
+    def test_dilation_past_binary64(self, alpha):
+        # q = 1/a0 = 1e4: 2^q and the radius are past binary64; at alpha = 0.5
+        # 2^(-q alpha) underflows too, and the series is the constant a0
+        sol = rescaled_zero_capacity_series(1e-4, alpha, a_coeffs(alpha, 40, a0=1e-4))
+        assert sol.radius.theoretical == math.inf and sol.radius.empirical == math.inf
+        assert sol.arg_scale == pytest.approx(2.0 ** (-1e4 * alpha), rel=1e-14, abs=0)
+        assert evaluate(sol, 1e300).value_i == pytest.approx(1e-4, rel=1e-12)
+
+    def test_scale_below_the_least_subnormal_power(self):
+        # q = 1500: (2^-q)^alpha would be 0.0, but 2^(-q alpha) = 2^-15; the
+        # radius 2^q a0^(1/alpha) is taken in log space, about 2^445
+        sol = rescaled_zero_capacity_series(1 / 1500, 0.01, a_coeffs(0.01, 40, a0=1 / 1500))
+        assert sol.arg_scale == pytest.approx(2.0**-15, rel=1e-14, abs=0)
+        assert math.isfinite(sol.radius.theoretical)
+        assert math.log2(sol.radius.theoretical) == pytest.approx(
+            1500 - 100 * math.log2(1500), rel=1e-12
+        )
+
+    def test_scale_within_an_ulp_while_two_to_the_minus_q_is_normal(self):
+        # q = 1000, alpha = 0.7: 2^(-q alpha) would be off by 3e-14, as the
+        # product q alpha rounds, where (2^-q)^alpha is within an ulp
+        a0, alpha = 1 / 1000, 0.7
+        sol = rescaled_zero_capacity_series(a0, alpha, a_coeffs(alpha, 40, a0=a0))
+        with mpmath.workdps(40):
+            want = mpmath.mpf(2) ** (-mpmath.mpf(1.0 / a0) * mpmath.mpf(alpha))
+            assert abs((sol.arg_scale - want) / want) < 2.3e-16
 
     def test_domain_and_mismatch(self):
         with pytest.raises(DomainError):

@@ -541,6 +541,21 @@ class TestBlockedMarches:
         with pytest.raises(NumericOverflowError, match=f"at step {step}$"):
             solver(inf_from_call(m, f), p.i0, g, 0.6)
 
+    # block 0 pairs f(u_0) with a zero corrector weight, as f(u_0) takes
+    # a0[n] on its own: call 1 is f(u_0) itself, call 2 the prediction of
+    # step 1, call BLOCK the prediction of step BLOCK / 2
+    @pytest.mark.parametrize("m", [1, 2, BLOCK])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_pece_overflow_step_in_block_zero(self, m):
+        p, _, f = endemic_problem(0.6)
+        g = self.grid(5 * BLOCK)
+        with np.errstate(all="ignore"):
+            ref = reference_pece(inf_from_call(m, f), p.i0, g, 0.6)
+        step = int(np.argmax(~np.isfinite(ref)))
+        assert (step - 1) // BLOCK == 0
+        with pytest.raises(NumericOverflowError, match=f"at step {step}$"):
+            solve_pece(inf_from_call(m, f), p.i0, g, 0.6)
+
 
 class TestConvergenceOrder:
     """Observed orders against the converged carrying-capacity series.

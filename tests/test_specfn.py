@@ -1,7 +1,6 @@
 """Special-function tests against high-precision and identity oracles."""
 
 import math
-from functools import partial
 
 import mpmath
 import numpy as np
@@ -51,9 +50,8 @@ def per_term_lgamma_ml(alpha, z, max_terms=_MAX_TERMS):
 def capped_ml(alpha, z, max_terms):
     """E_alpha(z) summed by the kernel of :func:`mittag_leffler`, cut at
     ``max_terms`` terms by a table of that many ones."""
-    ratios = partial(gamma_ratios, alpha)
     total, _, converged, last = specfn._sum_terms(
-        np.array([z]), d=np.ones(max_terms), ratios=ratios, grow=False
+        np.array([z]), d=np.ones(max_terms), r=gamma_ratios(alpha), grow=False
     )
     if not converged[0]:
         raise NonConvergenceError(
@@ -68,6 +66,18 @@ def outcome(fn, *args):
         return fn(*args)
     except Exception as e:
         return type(e)
+
+
+class TestGammaRatios:
+    @pytest.mark.parametrize("alpha", [0.01, 0.3, 0.7, 1.0])
+    def test_one_read_only_table(self, alpha):
+        r = gamma_ratios(alpha)
+        assert r.shape == (_MAX_TERMS - 1,) and r.dtype == np.float64
+        with pytest.raises(ValueError):
+            r[0] = 1.0
+        lg = [math.lgamma(alpha * k + 1.0) for k in range(_MAX_TERMS)]
+        assert r.tolist() == [math.exp(lg[k - 1] - lg[k]) for k in range(1, _MAX_TERMS)]
+        assert gamma_ratios(alpha) is r
 
 
 class TestMittagLeffler:
