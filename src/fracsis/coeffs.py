@@ -209,13 +209,11 @@ def radius_carrying_capacity(alpha: float, b: float) -> float:
     return scale * g ** (1.0 / (2.0 * alpha))
 
 
-def radius_zero_capacity(alpha: float, a0: float = 0.5) -> float:
-    """Guaranteed radius |a0|^(1/alpha) of the zero-capacity series."""
+def radius_zero_capacity(alpha: float) -> float:
+    """Guaranteed radius (1/2)^(1/alpha) of the zero-capacity series."""
     if not 0 < alpha <= 1:
         raise DomainError(f"radius requires alpha in (0, 1], got {alpha}")
-    if not 0 < a0 < 1:
-        raise DomainError(f"radius requires a0 in (0, 1), got {a0}")
-    return a0 ** (1.0 / alpha)
+    return 0.5 ** (1.0 / alpha)
 
 
 def empirical_radius(table: CoeffTable, b_scale: float = 1.0) -> RadiusEstimate:

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, replace
+from fractions import Fraction
 
 import numpy as np
 
@@ -96,13 +97,19 @@ class EvalResult:
 
 
 def _radius_for(table: CoeffTable, b_scale: float, theoretical: float) -> RadiusEstimate:
-    """Guaranteed + empirical radius pair; empirical omitted for short tables,
-    and ``math.inf`` for a ``b_scale`` that underflowed to 0.0."""
+    """Guaranteed + empirical radius pair; empirical omitted for short tables."""
     try:
-        est = empirical_radius(table, b_scale or 1.0)
+        return replace(empirical_radius(table, b_scale), theoretical=theoretical)
     except InsufficientDataError:
         return RadiusEstimate(theoretical, None, 0)
-    return replace(est, theoretical=theoretical, empirical=est.empirical if b_scale else math.inf)
+
+
+def _dilated(ln_radius: float, q: float) -> float:
+    """A radius exp(ln_radius) dilated by 2^q, by logs: ``math.inf`` past binary64."""
+    try:
+        return math.exp(q * math.log(2.0) + ln_radius)
+    except OverflowError:
+        return math.inf
 
 
 def _check_table(table: CoeffTable, kind: CoeffKind, alpha: float) -> None:
@@ -178,21 +185,25 @@ def rescaled_zero_capacity_series(
             f"table initial datum {coeff_table.d[0]} does not match a0={a0}"
         )
     q = 1.0 / a0 if a0 < 0.5 else 4.0 + 0.5 * (1.0 / a0 - 4.0)
-    if q <= 1022:  # 2^-q is a normal float: the plain forms, within an ulp
-        arg_scale = (2.0**-q) ** alpha
-        theoretical = 2.0**q * radius_zero_capacity(alpha, a0)
-    else:  # 2^-q loses digits and 2^q overflows: 2^(-q alpha), the radius by logs
-        arg_scale = 2.0 ** (-q * alpha)
-        try:
-            theoretical = math.exp(q * math.log(2.0) + math.log(a0) / alpha)
-        except OverflowError:  # past binary64
-            theoretical = math.inf
+    # 2^(-q alpha) = (2^-h)^alpha 2^-rest: 2^-h is normal and rest = (q - h) alpha
+    # is exact, 0 while q <= 1022, so the scale holds where (2^-q)^alpha underflows
+    h = min(q, 1022.0)
+    try:
+        rest = Fraction(q - h) * Fraction(alpha)
+        arg_scale = math.ldexp((2.0**-h) ** alpha * 2.0 ** -float(rest % 1), -math.floor(rest))
+    except OverflowError:  # q = 1/a0 past binary64
+        arg_scale = 0.0
+    # the undilated series' radii times 2^q (empirical: None for a short table,
+    # 0.0 where it underflowed undilated)
+    radius = _radius_for(coeff_table, 1.0, _dilated(math.log(a0) / alpha, q))
+    if radius.empirical:
+        radius = replace(radius, empirical=_dilated(math.log(radius.empirical), q))
     return SeriesSolution(
         alpha=alpha,
         coeffs=coeff_table,
         scale_c=1.0,
         arg_scale=arg_scale,
-        radius=_radius_for(coeff_table, arg_scale, theoretical),
+        radius=radius,
     )
 
 

@@ -15,6 +15,7 @@ from fracsis.coeffs import (
     CoeffTable,
     RadiusEstimate,
     a_coeffs,
+    empirical_radius,
     euler_alpha,
 )
 from fracsis.errors import DomainError, HypothesisError
@@ -383,14 +384,31 @@ class TestRescaledSeries:
         assert sol.radius.theoretical == pytest.approx(1.0, rel=1e-14)
         assert evaluate(sol, 0.0).value_i == 0.25
 
+    def test_empirical_radius_is_the_undilated_one_times_two_to_the_q(self):
+        # q = 4: the root-test radius of the table in t, times 2^4, is the
+        # root-test radius of the dilated series
+        table = a_coeffs(0.5, 60, a0=0.25)
+        sol = rescaled_zero_capacity_series(0.25, 0.5, table)
+        for want in (16.0 * empirical_radius(table).empirical,
+                     empirical_radius(table, sol.arg_scale).empirical):
+            assert sol.radius.empirical == pytest.approx(want, rel=1e-14, abs=0)
+
     @pytest.mark.parametrize("alpha", [0.05, 0.5])
     def test_dilation_past_binary64(self, alpha):
         # q = 1/a0 = 1e4: 2^q and the radius are past binary64; at alpha = 0.5
-        # 2^(-q alpha) underflows too, and the series is the constant a0
+        # 2^(-q alpha) underflows too, and the series is the constant a0.
+        # The product 1e4 * 0.05 rounds to 500, which would miss by 2e-14
         sol = rescaled_zero_capacity_series(1e-4, alpha, a_coeffs(alpha, 40, a0=1e-4))
         assert sol.radius.theoretical == math.inf and sol.radius.empirical == math.inf
-        assert sol.arg_scale == pytest.approx(2.0 ** (-1e4 * alpha), rel=1e-14, abs=0)
+        with mpmath.workdps(40):
+            want = float(mpmath.mpf(2) ** (-mpmath.mpf(1e4) * mpmath.mpf(alpha)))
+        assert sol.arg_scale == pytest.approx(want, rel=2.3e-16, abs=0)
         assert evaluate(sol, 1e300).value_i == pytest.approx(1e-4, rel=1e-12)
+
+    def test_datum_whose_reciprocal_overflows(self):
+        # a0 = 5e-324: q = 1/a0 is inf, so the scale is 0 and the radius inf
+        sol = rescaled_zero_capacity_series(5e-324, 0.5, a_coeffs(0.5, 40, a0=5e-324))
+        assert sol.arg_scale == 0.0 and sol.radius.theoretical == math.inf
 
     def test_scale_below_the_least_subnormal_power(self):
         # q = 1500: (2^-q)^alpha would be 0.0, but 2^(-q alpha) = 2^-15; the
@@ -401,6 +419,14 @@ class TestRescaledSeries:
         assert math.log2(sol.radius.theoretical) == pytest.approx(
             1500 - 100 * math.log2(1500), rel=1e-12
         )
+
+    def test_radius_by_logs_where_the_datum_power_underflows(self):
+        # q = 1000, alpha = 0.005: a0^(1/alpha) = 1e-600 underflows, but the
+        # guaranteed radius 2^1000 * 1e-600 is about 1.1e-299
+        a0, alpha = 0.001, 0.005
+        sol = rescaled_zero_capacity_series(a0, alpha, a_coeffs(alpha, 40, a0=a0))
+        want = 2.0**1000 * 10.0**-300 * 10.0**-300
+        assert sol.radius.theoretical == pytest.approx(want, rel=1e-12, abs=0)
 
     def test_scale_within_an_ulp_while_two_to_the_minus_q_is_normal(self):
         # q = 1000, alpha = 0.7: 2^(-q alpha) would be off by 3e-14, as the
