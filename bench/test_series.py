@@ -2,9 +2,10 @@
 and trajectory sampling.
 
 The tables are built at K = MAX_ORDER (200) and alpha = 0.6, cold (the
-table cache is cleared before every round, so each round runs the
-recursion) and warm (every call after the first is a cache hit behind the
-argument checks).  ``evaluate`` sums one node, t = 3, over K = 200
+table cache and the Gamma-ratio cache are cleared before every round, so
+each round builds the alpha's 499 ratios and runs the recursion, as at a
+fresh alpha) and warm (every call after the first is a cache hit behind
+the argument checks).  ``evaluate`` sums one node, t = 3, over K = 200
 tables.  Trajectories are sampled on the preset horizon T = 5 at two
 shapes: the paper's (N = 100 steps over K = 120 tables) and the stress
 shape (N = 1000 over K = 200).  The carrying-capacity series is the
@@ -18,7 +19,7 @@ so the tier-1 suite does not run it.  From the root of a checkout:
 
 import pytest
 
-from fracsis import coeffs
+from fracsis import coeffs, specfn
 from fracsis.coeffs import MAX_ORDER, a_coeffs, euler_alpha
 from fracsis.model import ModelParams, derive
 from fracsis.series import (
@@ -42,11 +43,14 @@ def zero_capacity(K):
     return zero_capacity_series(0.7, ALPHA, a_coeffs(ALPHA, K))
 
 
+def clear_caches():
+    coeffs._recurse.cache_clear()
+    specfn.gamma_ratios.cache_clear()
+
+
 @pytest.mark.parametrize("build", [euler_alpha, a_coeffs])
 def test_coeff_table(benchmark, build):
-    table = benchmark.pedantic(
-        build, (ALPHA, MAX_ORDER), setup=coeffs._recurse.cache_clear, rounds=100
-    )
+    table = benchmark.pedantic(build, (ALPHA, MAX_ORDER), setup=clear_caches, rounds=100)
     assert table.order == MAX_ORDER
 
 
