@@ -48,6 +48,10 @@ class ModelParams:
     i0: float
 
     def __post_init__(self) -> None:
+        for name in ("beta", "gamma", "mu"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValidationError(f"{name} must be finite, got {value}")
         if not self.beta > 0:
             raise ValidationError(f"beta must be > 0, got {self.beta}")
         if self.gamma < 0 or self.mu < 0:

@@ -28,6 +28,14 @@ its terms may grow on the way to convergence (for E_0.5(3) from k = 10
 to k = 17).  A series of the solution is truncated, as in the paper, by
 the order of its coefficient table.
 
+The kernel sums the nodes in chunks, one column per node and one row per
+term.  A chunk's first row segment holds ``_FIRST_ROWS`` terms.  Each
+later, longer segment extends only the columns still open, from the
+state carried out of the segment before: running product, partial sum,
+the last ``_STOP_STREAK`` terms' size and negligibility, growth streak.
+So every term is built once per node, and every sum rounds as the
+scalar loop over k would.
+
 All functions are pure and operate in binary64.
 """
 
@@ -60,12 +68,19 @@ _GROW_STREAK = 5
 #: ... once at least this many terms have been summed
 _GROW_MIN_K = 10
 
-#: node columns per term matrix: at K = 200 a chunk is about 200 KB, and
-#: chunks of 64 to 256 columns ran 2x faster than one 199 x 1001 matrix
-_CHUNK = 128
-#: first row budget of a chunk, doubled for the nodes still running:
-#: zero-capacity nodes stop after 21 to 38 terms on average, where a
-#: full-depth 199-row matrix was slower than a scalar loop
+#: node columns per term matrix.  A row segment costs a fixed number of
+#: numpy calls plus its cells, so a chunk trades call overhead against
+#: the rows its slowest node forces on the rest.  Sampling 1001 nodes
+#: over the K = 200 carrying table took 2.08 / 1.82 / 1.86 / 2.24 ms at
+#: 128 / 256 / 512 / 1024 columns (2-vCPU Xeon, numpy 2.4)
+_CHUNK = 256
+#: terms past t_0 in a chunk's first row segment.  Each extension sums at
+#: least as many terms again, and at least ``_FIRST_ROWS * _CHUNK`` cells:
+#: a few open nodes then go to the end of the table in one segment.
+#: Zero-capacity nodes stop after 21 to 38 terms on average.  At 16 / 32
+#: / 64 rows the 1001-node K = 200 zero-capacity sample took 1.09 / 1.21
+#: / 1.50 ms, and the carrying one at the paper's 101 nodes and K = 120
+#: 0.35 / 0.29 / 0.27 ms
 _FIRST_ROWS = 32
 
 
@@ -84,61 +99,79 @@ def gamma_ratios(alpha: float) -> np.ndarray:
 
 
 def _term_matrix(
-    x: np.ndarray, d, r, rows: int, grow: bool
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Sum ``rows`` terms past ``t_0`` at the nodes ``x`` and find each stop.
+    x: np.ndarray, d, r, lo: int, hi: int, grow: bool, carry: tuple
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, tuple]:
+    """Extend the sums at the nodes ``x`` by the terms ``t_k``, ``lo < k <= hi``.
 
-    Row ``k - 1`` holds ``t_k = d_k prod_{j<k} (x r_j)``, where ``d_k = 1``
-    (and ``t_0 = 1``) if ``d`` is None and ``r_j = 1`` if ``r`` is None;
-    sequential accumulates down the rows round as a scalar loop would.
-    Returns, per column, whether the stopping rule fired, the terms used,
-    ``converged``, and the partial sum and the term at the stop (else at
-    the last row).  Rows past a stop may overflow; they are never read.
+    Row ``k - lo - 1`` holds ``t_k = d_k prod_{j<k} (x r_j)``, where
+    ``d_k = 1`` (and ``t_0 = 1``) if ``d`` is None and ``r_j = 1`` if ``r``
+    is None.  ``carry`` is each column's state after the term ``t_lo``:
+    the running product before the ``d_k`` multiply, the partial sum,
+    ``|t|`` and negligibility of the last ``_STOP_STREAK`` terms (at
+    ``lo = 0`` these stand for ``t_0``), and the growth streak; a scalar
+    holds for every column.  The sequential accumulates continue from
+    it, so every row rounds as the scalar loop would, and no earlier row
+    is built again.  Returns, per column, whether the stopping rule
+    fired, the terms used, ``converged``, the partial sum and the term at
+    the stop (else at ``t_hi``), and the carry after ``t_hi``, which is
+    read only for the columns that did not stop.  Rows past a stop may
+    overflow; they are never read.
     """
-    first = 1.0 if d is None else d[0]
+    prod, total, mag_pad, neg_pad, streak = carry
+    rows, pad = hi - lo, _STOP_STREAK
     terms = np.empty((rows, x.size))
-    np.multiply(x, 1.0 if r is None else r[:rows, None], out=terms)
+    np.multiply(x, 1.0 if r is None else r[lo:hi, None], out=terms)
+    terms[0] *= prod
     np.multiply.accumulate(terms, axis=0, out=terms)
+    prod = terms[-1].copy()
     if d is not None:
-        terms *= d[1 : rows + 1, None]
+        terms *= d[lo + 1 : hi + 1, None]
     totals = np.empty((rows + 1, x.size))
-    totals[0] = first
+    totals[0] = total
     totals[1:] = terms
     np.add.accumulate(totals, axis=0, out=totals)
 
-    # |term| and negligibility, padded above by _STOP_STREAK rows that
-    # stand for t_0: it opens the growth comparison as a non-negligible term
-    pad = _STOP_STREAK
+    # |term| and negligibility, padded above by the carried last pad rows;
+    # at lo = 0 those stand for t_0, which opens the growth comparison as
+    # a non-negligible term
     mag = np.empty((pad + rows, x.size))
-    mag[:pad] = abs(first)
+    mag[:pad] = mag_pad
     np.abs(terms, out=mag[pad:])
-    neg = np.zeros((pad + rows, x.size), dtype=bool)
+    neg = np.empty((pad + rows, x.size), dtype=bool)
+    neg[:pad] = neg_pad
     np.less(mag[pad:], _ABS_TOL, out=neg[pad:])
     # converged: the row ends a run of _STOP_STREAK negligible terms.
     # prev: the previous non-negligible |term|, found within pad rows back
     # because no earlier row ended such a run
     converged = neg[pad:].copy()
     prev = mag[:rows].copy() if grow else None
-    for lo in range(1, pad):
-        converged &= neg[lo : lo + rows]
+    for j in range(1, pad):
+        converged &= neg[j : j + rows]
         if grow:
-            np.copyto(prev, mag[lo : lo + rows], where=~neg[lo : lo + rows])
+            np.copyto(prev, mag[j : j + rows], where=~neg[j : j + rows])
     stop = converged
     if grow:
         up = ~neg[pad:] & (mag[pad:] > prev)
-        up[: _GROW_MIN_K - 1] = False
+        up[: max(_GROW_MIN_K - 1 - lo, 0)] = False
         # the growth streak restarts at each non-negligible term that does
-        # not grow; the count of growing terms never decreases, so its
-        # running maximum over those rows is its value at the latest one
-        count = np.cumsum(up, axis=0)
+        # not grow; the count of growing terms, from the carried streak on,
+        # never decreases, so its running maximum over those rows is its
+        # value at the latest one.  int16 holds the count (at most 4 + 499),
+        # and its accumulates ran 3x as fast as int64's
+        count = np.cumsum(up, axis=0, dtype=np.int16)
+        count += streak
         restart = np.where(neg[pad:] | up, 0, count)
         np.maximum.accumulate(restart, axis=0, out=restart)
-        stop = converged | (count - restart >= _GROW_STREAK)
+        run = count - restart
+        stop = converged | (run >= _GROW_STREAK)
+        streak = run[-1]
 
     stopped = stop.any(axis=0)
     last = np.where(stopped, stop.argmax(axis=0), rows - 1)
     cols = np.arange(x.size)
-    return stopped, last + 2, converged[last, cols], totals[last + 1, cols], terms[last, cols]
+    carry = (prod, totals[-1], mag[-pad:], neg[-pad:], streak)
+    return (stopped, lo + last + 2, converged[last, cols], totals[last + 1, cols],
+            terms[last, cols], carry)
 
 
 def _sum_terms(
@@ -150,10 +183,13 @@ def _sum_terms(
     ``len(d)`` terms of a series table ``d``, else ``len(r) + 1`` of a
     ratio table ``r`` (``_MAX_TERMS`` for :func:`gamma_ratios`).
     ``grow`` turns the divergence rule on.  Nodes go in chunks of
-    ``_CHUNK``; those not stopped retry with twice the rows.  With ``grow``
-    off (E_alpha, whose caller raises at any unconverged node) the chunks
-    after the first one holding an unconverged node are not summed: their
-    nodes read unconverged, and the first unconverged node keeps its last term.
+    ``_CHUNK``.  A chunk sums ``_FIRST_ROWS`` terms, then extends the
+    columns not yet stopped from their carried state, at least doubling
+    the terms summed (see ``_FIRST_ROWS``); stopped columns drop out, and
+    each term is built once per node.  With ``grow`` off (E_alpha, whose
+    caller raises at any unconverged node) the chunks after the first
+    one holding an unconverged node are not summed: their nodes read
+    unconverged, and the first unconverged node keeps its last term.
     """
     cap = len(r) if d is None else len(d) - 1
     first = 1.0 if d is None else d[0]
@@ -162,13 +198,22 @@ def _sum_terms(
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, x.size if cap else 0, _CHUNK):
             cols = np.arange(start, min(start + _CHUNK, x.size))
-            rows = min(_FIRST_ROWS, cap)
-            while cols.size:
-                stopped, n, ok, s, t = _term_matrix(x[cols], d, r, rows, grow)
-                done = stopped | (rows == cap)
+            # the state after t_0, the same for every column
+            carry = (1.0, first, abs(first), False, 0)
+            lo, hi = 0, min(_FIRST_ROWS, cap)
+            while True:
+                stopped, n, ok, s, t, carry = _term_matrix(x[cols], d, r, lo, hi, grow, carry)
+                done = stopped | (hi == cap)
                 at = cols[done]
                 total[at], used[at], converged[at], last[at] = s[done], n[done], ok[done], t[done]
-                cols, rows = cols[~done], min(2 * rows, cap)
+                if done.all():
+                    break
+                if done.any():
+                    open_ = ~done
+                    cols = cols[open_]
+                    # a scalar (E_alpha's streak, never counted) holds for all
+                    carry = tuple(a[..., open_] if np.ndim(a) else a for a in carry)
+                lo, hi = hi, min(hi + max(hi, _FIRST_ROWS * _CHUNK // cols.size), cap)
             if not grow and not converged[start : start + _CHUNK].all():
                 break
     return total, used, converged, last

@@ -503,6 +503,17 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "T=" in err and "dt=" in err
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [("mu", "inf"), ("gamma", "inf"), ("gamma", "nan"), ("beta", "inf"), ("beta", "nan"),
+         ("mu", "-inf")],
+    )
+    def test_non_finite_rate_exit_code(self, key, value, capsys):
+        argv = ["compare", "--preset", "c-nonzero", "--alpha", "0.7", "--methods", "pece,l1",
+                f"--{key}={value}"]
+        assert cli.main(argv) == 1
+        assert capsys.readouterr().err == f"error: {key} must be finite, got {float(value)}\n"
+
     # sigma ~ 1.00014 and b ~ 1.0e-4 at alpha = 0.01: M and both series radii
     # are past binary64 and are written as Infinity
     @pytest.mark.parametrize(

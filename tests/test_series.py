@@ -8,7 +8,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from fracsis import cli
+from fracsis import cli, specfn
 from fracsis.coeffs import (
     MAX_ORDER,
     CoeffKind,
@@ -24,6 +24,7 @@ from fracsis.model import ModelParams, classical_sis, derive, logistic_rhs
 from fracsis.series import (
     EvalResult,
     SeriesSolution,
+    _sum_nodes,
     carrying_capacity_series,
     evaluate,
     rescaled_zero_capacity_series,
@@ -31,7 +32,15 @@ from fracsis.series import (
     zero_capacity_series,
 )
 from fracsis.solvers import TimeGrid, solve_pece
-from fracsis.specfn import _ABS_TOL, _GROW_MIN_K, _GROW_STREAK, _MAX_TERMS, _STOP_STREAK
+from fracsis.specfn import (
+    _ABS_TOL,
+    _CHUNK,
+    _FIRST_ROWS,
+    _GROW_MIN_K,
+    _GROW_STREAK,
+    _MAX_TERMS,
+    _STOP_STREAK,
+)
 
 ENDEMIC = dict(beta=0.7, gamma=0.05, mu=0.12)
 SIGMA1 = dict(beta=0.7, gamma=0.07, mu=0.63)
@@ -343,6 +352,102 @@ class TestTermMatrixMatchesScalarLoop:
         want = scalar_evaluate(sol, 1e300)
         assert not want.converged and not math.isfinite(want.value_i)
         assert_same(evaluate(sol, 1e300), want)
+
+
+# the first term of each extension of a full chunk: the kernel sums
+# _FIRST_ROWS terms past d_0, then extends _CHUNK open columns to twice as
+# many terms each time
+EDGES = [_FIRST_ROWS + 1, 2 * _FIRST_ROWS + 1, 4 * _FIRST_ROWS + 1]
+TAIL = [1.0] * 8
+
+
+def boundary_cases(edge):
+    """Tables whose sums at t = 1 stop near ``edge``, each with its terms used."""
+    for s in range(edge - 3, edge + 3):
+        # three zero terms ending at d_s: the negligible streak stops there
+        yield "negligible", [1.0] * (s - 2) + [0.0] * 3 + TAIL, s + 1
+        # five growing terms ending at d_s
+        yield "growth", [1.0] * (s - 4) + [2.0, 3.0, 4.0, 5.0, 6.0] + TAIL, s + 1
+        # five growing terms with negligible ones between them, ending at d_s
+        grow = [2.0, 0.0, 3.0, 0.0, 0.0, 4.0, 0.0, 5.0, 6.0]
+        yield "growth-over-zeros", [1.0] * (s - 8) + grow + TAIL, s + 1
+        # a term that does not grow, at d_s, restarts a streak of four
+        d = [1.0] * (s - 1) + [100.0, 50.0, 60.0, 70.0, 80.0, 90.0] + TAIL
+        yield "restart", d, len(d)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestSegmentBoundaries:
+    """Stops that fall on the edges between a chunk's row segments."""
+
+    @pytest.mark.parametrize("edge", EDGES)
+    def test_stops_at_the_edges(self, edge, monkeypatch):
+        # a full chunk of nodes x = t <= 1, so that all its columns stay
+        # open up to the stop and the kernel doubles the terms summed; at
+        # t = 1 the terms are the d_k, and x^k != 1 at the others
+        ts = np.linspace(1.0 - 1e-3, 1.0, _CHUNK)
+        starts = set()
+        term_matrix = specfn._term_matrix
+
+        def spy(x, d, r, lo, *args):
+            starts.add(lo)
+            return term_matrix(x, d, r, lo, *args)
+
+        monkeypatch.setattr(specfn, "_term_matrix", spy)
+        for name, d, used in boundary_cases(edge):
+            sol = table_series(d)
+            assert scalar_evaluate(sol, 1.0).terms_used == used, name
+            u, terms, converged = _sum_nodes(sol, ts)
+            for i, t in enumerate(ts.tolist()):
+                want = scalar_evaluate(sol, t)
+                assert_same(EvalResult(float(u[i]), int(terms[i]), bool(converged[i]),
+                                       want.beyond_theoretical_radius), want)
+        assert edge - 1 in starts
+
+
+class TestNoRebuild:
+    @staticmethod
+    def segments(monkeypatch, run):
+        """The (lo, hi) term ranges summed per node value, in call order."""
+        built = {}
+        term_matrix = specfn._term_matrix
+
+        def spy(x, d, r, lo, hi, *args):
+            for v in x.tolist():
+                built.setdefault(v, []).append((lo, hi))
+            return term_matrix(x, d, r, lo, hi, *args)
+
+        monkeypatch.setattr(specfn, "_term_matrix", spy)
+        run()
+        return built
+
+    @staticmethod
+    def assert_contiguous(built, used):
+        """Each node's ranges start at 0, each at the end of the one before,
+        and reach the terms it used; some node was extended twice."""
+        assert sorted(built) == sorted(used)
+        for v, ranges in built.items():
+            assert ranges[0][0] == 0, v
+            assert all(lo < hi for lo, hi in ranges), (v, ranges)
+            assert all(a[1] == b[0] for a, b in zip(ranges, ranges[1:])), (v, ranges)
+            assert ranges[-1][1] >= used[v] - 1, (v, ranges)
+        assert max(len(r) for r in built.values()) >= 3
+
+    def test_series_terms_are_built_once(self, monkeypatch):
+        # 801 distinct nodes over several chunks, inside and past the radius
+        sol = zero_capacity(0.5, MAX_ORDER)
+        grid = TimeGrid(0.4, 0.0005)
+        x = [sol.arg_scale * t**sol.alpha for t in grid.nodes().tolist()]
+        used = sample_trajectory(sol, grid).meta["terms_used"]
+        built = self.segments(monkeypatch, lambda: sample_trajectory(sol, grid))
+        self.assert_contiguous(built, dict(zip(x, used)))
+
+    def test_mittag_leffler_terms_are_built_once(self, monkeypatch):
+        zs = np.linspace(-2.0, 9.0, 300)
+        _, used, _, _ = specfn._sum_terms(zs, r=specfn.gamma_ratios(0.5), grow=False)
+        assert used.max() > 8 * _FIRST_ROWS
+        built = self.segments(monkeypatch, lambda: specfn.mittag_leffler(0.5, zs))
+        self.assert_contiguous(built, dict(zip(zs.tolist(), used.tolist())))
 
 
 class TestClassicalReductionNearRadius:

@@ -130,6 +130,20 @@ class TestMittagLeffler:
         assert all(type(v) is float for v in want)
         assert got.tobytes() == np.array(want).tobytes()
 
+    @pytest.mark.parametrize("alpha, lo, hi", [(0.3, 2.2, 3.2), (0.5, 5.5, 9.5), (0.7, 15.0, 30.0)])
+    def test_sums_past_256_terms_match_per_term_lgamma(self, alpha, lo, hi):
+        # z whose sums stop on both sides of 256 terms, over several row
+        # segments, and some that do not converge within _MAX_TERMS
+        zs = np.linspace(lo, hi, 200)
+        _, used, converged, _ = specfn._sum_terms(zs, r=gamma_ratios(alpha), grow=False)
+        assert used[converged].min() < 256 < used[converged].max()
+        assert not converged.all()
+        want = [outcome(per_term_lgamma_ml, alpha, z) for z in zs.tolist()]
+        ok = [type(v) is float for v in want]
+        assert ok == converged.tolist()
+        got = mittag_leffler(alpha, zs[converged])
+        assert got.tobytes() == np.array([v for v, o in zip(want, ok) if o]).tobytes()
+
     def test_empty_array(self):
         got = mittag_leffler(0.5, np.array([]))
         assert isinstance(got, np.ndarray) and got.size == 0
