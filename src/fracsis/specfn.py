@@ -77,6 +77,11 @@ _CHUNK = 256
 #: terms past t_0 in a chunk's first row segment.  Each extension sums at
 #: least as many terms again, and at least ``_FIRST_ROWS * _CHUNK`` cells:
 #: a few open nodes then go to the end of the table in one segment.
+#: Against plain doubling this floor took the 101-node K = 120
+#: zero-capacity / carrying samples from 215 / 260 to 172 / 237 us, the
+#: 1001-node K = 200 carrying one from 1.78 to 1.64 ms and the
+#: population curve from 1.16 to 1.10 ms (2-vCPU Xeon, spread under
+#: 10 us); random series_stress ops were even within 1%.
 #: Zero-capacity nodes stop after 21 to 38 terms on average.  At 16 / 32
 #: / 64 rows the 1001-node K = 200 zero-capacity sample took 1.09 / 1.21
 #: / 1.50 ms, and the carrying one at the paper's 101 nodes and K = 120

@@ -34,13 +34,13 @@ class TestModelParams:
         with pytest.raises(ValidationError):
             ModelParams(beta=1.0, gamma=0.1, mu=0.1, alpha=0.5, i0=1.5)
 
-
     @pytest.mark.parametrize("key", ["beta", "gamma", "mu"])
     @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
     def test_non_finite_rate_is_named(self, key, value):
         rates = {"beta": 1.0, "gamma": 0.1, "mu": 0.1, key: value}
         with pytest.raises(ValidationError, match=f"^{key} must be finite, got {value}$"):
             ModelParams(alpha=0.5, i0=0.5, **rates)
+
 
 class TestDerive:
     def test_endemic_values(self):

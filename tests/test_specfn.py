@@ -121,8 +121,8 @@ class TestMittagLeffler:
 
     @pytest.mark.parametrize("alpha", [0.3, 0.7, 1.0])
     def test_array_matches_scalar_calls(self, alpha):
-        # more z than one 128-column chunk, spread so that some stop in the
-        # first 32 rows and others need the doubled budgets
+        # more z than one _CHUNK-column chunk, spread so that some stop in
+        # the first row segment and others need extensions
         zs = np.concatenate([[0.0, -0.0], np.linspace(-3.0, 2.0, 301)])
         got = mittag_leffler(alpha, zs)
         assert isinstance(got, np.ndarray) and got.shape == zs.shape
@@ -157,7 +157,7 @@ class TestMittagLeffler:
         assert "(alpha=0.5, z=80.0); last term" in str(array.value)
         assert str(array.value) == str(scalar.value)
 
-    @pytest.mark.parametrize("bad", [3, 130])
+    @pytest.mark.parametrize("bad", [3, 130, _CHUNK + 2])
     def test_array_stops_after_the_chunk_of_the_first_failure(self, bad, monkeypatch):
         # the call raises anyway, so no node past the chunk of the first
         # unconverged z is summed
