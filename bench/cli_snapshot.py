@@ -59,6 +59,14 @@ CALLS = [
     [*_TINY_B, *_ALL, "--out", "d"],
     [*_HUGE_POWER, "--methods", "pece,l1"],
     [*_HUGE_POWER, *_ALL],
+    # sigma = beta / (gamma + mu) underflows to 0.0: the quotient, then the sum
+    ["compare", *_C_NONZERO, "--methods", "pece,l1", "--beta", "5e-324", "--gamma", "10"],
+    ["compare", *_C_NONZERO, "--methods", "pece,l1", "--gamma", "1e308", "--mu", "1e308"],
+    # the default i0 = c/2 is about -8.5e298
+    ["compare", *_C_NONZERO, "--methods", "pece,l1", "--beta", "1e-300"],
+    [*_POPULATION[:4], "inf", *_POPULATION[5:]],
+    [*_POPULATION[:6], "nan"],
+    [*_POPULATION, "--n0", "inf"],
 ]
 
 

@@ -8,7 +8,8 @@ fresh alpha) and warm (every call after the first is a cache hit behind
 the argument checks).  ``evaluate`` sums one node, t = 3, over K = 200
 tables.  Trajectories are sampled on the preset horizon T = 5 at two
 shapes: the paper's (N = 100 steps over K = 120 tables) and the stress
-shape (N = 1000 over K = 200).  The carrying-capacity series is the
+shape (N = 1000 over K = 200); the nodes' t^alpha are cached per alpha
+and grid, so every round after the first reads them from the cache.  The carrying-capacity series is the
 solution of the endemic reference rates (beta = 0.7, gamma = 0.05,
 mu = 0.12) over the alpha-Euler table; the zero-capacity series has
 beta = 0.7 over the A-table.  The directory lies outside the test paths,

@@ -5,7 +5,8 @@ cached Gamma ratios are warm and each call is one kernel call over a
 single column, and cold at z = -1, with the ratio cache cleared before
 every round, so each round also builds the alpha's 499 ratios.
 ``population_curve`` runs at the stress shape: alpha = 0.6, lam - mu = -1,
-T = 5 and dt = 0.005 (N = 1000 nodes, one kernel call), and on the same
+T = 5 and dt = 0.005 (N = 1000 nodes, one kernel call; the nodes' t^alpha
+are cached after the first round), and on the same
 grid at alpha = 0.3, lam - mu = -4.7, where the series fails at z = -3.14
 (node 52, in the first 128-node chunk) and the call is timed until it
 raises.

@@ -30,17 +30,22 @@ entries (about 0.2 MB at :data:`MAX_ORDER`), as ``specfn.gamma_ratios``
 is, so a sweep that repeats its alphas builds each table once.  The cache
 sits below :func:`euler_alpha` and :func:`a_coeffs`, so their argument
 checks run on every call, and it holds immutable tuples, which callers
-share safely.
+share safely.  The part of :func:`empirical_radius` that reads only the
+table (its tail maximum, window and count of non-vanishing entries) is
+cached per table tuple ``d`` in a second LRU cache of 32 entries; the
+key tuples are mostly those the table cache holds already, and at most
+about 0.2 MB more.  Each call still checks its ``b_scale`` and applies it.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
+
+import numpy as np
 
 from .errors import (
     DomainError,
@@ -139,16 +144,27 @@ def _recurse(alpha: float, K: int, d0: float, keep_linear: bool) -> tuple[float,
     ``keep_linear`` selects ``d_{k+1} = r_k (d_k - S_k)`` (alpha-Euler)
     versus ``d_{k+1} = -r_k S_k`` (A-coefficients), where ``S_k`` is the
     self-convolution of the prefix at order k, summed exactly.  Each
-    symmetric pair ``d_i d_{k-i}`` is formed once and summed twice, with
-    the middle square once when k is even: the same exact sum.
+    symmetric pair ``d_i d_{k-i}`` is formed once, in one numpy product per
+    order, and doubled (exact in binary64); ``math.fsum`` rounds their sum
+    with the middle square, added once when k is even, correctly, so S_k
+    is the same as summing each pair twice.
     """
     r = gamma_ratios(alpha)[:K].tolist()
     d = [d0]
+    # d again, forwards and backwards (rev[K - i] = d_i), so that the pairs'
+    # second factors d_k..d_{k-h+1} are the forward slice rev[K-k : K-k+h]
+    fwd, rev = np.empty(K + 1), np.empty(K + 1)
+    fwd[0] = rev[K] = d0
     for k in range(K):
         h = (k + 1) // 2
-        p = list(map(operator.mul, d[:h], d[k : k - h : -1]))
-        s = math.fsum(p + p + [d[h] * d[h]] if k % 2 == 0 else p + p)
+        p = fwd[:h] * rev[K - k : K - k + h]
+        p += p
+        p = p.tolist()
+        if k % 2 == 0:
+            p.append(d[h] * d[h])
+        s = math.fsum(p)
         d.append(r[k] * ((d[k] - s) if keep_linear else -s))
+        fwd[k + 1] = rev[K - k - 1] = d[k + 1]
     return tuple(d)
 
 
@@ -229,24 +245,34 @@ def empirical_radius(table: CoeffTable, b_scale: float = 1.0) -> RadiusEstimate:
     """
     if not b_scale > 0:
         raise DomainError(f"b_scale must be positive, got {b_scale}")
-    d = table.d
-    bearing = sum(1 for v in d if v != 0.0)
-    if bearing < _MIN_ROOT_TEST or table.order < _MIN_ROOT_TEST:
+    best, lo, bearing = _root_test(table.d)
+    K = table.order
+    if bearing < _MIN_ROOT_TEST or K < _MIN_ROOT_TEST:
         raise InsufficientDataError(
             f"root test needs a table of order >= {_MIN_ROOT_TEST} with >= "
             f"{_MIN_ROOT_TEST} non-vanishing coefficients, got order "
-            f"{table.order} with {bearing}"
+            f"{K} with {bearing}"
         )
-    K = table.order
-    # last half of the table, widened if needed so the window itself holds
-    # at least _MIN_ROOT_TEST coefficients
-    lo = min(K // 2, K + 1 - _MIN_ROOT_TEST)
-    best = -math.inf
-    for k in range(max(lo, 1), K + 1):
-        if d[k] != 0.0:
-            best = max(best, math.log(abs(d[k])) / k)
     try:
         radius = math.exp(-(best + math.log(b_scale)) / table.alpha)
     except OverflowError:  # past binary64
         radius = math.inf
     return RadiusEstimate(empirical=radius, k_used=K + 1 - lo)
+
+
+@lru_cache(maxsize=32)
+def _root_test(d: tuple[float, ...]) -> tuple[float, int, int]:
+    """The part of :func:`empirical_radius` that reads only the table ``d``.
+
+    Returns the tail maximum of ``log|d_k| / k``, the window start ``lo``
+    and the count of non-vanishing entries.  The window is the last half
+    of the table, widened if needed so that it holds at least
+    ``_MIN_ROOT_TEST`` coefficients.
+    """
+    K = len(d) - 1
+    lo = min(K // 2, K + 1 - _MIN_ROOT_TEST)
+    best = -math.inf
+    for k in range(max(lo, 1), K + 1):
+        if d[k] != 0.0:
+            best = max(best, math.log(abs(d[k])) / k)
+    return best, lo, sum(1 for v in d if v != 0.0)

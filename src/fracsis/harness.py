@@ -54,7 +54,7 @@ from .series import (
     sample_trajectory,
     zero_capacity_series,
 )
-from .solvers import Method, TimeGrid, Trajectory, solve_l1, solve_pece
+from .solvers import Method, TimeGrid, Trajectory, node_powers, solve_l1, solve_pece
 from .specfn import mittag_leffler
 
 __all__ = [
@@ -223,7 +223,15 @@ def _build_params(cfg: dict) -> ModelParams:
         i0=0.0 if i0 is None else i0,
     )
     if i0 is None:
-        params = replace(params, i0=_series_i0(params.beta, derive(params)))
+        d = derive(params)
+        i0 = _series_i0(params.beta, d)
+        if not 0 <= i0 <= 1:
+            rule = "1/(2 beta)" if d.c == 0.0 else "c/2"
+            raise ValidationError(
+                f"i0 must be in [0, 1], got the default {rule} = {i0!r}, derived from "
+                f"beta={params.beta}, gamma={params.gamma}, mu={params.mu}; set i0 explicitly"
+            )
+        params = replace(params, i0=i0)
     return params
 
 
@@ -485,12 +493,20 @@ def run_c0_suite(
 
 
 def population_curve(alpha: float, lam: float, mu: float, n0: float, grid: TimeGrid) -> np.ndarray:
-    """N(t) = N0 E_alpha((lam - mu) t^alpha) sampled on a grid: the package's one N(t)."""
+    """N(t) = N0 E_alpha((lam - mu) t^alpha) sampled on a grid: the package's one N(t).
+
+    Refuses, naming the argument, a non-finite rate, rate difference or
+    N0, a non-positive N0, and alpha outside (0, 1], before any t^alpha
+    is formed.
+    """
+    for name, value in (("lambda", lam), ("mu", mu), ("lambda - mu", lam - mu), ("n0", n0)):
+        if not math.isfinite(value):
+            raise DomainError(f"{name} must be finite, got {value}")
     if not n0 > 0:
         raise DomainError(f"N0 must be positive, got {n0}")
-    # libm pow on Python floats; numpy's vectorised pow may differ by one ulp
-    z = np.array([(lam - mu) * t**alpha for t in grid.nodes().tolist()])
-    return n0 * mittag_leffler(alpha, z)
+    if not 0 < alpha <= 1:
+        raise DomainError(f"alpha must be in (0, 1], got {alpha}")
+    return n0 * mittag_leffler(alpha, (lam - mu) * node_powers(alpha, grid))
 
 
 # ---------------------------------------------------------------------------

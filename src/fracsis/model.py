@@ -58,6 +58,15 @@ class ModelParams:
             raise ValidationError("gamma and mu must be >= 0")
         if not self.gamma + self.mu > 0:
             raise ValidationError("gamma + mu must be > 0")
+        # derive forms c = (sigma - 1) / sigma: refuse rates whose sigma
+        # under- or overflows, or whose c overflows
+        sigma = self.beta / (self.gamma + self.mu)
+        if not (0 < sigma < math.inf and math.isfinite((sigma - 1.0) / sigma)):
+            raise ValidationError(
+                f"sigma = beta / (gamma + mu) = {sigma} from beta={self.beta}, "
+                f"gamma={self.gamma}, mu={self.mu} leaves no finite carrying "
+                f"capacity c = (sigma - 1) / sigma"
+            )
         if not 0 < self.alpha <= 1:
             raise ValidationError(f"alpha must be in (0, 1], got {self.alpha}")
         if not 0 <= self.i0 <= 1:

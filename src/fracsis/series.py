@@ -18,7 +18,9 @@ in the family reads
 
 :func:`sample_trajectory` evaluates a series on a grid and records the
 series' radius in the trajectory meta, so each run builds its series
-once.
+once.  It reads the nodes' t^alpha from the per-(alpha, grid) cache of
+:func:`fracsis.solvers.node_powers`, which ``harness.population_curve``
+shares, so a grid sampled again at a repeated alpha forms no power.
 
 Evaluation sums the terms ``d_k x^k`` in increasing k; the table already
 carries the Gamma(alpha k + 1) normalisation.  Truncation is set by the
@@ -49,7 +51,7 @@ from .coeffs import (
 )
 from .errors import DomainError, HypothesisError, InsufficientDataError
 from .model import DerivedParams
-from .solvers import Method, TimeGrid, Trajectory
+from .solvers import Method, TimeGrid, Trajectory, node_powers
 from .specfn import _sum_terms
 
 __all__ = [
@@ -208,17 +210,16 @@ def rescaled_zero_capacity_series(
 
 
 def _sum_nodes(
-    series: SeriesSolution, ts: np.ndarray
+    series: SeriesSolution, powers: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Values, terms used and ``converged`` flags at the nodes ``ts >= 0``.
+    """Values, terms used and ``converged`` flags at the nodes t >= 0 whose
+    libm powers t**alpha are ``powers`` (:func:`~fracsis.solvers.node_powers`).
 
     t = 0 gives ``scale_c d_0`` from one term, converged.
     """
     d = np.asarray(series.coeffs.d)
-    # libm pow on Python floats; numpy's vectorised pow may differ by one ulp
-    x = np.array([series.arg_scale * t**series.alpha for t in ts.tolist()])
-    total, used, converged, _ = _sum_terms(x, d)
-    at0 = ts == 0.0
+    total, used, converged, _ = _sum_terms(series.arg_scale * powers, d)
+    at0 = powers == 0.0
     total[at0], used[at0], converged[at0] = d[0], 1, True
     return series.scale_c * total, used, converged
 
@@ -243,7 +244,7 @@ def evaluate(series: SeriesSolution, t: float) -> EvalResult:
     if t < 0:
         raise DomainError(f"series evaluation requires t >= 0, got {t}")
     theo = series.radius.theoretical
-    u, used, converged = _sum_nodes(series, np.array([float(t)]))
+    u, used, converged = _sum_nodes(series, np.array([float(t) ** series.alpha]))
     return EvalResult(
         float(u[0]), int(used[0]), bool(converged[0]), theo is not None and t > theo
     )
@@ -257,7 +258,7 @@ def sample_trajectory(series: SeriesSolution, grid: TimeGrid) -> Trajectory:
     consumers such as the run manifest need not rebuild the series.
     """
     nodes = grid.nodes()
-    u, terms, converged = _sum_nodes(series, nodes)
+    u, terms, converged = _sum_nodes(series, node_powers(series.alpha, grid))
     theo = series.radius.theoretical
     beyond = nodes > theo if theo is not None else np.zeros(nodes.size, dtype=bool)
     converged = converged.tolist()

@@ -3,17 +3,31 @@
 Both schemes solve ``D^alpha u = f(u)``, ``u(0) = u0`` on a uniform grid
 and are nonlocal in time: step n + 1 uses the entire history u_0..u_n.
 On a uniform grid the memory weights depend only on the lag m = n - j,
-so each routine builds its lag kernel once per call.  The marches then
-run in blocks of :data:`BLOCK` steps: at the start of a block, one
+so each routine builds its lag kernel once, not per step.  The marches
+then run in blocks of :data:`BLOCK` steps: at the start of a block, one
 ``np.convolve`` per kernel prices the history before the block for
 every step in it (the far history).  Inside the block each step adds the
 at most BLOCK lags that fall in the block (the near history) as a sum of
 Python floats: each block starts a fresh near list of the values the
 lags weight, every step appends its new value, and step s + j pairs that
 list with its weight tail, the weights of the lags it spans in reverse
-order, built as a Python list once per call.  The work stays O(N^2) multiply-adds, but no
+order, held as a tuple.  The work stays O(N^2) multiply-adds, but no
 step makes a numpy call or slices a list: at the grid sizes used here,
 either cost more than the step's arithmetic.
+
+What a march needs that depends only on alpha and the grid is its plan:
+the lag kernel, the weight tails and the scalar constants.  Each scheme
+keeps its plans in an LRU cache of :data:`_CACHE_SIZE` = 8 entries (the
+paper's four alphas on its two grids), keyed by alpha and the
+:class:`TimeGrid` (T, dt, N), so a sweep that repeats its alphas builds
+each plan once.  Cached arrays are read-only and the tails are tuples.
+:func:`node_powers` caches the t_n**alpha of a grid the same way.  Only
+grids of N <= :data:`_CACHE_MAX_N` = 1000 steps enter these caches; a
+larger grid builds its plan or powers on every call and keeps nothing.
+At that bound a PECE plan holds about 31 KB, an L1 plan 10 KB and a
+power table 8 KB, so the three caches hold at most about 0.4 MB.  The
+public :func:`pece_kernels` and :func:`l1_kernel` are not cached: each
+call returns fresh, writable arrays.
 
 * :func:`solve_pece` — fractional Adams-Bashforth-Moulton in PECE form.
   The predictor integrates the memory kernel with a product rectangle
@@ -35,8 +49,9 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache, wraps
 from operator import mul
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -44,6 +59,7 @@ from .errors import DomainError, NumericOverflowError, ValidationError
 
 __all__ = [
     "TimeGrid",
+    "node_powers",
     "Method",
     "Trajectory",
     "pece_kernels",
@@ -63,6 +79,30 @@ __all__ = [
 BLOCK = 16
 #: numpy's largest array, in bytes; read once, as ``np.iinfo`` costs microseconds
 _MAX_ARRAY_BYTES = np.iinfo(np.intp).max
+#: entries of each per-grid cache: the paper's four alphas on its two grids
+_CACHE_SIZE = 8
+#: the largest N whose plans and node powers are cached.  A plan costs O(N)
+#: against the O(N^2) march it serves, so past here keeping it saves little
+#: and would hold O(N) memory per entry; this bound keeps the caches under
+#: about 0.4 MB in all
+_CACHE_MAX_N = 1000
+
+
+def _per_grid(build):
+    """``build(alpha, grid)`` behind an LRU cache of ``_CACHE_SIZE`` entries.
+
+    A grid of more than ``_CACHE_MAX_N`` steps is built for afresh and
+    nothing is kept.  The wrapper has the ``cache_info`` and
+    ``cache_clear`` of the cache; ``__wrapped__`` is ``build``.
+    """
+    cached = lru_cache(maxsize=_CACHE_SIZE)(build)
+
+    @wraps(build)
+    def lookup(alpha, grid):
+        return (cached if grid.N <= _CACHE_MAX_N else build)(alpha, grid)
+
+    lookup.cache_info, lookup.cache_clear = cached.cache_info, cached.cache_clear
+    return lookup
 
 
 @dataclass(frozen=True)
@@ -98,6 +138,21 @@ class TimeGrid:
         return np.arange(self.N + 1) * self.dt
 
 
+def _read_only(x: np.ndarray) -> np.ndarray:
+    x.flags.writeable = False
+    return x
+
+
+@_per_grid
+def node_powers(alpha: float, grid: TimeGrid) -> np.ndarray:
+    """Read-only t_n**alpha at the nodes of a grid, cached per (alpha, grid).
+
+    Each power is the libm ``pow`` on a Python float: numpy's vectorised
+    pow may differ from it by one ulp.
+    """
+    return _read_only(np.array([t**alpha for t in grid.nodes().tolist()]))
+
+
 class Method(enum.Enum):
     """Provenance tag for a trajectory."""
 
@@ -125,6 +180,11 @@ class Trajectory:
         object.__setattr__(self, "u", u)
 
 
+def _pece_k(alpha: float, dt: float) -> float:
+    """The PECE corrector's endpoint weight dt^alpha / (alpha (alpha + 1))."""
+    return dt**alpha / (alpha * (alpha + 1.0))
+
+
 def pece_kernels(alpha: float, N: int, dt: float) -> tuple[np.ndarray, ...]:
     """PECE memory weights for N steps, by lag m = n - j, m = 0..N-1.
 
@@ -140,7 +200,7 @@ def pece_kernels(alpha: float, N: int, dt: float) -> tuple[np.ndarray, ...]:
     """
     if not 0 < alpha <= 1:
         raise DomainError(f"the PECE scheme requires alpha in (0, 1], got {alpha}")
-    k = dt**alpha / (alpha * (alpha + 1.0))
+    k = _pece_k(alpha, dt)
     m = np.arange(N, dtype=float)
     b = dt**alpha / alpha * ((m + 1.0) ** alpha - m**alpha)
     a = k * (
@@ -156,6 +216,34 @@ def pece_kernels(alpha: float, N: int, dt: float) -> tuple[np.ndarray, ...]:
     return b, a, a0
 
 
+class _PecePlan(NamedTuple):
+    """What a PECE march needs of (alpha, grid): the kernels of
+    :func:`pece_kernels`, their k, 1/Gamma(alpha) and the weight tails."""
+
+    k: float
+    inv_gamma: float
+    b: np.ndarray
+    a: np.ndarray
+    a0: np.ndarray
+    wb: tuple
+    wa: tuple
+    wa0: tuple
+
+
+@_per_grid
+def _pece_plan(alpha: float, grid: TimeGrid) -> _PecePlan:
+    b, a, a0 = map(_read_only, pece_kernels(alpha, grid.N, grid.dt))
+    # weight tails: step s + j of a block pairs b[j..0] and a[j..0] with
+    # the near list f(u_s..u_{s+j}); in block 0 f(u_0) takes a0[n] alone,
+    # so its a weight is zero: (0.0, a[j-1..0]), or (0.0,) at j = 0
+    head = min(BLOCK, grid.N)
+    bl, al = b[:head].tolist(), a[:head].tolist()
+    wb = tuple(tuple(bl[j::-1]) for j in range(head))
+    wa = tuple(tuple(al[j::-1]) for j in range(head))
+    wa0 = ((0.0,), *((0.0, *t) for t in wa[:-1]))
+    return _PecePlan(_pece_k(alpha, grid.dt), 1.0 / math.gamma(alpha), b, a, a0, wb, wa, wa0)
+
+
 def solve_pece(
     f: Callable[[float], float], u0: float, grid: TimeGrid, alpha: float
 ) -> Trajectory:
@@ -169,15 +257,7 @@ def solve_pece(
     left the representable range.
     """
     N = grid.N
-    b, a, a0 = pece_kernels(alpha, N, grid.dt)
-    k = grid.dt**alpha / (alpha * (alpha + 1.0))  # the k of pece_kernels
-    # weight tails: step s + j of a block pairs b[j..0] and a[j..0] with
-    # the near list f(u_s..u_{s+j}); in block 0 f(u_0) takes a0[n] alone,
-    # so its a weight is zero: [0.0] + a[j-1..0] (a[j-1::-1] wraps at j = 0)
-    wb = [b[j::-1].tolist() for j in range(min(BLOCK, N))]
-    wa = [a[j::-1].tolist() for j in range(min(BLOCK, N))]
-    wa0 = [[0.0] + a[:j][::-1].tolist() for j in range(min(BLOCK, N))]
-    inv_gamma = 1.0 / math.gamma(alpha)
+    k, inv_gamma, b, a, a0, wb, wa, wa0 = _pece_plan(alpha, grid)
     u0 = float(u0)
     u = [u0]
     fn = f(u0)
@@ -224,6 +304,25 @@ def l1_kernel(alpha: float, N: int) -> np.ndarray:
     return g
 
 
+class _L1Plan(NamedTuple):
+    """What an L1 march needs of (alpha, grid): the kernel of
+    :func:`l1_kernel`, its weight tails and the gain Gamma(2-alpha) dt^alpha."""
+
+    g: np.ndarray
+    wg: tuple
+    gain: float
+
+
+@_per_grid
+def _l1_plan(alpha: float, grid: TimeGrid) -> _L1Plan:
+    g = _read_only(l1_kernel(alpha, grid.N))
+    # weight tails: step s + j of a block pairs g[j..1] with the near list
+    # of the increments du_s..du_{s+j-1}
+    gl = g[: min(BLOCK, grid.N)].tolist()
+    wg = tuple(tuple(gl[j:0:-1]) for j in range(len(gl)))
+    return _L1Plan(g, wg, math.gamma(2.0 - alpha) * grid.dt**alpha)
+
+
 def solve_l1(
     f: Callable[[float], float], u0: float, grid: TimeGrid, alpha: float
 ) -> Trajectory:
@@ -239,11 +338,7 @@ def solve_l1(
     naming the step at which the iterate left the representable range.
     """
     N = grid.N
-    g = l1_kernel(alpha, N)
-    # weight tails: step s + j of a block pairs g[j..1] with the near list
-    # of the increments du_s..du_{s+j-1}
-    wg = [g[j:0:-1].tolist() for j in range(min(BLOCK, N))]
-    gain = math.gamma(2.0 - alpha) * grid.dt**alpha
+    g, wg, gain = _l1_plan(alpha, grid)
     u0 = float(u0)
     u = [u0]
     un = u0

@@ -1,6 +1,7 @@
 """Coefficient recursions against exact-arithmetic and closed-form oracles."""
 
 import math
+import operator
 from fractions import Fraction
 
 import mpmath
@@ -104,6 +105,34 @@ def generator_recursion(alpha, K, d0, keep_linear):
         s = math.fsum(d[i] * d[k - i] for i in range(k + 1))
         d.append(r[k] * ((d[k] - s) if keep_linear else -s))
     return tuple(d)
+
+
+def pairwise_recursion(alpha, K, d0, keep_linear):
+    """The recursion with each symmetric pair d_i d_{k-i} formed by a Python
+    multiply and listed twice for ``math.fsum``, plus the middle square."""
+    r = gamma_ratios(alpha)[:K].tolist()
+    d = [d0]
+    for k in range(K):
+        h = (k + 1) // 2
+        p = list(map(operator.mul, d[:h], d[k : k - h : -1]))
+        s = math.fsum(p + p + [d[h] * d[h]] if k % 2 == 0 else p + p)
+        d.append(r[k] * ((d[k] - s) if keep_linear else -s))
+    return tuple(d)
+
+
+def loop_radius(table, b_scale):
+    """The root test of ``empirical_radius`` as one uncached loop."""
+    d, K = table.d, table.order
+    lo = min(K // 2, K + 1 - 20)
+    best = -math.inf
+    for k in range(max(lo, 1), K + 1):
+        if d[k] != 0.0:
+            best = max(best, math.log(abs(d[k])) / k)
+    try:
+        radius = math.exp(-(best + math.log(b_scale)) / table.alpha)
+    except OverflowError:
+        radius = math.inf
+    return radius, K + 1 - lo
 
 
 def decay_taylor_oracle(K):
@@ -290,6 +319,23 @@ class TestEmpiricalRadius:
     def test_insufficient_data(self):
         with pytest.raises(InsufficientDataError):
             empirical_radius(a_coeffs(0.5, 12), 1.0)
+        with pytest.raises(InsufficientDataError):  # again, from the cached root test
+            empirical_radius(a_coeffs(0.5, 12), 1.0)
+
+    def test_cached_root_test_is_the_loop_bit_for_bit(self):
+        rng = np.random.default_rng(29)
+        coeffs._root_test.cache_clear()
+        tables = [euler_alpha(0.7, 120), a_coeffs(0.3, MAX_ORDER), a_coeffs(0.99, 20)]
+        for _ in range(25):  # 28 tables: all fit in the 32-entry cache
+            alpha = float(rng.uniform(0.05, 1.0))
+            build = euler_alpha if rng.integers(2) else a_coeffs
+            tables.append(build(alpha, int(rng.integers(40, MAX_ORDER + 1))))
+        for table in tables + tables:  # misses, then hits
+            for b in (1.0, float(rng.uniform(0.01, 0.99)), 1e-300):
+                est = empirical_radius(table, b)
+                assert (est.empirical, est.k_used) == loop_radius(table, b)
+        info = coeffs._root_test.cache_info()
+        assert (info.misses, info.hits) == (len(tables), 5 * len(tables))
 
     def test_domain(self):
         with pytest.raises(DomainError):
@@ -368,6 +414,18 @@ class TestTableCache:
         assert coeffs._recurse.cache_info().hits == hits + 1
         want = coeffs._recurse.__wrapped__(0.7, 120, 0.5, linear)
         assert np.array(got).tobytes() == np.array(want).tobytes()
+
+    def test_numpy_products_are_the_pairwise_recursion_bit_for_bit(self):
+        rng = np.random.default_rng(23)
+        draws = [(1.0, MAX_ORDER, 0.5, True), (1.0, MAX_ORDER, 0.5, False), (0.01, 0, 0.5, True)]
+        for _ in range(240):
+            draws.append((float(rng.uniform(0.01, 1.0)), int(rng.integers(0, MAX_ORDER + 1)),
+                          float(rng.uniform(0.001, 0.999)), bool(rng.integers(2))))
+        for alpha, K, d0, linear in draws:
+            got = coeffs._recurse.__wrapped__(alpha, K, d0, linear)
+            want = pairwise_recursion(alpha, K, d0, linear)
+            assert np.array(got).tobytes() == np.array(want).tobytes(), (alpha, K, d0, linear)
+            assert all(type(v) is float for v in got)
 
     def test_a0_is_in_the_key(self):
         for a0 in (0.25, 0.5, 0.25):

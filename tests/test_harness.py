@@ -514,6 +514,51 @@ class TestCli:
         assert cli.main(argv) == 1
         assert capsys.readouterr().err == f"error: {key} must be finite, got {float(value)}\n"
 
+    @pytest.mark.parametrize(
+        "rates",
+        [["--beta", "5e-324", "--gamma", "10"], ["--gamma", "1e308", "--mu", "1e308"]],
+        ids=["quotient-underflows", "sum-overflows"],
+    )
+    def test_sigma_zero_exit_code(self, rates, capsys):
+        argv = ["compare", "--preset", "c-nonzero", "--alpha", "0.7", "--methods", "pece,l1",
+                *rates]
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: sigma = beta / (gamma + mu) = 0.0 from beta=")
+        assert err.count("\n") == 1
+        assert all(f"{key}=" in err for key in ("beta", "gamma", "mu"))
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("lambda", "inf"), ("lambda", "-inf"), ("mu", "nan"), ("n0", "inf"), ("n0", "nan")],
+    )
+    def test_population_non_finite_input_exit_code(self, flag, value, capsys):
+        argv = ["population", "--alpha", "0.6", "--lambda", "0.1", "--mu", "0.6",
+                f"--{flag}={value}"]
+        assert cli.main(argv) == 1
+        assert capsys.readouterr() == ("", f"error: {flag} must be finite, got {float(value)}\n")
+
+    def test_population_negative_alpha_exit_code(self, capsys):
+        argv = ["population", "--alpha", "-0.5", "--lambda", "0.1", "--mu", "0.6"]
+        assert cli.main(argv) == 1
+        assert capsys.readouterr().err == "error: alpha must be in (0, 1], got -0.5\n"
+
+    # beta = 1e-300: sigma ~ 6e-300, so the default i0 = c/2 ~ -8.5e298; at
+    # sigma = 1 with beta < 1/2 the default 1/(2 beta) exceeds 1
+    @pytest.mark.parametrize(
+        "rates, rule",
+        [(["--preset", "c-nonzero", "--beta", "1e-300"], "c/2 = -8.499999999999999e+298"),
+         (["--beta", "0.3", "--gamma", "0.1", "--mu", "0.2"], "1/(2 beta) = 1.6666666666666667")],
+        ids=["c-over-2", "one-over-2-beta"],
+    )
+    def test_derived_default_i0_says_where_it_came_from(self, rates, rule, capsys):
+        argv = ["compare", "--alpha", "0.7", "--methods", "pece,l1", *rates]
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: i0 must be in [0, 1], got the default {rule}, derived from ")
+        assert all(f"{key}=" in err for key in ("beta", "gamma", "mu"))
+        assert cli.main(argv + ["--i0", "0.4"]) == 0
+
     # sigma ~ 1.00014 and b ~ 1.0e-4 at alpha = 0.01: M and both series radii
     # are past binary64 and are written as Infinity
     @pytest.mark.parametrize(

@@ -42,7 +42,32 @@ class TestModelParams:
             ModelParams(alpha=0.5, i0=0.5, **rates)
 
 
+    # sigma = beta / (gamma + mu) underflows to 0.0 (quotient or overflowing
+    # sum), overflows to inf, or is so small that c = (sigma - 1) / sigma overflows
+    @pytest.mark.parametrize(
+        "rates",
+        [dict(beta=5e-324, gamma=10.0, mu=0.12), dict(beta=0.7, gamma=1e308, mu=1e308),
+         dict(beta=1e308, gamma=1e-300, mu=0.0), dict(beta=5e-324, gamma=0.5, mu=0.0)],
+        ids=["quotient-underflows", "sum-overflows", "quotient-overflows", "c-overflows"],
+    )
+    def test_sigma_without_finite_c_is_refused(self, rates):
+        with pytest.raises(ValidationError, match=r"^sigma = beta / \(gamma \+ mu\)") as e:
+            ModelParams(alpha=0.5, i0=0.5, **rates)
+        for key, value in rates.items():
+            assert f"{key}={value}" in str(e.value)
+
+
 class TestDerive:
+    # the smallest and largest sigma ModelParams admits near the refused ones
+    @pytest.mark.parametrize(
+        "rates",
+        [dict(beta=1e-300, gamma=0.5, mu=0.0), dict(beta=1e300, gamma=1e-5, mu=0.0)],
+        ids=["tiny-sigma", "huge-sigma"],
+    )
+    def test_extreme_admitted_sigma_derives_finite_values(self, rates):
+        d = derive(ModelParams(alpha=0.5, i0=0.5, **rates))
+        assert all(map(math.isfinite, (d.sigma, d.c, d.b)))
+
     def test_endemic_values(self):
         d = derive(params())
         assert d.sigma == pytest.approx(0.7 / 0.17, rel=1e-14)  # ~4.11765
@@ -234,6 +259,23 @@ class TestPopulation:
     def test_decreasing_when_lambda_below_mu(self):
         n = population_curve(0.6, 0.02, 0.12, 1.0, TimeGrid(10.0, 0.1))
         assert np.all(np.diff(n) < 0)
+
+    @pytest.mark.parametrize("key", ["lambda", "mu", "n0"])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_non_finite_input_is_named(self, key, value):
+        args = {"lambda": 0.2, "mu": 0.12, "n0": 1.0, key: value}
+        with pytest.raises(DomainError, match=f"^{key} must be finite, got {value}$"):
+            population_curve(0.6, args["lambda"], args["mu"], args["n0"], TimeGrid(1.0, 0.5))
+
+    def test_overflowing_rate_difference_is_named(self):
+        with pytest.raises(DomainError, match=r"^lambda - mu must be finite, got inf$"):
+            population_curve(0.6, 1e308, -1e308, 1.0, TimeGrid(1.0, 0.5))
+
+    @pytest.mark.parametrize("alpha", [-0.5, 0.0, 1.5, math.nan])
+    def test_alpha_outside_the_domain_is_named(self, alpha):
+        # a negative alpha used to reach 0.0 ** alpha, a ZeroDivisionError
+        with pytest.raises(DomainError, match=r"^alpha must be in \(0, 1\]"):
+            population_curve(alpha, 0.2, 0.12, 1.0, TimeGrid(1.0, 0.5))
 
     def test_domain(self):
         with pytest.raises(DomainError):

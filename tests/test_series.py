@@ -19,7 +19,7 @@ from fracsis.coeffs import (
     euler_alpha,
 )
 from fracsis.errors import DomainError, HypothesisError
-from fracsis.harness import trajectory_csv
+from fracsis.harness import population_curve, trajectory_csv
 from fracsis.model import ModelParams, classical_sis, derive, logistic_rhs
 from fracsis.series import (
     EvalResult,
@@ -31,7 +31,7 @@ from fracsis.series import (
     sample_trajectory,
     zero_capacity_series,
 )
-from fracsis.solvers import TimeGrid, solve_pece
+from fracsis.solvers import TimeGrid, node_powers, solve_pece
 from fracsis.specfn import (
     _ABS_TOL,
     _CHUNK,
@@ -397,7 +397,7 @@ class TestSegmentBoundaries:
         for name, d, used in boundary_cases(edge):
             sol = table_series(d)
             assert scalar_evaluate(sol, 1.0).terms_used == used, name
-            u, terms, converged = _sum_nodes(sol, ts)
+            u, terms, converged = _sum_nodes(sol, ts)  # at alpha = 1, t**alpha is t
             for i, t in enumerate(ts.tolist()):
                 want = scalar_evaluate(sol, t)
                 assert_same(EvalResult(float(u[i]), int(terms[i]), bool(converged[i]),
@@ -566,3 +566,13 @@ class TestZeroCapacityAtMaxOrder:
                         for m in ("series", "pece"))
         assert trusted.sum() >= 40
         assert np.max(np.abs(series - pece)[trusted]) <= 1e-5
+
+
+def test_series_and_population_share_one_node_power_table():
+    node_powers.cache_clear()
+    grid = TimeGrid(5.0, 0.05)
+    sample_trajectory(carrying(0.6, 120), grid)
+    population_curve(0.6, 0.2, 0.12, 1.0, grid)
+    sample_trajectory(zero_capacity(0.6, 120), grid)
+    info = node_powers.cache_info()
+    assert (info.misses, info.hits) == (1, 2)

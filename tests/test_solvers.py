@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fracsis import solvers
 from fracsis.errors import DomainError, NumericOverflowError, ValidationError
-from fracsis.harness import preset_config, solve_method
+from fracsis.harness import preset_config, run_methods, solve_method
 from fracsis.model import ModelParams, classical_sis, derive, logistic_rhs
 from fracsis.solvers import (
     BLOCK,
@@ -18,6 +19,7 @@ from fracsis.solvers import (
     Trajectory,
     discrete_caputo_l1,
     l1_kernel,
+    node_powers,
     pece_kernels,
     solve_l1,
     solve_pece,
@@ -585,3 +587,108 @@ class TestConvergenceOrder:
     def test_l1(self, alpha):
         p = self.orders(solve_l1, alpha)
         assert np.all((p >= 0.8) & (p <= 1.1))
+
+
+class TestPlanCache:
+    """Per-grid plans and node powers: read-only, keyed by alpha and grid, bounded."""
+
+    @pytest.fixture(autouse=True)
+    def cold(self):
+        for cache in (solvers._pece_plan, solvers._l1_plan, node_powers):
+            cache.cache_clear()
+
+    def test_cached_arrays_refuse_writes(self):
+        grid = TimeGrid(5.0, 0.05)
+        pece, l1 = solvers._pece_plan(0.7, grid), solvers._l1_plan(0.7, grid)
+        for x in (pece.b, pece.a, pece.a0, l1.g, node_powers(0.7, grid)):
+            with pytest.raises(ValueError, match="read-only"):
+                x[0] = 1.0
+        for tails in (pece.wb, pece.wa, pece.wa0, l1.wg):
+            assert type(tails) is tuple and all(type(t) is tuple for t in tails)
+
+    def test_public_kernels_are_fresh_and_writable(self):
+        grid = TimeGrid(5.0, 0.05)
+        b, _, _ = pece_kernels(0.7, grid.N, grid.dt)
+        g = l1_kernel(0.7, grid.N)
+        b[0] = g[0] = -1.0
+        assert solvers._pece_plan(0.7, grid).b[0] > 0 and solvers._l1_plan(0.7, grid).g[0] == 1.0
+
+    def test_plan_is_the_uncached_build(self):
+        grid = TimeGrid(1.0, 1.0 / 37)
+        for plan in (solvers._pece_plan, solvers._l1_plan):
+            got, want = plan(0.45, grid), plan.__wrapped__(0.45, grid)
+            for x, y in zip(got, want):
+                if isinstance(x, np.ndarray):
+                    assert x.tobytes() == y.tobytes()
+                else:
+                    assert x == y
+
+    def test_tails_are_the_kernel_slices(self):
+        b, a, _ = pece_kernels(0.45, 40, 0.025)
+        g = l1_kernel(0.45, 40)
+        pece = solvers._pece_plan(0.45, TimeGrid(1.0, 0.025))
+        wg = solvers._l1_plan(0.45, TimeGrid(1.0, 0.025)).wg
+        for j in range(BLOCK):
+            assert pece.wb[j] == tuple(b[j::-1].tolist())
+            assert pece.wa[j] == tuple(a[j::-1].tolist())
+            assert pece.wa0[j] == (0.0, *a[:j][::-1].tolist())
+            assert wg[j] == tuple(g[j:0:-1].tolist())
+
+    # against T = 5, dt = 0.05 (N = 100): only dt differs, in its 13th digit
+    # (T and N are the same), or only N (dt is the same)
+    @pytest.mark.parametrize(
+        "other", [TimeGrid(5.0, 0.05 + 1e-14), TimeGrid(2.5, 0.05)], ids=["dt", "N"]
+    )
+    @pytest.mark.parametrize("solver", [solve_pece, solve_l1])
+    def test_grids_differing_in_one_of_N_and_dt_equal_uncached_runs(
+        self, solver, other, monkeypatch
+    ):
+        p, _, f = endemic_problem(0.6)
+        grids = (TimeGrid(5.0, 0.05), other)
+        got = [solver(f, p.i0, g, 0.6).u for g in grids + grids]  # miss, miss, hit, hit
+        monkeypatch.setattr(solvers, "_CACHE_MAX_N", 0)  # no grid is cached
+        want = [solver(f, p.i0, g, 0.6).u for g in grids + grids]
+        assert [u.tobytes() for u in got] == [u.tobytes() for u in want]
+
+    def test_twenty_paper_ops_build_eight_plans_per_scheme(self, monkeypatch):
+        built = {"pece": 0, "l1": 0}
+
+        def spy(name, kernel):
+            def counted(*args):
+                built[name] += 1
+                return kernel(*args)
+            return counted
+
+        monkeypatch.setattr(solvers, "pece_kernels", spy("pece", pece_kernels))
+        monkeypatch.setattr(solvers, "l1_kernel", spy("l1", l1_kernel))
+        for i in range(20):  # 4 alphas x 2 preset grids, each seen 2 or 3 times
+            alpha, preset = (0.99, 0.7, 0.5, 0.3)[i % 4], ("c-nonzero", "c-zero")[i // 4 % 2]
+            cfg = preset_config(preset, alpha, methods=("series", "pece", "l1"))
+            assert run_methods(cfg)[Method.PECE].u.size == cfg.grid.N + 1
+        assert built == {"pece": 8, "l1": 8}
+
+    def test_bounded_and_equal_after_eviction(self):
+        p, _, f = endemic_problem(0.6)
+        grid = TimeGrid(5.0, 0.05)
+        alphas = [0.3 + 0.05 * i for i in range(solvers._CACHE_SIZE + 4)]
+        first = solve_pece(f, p.i0, grid, alphas[0]).u
+        for alpha in alphas:
+            solve_pece(f, p.i0, grid, alpha)
+        assert solvers._pece_plan.cache_info().currsize == solvers._CACHE_SIZE
+        assert solve_pece(f, p.i0, grid, alphas[0]).u.tobytes() == first.tobytes()
+
+    def test_grids_past_the_bound_keep_nothing(self):
+        p, _, f = endemic_problem(0.6)
+        grid = TimeGrid(1.0, 1.0 / (solvers._CACHE_MAX_N + 1))
+        for _ in range(2):
+            solve_pece(f, p.i0, grid, 0.6)
+            solve_l1(f, p.i0, grid, 0.6)
+            node_powers(0.6, grid)
+        for cache in (solvers._pece_plan, solvers._l1_plan, node_powers):
+            assert cache.cache_info().currsize == 0
+
+    @pytest.mark.parametrize("T, dt", [(5.0, 0.05), (1.0, 1.0 / (solvers._CACHE_MAX_N + 1))])
+    def test_node_powers_are_libm_powers(self, T, dt):
+        grid = TimeGrid(T, dt)
+        want = np.array([t**0.7 for t in grid.nodes().tolist()])
+        assert node_powers(0.7, grid).tobytes() == want.tobytes()
