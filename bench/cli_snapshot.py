@@ -67,6 +67,10 @@ CALLS = [
     [*_POPULATION[:4], "inf", *_POPULATION[5:]],
     [*_POPULATION[:6], "nan"],
     [*_POPULATION, "--n0", "inf"],
+    # N0 E_alpha(t^alpha) is past binary64 from t = 0.5 on
+    ["population", "--alpha", "0.6", "--lambda", "1", "--mu", "0", "--n0", "1e308",
+     "--T", "1", "--dt", "0.5"],
+    ["compare", *_C_NONZERO, "--methods", "pece"],
 ]
 
 

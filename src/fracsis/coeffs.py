@@ -151,20 +151,20 @@ def _recurse(alpha: float, K: int, d0: float, keep_linear: bool) -> tuple[float,
     """
     r = gamma_ratios(alpha)[:K].tolist()
     d = [d0]
-    # d again, forwards and backwards (rev[K - i] = d_i), so that the pairs'
-    # second factors d_k..d_{k-h+1} are the forward slice rev[K-k : K-k+h]
-    fwd, rev = np.empty(K + 1), np.empty(K + 1)
-    fwd[0] = rev[K] = d0
+    # d again, as an array: the pairs' second factors d_k..d_{k-h+1} are
+    # its reversed view a[k : k - h : -1]
+    a = np.empty(K + 1)
+    a[0] = d0
     for k in range(K):
         h = (k + 1) // 2
-        p = fwd[:h] * rev[K - k : K - k + h]
+        p = a[:h] * a[k : k - h : -1]
         p += p
         p = p.tolist()
         if k % 2 == 0:
             p.append(d[h] * d[h])
         s = math.fsum(p)
         d.append(r[k] * ((d[k] - s) if keep_linear else -s))
-        fwd[k + 1] = rev[K - k - 1] = d[k + 1]
+        a[k + 1] = d[k + 1]
     return tuple(d)
 
 
@@ -200,6 +200,18 @@ def carrying_capacity_hypothesis(b: float) -> bool:
     return 0.0 < b < 1.0
 
 
+def _inverse_root(b: float, alpha: float) -> float:
+    """b^(-1/alpha) for b > 0, or ``math.inf`` past binary64.
+
+    The one home of this power: ``M`` of :func:`fracsis.model.derive` and
+    the scale of :func:`radius_carrying_capacity`.
+    """
+    try:
+        return b ** (-1.0 / alpha)
+    except OverflowError:
+        return math.inf
+
+
 def radius_carrying_capacity(alpha: float, b: float) -> float:
     """Guaranteed convergence radius of the carrying-capacity series.
 
@@ -218,11 +230,7 @@ def radius_carrying_capacity(alpha: float, b: float) -> float:
         )
     lg = log_gamma_orders(alpha, 3)
     g = math.exp(lg[1] + lg[3] - lg[2])
-    try:
-        scale = b ** (-1.0 / alpha)
-    except OverflowError:  # past binary64
-        return math.inf
-    return scale * g ** (1.0 / (2.0 * alpha))
+    return _inverse_root(b, alpha) * g ** (1.0 / (2.0 * alpha))
 
 
 def radius_zero_capacity(alpha: float) -> float:

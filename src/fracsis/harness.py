@@ -47,7 +47,7 @@ import numpy as np
 
 from . import __version__
 from .coeffs import MAX_ORDER, a_coeffs, euler_alpha
-from .errors import DomainError, GridMismatchError, ValidationError
+from .errors import DomainError, GridMismatchError, NumericOverflowError, ValidationError
 from .model import ModelParams, DerivedParams, classical_sis, derive, logistic_rhs
 from .series import (
     carrying_capacity_series,
@@ -497,7 +497,8 @@ def population_curve(alpha: float, lam: float, mu: float, n0: float, grid: TimeG
 
     Refuses, naming the argument, a non-finite rate, rate difference or
     N0, a non-positive N0, and alpha outside (0, 1], before any t^alpha
-    is formed.
+    is formed.  Raises :class:`NumericOverflowError`, naming the first
+    node, where N(t) is past binary64.
     """
     for name, value in (("lambda", lam), ("mu", mu), ("lambda - mu", lam - mu), ("n0", n0)):
         if not math.isfinite(value):
@@ -506,7 +507,16 @@ def population_curve(alpha: float, lam: float, mu: float, n0: float, grid: TimeG
         raise DomainError(f"N0 must be positive, got {n0}")
     if not 0 < alpha <= 1:
         raise DomainError(f"alpha must be in (0, 1], got {alpha}")
-    return n0 * mittag_leffler(alpha, (lam - mu) * node_powers(alpha, grid))
+    with np.errstate(over="ignore"):
+        n = n0 * mittag_leffler(alpha, (lam - mu) * node_powers(alpha, grid))
+    finite = np.isfinite(n)
+    if not finite.all():
+        t = float(grid.nodes()[finite.argmin()])
+        raise NumericOverflowError(
+            f"N(t) = N0 E_alpha((lambda - mu) t^alpha) overflowed at t={t} "
+            f"(alpha={alpha}, lambda - mu={lam - mu}, n0={n0})"
+        )
+    return n
 
 
 # ---------------------------------------------------------------------------

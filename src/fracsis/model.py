@@ -113,10 +113,7 @@ def derive(params: ModelParams) -> DerivedParams:
         return DerivedParams(sigma=1.0, c=0.0, b=0.0)
     c = (sigma - 1.0) / sigma
     b = params.beta * c
-    try:
-        M = b ** (-1.0 / params.alpha) if c > 0 else None
-    except OverflowError:  # M past binary64
-        M = math.inf
+    M = coeffs._inverse_root(b, params.alpha) if c > 0 else None
     r_alpha = None
     if coeffs.carrying_capacity_hypothesis(b):
         r_alpha = coeffs.radius_carrying_capacity(params.alpha, b)

@@ -24,12 +24,13 @@ shares, so a grid sampled again at a repeated alpha forms no power.
 
 Evaluation sums the terms ``d_k x^k`` in increasing k; the table already
 carries the Gamma(alpha k + 1) normalisation.  Truncation is set by the
-table order and by the stopping rule's constants in :mod:`fracsis.specfn`
-(``_ABS_TOL``, ``_STOP_STREAK``, ``_MAX_TERMS``); values past the
-guaranteed radius are permitted but flagged, and sustained term growth
-(``_GROW_STREAK``, ``_GROW_MIN_K``) flips ``converged`` off in-band
-instead of raising.  The sums and both rules live in the package's one
-power-series kernel, ``fracsis.specfn._sum_terms``, called once per
+table order (at most ``MAX_ORDER + 1`` terms) and by the stopping rule's
+constants in :mod:`fracsis.specfn` (``_ABS_TOL``, ``_STOP_STREAK``);
+values past the guaranteed radius are permitted but flagged, and
+sustained term growth (``_GROW_STREAK``, ``_GROW_MIN_K``) flips
+``converged`` off in-band instead of raising.  The sums and both rules
+live in the package's one power-series kernel,
+``fracsis.specfn._sum_terms``, called with the series table once per
 :func:`evaluate` or :func:`sample_trajectory`.
 """
 
@@ -215,12 +216,13 @@ def _sum_nodes(
     """Values, terms used and ``converged`` flags at the nodes t >= 0 whose
     libm powers t**alpha are ``powers`` (:func:`~fracsis.solvers.node_powers`).
 
-    t = 0 gives ``scale_c d_0`` from one term, converged.
+    t = 0 gives ``scale_c d_0`` from one term, converged: the kernel sums
+    d_0 there exactly, for every table length.
     """
     d = np.asarray(series.coeffs.d)
     total, used, converged, _ = _sum_terms(series.arg_scale * powers, d)
     at0 = powers == 0.0
-    total[at0], used[at0], converged[at0] = d[0], 1, True
+    used[at0], converged[at0] = 1, True
     return series.scale_c * total, used, converged
 
 
@@ -228,12 +230,11 @@ def evaluate(series: SeriesSolution, t: float) -> EvalResult:
     """Evaluate the truncated series at a single finite time t >= 0.
 
     The sum is accumulated in increasing k (fixed order, deterministic)
-    over the table, and at most ``specfn._MAX_TERMS`` terms; it stops
-    early once three consecutive terms drop below ``specfn._ABS_TOL``
-    (1e-14).  Divergence is never an exception: past-radius
-    evaluation is flagged via ``beyond_theoretical_radius`` and sustained
-    growth (five consecutive growing terms after k >= 10) clears
-    ``converged``.
+    over at most the whole table; it stops early once three consecutive
+    terms drop below ``specfn._ABS_TOL`` (1e-14).  Divergence is never an
+    exception: past-radius evaluation is flagged via
+    ``beyond_theoretical_radius`` and sustained growth (five consecutive
+    growing terms after k >= 10) clears ``converged``.
 
     The call is one kernel call with a single column, which costs tens
     of microseconds: a caller with many points should pass them as one

@@ -18,15 +18,17 @@ ratios Gamma(a k + 1) / Gamma(a k + a + 1).  They step the terms of
 
 One kernel, :func:`_sum_terms`, sums every power series of the package
 and holds their stopping rule: the series terms ``d_k x^k`` of
-:mod:`fracsis.series` and the terms of :func:`mittag_leffler`.  The rule
-is five module constants: a sum is accepted once ``_STOP_STREAK``
-consecutive terms fall below ``_ABS_TOL`` in absolute value and is cut
-by the table it is given (E_a's ratio table makes ``_MAX_TERMS`` terms).
-Only the series apply its divergence rule, ``_GROW_STREAK`` consecutive
-growing terms once ``_GROW_MIN_K`` terms are summed: E_a is entire, and
-its terms may grow on the way to convergence (for E_0.5(3) from k = 10
-to k = 17).  A series of the solution is truncated, as in the paper, by
-the order of its coefficient table.
+:mod:`fracsis.series` and the terms of :func:`mittag_leffler`.  Each
+call takes one table, and the table sets its mode.  The rule is five
+module constants: a sum is accepted once ``_STOP_STREAK`` consecutive
+terms fall below ``_ABS_TOL`` in absolute value, and is cut by its
+table.  A series table ``d`` (``MAX_ORDER + 1`` entries at most, see
+:mod:`fracsis.coeffs`) truncates the series, as in the paper, and adds
+the divergence rule: ``_GROW_STREAK`` consecutive growing terms once
+``_GROW_MIN_K`` terms are summed.  E_a's ratio table ``r`` makes at most
+``_MAX_TERMS`` terms and no divergence rule: E_a is entire, and its
+terms may grow on the way to convergence (for E_0.5(3) from k = 10 to
+k = 17).
 
 The kernel sums the nodes in chunks, one column per node and one row per
 term.  A chunk's first row segment holds ``_FIRST_ROWS`` terms.  Each
@@ -104,32 +106,34 @@ def gamma_ratios(alpha: float) -> np.ndarray:
 
 
 def _term_matrix(
-    x: np.ndarray, d, r, lo: int, hi: int, grow: bool, carry: tuple
+    x: np.ndarray, d, r, lo: int, hi: int, carry: tuple
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, tuple]:
     """Extend the sums at the nodes ``x`` by the terms ``t_k``, ``lo < k <= hi``.
 
-    Row ``k - lo - 1`` holds ``t_k = d_k prod_{j<k} (x r_j)``, where
-    ``d_k = 1`` (and ``t_0 = 1``) if ``d`` is None and ``r_j = 1`` if ``r``
-    is None.  ``carry`` is each column's state after the term ``t_lo``:
-    the running product before the ``d_k`` multiply, the partial sum,
-    ``|t|`` and negligibility of the last ``_STOP_STREAK`` terms (at
-    ``lo = 0`` these stand for ``t_0``), and the growth streak; a scalar
-    holds for every column.  The sequential accumulates continue from
-    it, so every row rounds as the scalar loop would, and no earlier row
-    is built again.  Returns, per column, whether the stopping rule
-    fired, the terms used, ``converged``, the partial sum and the term at
-    the stop (else at ``t_hi``), and the carry after ``t_hi``, which is
-    read only for the columns that did not stop.  Rows past a stop may
-    overflow; they are never read.
+    Row ``k - lo - 1`` holds the term ``t_k`` of the one table given (the
+    other is None): ``d_k x^k`` of a series table ``d``, with the
+    divergence rule, or ``prod_{j<k} (x r_j)`` of a ratio table ``r``
+    (``t_0 = 1``), without it.  ``carry`` is each column's state after
+    the term ``t_lo``: the running product before the ``d_k`` multiply,
+    the partial sum, ``|t|`` and negligibility of the last
+    ``_STOP_STREAK`` terms (at ``lo = 0`` these stand for ``t_0``), and
+    the growth streak; a scalar holds for every column.  The sequential
+    accumulates continue from it, so every row rounds as the scalar loop
+    would, and no earlier row is built again.  Returns, per column,
+    whether the stopping rule fired, the terms used, ``converged``, the
+    partial sum and the term at the stop (else at ``t_hi``), and the
+    carry after ``t_hi``, which is read only for the columns that did not
+    stop.  Rows past a stop may overflow; they are never read.
     """
     prod, total, mag_pad, neg_pad, streak = carry
     rows, pad = hi - lo, _STOP_STREAK
+    grow = d is not None
     terms = np.empty((rows, x.size))
-    np.multiply(x, 1.0 if r is None else r[lo:hi, None], out=terms)
+    np.multiply(x, 1.0 if grow else r[lo:hi, None], out=terms)
     terms[0] *= prod
     np.multiply.accumulate(terms, axis=0, out=terms)
     prod = terms[-1].copy()
-    if d is not None:
+    if grow:
         terms *= d[lo + 1 : hi + 1, None]
     totals = np.empty((rows + 1, x.size))
     totals[0] = total
@@ -180,21 +184,26 @@ def _term_matrix(
 
 
 def _sum_terms(
-    x: np.ndarray, d=None, r=None, grow: bool = True
+    x: np.ndarray, d=None, r=None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Partial sums, terms used, ``converged`` flags and last terms at the nodes ``x``.
 
-    The terms of :func:`_term_matrix`, cut by the table given: at most
-    ``len(d)`` terms of a series table ``d``, else ``len(r) + 1`` of a
-    ratio table ``r`` (``_MAX_TERMS`` for :func:`gamma_ratios`).
-    ``grow`` turns the divergence rule on.  Nodes go in chunks of
-    ``_CHUNK``.  A chunk sums ``_FIRST_ROWS`` terms, then extends the
-    columns not yet stopped from their carried state, at least doubling
-    the terms summed (see ``_FIRST_ROWS``); stopped columns drop out, and
-    each term is built once per node.  With ``grow`` off (E_alpha, whose
-    caller raises at any unconverged node) the chunks after the first
-    one holding an unconverged node are not summed: their nodes read
-    unconverged, and the first unconverged node keeps its last term.
+    The terms of :func:`_term_matrix` for exactly one table, which sets
+    the mode of the call:
+
+    * a series table ``d``: at most ``len(d)`` terms, the divergence rule
+      applies, and every node is summed;
+    * a ratio table ``r`` (E_alpha): at most ``len(r) + 1`` terms
+      (``_MAX_TERMS`` for :func:`gamma_ratios`), no divergence rule, and,
+      as the caller raises at any unconverged node, the chunks after the
+      first one holding an unconverged node are not summed: their nodes
+      read unconverged, and the first unconverged node keeps its last
+      term.
+
+    Nodes go in chunks of ``_CHUNK``.  A chunk sums ``_FIRST_ROWS`` terms,
+    then extends the columns not yet stopped from their carried state, at
+    least doubling the terms summed (see ``_FIRST_ROWS``); stopped columns
+    drop out, and each term is built once per node.
     """
     cap = len(r) if d is None else len(d) - 1
     first = 1.0 if d is None else d[0]
@@ -207,7 +216,7 @@ def _sum_terms(
             carry = (1.0, first, abs(first), False, 0)
             lo, hi = 0, min(_FIRST_ROWS, cap)
             while True:
-                stopped, n, ok, s, t, carry = _term_matrix(x[cols], d, r, lo, hi, grow, carry)
+                stopped, n, ok, s, t, carry = _term_matrix(x[cols], d, r, lo, hi, carry)
                 done = stopped | (hi == cap)
                 at = cols[done]
                 total[at], used[at], converged[at], last[at] = s[done], n[done], ok[done], t[done]
@@ -219,7 +228,7 @@ def _sum_terms(
                     # a scalar (E_alpha's streak, never counted) holds for all
                     carry = tuple(a[..., open_] if np.ndim(a) else a for a in carry)
                 lo, hi = hi, min(hi + max(hi, _FIRST_ROWS * _CHUNK // cols.size), cap)
-            if not grow and not converged[start : start + _CHUNK].all():
+            if d is None and not converged[start : start + _CHUNK].all():
                 break
     return total, used, converged, last
 
@@ -241,7 +250,7 @@ def mittag_leffler(alpha: float, z) -> float | np.ndarray:
     if not 0 < alpha <= 1:
         raise DomainError(f"mittag_leffler requires alpha in (0, 1], got {alpha}")
     zs = np.asarray(z, dtype=float)
-    total, _, converged, last = _sum_terms(zs.ravel(), r=gamma_ratios(alpha), grow=False)
+    total, _, converged, last = _sum_terms(zs.ravel(), r=gamma_ratios(alpha))
     if not converged.all():
         i = int(converged.argmin())
         raise NonConvergenceError(

@@ -231,6 +231,12 @@ class TestACoeffs:
         assert t.values[0] == 0.25
         assert t.values[1] == pytest.approx(-0.0625, abs=1e-15)
 
+    @pytest.mark.parametrize("alpha", [0.0, 1.2])
+    def test_alpha_domain(self, alpha):
+        want = rf"^a_coeffs requires alpha in \(0, 1\], got {alpha}$"
+        with pytest.raises(DomainError, match=want):
+            a_coeffs(alpha, 5)
+
     def test_domain(self):
         with pytest.raises(DomainError):
             a_coeffs(0.5, 5, a0=0.0)
@@ -280,6 +286,14 @@ class TestRadii:
             1e200 * math.exp(math.lgamma(1.02) + math.lgamma(1.06) - math.lgamma(1.04)) ** 25,
             rel=1e-10,
         )
+
+    @pytest.mark.parametrize("alpha", [0.0, -0.5, 1.5])
+    def test_alpha_domain(self, alpha):
+        want = rf"^radius requires alpha in \(0, 1\], got {alpha}$"
+        with pytest.raises(DomainError, match=want):
+            radius_carrying_capacity(alpha, 0.5)
+        with pytest.raises(DomainError, match=want):
+            radius_zero_capacity(alpha)
 
     def test_zero_capacity_values(self):
         assert radius_zero_capacity(0.5) == pytest.approx(0.25, rel=1e-13)
@@ -440,7 +454,7 @@ class TestTableCache:
         euler_alpha(0.5123, MAX_ORDER)
         a_coeffs(0.5123, MAX_ORDER)
         _, used, converged, _ = specfn._sum_terms(
-            np.array([8.0]), r=specfn.gamma_ratios(0.5123), grow=False
+            np.array([8.0]), r=specfn.gamma_ratios(0.5123)
         )
         assert converged[0] and used[0] > 256
         assert specfn.mittag_leffler(0.5123, 8.0) > 0

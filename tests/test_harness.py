@@ -2,8 +2,10 @@
 
 import dataclasses
 import json
+import re
 import shutil
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -237,6 +239,11 @@ class TestCrossing:
         traj = Trajectory(g, np.full(5, 0.2), Method.PECE)
         assert crossing_node(traj) is None
 
+    def test_start_on_the_crossing(self):
+        g = TimeGrid(1.0, 0.25)
+        traj = Trajectory(g, np.array([0.5, 0.6, 0.7, 0.8, 0.9]), Method.PECE)
+        assert crossing_node(traj) == 0.0
+
 
 class TestEmit:
     def test_csv_format_and_complement(self, tmp_path):
@@ -422,6 +429,84 @@ class TestPopulationCurve:
         g = TimeGrid(2.0, 0.5)
         n = population_curve(0.6, 0.4, 0.3, 1.0, g)
         assert np.all(np.diff(n) > 0)
+
+
+BASE = {"beta": 0.7, "gamma": 0.05, "mu": 0.12, "alpha": 0.7, "i0": 0.3}
+
+
+class TestRefusals:
+    """Each refusal of a config, a comparison or a CLI call says what is wrong;
+    where the CLI reaches it, it exits 1 with one ``error:`` line."""
+
+    PRESET = ["--preset", "c-nonzero", "--alpha", "0.7"]
+
+    @staticmethod
+    def assert_cli_error(argv, message, capsys):
+        assert cli.main(argv) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    def test_unknown_preset(self, tmp_path, capsys):
+        message = "unknown preset 'c-one'; available: ['c-nonzero', 'c-zero']"
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            config_from_dict({**BASE, "preset": "c-one"})
+        p = write_config(tmp_path, {**BASE, "preset": "c-one"})
+        self.assert_cli_error(["compare", "--config", str(p)], message, capsys)
+
+    def test_missing_config_file(self, tmp_path, capsys):
+        p = tmp_path / "missing.json"
+        with pytest.raises(ValidationError, match=re.escape(f"cannot read config {p}: ")):
+            load_config(p)
+        assert cli.main(["solve", "--method", "pece", "--config", str(p)]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"error: cannot read config {p}: ")
+        assert err.count("\n") == 1
+
+    def test_config_root_must_be_an_object(self, tmp_path, capsys):
+        p = write_config(tmp_path, [BASE])
+        with pytest.raises(ValidationError, match="^config root must be an object, got list$"):
+            load_config(p)
+        self.assert_cli_error(
+            ["compare", "--config", str(p)], "config root must be an object, got list", capsys
+        )
+
+    def test_duplicate_methods(self, capsys):
+        with pytest.raises(ValidationError, match="^duplicate methods in config$"):
+            config_from_dict({**BASE, "methods": "pece,l1,pece"})
+        argv = ["compare", *self.PRESET, "--methods", "pece,pece"]
+        self.assert_cli_error(argv, "duplicate methods in config", capsys)
+
+    def test_unknown_output_formats(self, capsys):
+        message = "unknown output formats: ['pdf', 'png']"
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            config_from_dict({**BASE, "formats": "csv,png,pdf"})
+        self.assert_cli_error(
+            ["compare", *self.PRESET, "--methods", "pece,l1", "--formats", "pdf,csv,png"],
+            message, capsys,
+        )
+
+    def test_unknown_method(self, capsys):
+        message = "unknown method in ['pece', 'rk4']; choose from " + str([m.value for m in Method])
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            config_from_dict({**BASE, "methods": "pece,rk4"})
+        argv = ["compare", *self.PRESET, "--methods", "pece,rk4"]
+        self.assert_cli_error(argv, message, capsys)
+
+    def test_compare_needs_two_methods(self, capsys):
+        self.assert_cli_error(
+            ["compare", *self.PRESET, "--methods", "pece"],
+            "compare needs at least two methods (use --methods)", capsys,
+        )
+
+    def test_comparison_needs_two_trajectories(self):
+        traj = Trajectory(TimeGrid(1.0, 0.25), np.full(5, 0.4), Method.PECE)
+        with pytest.raises(ValidationError, match="^comparison needs at least two trajectories"):
+            compare_methods({Method.PECE: traj}, 0.7)
+
+    def test_distance_of_a_missing_pair(self):
+        report = harness.ComparisonReport(alpha=0.7, pairs=(("series", "pece", 1e-3),))
+        assert report.distance("pece", "series") == 1e-3
+        with pytest.raises(KeyError, match=re.escape("no pair (pece, l1) in report")):
+            report.distance("pece", "l1")
 
 
 class TestCli:
@@ -618,6 +703,18 @@ class TestCli:
         )
         assert rc == 2
 
+    def test_population_overflow_exit_code(self, capsys):
+        # N0 E_0.6(t^0.6) is past binary64 from t = 0.5 on; numpy warns nothing
+        argv = ["population", "--alpha", "0.6", "--lambda", "1", "--mu", "0", "--n0", "1e308",
+                "--T", "1", "--dt", "0.5"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
+        assert err.startswith("numeric failure: N(t) = N0 E_alpha((lambda - mu) t^alpha) ")
+        assert "overflowed at t=0.5 " in err
+
     def test_coeffs_out_creates_parent_directories(self, tmp_path, capsys):
         out = tmp_path / "nope" / "x.csv"
         assert cli.main(["coeffs", "--kind", "a", "--alpha", "0.5", "--out", str(out)]) == 0
@@ -658,6 +755,44 @@ class TestCli:
         assert captured.err.startswith(f"error: cannot write {tmp_path / named}: ")
         assert len(captured.out.splitlines()) == printed
         assert str(tmp_path) not in captured.out
+
+    def test_c0_suite_prints_one_line_per_alpha(self, entries, capsys):
+        assert cli.main(["c0-suite"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == len(entries) == len(harness.C0_SUITE_ALPHAS)
+        for line, e in zip(lines, entries):
+            status = (
+                "converged on the whole grid" if e.series_diverged_at is None
+                else f"series lost convergence at t={e.series_diverged_at:g}"
+            )
+            assert line == (
+                f"alpha={e.alpha:g}: {status}; schemes bounded in [0,1]: "
+                f"{e.schemes_bounded}; crossing nodes {e.crossing}"
+            )
+        assert lines[0].startswith("alpha=0.99: converged on the whole grid; ")
+        assert lines[2].startswith("alpha=0.5: series lost convergence at t=")
+
+    def test_population_csv(self, tmp_path, capsys):
+        argv = ["population", "--alpha", "0.6", "--lambda", "0.1", "--mu", "0.6",
+                "--T", "1", "--dt", "0.25"]
+        grid = TimeGrid(1.0, 0.25)
+        n = population_curve(0.6, 0.1, 0.6, 1.0, grid)
+        want = harness.csv_text("t,N", zip(grid.nodes().tolist(), n.tolist()))
+        assert cli.main(argv) == 0
+        assert capsys.readouterr() == (want, "")
+        out = tmp_path / "n.csv"
+        assert cli.main(argv + ["--out", str(out)]) == 0
+        assert capsys.readouterr() == (f"{out}\n", "")
+        assert out.read_text() == want and len(want.splitlines()) == 6
+
+    def test_solve_out_prints_each_path(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        argv = ["solve", "--method", "pece", *self.PRESET, "--formats", "csv,svg"]
+        assert cli.main(argv + ["--out", str(out)]) == 0
+        printed = capsys.readouterr().out.splitlines()
+        names = sorted(Path(f).name for f in printed)
+        assert names == ["manifest.json", "pece.csv", "trajectories.svg"]
+        assert sorted(printed) == sorted(str(f) for f in out.iterdir())
 
     def test_table1_emits_files(self, tmp_path, capsys):
         rc = cli.main(["table1", "--out", str(tmp_path / "t1")])

@@ -1,13 +1,14 @@
 """Parameter derivation, classical closed forms, and the population curve."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from fracsis.errors import DomainError, ValidationError
+from fracsis.errors import DomainError, NumericOverflowError, ValidationError
 from fracsis.harness import config_from_dict, population_curve, solve_method
 from fracsis.model import ModelParams, classical_sis, derive, logistic_rhs
 from fracsis.solvers import Method, TimeGrid
@@ -33,6 +34,12 @@ class TestModelParams:
             ModelParams(beta=1.0, gamma=0.1, mu=0.1, alpha=1.5, i0=0.5)
         with pytest.raises(ValidationError):
             ModelParams(beta=1.0, gamma=0.1, mu=0.1, alpha=0.5, i0=1.5)
+
+    @pytest.mark.parametrize("rates", [(-0.1, 0.2), (0.2, -0.1)], ids=["gamma", "mu"])
+    def test_negative_removal_rate_is_refused(self, rates):
+        gamma, mu = rates
+        with pytest.raises(ValidationError, match=r"^gamma and mu must be >= 0$"):
+            ModelParams(beta=1.0, gamma=gamma, mu=mu, alpha=0.5, i0=0.5)
 
     @pytest.mark.parametrize("key", ["beta", "gamma", "mu"])
     @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
@@ -218,6 +225,14 @@ class TestClassicalSis:
         assert i.shape == ts.shape
         np.testing.assert_allclose(i + s, 1.0, rtol=0, atol=0)
 
+    def test_no_infection_stays_zero(self):
+        # c != 0 with i0 = 0: the equilibrium I = 0, not c / (1 + inf)
+        p = params(i0=0.0)
+        assert derive(p).c != 0.0
+        i, s = classical_sis(p, np.array([0.0, 1.0, 50.0]))
+        assert i.tolist() == [0.0, 0.0, 0.0] and s.tolist() == [1.0, 1.0, 1.0]
+        assert classical_sis(p, 2.0) == (0.0, 1.0)
+
     def test_negative_time_rejected(self):
         with pytest.raises(DomainError):
             classical_sis(params(), -0.1)
@@ -276,6 +291,18 @@ class TestPopulation:
         # a negative alpha used to reach 0.0 ** alpha, a ZeroDivisionError
         with pytest.raises(DomainError, match=r"^alpha must be in \(0, 1\]"):
             population_curve(alpha, 0.2, 0.12, 1.0, TimeGrid(1.0, 0.5))
+
+    def test_overflow_names_the_first_node(self):
+        # E_0.6(t^0.6) is finite, and N0 times it is past binary64 from t = 0.5
+        # on; the error says so, and numpy warns nothing
+        with warnings.catch_warnings(), pytest.raises(NumericOverflowError) as e:
+            warnings.simplefilter("error")
+            population_curve(0.6, 1.0, 0.0, 1e308, TimeGrid(1.0, 0.5))
+        assert str(e.value) == (
+            "N(t) = N0 E_alpha((lambda - mu) t^alpha) overflowed at t=0.5 "
+            "(alpha=0.6, lambda - mu=1.0, n0=1e+308)"
+        )
+        assert population_curve(0.6, 1.0, 0.0, 1e300, TimeGrid(1.0, 0.5))[-1] < math.inf
 
     def test_domain(self):
         with pytest.raises(DomainError):

@@ -444,7 +444,7 @@ class TestNoRebuild:
 
     def test_mittag_leffler_terms_are_built_once(self, monkeypatch):
         zs = np.linspace(-2.0, 9.0, 300)
-        _, used, _, _ = specfn._sum_terms(zs, r=specfn.gamma_ratios(0.5), grow=False)
+        _, used, _, _ = specfn._sum_terms(zs, r=specfn.gamma_ratios(0.5))
         assert used.max() > 8 * _FIRST_ROWS
         built = self.segments(monkeypatch, lambda: specfn.mittag_leffler(0.5, zs))
         self.assert_contiguous(built, dict(zip(zs.tolist(), used.tolist())))

@@ -49,9 +49,9 @@ def per_term_lgamma_ml(alpha, z, max_terms=_MAX_TERMS):
 
 def capped_ml(alpha, z, max_terms):
     """E_alpha(z) summed by the kernel of :func:`mittag_leffler`, cut at
-    ``max_terms`` terms by a table of that many ones."""
+    ``max_terms`` terms by the first ``max_terms - 1`` ratios."""
     total, _, converged, last = specfn._sum_terms(
-        np.array([z]), d=np.ones(max_terms), r=gamma_ratios(alpha), grow=False
+        np.array([z]), r=gamma_ratios(alpha)[: max_terms - 1]
     )
     if not converged[0]:
         raise NonConvergenceError(
@@ -135,7 +135,7 @@ class TestMittagLeffler:
         # z whose sums stop on both sides of 256 terms, over several row
         # segments, and some that do not converge within _MAX_TERMS
         zs = np.linspace(lo, hi, 200)
-        _, used, converged, _ = specfn._sum_terms(zs, r=gamma_ratios(alpha), grow=False)
+        _, used, converged, _ = specfn._sum_terms(zs, r=gamma_ratios(alpha))
         assert used[converged].min() < 256 < used[converged].max()
         assert not converged.all()
         want = [outcome(per_term_lgamma_ml, alpha, z) for z in zs.tolist()]
@@ -233,6 +233,13 @@ class TestAsymptotics:
     def test_e0_formula_at_t_one(self, alpha):
         e0, _ = ml_asymptotics(alpha, -1.0, 1.0)
         assert e0 == pytest.approx(math.exp(-1.0 / math.gamma(1.0 + alpha)), rel=1e-14)
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.0])
+    def test_alpha_domain(self, alpha):
+        # alpha = 1 too: the large-time companion divides by Gamma(0)
+        want = rf"^ml_asymptotics requires alpha in \(0, 1\), got {alpha}$"
+        with pytest.raises(DomainError, match=want):
+            ml_asymptotics(alpha, -1.0, 1.0)
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):
