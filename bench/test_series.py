@@ -9,7 +9,12 @@ the argument checks).  ``evaluate`` sums one node, t = 3, over K = 200
 tables.  Trajectories are sampled on the preset horizon T = 5 at two
 shapes: the paper's (N = 100 steps over K = 120 tables) and the stress
 shape (N = 1000 over K = 200); the nodes' t^alpha are cached per alpha
-and grid, so every round after the first reads them from the cache.  The carrying-capacity series is the
+and grid, so every round after the first reads them from the cache.
+The zero-capacity series' node sums are cached per (table, grid) as
+well: ``test_sample_trajectory`` clears that cache, and only that one,
+before each of its rounds, so it times the summation kernel, and
+``test_sample_trajectory_cached`` times the hit, which scales the cached
+sums and builds the meta.  The carrying-capacity series is the
 solution of the endemic reference rates (beta = 0.7, gamma = 0.05,
 mu = 0.12) over the alpha-Euler table; the zero-capacity series has
 beta = 0.7 over the A-table.  The directory lies outside the test paths,
@@ -24,6 +29,7 @@ from fracsis import coeffs, specfn
 from fracsis.coeffs import MAX_ORDER, a_coeffs, euler_alpha
 from fracsis.model import ModelParams, derive
 from fracsis.series import (
+    _unit_scale_sums,
     carrying_capacity_series,
     evaluate,
     sample_trajectory,
@@ -33,6 +39,9 @@ from fracsis.solvers import TimeGrid
 
 ALPHA = 0.6
 T = 5.0
+#: rounds of the zero-capacity samples that clear the sum cache, by N:
+#: each case takes under a second
+ROUNDS = {100: 1000, 1000: 200}
 
 
 def carrying(K):
@@ -70,5 +79,17 @@ def test_evaluate(benchmark, build):
 @pytest.mark.parametrize("K, N", [(120, 100), (MAX_ORDER, 1000)], ids=["paper", "stress"])
 @pytest.mark.parametrize("build", [carrying, zero_capacity])
 def test_sample_trajectory(benchmark, build, K, N):
-    traj = benchmark(sample_trajectory, build(K), TimeGrid(T, T / N))
+    args = (build(K), TimeGrid(T, T / N))
+    if build is zero_capacity:
+        traj = benchmark.pedantic(
+            sample_trajectory, args, setup=_unit_scale_sums.cache_clear, rounds=ROUNDS[N]
+        )
+    else:
+        traj = benchmark(sample_trajectory, *args)
+    assert traj.u.size == N + 1
+
+
+@pytest.mark.parametrize("K, N", [(120, 100), (MAX_ORDER, 1000)], ids=["paper", "stress"])
+def test_sample_trajectory_cached(benchmark, K, N):
+    traj = benchmark(sample_trajectory, zero_capacity(K), TimeGrid(T, T / N))
     assert traj.u.size == N + 1

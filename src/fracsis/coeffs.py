@@ -148,22 +148,36 @@ def _recurse(alpha: float, K: int, d0: float, keep_linear: bool) -> tuple[float,
     order, and doubled (exact in binary64); ``math.fsum`` rounds their sum
     with the middle square, added once when k is even, correctly, so S_k
     is the same as summing each pair twice.
+
+    From d_0 = 1/2, as :func:`euler_alpha` starts it, the alpha-Euler
+    recursion skips its structural zeros: every even-index entry past d_0
+    vanishes.  At odd k the one non-zero pair is d_0 d_k, which doubled is
+    d_k, so d_{k+1} = r_k (d_k - d_k) = 0.0 with no sum; at even k only
+    the odd-index pairs are formed.  The zero pairs skipped add nothing to
+    an exact sum, so the table is the same bit for bit.
     """
     r = gamma_ratios(alpha)[:K].tolist()
     d = [d0]
-    # d again, as an array: the pairs' second factors d_k..d_{k-h+1} are
-    # its reversed view a[k : k - h : -1]
+    # d again, as an array: the pairs' factors d_i, i = i0, i0 + step, ..
+    # below h, are its view a[i0:h:step], and their partners d_{k-i} the
+    # reversed view of a[k - h + 1 : k + 1 - i0].  With structural zeros
+    # the pairs start at d_1 d_{k-1} and step over the even indices
     a = np.empty(K + 1)
     a[0] = d0
+    zeros = keep_linear and d0 == 0.5
+    i0, step = (1, 2) if zeros else (0, 1)
     for k in range(K):
-        h = (k + 1) // 2
-        p = a[:h] * a[k : k - h : -1]
-        p += p
-        p = p.tolist()
-        if k % 2 == 0:
-            p.append(d[h] * d[h])
-        s = math.fsum(p)
-        d.append(r[k] * ((d[k] - s) if keep_linear else -s))
+        if zeros and k % 2:
+            d.append(0.0)
+        else:
+            h = (k + 1) // 2
+            p = a[i0:h:step] * a[k - h + 1 : k + 1 - i0][::-step]
+            p += p
+            p = p.tolist()
+            if k % 2 == 0:
+                p.append(d[h] * d[h])
+            s = math.fsum(p)
+            d.append(r[k] * ((d[k] - s) if keep_linear else -s))
         a[k + 1] = d[k + 1]
     return tuple(d)
 

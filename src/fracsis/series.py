@@ -21,6 +21,16 @@ series' radius in the trajectory meta, so each run builds its series
 once.  It reads the nodes' t^alpha from the per-(alpha, grid) cache of
 :func:`fracsis.solvers.node_powers`, which ``harness.population_curve``
 shares, so a grid sampled again at a repeated alpha forms no power.
+A series whose ``arg_scale`` is 1, the zero-capacity one, sums the same
+terms for every beta, which enters only through ``scale_c``: its
+unscaled node sums, terms used and ``converged`` flags are cached per
+(coefficient table, grid) under the per-grid policy of
+:mod:`fracsis.solvers` (``_CACHE_SIZE`` entries, grids of at most
+``_CACHE_MAX_N`` steps, read-only arrays).  Each sample scales them by
+1/beta and builds its meta lists afresh.  The carrying-capacity series
+scales its argument by the run's own b, so a cache keyed by table would
+rarely hit and would evict the entries that do: it is summed on every
+sample, as every :func:`evaluate` is.
 
 Evaluation sums the terms ``d_k x^k`` in increasing k; the table already
 carries the Gamma(alpha k + 1) normalisation.  Truncation is set by the
@@ -31,7 +41,7 @@ sustained term growth (``_GROW_STREAK``, ``_GROW_MIN_K``) flips
 ``converged`` off in-band instead of raising.  The sums and both rules
 live in the package's one power-series kernel,
 ``fracsis.specfn._sum_terms``, called with the series table once per
-:func:`evaluate` or :func:`sample_trajectory`.
+:func:`evaluate` and per :func:`sample_trajectory` that misses the cache.
 """
 
 from __future__ import annotations
@@ -52,7 +62,7 @@ from .coeffs import (
 )
 from .errors import DomainError, HypothesisError, InsufficientDataError
 from .model import DerivedParams
-from .solvers import Method, TimeGrid, Trajectory, node_powers
+from .solvers import Method, TimeGrid, Trajectory, _per_grid, _read_only, node_powers
 from .specfn import _sum_terms
 
 __all__ = [
@@ -211,19 +221,29 @@ def rescaled_zero_capacity_series(
 
 
 def _sum_nodes(
-    series: SeriesSolution, powers: np.ndarray
+    table: CoeffTable, arg_scale: float, powers: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Values, terms used and ``converged`` flags at the nodes t >= 0 whose
-    libm powers t**alpha are ``powers`` (:func:`~fracsis.solvers.node_powers`).
+    """Unscaled sums ``sum_k d_k x^k``, terms used and ``converged`` flags at
+    the nodes t >= 0 whose libm powers t**alpha are ``powers``
+    (:func:`~fracsis.solvers.node_powers`), with ``x = arg_scale * t**alpha``.
 
-    t = 0 gives ``scale_c d_0`` from one term, converged: the kernel sums
-    d_0 there exactly, for every table length.
+    t = 0 gives d_0 from one term, converged: the kernel sums d_0 there
+    exactly, for every table length.
     """
-    d = np.asarray(series.coeffs.d)
-    total, used, converged, _ = _sum_terms(series.arg_scale * powers, d)
+    total, used, converged, _ = _sum_terms(arg_scale * powers, np.asarray(table.d))
     at0 = powers == 0.0
     used[at0], converged[at0] = 1, True
-    return series.scale_c * total, used, converged
+    return total, used, converged
+
+
+@_per_grid
+def _unit_scale_sums(
+    table: CoeffTable, grid: TimeGrid
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only :func:`_sum_nodes` of a series with ``arg_scale = 1`` on a
+    grid, cached per (table, grid): the zero-capacity series, whose beta
+    enters only through ``scale_c``."""
+    return tuple(map(_read_only, _sum_nodes(table, 1.0, node_powers(table.alpha, grid))))
 
 
 def evaluate(series: SeriesSolution, t: float) -> EvalResult:
@@ -245,9 +265,12 @@ def evaluate(series: SeriesSolution, t: float) -> EvalResult:
     if t < 0:
         raise DomainError(f"series evaluation requires t >= 0, got {t}")
     theo = series.radius.theoretical
-    u, used, converged = _sum_nodes(series, np.array([float(t) ** series.alpha]))
+    total, used, converged = _sum_nodes(
+        series.coeffs, series.arg_scale, np.array([float(t) ** series.alpha])
+    )
     return EvalResult(
-        float(u[0]), int(used[0]), bool(converged[0]), theo is not None and t > theo
+        float(series.scale_c * total[0]), int(used[0]), bool(converged[0]),
+        theo is not None and t > theo,
     )
 
 
@@ -257,9 +280,18 @@ def sample_trajectory(series: SeriesSolution, grid: TimeGrid) -> Trajectory:
     The meta also records the series' convergence radius under
     ``"radius"`` (``theoretical``, ``empirical``, ``k_used``), so that
     consumers such as the run manifest need not rebuild the series.
+    With ``arg_scale`` 1 the sums come from the per-(table, grid) cache,
+    at the table's alpha, which the series constructors check is the
+    series' own.
     """
     nodes = grid.nodes()
-    u, terms, converged = _sum_nodes(series, node_powers(series.alpha, grid))
+    if series.arg_scale == 1.0:
+        total, terms, converged = _unit_scale_sums(series.coeffs, grid)
+    else:
+        total, terms, converged = _sum_nodes(
+            series.coeffs, series.arg_scale, node_powers(series.alpha, grid)
+        )
+    u = series.scale_c * total
     theo = series.radius.theoretical
     beyond = nodes > theo if theo is not None else np.zeros(nodes.size, dtype=bool)
     converged = converged.tolist()

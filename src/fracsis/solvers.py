@@ -21,13 +21,16 @@ keeps its plans in an LRU cache of :data:`_CACHE_SIZE` = 8 entries (the
 paper's four alphas on its two grids), keyed by alpha and the
 :class:`TimeGrid` (T, dt, N), so a sweep that repeats its alphas builds
 each plan once.  Cached arrays are read-only and the tails are tuples.
-:func:`node_powers` caches the t_n**alpha of a grid the same way.  Only
-grids of N <= :data:`_CACHE_MAX_N` = 1000 steps enter these caches; a
-larger grid builds its plan or powers on every call and keeps nothing.
-At that bound a PECE plan holds about 31 KB, an L1 plan 10 KB and a
-power table 8 KB, so the three caches hold at most about 0.4 MB.  The
-public :func:`pece_kernels` and :func:`l1_kernel` are not cached: each
-call returns fresh, writable arrays.
+:func:`node_powers` caches the t_n**alpha of a grid the same way, and
+:mod:`fracsis.series` its zero-capacity node sums, keyed by coefficient
+table and grid, through the same :func:`_per_grid`.  Only grids of
+N <= :data:`_CACHE_MAX_N` = 1000 steps enter these caches; a larger grid
+builds its plan, powers or sums on every call and keeps nothing.  At
+that bound a PECE plan holds about 31 KB, an L1 plan 10 KB, a power
+table 8 KB and a series' node sums 17 KB, so the four caches hold at
+most about 0.55 MB.  The public :func:`pece_kernels` and
+:func:`l1_kernel` are not cached: each call returns fresh, writable
+arrays.
 
 * :func:`solve_pece` — fractional Adams-Bashforth-Moulton in PECE form.
   The predictor integrates the memory kernel with a product rectangle
@@ -81,25 +84,27 @@ BLOCK = 16
 _MAX_ARRAY_BYTES = np.iinfo(np.intp).max
 #: entries of each per-grid cache: the paper's four alphas on its two grids
 _CACHE_SIZE = 8
-#: the largest N whose plans and node powers are cached.  A plan costs O(N)
-#: against the O(N^2) march it serves, so past here keeping it saves little
-#: and would hold O(N) memory per entry; this bound keeps the caches under
-#: about 0.4 MB in all
+#: the largest N whose plans, node powers and series sums are cached.  A
+#: plan costs O(N) against the O(N^2) march it serves, so past here keeping
+#: it saves little and would hold O(N) memory per entry; this bound keeps
+#: the caches under about 0.55 MB in all
 _CACHE_MAX_N = 1000
 
 
 def _per_grid(build):
-    """``build(alpha, grid)`` behind an LRU cache of ``_CACHE_SIZE`` entries.
+    """``build(key, grid)`` behind an LRU cache of ``_CACHE_SIZE`` entries.
 
-    A grid of more than ``_CACHE_MAX_N`` steps is built for afresh and
+    The key is what the build reads besides the grid: alpha for the
+    plans and node powers here, a coefficient table for the series.  A
+    grid of more than ``_CACHE_MAX_N`` steps is built for afresh and
     nothing is kept.  The wrapper has the ``cache_info`` and
     ``cache_clear`` of the cache; ``__wrapped__`` is ``build``.
     """
     cached = lru_cache(maxsize=_CACHE_SIZE)(build)
 
     @wraps(build)
-    def lookup(alpha, grid):
-        return (cached if grid.N <= _CACHE_MAX_N else build)(alpha, grid)
+    def lookup(key, grid):
+        return (cached if grid.N <= _CACHE_MAX_N else build)(key, grid)
 
     lookup.cache_info, lookup.cache_clear = cached.cache_info, cached.cache_clear
     return lookup

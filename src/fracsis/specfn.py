@@ -244,12 +244,17 @@ def mittag_leffler(alpha: float, z) -> float | np.ndarray:
     ``z`` is a float (giving a float) or an array, summed by one kernel
     call (:func:`_sum_terms`) with a column per z; as even one column
     costs tens of microseconds, pass many points as one array.  Raises
-    :class:`NonConvergenceError`, naming the first z at fault and its last
-    term, if the stopping rule has not fired within ``_MAX_TERMS`` terms.
+    :class:`DomainError`, naming the first non-finite z, before any sum,
+    and :class:`NonConvergenceError`, naming the first z at fault and its
+    last term, if the stopping rule has not fired within ``_MAX_TERMS``
+    terms.
     """
     if not 0 < alpha <= 1:
         raise DomainError(f"mittag_leffler requires alpha in (0, 1], got {alpha}")
     zs = np.asarray(z, dtype=float)
+    bad = np.flatnonzero(~np.isfinite(zs))
+    if bad.size:
+        raise DomainError(f"mittag_leffler requires a finite z, got z={float(zs.flat[bad[0]])}")
     total, _, converged, last = _sum_terms(zs.ravel(), r=gamma_ratios(alpha))
     if not converged.all():
         i = int(converged.argmin())
@@ -269,10 +274,15 @@ def ml_asymptotics(alpha: float, lam_minus_mu: float, t: float) -> tuple[float, 
         einf = t^(-alpha) / (|r| Gamma(1 - alpha))        (t -> infinity regime)
 
     The ratio E_alpha(r t^alpha) / e0 tends to 1 as t -> 0 and
-    E_alpha(r t^alpha) / einf tends to 1 as t -> infinity.
+    E_alpha(r t^alpha) / einf tends to 1 as t -> infinity.  A non-finite
+    rate or t is refused.
     """
     if not 0 < alpha < 1:
         raise DomainError(f"ml_asymptotics requires alpha in (0, 1), got {alpha}")
+    if not (math.isfinite(lam_minus_mu) and math.isfinite(t)):
+        raise DomainError(
+            f"ml_asymptotics requires a finite lam - mu and t, got {lam_minus_mu} and {t}"
+        )
     if lam_minus_mu > 0:
         raise DomainError(
             f"asymptotic pair defined for lam - mu <= 0, got {lam_minus_mu}"

@@ -441,6 +441,16 @@ class TestTableCache:
             assert np.array(got).tobytes() == np.array(want).tobytes(), (alpha, K, d0, linear)
             assert all(type(v) is float for v in got)
 
+    def test_euler_tables_skip_only_zero_pairs(self):
+        # from d_0 = 1/2 the recursion forms no pair with an even index past
+        # 0, and still gives every order the pairwise recursion's table
+        rng = np.random.default_rng(29)
+        for alpha in [1.0, *rng.uniform(0.01, 1.0, 400).tolist()]:
+            want = np.array(pairwise_recursion(alpha, MAX_ORDER, 0.5, True))
+            for K in (0, 1, 2, 3, 4, 120, MAX_ORDER):
+                got = coeffs._recurse.__wrapped__(alpha, K, 0.5, True)
+                assert np.array(got).tobytes() == want[: K + 1].tobytes(), (alpha, K)
+
     def test_a0_is_in_the_key(self):
         for a0 in (0.25, 0.5, 0.25):
             assert a_coeffs(0.5, 3, a0=a0).d == generator_recursion(0.5, 3, a0, False)

@@ -8,7 +8,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from fracsis import cli, specfn
+from fracsis import cli, solvers, specfn
 from fracsis.coeffs import (
     MAX_ORDER,
     CoeffKind,
@@ -25,6 +25,7 @@ from fracsis.series import (
     EvalResult,
     SeriesSolution,
     _sum_nodes,
+    _unit_scale_sums,
     carrying_capacity_series,
     evaluate,
     rescaled_zero_capacity_series,
@@ -397,7 +398,7 @@ class TestSegmentBoundaries:
         for name, d, used in boundary_cases(edge):
             sol = table_series(d)
             assert scalar_evaluate(sol, 1.0).terms_used == used, name
-            u, terms, converged = _sum_nodes(sol, ts)  # at alpha = 1, t**alpha is t
+            u, terms, converged = _sum_nodes(sol.coeffs, sol.arg_scale, ts)  # t**1 is t
             for i, t in enumerate(ts.tolist()):
                 want = scalar_evaluate(sol, t)
                 assert_same(EvalResult(float(u[i]), int(terms[i]), bool(converged[i]),
@@ -439,6 +440,7 @@ class TestNoRebuild:
         grid = TimeGrid(0.4, 0.0005)
         x = [sol.arg_scale * t**sol.alpha for t in grid.nodes().tolist()]
         used = sample_trajectory(sol, grid).meta["terms_used"]
+        _unit_scale_sums.cache_clear()  # else the spied call is a cache hit
         built = self.segments(monkeypatch, lambda: sample_trajectory(sol, grid))
         self.assert_contiguous(built, dict(zip(x, used)))
 
@@ -570,9 +572,97 @@ class TestZeroCapacityAtMaxOrder:
 
 def test_series_and_population_share_one_node_power_table():
     node_powers.cache_clear()
+    _unit_scale_sums.cache_clear()
     grid = TimeGrid(5.0, 0.05)
     sample_trajectory(carrying(0.6, 120), grid)
     population_curve(0.6, 0.2, 0.12, 1.0, grid)
     sample_trajectory(zero_capacity(0.6, 120), grid)
     info = node_powers.cache_info()
     assert (info.misses, info.hits) == (1, 2)
+
+
+def sample_fields(traj):
+    """u and the per-node meta flags of a trajectory, as bytes."""
+    meta = traj.meta
+    return [np.asarray(x).tobytes() for x in (
+        traj.u, meta["terms_used"], meta["converged"], meta["beyond_theoretical_radius"])]
+
+
+class TestSumCache:
+    """Zero-capacity node sums: read-only, keyed by table and grid, bounded,
+    scaled by each run's 1/beta."""
+
+    @pytest.fixture(autouse=True)
+    def cold(self):
+        _unit_scale_sums.cache_clear()
+
+    @pytest.fixture
+    def kernel_calls(self, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].size)
+            return specfn._sum_terms(*args, **kwargs)
+
+        monkeypatch.setattr("fracsis.series._sum_terms", counted)
+        return calls
+
+    def test_cached_arrays_refuse_writes(self):
+        for x in _unit_scale_sums(a_coeffs(0.7, 40), TimeGrid(5.0, 0.05)):
+            with pytest.raises(ValueError, match="read-only"):
+                x[0] = 1
+
+    def test_two_betas_cost_one_kernel_call_and_equal_uncached_runs(
+        self, kernel_calls, monkeypatch
+    ):
+        table, grid = a_coeffs(0.6, 120), TimeGrid(1.0, 0.01)
+        betas = (0.7, 1.3, 0.7)
+        got = [sample_trajectory(zero_capacity_series(b, 0.6, table), grid) for b in betas]
+        assert kernel_calls == [grid.N + 1]
+        assert got[0].u.tobytes() != got[1].u.tobytes()
+        monkeypatch.setattr(solvers, "_CACHE_MAX_N", 0)  # no grid is cached
+        want = [sample_trajectory(zero_capacity_series(b, 0.6, table), grid) for b in betas]
+        assert len(kernel_calls) == 1 + len(betas)
+        assert [sample_fields(t) for t in got] == [sample_fields(t) for t in want]
+        assert [t.meta for t in got] == [t.meta for t in want]
+
+    def test_unit_scale_sums_are_the_uncached_build(self):
+        table, grid = a_coeffs(0.45, MAX_ORDER), TimeGrid(1.0, 1.0 / 37)
+        got = _unit_scale_sums(table, grid)
+        want = _unit_scale_sums.__wrapped__(table, grid)
+        assert [x.tobytes() for x in got] == [x.tobytes() for x in want]
+
+    @pytest.mark.parametrize("build", [carrying, rescaled])
+    def test_scaled_arguments_never_enter_the_cache(self, build, kernel_calls):
+        sample_trajectory(zero_capacity(0.6, 40), TimeGrid(5.0, 0.05))
+        for _ in range(2):
+            sample_trajectory(build(0.6, 40), TimeGrid(5.0, 0.05))
+        assert _unit_scale_sums.cache_info().currsize == 1
+        assert len(kernel_calls) == 3
+
+    def test_grids_past_the_bound_keep_nothing(self, kernel_calls):
+        grid = TimeGrid(1.0, 1.0 / (solvers._CACHE_MAX_N + 1))
+        for _ in range(2):
+            sample_trajectory(zero_capacity(0.6, 40), grid)
+        assert _unit_scale_sums.cache_info().currsize == 0
+        assert len(kernel_calls) == 2
+
+    def test_bounded_and_equal_after_eviction(self):
+        grid = TimeGrid(1.0, 0.01)
+        alphas = [0.3 + 0.05 * i for i in range(solvers._CACHE_SIZE + 4)]
+        first = sample_fields(sample_trajectory(zero_capacity(alphas[0], 60), grid))
+        for alpha in alphas:
+            sample_trajectory(zero_capacity(alpha, 60), grid)
+        assert _unit_scale_sums.cache_info().currsize == solvers._CACHE_SIZE
+        assert sample_fields(sample_trajectory(zero_capacity(alphas[0], 60), grid)) == first
+
+    def test_runs_own_their_meta(self):
+        sol, grid = zero_capacity(0.6, 120), TimeGrid(5.0, 0.05)
+        first = sample_trajectory(sol, grid)
+        flags, terms = list(first.meta["converged"]), list(first.meta["terms_used"])
+        first.meta["converged"][0] = "changed"
+        first.meta["terms_used"][0] = -1
+        first.u[0] = -1.0
+        second = sample_trajectory(sol, grid)
+        assert second.meta["converged"] == flags and second.meta["terms_used"] == terms
+        assert second.u[0] == 1.0 / 1.4

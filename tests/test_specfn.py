@@ -85,6 +85,21 @@ class TestMittagLeffler:
     def test_zero_argument_exact(self, alpha):
         assert mittag_leffler(alpha, 0.0) == 1.0
 
+    @pytest.mark.parametrize(
+        "z, named",
+        [(math.nan, "nan"), (math.inf, "inf"), (-math.inf, "-inf"),
+         ([0.5, -1.0, math.nan, math.inf], "nan"), (np.full((2, 2), -math.inf), "-inf")],
+        ids=["nan", "inf", "-inf", "first-of-array", "2d"],
+    )
+    def test_non_finite_z_refused_before_summing(self, z, named, monkeypatch):
+        def no_sum(*args, **kwargs):
+            raise AssertionError("summed a non-finite z")
+
+        monkeypatch.setattr(specfn, "_sum_terms", no_sum)
+        want = rf"^mittag_leffler requires a finite z, got z={named}$"
+        with pytest.raises(DomainError, match=want):
+            mittag_leffler(0.5, z)
+
     def test_order_one_is_exp(self):
         assert mittag_leffler(1.0, 1.0) == pytest.approx(math.e, abs=1e-12)
         for z in np.linspace(-5.0, 5.0, 41):
@@ -248,3 +263,11 @@ class TestAsymptotics:
             ml_asymptotics(0.5, -1.0, 0.0)  # t <= 0
         with pytest.raises(DomainError):
             ml_asymptotics(0.5, 0.0, 1.0)  # lam == mu: einf undefined
+
+    @pytest.mark.parametrize(
+        "rate, t", [(math.nan, 1.0), (-math.inf, 1.0), (math.inf, 1.0), (-1.0, math.inf),
+                    (-1.0, math.nan)],
+    )
+    def test_non_finite_rate_or_t_refused(self, rate, t):
+        with pytest.raises(DomainError, match="^ml_asymptotics requires a finite lam - mu and t"):
+            ml_asymptotics(0.5, rate, t)
