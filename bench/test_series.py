@@ -54,7 +54,7 @@ def zero_capacity(K):
 
 
 def clear_caches():
-    coeffs._recurse.cache_clear()
+    coeffs._table.cache_clear()
     specfn.gamma_ratios.cache_clear()
 
 

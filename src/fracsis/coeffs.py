@@ -25,16 +25,13 @@ entry beyond binary64.  The module also provides the guaranteed
 convergence radii of both series and an empirical root-test estimate from
 a finite coefficient table.
 
-Tables are cached per (alpha, K, d0, kind) in a bounded LRU cache of 32
-entries (about 0.2 MB at :data:`MAX_ORDER`), as ``specfn.gamma_ratios``
-is, so a sweep that repeats its alphas builds each table once.  The cache
-sits below :func:`euler_alpha` and :func:`a_coeffs`, so their argument
-checks run on every call, and it holds immutable tuples, which callers
-share safely.  The part of :func:`empirical_radius` that reads only the
-table (its tail maximum, window and count of non-vanishing entries) is
-cached per table tuple ``d`` in a second LRU cache of 32 entries; the
-key tuples are mostly those the table cache holds already, and at most
-about 0.2 MB more.  Each call still checks its ``b_scale`` and applies it.
+Tables are cached per (alpha, K, d0, kind) under the package's one
+cache policy (:mod:`fracsis._cache`), below :func:`euler_alpha` and
+:func:`a_coeffs`, so their argument checks run on every call and a
+repeated call returns the same frozen table.  The part of
+:func:`empirical_radius` that reads only the table (its tail maximum,
+window and count of non-vanishing entries) is computed once per table
+object; each call still checks its ``b_scale`` and applies it.
 """
 
 from __future__ import annotations
@@ -42,11 +39,12 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Optional
 
 import numpy as np
 
+from ._cache import _CACHE_SIZE
 from .errors import (
     DomainError,
     HypothesisError,
@@ -85,7 +83,8 @@ class CoeffKind(enum.Enum):
 class CoeffTable:
     """A finite prefix ``d[0..K]`` of a normalised coefficient sequence.
 
-    ``d[k] = c_k / Gamma(alpha k + 1)``; ``d[0] = c_0``.
+    ``d[k] = c_k / Gamma(alpha k + 1)``; ``d[0] = c_0``.  The root test
+    of :func:`empirical_radius` is kept on the table, out of its fields.
     """
 
     alpha: float
@@ -114,6 +113,11 @@ class CoeffTable:
                 ) from None
         return tuple(vals)
 
+    @cached_property
+    def _root(self) -> tuple[float, int, int]:
+        """:func:`_root_test` of ``d``, computed once per table object."""
+        return _root_test(self.d)
+
 
 @dataclass(frozen=True)
 class RadiusEstimate:
@@ -137,7 +141,6 @@ def _check_order(K: int) -> None:
         raise DomainError(f"table order capped at {MAX_ORDER}, got {K}")
 
 
-@lru_cache(maxsize=32)
 def _recurse(alpha: float, K: int, d0: float, keep_linear: bool) -> tuple[float, ...]:
     """Shared quadratic-convolution recursion for both normalised sequences.
 
@@ -182,12 +185,18 @@ def _recurse(alpha: float, K: int, d0: float, keep_linear: bool) -> tuple[float,
     return tuple(d)
 
 
+@lru_cache(maxsize=_CACHE_SIZE)
+def _table(alpha: float, K: int, d0: float, kind: CoeffKind) -> CoeffTable:
+    """The table of :func:`_recurse`, cached per (alpha, K, d0, kind)."""
+    return CoeffTable(alpha, kind, _recurse(alpha, K, d0, kind is CoeffKind.EULER_ALPHA))
+
+
 def euler_alpha(alpha: float, K: int) -> CoeffTable:
     """alpha-Euler numbers E_0..E_K for the carrying-capacity series."""
     if not 0 < alpha <= 1:
         raise DomainError(f"euler_alpha requires alpha in (0, 1], got {alpha}")
     _check_order(K)
-    return CoeffTable(alpha, CoeffKind.EULER_ALPHA, _recurse(alpha, K, 0.5, True))
+    return _table(alpha, K, 0.5, CoeffKind.EULER_ALPHA)
 
 
 def a_coeffs(alpha: float, K: int, a0: float = 0.5) -> CoeffTable:
@@ -202,7 +211,7 @@ def a_coeffs(alpha: float, K: int, a0: float = 0.5) -> CoeffTable:
     if not 0 < a0 < 1:
         raise DomainError(f"a_coeffs requires a0 in (0, 1), got {a0}")
     _check_order(K)
-    return CoeffTable(alpha, CoeffKind.A_COEFF, _recurse(alpha, K, a0, False))
+    return _table(alpha, K, a0, CoeffKind.A_COEFF)
 
 
 def carrying_capacity_hypothesis(b: float) -> bool:
@@ -267,7 +276,7 @@ def empirical_radius(table: CoeffTable, b_scale: float = 1.0) -> RadiusEstimate:
     """
     if not b_scale > 0:
         raise DomainError(f"b_scale must be positive, got {b_scale}")
-    best, lo, bearing = _root_test(table.d)
+    best, lo, bearing = table._root
     K = table.order
     if bearing < _MIN_ROOT_TEST or K < _MIN_ROOT_TEST:
         raise InsufficientDataError(
@@ -282,7 +291,6 @@ def empirical_radius(table: CoeffTable, b_scale: float = 1.0) -> RadiusEstimate:
     return RadiusEstimate(empirical=radius, k_used=K + 1 - lo)
 
 
-@lru_cache(maxsize=32)
 def _root_test(d: tuple[float, ...]) -> tuple[float, int, int]:
     """The part of :func:`empirical_radius` that reads only the table ``d``.
 

@@ -126,10 +126,13 @@ def classical_sis(params: ModelParams, t):
     For c != 0 this is the logistic curve
     ``I = c / (1 + (c/I0 - 1) e^{-b t})``; for c == 0 the separable
     solution ``I = I0 / (1 + beta I0 t)``.  Accepts scalars or arrays.
+    A negative or NaN t is refused; t = inf gives the limit (c, or 0 at
+    c = 0).
     """
     t = np.asarray(t, dtype=float)
-    if np.any(t < 0):
-        raise DomainError("classical_sis requires t >= 0")
+    bad = t[~(t >= 0)]
+    if bad.size:
+        raise DomainError(f"classical_sis requires t >= 0, got t={float(bad[0])}")
     d = derive(params)
     i0 = params.i0
     if d.c != 0.0:

@@ -24,10 +24,9 @@ shares, so a grid sampled again at a repeated alpha forms no power.
 A series whose ``arg_scale`` is 1, the zero-capacity one, sums the same
 terms for every beta, which enters only through ``scale_c``: its
 unscaled node sums, terms used and ``converged`` flags are cached per
-(coefficient table, grid) under the per-grid policy of
-:mod:`fracsis.solvers` (``_CACHE_SIZE`` entries, grids of at most
-``_CACHE_MAX_N`` steps, read-only arrays).  Each sample scales them by
-1/beta and builds its meta lists afresh.  The carrying-capacity series
+(coefficient table, grid) under the package's one cache policy
+(:mod:`fracsis._cache`).  Each sample scales them by 1/beta and builds
+its meta lists afresh.  The carrying-capacity series
 scales its argument by the run's own b, so a cache keyed by table would
 rarely hit and would evict the entries that do: it is summed on every
 sample, as every :func:`evaluate` is.
@@ -52,6 +51,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from ._cache import _per_grid, _read_only
 from .coeffs import (
     CoeffKind,
     CoeffTable,
@@ -62,7 +62,7 @@ from .coeffs import (
 )
 from .errors import DomainError, HypothesisError, InsufficientDataError
 from .model import DerivedParams
-from .solvers import Method, TimeGrid, Trajectory, _per_grid, _read_only, node_powers
+from .solvers import Method, TimeGrid, Trajectory, node_powers
 from .specfn import _sum_terms
 
 __all__ = [

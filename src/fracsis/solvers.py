@@ -17,20 +17,11 @@ either cost more than the step's arithmetic.
 
 What a march needs that depends only on alpha and the grid is its plan:
 the lag kernel, the weight tails and the scalar constants.  Each scheme
-keeps its plans in an LRU cache of :data:`_CACHE_SIZE` = 8 entries (the
-paper's four alphas on its two grids), keyed by alpha and the
-:class:`TimeGrid` (T, dt, N), so a sweep that repeats its alphas builds
-each plan once.  Cached arrays are read-only and the tails are tuples.
-:func:`node_powers` caches the t_n**alpha of a grid the same way, and
-:mod:`fracsis.series` its zero-capacity node sums, keyed by coefficient
-table and grid, through the same :func:`_per_grid`.  Only grids of
-N <= :data:`_CACHE_MAX_N` = 1000 steps enter these caches; a larger grid
-builds its plan, powers or sums on every call and keeps nothing.  At
-that bound a PECE plan holds about 31 KB, an L1 plan 10 KB, a power
-table 8 KB and a series' node sums 17 KB, so the four caches hold at
-most about 0.55 MB.  The public :func:`pece_kernels` and
-:func:`l1_kernel` are not cached: each call returns fresh, writable
-arrays.
+keeps its plans per (alpha, :class:`TimeGrid`), as :func:`node_powers`
+keeps the t_n**alpha of a grid, under the package's one cache policy
+(:mod:`fracsis._cache`): a sweep that repeats its alphas builds each plan
+once.  The public :func:`pece_kernels` and :func:`l1_kernel` are not
+cached: each call returns fresh, writable arrays.
 
 * :func:`solve_pece` — fractional Adams-Bashforth-Moulton in PECE form.
   The predictor integrates the memory kernel with a product rectangle
@@ -52,12 +43,12 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache, wraps
 from operator import mul
 from typing import Callable, NamedTuple
 
 import numpy as np
 
+from ._cache import _per_grid, _read_only
 from .errors import DomainError, NumericOverflowError, ValidationError
 
 __all__ = [
@@ -82,32 +73,6 @@ __all__ = [
 BLOCK = 16
 #: numpy's largest array, in bytes; read once, as ``np.iinfo`` costs microseconds
 _MAX_ARRAY_BYTES = np.iinfo(np.intp).max
-#: entries of each per-grid cache: the paper's four alphas on its two grids
-_CACHE_SIZE = 8
-#: the largest N whose plans, node powers and series sums are cached.  A
-#: plan costs O(N) against the O(N^2) march it serves, so past here keeping
-#: it saves little and would hold O(N) memory per entry; this bound keeps
-#: the caches under about 0.55 MB in all
-_CACHE_MAX_N = 1000
-
-
-def _per_grid(build):
-    """``build(key, grid)`` behind an LRU cache of ``_CACHE_SIZE`` entries.
-
-    The key is what the build reads besides the grid: alpha for the
-    plans and node powers here, a coefficient table for the series.  A
-    grid of more than ``_CACHE_MAX_N`` steps is built for afresh and
-    nothing is kept.  The wrapper has the ``cache_info`` and
-    ``cache_clear`` of the cache; ``__wrapped__`` is ``build``.
-    """
-    cached = lru_cache(maxsize=_CACHE_SIZE)(build)
-
-    @wraps(build)
-    def lookup(key, grid):
-        return (cached if grid.N <= _CACHE_MAX_N else build)(key, grid)
-
-    lookup.cache_info, lookup.cache_clear = cached.cache_info, cached.cache_clear
-    return lookup
 
 
 @dataclass(frozen=True)
@@ -141,11 +106,6 @@ class TimeGrid:
 
     def nodes(self) -> np.ndarray:
         return np.arange(self.N + 1) * self.dt
-
-
-def _read_only(x: np.ndarray) -> np.ndarray:
-    x.flags.writeable = False
-    return x
 
 
 @_per_grid
@@ -309,6 +269,11 @@ def l1_kernel(alpha: float, N: int) -> np.ndarray:
     return g
 
 
+def _l1_gain(alpha: float, dt: float) -> float:
+    """The L1 scheme's gain Gamma(2-alpha) dt^alpha."""
+    return math.gamma(2.0 - alpha) * dt**alpha
+
+
 class _L1Plan(NamedTuple):
     """What an L1 march needs of (alpha, grid): the kernel of
     :func:`l1_kernel`, its weight tails and the gain Gamma(2-alpha) dt^alpha."""
@@ -325,7 +290,7 @@ def _l1_plan(alpha: float, grid: TimeGrid) -> _L1Plan:
     # of the increments du_s..du_{s+j-1}
     gl = g[: min(BLOCK, grid.N)].tolist()
     wg = tuple(tuple(gl[j:0:-1]) for j in range(len(gl)))
-    return _L1Plan(g, wg, math.gamma(2.0 - alpha) * grid.dt**alpha)
+    return _L1Plan(g, wg, _l1_gain(alpha, grid.dt))
 
 
 def solve_l1(
@@ -373,13 +338,16 @@ def discrete_caputo_l1(u, alpha: float, dt: float) -> np.ndarray:
     with g from :func:`l1_kernel`, as one FFT product of the increments
     with g, zero-padded to 2n so that the circular product holds the
     linear convolution.  Annihilates constants exactly (zero increments
-    transform to zeros) and is linear in u.
+    transform to zeros) and is linear in u.  A step dt that is not
+    positive and finite is refused.
     """
     u = np.asarray(u, dtype=float)
     if u.ndim != 1 or u.size < 2:
         raise DomainError("discrete_caputo_l1 needs a 1-D sequence of length >= 2")
+    if not (dt > 0 and math.isfinite(dt)):
+        raise DomainError(f"discrete_caputo_l1 requires a positive, finite dt, got dt={dt}")
     n = u.size - 1
     g = l1_kernel(alpha, n)
-    scale = 1.0 / (math.gamma(2.0 - alpha) * dt**alpha)
+    scale = 1.0 / _l1_gain(alpha, dt)
     m = 2 * n
     return scale * np.fft.irfft(np.fft.rfft(np.diff(u), m) * np.fft.rfft(g, m), m)[:n]

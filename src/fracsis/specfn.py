@@ -12,7 +12,8 @@ of E_a(-|r| t^a) are exposed separately rather than auto-switched.
 Every series of the package is normalised by Gamma(a k + 1):
 :func:`log_gamma_orders` is the one source of those log-Gammas, and
 :func:`gamma_ratios` the one table per alpha of the ``_MAX_TERMS - 1``
-ratios Gamma(a k + 1) / Gamma(a k + a + 1).  They step the terms of
+ratios Gamma(a k + 1) / Gamma(a k + a + 1), cached under the package's
+one cache policy (:mod:`fracsis._cache`).  They step the terms of
 :func:`mittag_leffler`, and their prefixes the recursions of
 :mod:`fracsis.coeffs`, whose tables then carry the normalisation.
 
@@ -48,6 +49,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from ._cache import _CACHE_SIZE, _read_only
 from .errors import DomainError, NonConvergenceError
 
 __all__ = [
@@ -87,7 +89,13 @@ _CHUNK = 256
 #: Zero-capacity nodes stop after 21 to 38 terms on average.  At 16 / 32
 #: / 64 rows the 1001-node K = 200 zero-capacity sample took 1.09 / 1.21
 #: / 1.50 ms, and the carrying one at the paper's 101 nodes and K = 120
-#: 0.35 / 0.29 / 0.27 ms
+#: 0.35 / 0.29 / 0.27 ms.  The extension keeps both halves of
+#: ``max(hi, _FIRST_ROWS * _CHUNK // open)``, as each wins on some input:
+#: against both, the cell floor alone (bit-identical sums; medians of 25
+#: alternating rounds, two runs) changed the times of the paper- and
+#: stress-shape series and N(t) samples by -4% to +3%, and of 1001-node
+#: E_alpha sums by -16% / -19% at alpha = 0.5, z = -2.5 t^0.5, but by
+#: +7% / +10% at alpha = 0.9, z = -5 t^0.9
 _FIRST_ROWS = 32
 
 
@@ -96,13 +104,11 @@ def log_gamma_orders(alpha: float, K: int) -> list[float]:
     return [math.lgamma(alpha * k + 1.0) for k in range(K + 1)]
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=_CACHE_SIZE)
 def gamma_ratios(alpha: float) -> np.ndarray:
     """Read-only r[k] = Gamma(alpha k + 1) / Gamma(alpha k + alpha + 1), k < _MAX_TERMS - 1."""
     lg = log_gamma_orders(alpha, _MAX_TERMS - 1)
-    r = np.array([math.exp(lg[k - 1] - lg[k]) for k in range(1, _MAX_TERMS)])
-    r.flags.writeable = False
-    return r
+    return _read_only(np.array([math.exp(lg[k - 1] - lg[k]) for k in range(1, _MAX_TERMS)]))
 
 
 def _term_matrix(

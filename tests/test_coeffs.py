@@ -2,6 +2,7 @@
 
 import math
 import operator
+from dataclasses import asdict
 from fractions import Fraction
 
 import mpmath
@@ -336,20 +337,39 @@ class TestEmpiricalRadius:
         with pytest.raises(InsufficientDataError):  # again, from the cached root test
             empirical_radius(a_coeffs(0.5, 12), 1.0)
 
-    def test_cached_root_test_is_the_loop_bit_for_bit(self):
+    def test_cached_root_test_is_the_loop_bit_for_bit(self, monkeypatch):
         rng = np.random.default_rng(29)
-        coeffs._root_test.cache_clear()
+        root_test, calls = coeffs._root_test, []
+
+        def counted(d):
+            calls.append(d)
+            return root_test(d)
+
+        monkeypatch.setattr(coeffs, "_root_test", counted)
+        coeffs._table.cache_clear()  # no table object has its root test yet
         tables = [euler_alpha(0.7, 120), a_coeffs(0.3, MAX_ORDER), a_coeffs(0.99, 20)]
-        for _ in range(25):  # 28 tables: all fit in the 32-entry cache
+        for _ in range(25):  # 28 tables
             alpha = float(rng.uniform(0.05, 1.0))
             build = euler_alpha if rng.integers(2) else a_coeffs
             tables.append(build(alpha, int(rng.integers(40, MAX_ORDER + 1))))
-        for table in tables + tables:  # misses, then hits
+        for table in tables + tables:  # computed at first use, then kept on the table
             for b in (1.0, float(rng.uniform(0.01, 0.99)), 1e-300):
                 est = empirical_radius(table, b)
                 assert (est.empirical, est.k_used) == loop_radius(table, b)
-        info = coeffs._root_test.cache_info()
-        assert (info.misses, info.hits) == (len(tables), 5 * len(tables))
+        assert len(calls) == len(tables)
+        for table in tables:  # a hand-built table computes its own, the same triple
+            twin = CoeffTable(table.alpha, table.kind, table.d)
+            assert twin is not table and twin._root == table._root
+        assert len(calls) == 2 * len(tables)
+
+    def test_root_test_is_not_a_field(self):
+        table = a_coeffs(0.6, 40)
+        twin = CoeffTable(table.alpha, table.kind, table.d)
+        empirical_radius(table)
+        assert "_root" in vars(table) and "_root" not in vars(twin)
+        assert table == twin and hash(table) == hash(twin) and repr(table) == repr(twin)
+        assert asdict(table) == asdict(twin) == {"alpha": 0.6, "kind": CoeffKind.A_COEFF,
+                                                 "d": table.d}
 
     def test_domain(self):
         with pytest.raises(DomainError):
@@ -420,13 +440,21 @@ class TestTableCache:
         with pytest.raises(DomainError):
             build(*args)
 
+    @pytest.mark.parametrize("build", [euler_alpha, a_coeffs], ids=KIND_IDS)
+    def test_repeated_call_returns_the_same_table(self, build):
+        table = build(0.7, 120)
+        assert build(0.7, 120) is table
+        assert build(0.7, 121) is not table
+        with pytest.raises(AttributeError):
+            table.d = ()
+
     @pytest.mark.parametrize("build, linear", KINDS, ids=KIND_IDS)
     def test_cached_table_is_the_recursion_bit_for_bit(self, build, linear):
         build(0.7, 120)
-        hits = coeffs._recurse.cache_info().hits
+        hits = coeffs._table.cache_info().hits
         got = build(0.7, 120).d
-        assert coeffs._recurse.cache_info().hits == hits + 1
-        want = coeffs._recurse.__wrapped__(0.7, 120, 0.5, linear)
+        assert coeffs._table.cache_info().hits == hits + 1
+        want = coeffs._recurse(0.7, 120, 0.5, linear)
         assert np.array(got).tobytes() == np.array(want).tobytes()
 
     def test_numpy_products_are_the_pairwise_recursion_bit_for_bit(self):
@@ -436,7 +464,7 @@ class TestTableCache:
             draws.append((float(rng.uniform(0.01, 1.0)), int(rng.integers(0, MAX_ORDER + 1)),
                           float(rng.uniform(0.001, 0.999)), bool(rng.integers(2))))
         for alpha, K, d0, linear in draws:
-            got = coeffs._recurse.__wrapped__(alpha, K, d0, linear)
+            got = coeffs._recurse(alpha, K, d0, linear)
             want = pairwise_recursion(alpha, K, d0, linear)
             assert np.array(got).tobytes() == np.array(want).tobytes(), (alpha, K, d0, linear)
             assert all(type(v) is float for v in got)
@@ -448,7 +476,7 @@ class TestTableCache:
         for alpha in [1.0, *rng.uniform(0.01, 1.0, 400).tolist()]:
             want = np.array(pairwise_recursion(alpha, MAX_ORDER, 0.5, True))
             for K in (0, 1, 2, 3, 4, 120, MAX_ORDER):
-                got = coeffs._recurse.__wrapped__(alpha, K, 0.5, True)
+                got = coeffs._recurse(alpha, K, 0.5, True)
                 assert np.array(got).tobytes() == want[: K + 1].tobytes(), (alpha, K)
 
     def test_a0_is_in_the_key(self):
@@ -459,7 +487,7 @@ class TestTableCache:
     def test_one_ratio_table_per_alpha(self):
         # both kinds at MAX_ORDER and an E_alpha sum of 363 terms read
         # prefixes of one ratio table
-        coeffs._recurse.cache_clear()
+        coeffs._table.cache_clear()
         specfn.gamma_ratios.cache_clear()
         euler_alpha(0.5123, MAX_ORDER)
         a_coeffs(0.5123, MAX_ORDER)
@@ -471,7 +499,7 @@ class TestTableCache:
         assert specfn.gamma_ratios.cache_info().currsize == 1
 
     def test_cache_is_bounded(self):
-        maxsize = coeffs._recurse.cache_info().maxsize
+        maxsize = coeffs._table.cache_info().maxsize
         for alpha in np.linspace(0.1, 0.9, maxsize + 5):
             euler_alpha(float(alpha), 10)
-        assert coeffs._recurse.cache_info().currsize <= maxsize
+        assert coeffs._table.cache_info().currsize <= maxsize

@@ -345,16 +345,16 @@ class TestEmit:
         def tree(root):
             return {p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()}
 
-        coeffs._recurse.cache_clear()
+        coeffs._table.cache_clear()
         specfn.gamma_ratios.cache_clear()
         trees = []
         for side in ("cold", "warm"):
             (tmp_path / side).mkdir()
             monkeypatch.chdir(tmp_path / side)
-            misses = coeffs._recurse.cache_info().misses
+            misses = coeffs._table.cache_info().misses
             suite(out=Path("out"), formats=("csv", "json", "svg"))
             trees.append(tree(tmp_path / side))
-        assert coeffs._recurse.cache_info().misses == misses  # the warm run built no table
+        assert coeffs._table.cache_info().misses == misses  # the warm run built no table
         assert trees[0] == trees[1]
 
     def test_svg_output(self, tmp_path):

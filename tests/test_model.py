@@ -237,6 +237,17 @@ class TestClassicalSis:
         with pytest.raises(DomainError):
             classical_sis(params(), -0.1)
 
+    @pytest.mark.parametrize("t", [math.nan, np.array([0.0, 1.0, math.nan])], ids=["scalar", "array"])
+    def test_nan_time_rejected(self, t):
+        with pytest.raises(DomainError, match=r"t >= 0, got t=nan$"):
+            classical_sis(params(), t)
+
+    def test_infinite_time_is_the_limit(self):
+        p = params()
+        assert classical_sis(p, math.inf) == (derive(p).c, 1.0 - derive(p).c)
+        p0 = ModelParams(alpha=1.0, i0=0.3, **P_SIGMA1)
+        assert classical_sis(p0, math.inf) == (0.0, 1.0)
+
 
 class TestLogisticRhs:
     def test_equilibria(self):

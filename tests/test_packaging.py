@@ -32,3 +32,42 @@ def test_exports_match_module_all():
             assert alias.name in module.__all__, (node.module, alias.name)
         for name in module.__all__:
             assert hasattr(module, name), (node.module, name)
+
+
+def modules():
+    """Every module of the package but ``__main__``, which runs the CLI."""
+    root = Path(fracsis.__file__).parent
+    return [importlib.import_module(f"fracsis.{p.stem}")
+            for p in sorted(root.glob("*.py")) if p.stem not in ("__init__", "__main__")]
+
+
+def test_every_cache_has_the_one_bound():
+    from fracsis._cache import _CACHE_SIZE
+
+    bounds = {}
+    for module in modules():
+        scopes = [module, *(c for c in vars(module).values()
+                            if isinstance(c, type) and c.__module__ == module.__name__)]
+        for scope in scopes:
+            for name, obj in vars(scope).items():
+                if callable(getattr(obj, "cache_info", None)) and obj.__module__ == module.__name__:
+                    bounds[f"{module.__name__}.{name}"] = obj.cache_info().maxsize
+    # the parser takes no argument: its cache holds one value
+    assert bounds.pop("fracsis.cli.build_parser") is None
+    assert bounds == dict.fromkeys([
+        "fracsis.coeffs._table", "fracsis.series._unit_scale_sums",
+        "fracsis.solvers._l1_plan", "fracsis.solvers._pece_plan",
+        "fracsis.solvers.node_powers", "fracsis.specfn.gamma_ratios",
+    ], _CACHE_SIZE)
+
+
+def test_cache_policy_is_imported_from_its_home():
+    # a copy of _CACHE_MAX_N elsewhere would take a patch that _per_grid never reads
+    policy = {"_CACHE_SIZE", "_CACHE_MAX_N", "_per_grid", "_read_only"}
+    for module in modules():
+        for node in ast.walk(ast.parse(Path(module.__file__).read_text())):
+            if isinstance(node, ast.ImportFrom):
+                names = policy.intersection(alias.name for alias in node.names)
+                assert not names or node.module == "_cache", (module.__name__, names)
+        if module.__name__ != "fracsis._cache":
+            assert not hasattr(module, "_CACHE_MAX_N"), module.__name__

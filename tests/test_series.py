@@ -8,7 +8,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from fracsis import cli, solvers, specfn
+from fracsis import _cache, cli, specfn
 from fracsis.coeffs import (
     MAX_ORDER,
     CoeffKind,
@@ -620,7 +620,7 @@ class TestSumCache:
         got = [sample_trajectory(zero_capacity_series(b, 0.6, table), grid) for b in betas]
         assert kernel_calls == [grid.N + 1]
         assert got[0].u.tobytes() != got[1].u.tobytes()
-        monkeypatch.setattr(solvers, "_CACHE_MAX_N", 0)  # no grid is cached
+        monkeypatch.setattr(_cache, "_CACHE_MAX_N", 0)  # no grid is cached
         want = [sample_trajectory(zero_capacity_series(b, 0.6, table), grid) for b in betas]
         assert len(kernel_calls) == 1 + len(betas)
         assert [sample_fields(t) for t in got] == [sample_fields(t) for t in want]
@@ -641,7 +641,7 @@ class TestSumCache:
         assert len(kernel_calls) == 3
 
     def test_grids_past_the_bound_keep_nothing(self, kernel_calls):
-        grid = TimeGrid(1.0, 1.0 / (solvers._CACHE_MAX_N + 1))
+        grid = TimeGrid(1.0, 1.0 / (_cache._CACHE_MAX_N + 1))
         for _ in range(2):
             sample_trajectory(zero_capacity(0.6, 40), grid)
         assert _unit_scale_sums.cache_info().currsize == 0
@@ -649,11 +649,11 @@ class TestSumCache:
 
     def test_bounded_and_equal_after_eviction(self):
         grid = TimeGrid(1.0, 0.01)
-        alphas = [0.3 + 0.05 * i for i in range(solvers._CACHE_SIZE + 4)]
+        alphas = [0.3 + 0.05 * i for i in range(_cache._CACHE_SIZE + 4)]
         first = sample_fields(sample_trajectory(zero_capacity(alphas[0], 60), grid))
         for alpha in alphas:
             sample_trajectory(zero_capacity(alpha, 60), grid)
-        assert _unit_scale_sums.cache_info().currsize == solvers._CACHE_SIZE
+        assert _unit_scale_sums.cache_info().currsize == _cache._CACHE_SIZE
         assert sample_fields(sample_trajectory(zero_capacity(alphas[0], 60), grid)) == first
 
     def test_runs_own_their_meta(self):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fracsis import solvers
+from fracsis import _cache, coeffs, series, solvers, specfn
 from fracsis.errors import DomainError, NumericOverflowError, ValidationError
 from fracsis.harness import preset_config, run_methods, solve_method
 from fracsis.model import ModelParams, classical_sis, derive, logistic_rhs
@@ -332,6 +332,11 @@ class TestDiscreteCaputo:
         with pytest.raises(DomainError):
             discrete_caputo_l1([1.0], 0.5, 0.1)
 
+    @pytest.mark.parametrize("dt", [-0.1, 0.0, math.nan, math.inf])
+    def test_refuses_a_bad_step(self, dt):
+        with pytest.raises(DomainError, match=rf"dt={dt}$"):
+            discrete_caputo_l1(np.arange(5.0), 0.5, dt)
+
     def test_annihilates_constants(self):
         # zero increments transform to zeros, so the FFT product is exact
         for size in (2, 80, 4001):
@@ -646,40 +651,61 @@ class TestPlanCache:
         p, _, f = endemic_problem(0.6)
         grids = (TimeGrid(5.0, 0.05), other)
         got = [solver(f, p.i0, g, 0.6).u for g in grids + grids]  # miss, miss, hit, hit
-        monkeypatch.setattr(solvers, "_CACHE_MAX_N", 0)  # no grid is cached
+        monkeypatch.setattr(_cache, "_CACHE_MAX_N", 0)  # no grid is cached
         want = [solver(f, p.i0, g, 0.6).u for g in grids + grids]
         assert [u.tobytes() for u in got] == [u.tobytes() for u in want]
 
     def test_twenty_paper_ops_build_eight_plans_per_scheme(self, monkeypatch):
-        built = {"pece": 0, "l1": 0}
+        # every cache holds the paper sweep's working set: each value is
+        # built once, so a bound cut below it fails here
+        for cache in (coeffs._table, specfn.gamma_ratios, series._unit_scale_sums):
+            cache.cache_clear()
+        built = {"pece": 0, "l1": 0, "table": 0, "root": 0, "ratios": 0}
+        sums = {"unit": 0, "scaled": 0}
 
-        def spy(name, kernel):
+        def spy(name, build):
             def counted(*args):
                 built[name] += 1
-                return kernel(*args)
+                return build(*args)
             return counted
 
+        def summed(table, arg_scale, powers):
+            sums["unit" if arg_scale == 1.0 else "scaled"] += 1
+            return sum_nodes(table, arg_scale, powers)
+
+        sum_nodes = series._sum_nodes
         monkeypatch.setattr(solvers, "pece_kernels", spy("pece", pece_kernels))
         monkeypatch.setattr(solvers, "l1_kernel", spy("l1", l1_kernel))
+        monkeypatch.setattr(coeffs, "_recurse", spy("table", coeffs._recurse))
+        monkeypatch.setattr(coeffs, "_root_test", spy("root", coeffs._root_test))
+        # within specfn only gamma_ratios reads the log-Gammas
+        monkeypatch.setattr(specfn, "log_gamma_orders", spy("ratios", specfn.log_gamma_orders))
+        monkeypatch.setattr(series, "_sum_nodes", summed)
         for i in range(20):  # 4 alphas x 2 preset grids, each seen 2 or 3 times
             alpha, preset = (0.99, 0.7, 0.5, 0.3)[i % 4], ("c-nonzero", "c-zero")[i // 4 % 2]
             cfg = preset_config(preset, alpha, methods=("series", "pece", "l1"))
+            assert cfg.grid.N <= _cache._CACHE_MAX_N
             assert run_methods(cfg)[Method.PECE].u.size == cfg.grid.N + 1
-        assert built == {"pece": 8, "l1": 8}
+        # one table of each kind and one ratio table per alpha
+        assert built == {"pece": 8, "l1": 8, "table": 8, "root": 8, "ratios": 4}
+        # every grid is within the bound, so each miss is one build
+        assert node_powers.cache_info().misses == 8
+        # one zero-capacity sum per alpha; the 12 carrying samples are never cached
+        assert sums == {"unit": 4, "scaled": 12}
 
     def test_bounded_and_equal_after_eviction(self):
         p, _, f = endemic_problem(0.6)
         grid = TimeGrid(5.0, 0.05)
-        alphas = [0.3 + 0.05 * i for i in range(solvers._CACHE_SIZE + 4)]
+        alphas = [0.3 + 0.05 * i for i in range(_cache._CACHE_SIZE + 4)]
         first = solve_pece(f, p.i0, grid, alphas[0]).u
         for alpha in alphas:
             solve_pece(f, p.i0, grid, alpha)
-        assert solvers._pece_plan.cache_info().currsize == solvers._CACHE_SIZE
+        assert solvers._pece_plan.cache_info().currsize == _cache._CACHE_SIZE
         assert solve_pece(f, p.i0, grid, alphas[0]).u.tobytes() == first.tobytes()
 
     def test_grids_past_the_bound_keep_nothing(self):
         p, _, f = endemic_problem(0.6)
-        grid = TimeGrid(1.0, 1.0 / (solvers._CACHE_MAX_N + 1))
+        grid = TimeGrid(1.0, 1.0 / (_cache._CACHE_MAX_N + 1))
         for _ in range(2):
             solve_pece(f, p.i0, grid, 0.6)
             solve_l1(f, p.i0, grid, 0.6)
@@ -687,7 +713,7 @@ class TestPlanCache:
         for cache in (solvers._pece_plan, solvers._l1_plan, node_powers):
             assert cache.cache_info().currsize == 0
 
-    @pytest.mark.parametrize("T, dt", [(5.0, 0.05), (1.0, 1.0 / (solvers._CACHE_MAX_N + 1))])
+    @pytest.mark.parametrize("T, dt", [(5.0, 0.05), (1.0, 1.0 / (_cache._CACHE_MAX_N + 1))])
     def test_node_powers_are_libm_powers(self, T, dt):
         grid = TimeGrid(T, dt)
         want = np.array([t**0.7 for t in grid.nodes().tolist()])
