@@ -3,8 +3,8 @@ and trajectory sampling.
 
 The tables are built at K = MAX_ORDER (200) and alpha = 0.6, cold (the
 table cache and the Gamma-ratio cache are cleared before every round, so
-each round builds the alpha's 499 ratios and runs the recursion, as at a
-fresh alpha) and warm (every call after the first is a cache hit behind
+each round builds the alpha's 499 ratios and E_alpha's thresholds and
+runs the recursion, as at a fresh alpha) and warm (every call after the first is a cache hit behind
 the argument checks).  ``evaluate`` sums one node, t = 3, over K = 200
 tables.  Trajectories are sampled on the preset horizon T = 5 at two
 shapes: the paper's (N = 100 steps over K = 120 tables) and the stress
@@ -14,7 +14,13 @@ The zero-capacity series' node sums are cached per (table, grid) as
 well: ``test_sample_trajectory`` clears that cache, and only that one,
 before each of its rounds, so it times the summation kernel, and
 ``test_sample_trajectory_cached`` times the hit, which scales the cached
-sums and builds the meta.  The carrying-capacity series is the
+sums and builds the meta.  Each table's stop thresholds are built at its
+first sum and kept on it, so every round after the first reads them.
+Nearly every node of those samples has its stop read off the
+thresholds; ``test_sum_nodes_band`` times the other path, the rule term
+by term, on 1001 nodes x within 5 ulp of the x where a term of the
+K = 200 table reaches 1e-14 (for the Euler table every 1e-14 crossing
+of its 100 non-zero entries, for the A-table the first 100 of its 200).  The carrying-capacity series is the
 solution of the endemic reference rates (beta = 0.7, gamma = 0.05,
 mu = 0.12) over the alpha-Euler table; the zero-capacity series has
 beta = 0.7 over the A-table.  The directory lies outside the test paths,
@@ -23,12 +29,16 @@ so the tier-1 suite does not run it.  From the root of a checkout:
     PYTHONPATH=src python -m pytest bench --benchmark-only
 """
 
+import math
+
+import numpy as np
 import pytest
 
 from fracsis import coeffs, specfn
 from fracsis.coeffs import MAX_ORDER, a_coeffs, euler_alpha
 from fracsis.model import ModelParams, derive
 from fracsis.series import (
+    _sum_nodes,
     _unit_scale_sums,
     carrying_capacity_series,
     evaluate,
@@ -55,7 +65,7 @@ def zero_capacity(K):
 
 def clear_caches():
     coeffs._table.cache_clear()
-    specfn.gamma_ratios.cache_clear()
+    specfn._ml_table.cache_clear()
 
 
 @pytest.mark.parametrize("build", [euler_alpha, a_coeffs])
@@ -93,3 +103,22 @@ def test_sample_trajectory(benchmark, build, K, N):
 def test_sample_trajectory_cached(benchmark, K, N):
     traj = benchmark(sample_trajectory, zero_capacity(K), TimeGrid(T, T / N))
     assert traj.u.size == N + 1
+
+
+def band(d, count=1001):
+    """``count`` nodes x within 5 ulp of the x where a term of the table
+    ``d`` reaches 1e-14, taken in order of k."""
+    xs = []
+    for k in range(1, len(d)):
+        if d[k] != 0.0:
+            theta = math.exp((math.log(1e-14) - math.log(abs(d[k]))) / k)
+            xs += [theta * (1 + j * 2.0**-52) for j in range(-5, 5)]
+    return np.array(xs[:count])
+
+
+@pytest.mark.parametrize("build", [carrying, zero_capacity])
+def test_sum_nodes_band(benchmark, build):
+    table = build(MAX_ORDER).coeffs
+    xs = band(table.d)
+    total, terms, _ = benchmark(_sum_nodes, table, 1.0, xs)
+    assert total.size == xs.size and terms.max() <= MAX_ORDER + 1

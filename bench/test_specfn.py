@@ -1,15 +1,15 @@
 """Special-function timings: the Mittag-Leffler function and N(t).
 
 ``mittag_leffler`` is timed at one z and a repeated alpha = 0.6, so its
-cached Gamma ratios are warm and each call is one kernel call over a
-single column, and cold at z = -1, with the ratio cache cleared before
-every round, so each round also builds the alpha's 499 ratios.
-``population_curve`` runs at the stress shape: alpha = 0.6, lam - mu = -1,
-T = 5 and dt = 0.005 (N = 1000 nodes, one kernel call; the nodes' t^alpha
-are cached after the first round), and on the same
-grid at alpha = 0.3, lam - mu = -4.7, where the series fails at z = -3.14
-(node 52, in the first 128-node chunk) and the call is timed until it
-raises.
+cached Gamma ratios and thresholds are warm and each call is one kernel
+call over a single column, and cold at z = -1, with that cache cleared
+before every round, so each round also builds the alpha's 499 ratios
+and their thresholds.  ``population_curve`` runs at the stress shape:
+alpha = 0.6, lam - mu = -1, T = 5 and dt = 0.005 (N = 1000 nodes, one
+kernel call; the nodes' t^alpha are cached after the first round), and
+on the same grid at alpha = 0.3, lam - mu = -4.7, where z = -3.14 at
+node 52 is the first past E_alpha's last threshold: the call sums nodes
+0..52 and is timed until it raises.
 The directory lies outside the test paths, so the tier-1 suite does not
 run it.  From the root of a checkout:
 
@@ -35,7 +35,7 @@ def test_mittag_leffler_scalar(benchmark, z):
 
 def test_mittag_leffler_cold(benchmark):
     value = benchmark.pedantic(
-        mittag_leffler, (ALPHA, -1.0), setup=specfn.gamma_ratios.cache_clear, rounds=200
+        mittag_leffler, (ALPHA, -1.0), setup=specfn._ml_table.cache_clear, rounds=200
     )
     assert isinstance(value, float) and value > 0
 

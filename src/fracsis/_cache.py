@@ -5,10 +5,14 @@ What depends only on alpha, on a coefficient table, or on either and a
 in an LRU cache of :data:`_CACHE_SIZE` entries; every output is the same
 bit for bit as without it.  The caches, by key:
 
-* alpha: the Gamma-ratio table of :func:`fracsis.specfn.gamma_ratios`;
+* alpha: E_alpha's kernel table (``fracsis.specfn._ml_table``), the
+  Gamma ratios of :func:`fracsis.specfn.gamma_ratios` with the
+  thresholds of the stopping rule, both from one set of log-Gammas;
 * (alpha, K, d0, kind): the :class:`~fracsis.coeffs.CoeffTable` of
   :func:`~fracsis.coeffs.euler_alpha` and :func:`~fracsis.coeffs.a_coeffs`,
-  whose root test is a ``cached_property``, computed once per table;
+  whose root test, kernel table with its thresholds, and hash are each a
+  ``cached_property``, computed once per table object, so a lookup keyed
+  by the table does not hash its entries again;
 * (alpha, grid), through :func:`_per_grid`: the PECE and L1 plans of
   :mod:`fracsis.solvers` and the nodes' t**alpha of
   :func:`~fracsis.solvers.node_powers`;

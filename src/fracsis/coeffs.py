@@ -31,7 +31,10 @@ cache policy (:mod:`fracsis._cache`), below :func:`euler_alpha` and
 repeated call returns the same frozen table.  The part of
 :func:`empirical_radius` that reads only the table (its tail maximum,
 window and count of non-vanishing entries) is computed once per table
-object; each call still checks its ``b_scale`` and applies it.
+object; each call still checks its ``b_scale`` and applies it.  So are
+the table's form for the summation kernel, with the thresholds of its
+stopping rule (``CoeffTable._terms``, see :mod:`fracsis.specfn`), and its
+hash.
 """
 
 from __future__ import annotations
@@ -51,7 +54,7 @@ from .errors import (
     InsufficientDataError,
     NumericOverflowError,
 )
-from .specfn import gamma_ratios, log_gamma_orders
+from .specfn import _series_table, _Table, gamma_ratios, log_gamma_orders
 
 __all__ = [
     "CoeffKind",
@@ -84,7 +87,8 @@ class CoeffTable:
     """A finite prefix ``d[0..K]`` of a normalised coefficient sequence.
 
     ``d[k] = c_k / Gamma(alpha k + 1)``; ``d[0] = c_0``.  The root test
-    of :func:`empirical_radius` is kept on the table, out of its fields.
+    of :func:`empirical_radius`, the kernel table and the hash are kept
+    on the table, out of its fields.
     """
 
     alpha: float
@@ -117,6 +121,20 @@ class CoeffTable:
     def _root(self) -> tuple[float, int, int]:
         """:func:`_root_test` of ``d``, computed once per table object."""
         return _root_test(self.d)
+
+    @cached_property
+    def _terms(self) -> _Table:
+        """``d`` as the summation kernel's table, with the thresholds of its
+        stopping rule, computed once per table object."""
+        return _series_table(self.d)
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.alpha, self.kind, self.d))
+
+    def __hash__(self) -> int:
+        """The hash of the fields, as the dataclass's own, computed once per table object."""
+        return self._hash
 
 
 @dataclass(frozen=True)

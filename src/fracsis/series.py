@@ -39,8 +39,15 @@ values past the guaranteed radius are permitted but flagged, and
 sustained term growth (``_GROW_STREAK``, ``_GROW_MIN_K``) flips
 ``converged`` off in-band instead of raising.  The sums and both rules
 live in the package's one power-series kernel,
-``fracsis.specfn._sum_terms``, called with the series table once per
-:func:`evaluate` and per :func:`sample_trajectory` that misses the cache.
+``fracsis.specfn._sum_terms``, called once per :func:`evaluate` and per
+:func:`sample_trajectory` that misses the cache with the table's kernel
+form, ``CoeffTable._terms``.  That form carries the rules' thresholds in
+|x|, built once per table object: most nodes' stops are read off them
+(the node settles, grows past the radius, or runs to the end of the
+table), and the rest, within 1e-9 relative of a threshold or with a
+negligible term that does not settle the sum, take the rule term by
+term; either way each value, terms used and flag is the term-by-term
+loop's, bit for bit.
 """
 
 from __future__ import annotations
@@ -230,7 +237,7 @@ def _sum_nodes(
     t = 0 gives d_0 from one term, converged: the kernel sums d_0 there
     exactly, for every table length.
     """
-    total, used, converged, _ = _sum_terms(arg_scale * powers, np.asarray(table.d))
+    total, used, converged, _ = _sum_terms(arg_scale * powers, table._terms)
     at0 = powers == 0.0
     used[at0], converged[at0] = 1, True
     return total, used, converged
@@ -256,9 +263,9 @@ def evaluate(series: SeriesSolution, t: float) -> EvalResult:
     ``beyond_theoretical_radius`` and sustained growth (five consecutive
     growing terms after k >= 10) clears ``converged``.
 
-    The call is one kernel call with a single column, which costs tens
-    of microseconds: a caller with many points should pass them as one
-    grid to :func:`sample_trajectory`.
+    The call is one kernel call with a single column, which costs a
+    fixed few dozen numpy calls, tens of microseconds: a caller with many
+    points should pass them as one grid to :func:`sample_trajectory`.
     """
     if not math.isfinite(t):
         raise DomainError(f"series evaluation requires a finite t, got t={t}")

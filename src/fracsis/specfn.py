@@ -12,10 +12,11 @@ of E_a(-|r| t^a) are exposed separately rather than auto-switched.
 Every series of the package is normalised by Gamma(a k + 1):
 :func:`log_gamma_orders` is the one source of those log-Gammas, and
 :func:`gamma_ratios` the one table per alpha of the ``_MAX_TERMS - 1``
-ratios Gamma(a k + 1) / Gamma(a k + a + 1), cached under the package's
-one cache policy (:mod:`fracsis._cache`).  They step the terms of
-:func:`mittag_leffler`, and their prefixes the recursions of
-:mod:`fracsis.coeffs`, whose tables then carry the normalisation.
+ratios Gamma(a k + 1) / Gamma(a k + a + 1), kept with E_a's thresholds
+(below) under the package's one cache policy (:mod:`fracsis._cache`).
+They step the terms of :func:`mittag_leffler`, and their prefixes the
+recursions of :mod:`fracsis.coeffs`, whose tables then carry the
+normalisation.
 
 One kernel, :func:`_sum_terms`, sums every power series of the package
 and holds their stopping rule: the series terms ``d_k x^k`` of
@@ -31,13 +32,34 @@ the divergence rule: ``_GROW_STREAK`` consecutive growing terms once
 terms may grow on the way to convergence (for E_0.5(3) from k = 10 to
 k = 17).
 
-The kernel sums the nodes in chunks, one column per node and one row per
-term.  A chunk's first row segment holds ``_FIRST_ROWS`` terms.  Each
-later, longer segment extends only the columns still open, from the
-state carried out of the segment before: running product, partial sum,
-the last ``_STOP_STREAK`` terms' size and negligibility, growth streak.
-So every term is built once per node, and every sum rounds as the
-scalar loop over k would.
+For a fixed table both rules are thresholds in |x|.  Term k is
+negligible exactly when |x| < theta_k = (_ABS_TOL / |d_k|)^(1/k), and
+it outgrows the term of the previous non-zero entry p when
+|x| > |d_p / d_k|^(1/(k - p)).  Each table carries the running extrema
+of these thresholds over the rules' windows (:class:`_Table`: per
+coefficient table once, per alpha for E_a), so a node's stop is one
+``np.searchsorted`` per rule, and :func:`_classify` sorts the nodes
+into three classes:
+
+* (a) the stop rule fires, or the table ends, before any growth streak
+  can complete: the stop is the stop rule's index (or the table's end);
+* (b) the growth rule fires at G while every earlier term of a non-zero
+  entry is non-negligible: the stop is G;
+* (c) everything else, the exact rule term by term (:func:`_rule`):
+  nodes within ``_MARGIN`` (1e-9 relative) of a threshold, where a
+  computed term's rounding could flip a test; nodes with a negligible
+  term of a non-zero entry before the stop rule's last window, or before
+  the end of a table that never stops them, whose later terms the
+  thresholds do not follow (a few near a table's end or its radius);
+  tables with an entry past ``_MAX_FAST_D``; and every node whose
+  partial sum is not finite.
+
+Classes (a) and (b) are summed to their stops by :func:`_sum_to`, in
+groups of at most ``_CHUNK`` nodes sorted by stop, each as tall as its
+largest stop: one forward ``multiply.accumulate``, ``* d`` and
+``add.accumulate``, the scalar loop's order of operations.  So every
+term is built once per node, and every sum, terms used, ``converged``
+flag and E_a value is the rule's, bit for bit.
 
 All functions are pure and operate in binary64.
 """
@@ -46,6 +68,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -72,31 +95,113 @@ _GROW_STREAK = 5
 #: ... once at least this many terms have been summed
 _GROW_MIN_K = 10
 
-#: node columns per term matrix.  A row segment costs a fixed number of
-#: numpy calls plus its cells, so a chunk trades call overhead against
-#: the rows its slowest node forces on the rest.  Sampling 1001 nodes
-#: over the K = 200 carrying table took 2.08 / 1.82 / 1.86 / 2.24 ms at
-#: 128 / 256 / 512 / 1024 columns (2-vCPU Xeon, numpy 2.4)
-_CHUNK = 256
-#: terms past t_0 in a chunk's first row segment.  Each extension sums at
-#: least as many terms again, and at least ``_FIRST_ROWS * _CHUNK`` cells:
-#: a few open nodes then go to the end of the table in one segment.
-#: Against plain doubling this floor took the 101-node K = 120
-#: zero-capacity / carrying samples from 215 / 260 to 172 / 237 us, the
-#: 1001-node K = 200 carrying one from 1.78 to 1.64 ms and the
-#: population curve from 1.16 to 1.10 ms (2-vCPU Xeon, spread under
-#: 10 us); random series_stress ops were even within 1%.
-#: Zero-capacity nodes stop after 21 to 38 terms on average.  At 16 / 32
-#: / 64 rows the 1001-node K = 200 zero-capacity sample took 1.09 / 1.21
-#: / 1.50 ms, and the carrying one at the paper's 101 nodes and K = 120
-#: 0.35 / 0.29 / 0.27 ms.  The extension keeps both halves of
-#: ``max(hi, _FIRST_ROWS * _CHUNK // open)``, as each wins on some input:
-#: against both, the cell floor alone (bit-identical sums; medians of 25
-#: alternating rounds, two runs) changed the times of the paper- and
-#: stress-shape series and N(t) samples by -4% to +3%, and of 1001-node
-#: E_alpha sums by -16% / -19% at alpha = 0.5, z = -2.5 t^0.5, but by
-#: +7% / +10% at alpha = 0.9, z = -5 t^0.9
-_FIRST_ROWS = 32
+#: log of ``_ABS_TOL``
+_LOG_TOL = math.log(_ABS_TOL)
+#: node columns per term matrix, in a group summed to its stops and in an
+#: exact evaluation of the rule.  A group is as tall as its largest stop, so
+#: narrower groups of the sorted nodes waste fewer rows but pay more fixed
+#: numpy calls: over the groups of 40 series_stress ops, 15 interleaved
+#: rounds took 2.39 / 2.10 ms per op at 256 / 128 columns (medians), and
+#: splitting each group further where that saves more cells than a group's
+#: fixed cost gained under 5% more (2-vCPU Xeon, numpy 2.4)
+_CHUNK = 128
+#: a node's stop is read off its table's thresholds only where it is the
+#: same at |x| (1 - _MARGIN) and at |x| (1 + _MARGIN).  A computed term
+#: k <= 500 is within about k 2^-53 relative of |d_k| |x|^k (E_alpha's
+#: rounded ratios add about 1e-12 in all), so its test against 1e-14, or
+#: against another term, falls as the exact one would at an |x| within about
+#: 2^-52 relative (1e-12 / k for E_alpha); the thresholds, formed in logs,
+#: carry a few ulp of their logarithms.  1e-9 on |x| covers both with room
+#: to spare
+_MARGIN = 1e-9
+#: a series table with an entry past this takes the exact rule at every node:
+#: below it, |x|^k stays normal where d_k x^k is near _ABS_TOL
+_MAX_FAST_D = 1e290
+
+
+class _Table(NamedTuple):
+    """A table of the kernel and the thresholds in |x| of its stopping rule.
+
+    Exactly one of ``d`` (a series table: terms ``d_k x^k`` and the
+    divergence rule) and ``r`` (E_alpha's ratios: terms
+    ``prod_{j<k} x r_j``, no divergence rule) is set; term k has
+    coefficient size |d_k|, for E_alpha 1/Gamma(alpha k + 1).  Term k is
+    negligible exactly when |x| < theta_k = (_ABS_TOL / |d_k|)^(1/k)
+    (infinite where d_k = 0), and t_0 never is.
+
+    * ``settle[k]``: the running maximum over j <= k of the minimum of
+      theta over j - 2..j.  The stop rule first fires at the first k with
+      ``settle[k] > |x|``, found by one ``np.searchsorted``.
+    * ``quiet[k]`` (series): the running maximum of theta over the non-zero
+      entries up to k; the first k with ``quiet[k] > |x|`` is the first
+      negligible term of a non-zero entry.  Before it, the term that a
+      term k outgrows or not is that of the previous non-zero entry p (or
+      t_0), which it outgrows when |x| > g_k = |d_p / d_k|^(1/(k - p)).
+    * ``grow`` (series, negated to sort ascending): the running minimum,
+      over the non-zero entries from ``_GROW_MIN_K`` on, of the maximum of
+      g over a window of ``_GROW_STREAK`` of them; ``grow_at`` is the index
+      k that ends each window, then ``len(d)``.  Before the first
+      negligible term the growth rule first fires at ``grow_at[i]``, the
+      first i with ``-grow[i] < |x|``.
+    * ``exact``: every node takes the exact rule (an entry past
+      ``_MAX_FAST_D``, or not finite).
+    """
+
+    d: Optional[np.ndarray]
+    r: Optional[np.ndarray]
+    settle: np.ndarray
+    quiet: Optional[np.ndarray] = None
+    grow: Optional[np.ndarray] = None
+    grow_at: Optional[np.ndarray] = None
+    exact: bool = False
+
+
+def _thetas(log_abs: np.ndarray) -> np.ndarray:
+    """theta_k = (_ABS_TOL / |d_k|)^(1/k) from log|d_k|, k >= 1, and 0 for t_0."""
+    k = np.arange(log_abs.size)
+    k[0] = 1
+    with np.errstate(over="ignore"):
+        theta = np.exp((_LOG_TOL - log_abs) / k)
+    theta[0] = 0.0
+    return theta
+
+
+def _settle(theta: np.ndarray) -> np.ndarray:
+    """The running maximum of theta's ``_STOP_STREAK``-term window minimum
+    (0 for the first windows, which hold t_0)."""
+    n = _STOP_STREAK - 1
+    win = np.zeros(theta.size)
+    full = win[n:]
+    full[:] = theta[n:]
+    for j in range(1, _STOP_STREAK):
+        np.minimum(full, theta[n - j :][: full.size], out=full)
+    return np.maximum.accumulate(win)
+
+
+def _series_table(d: tuple[float, ...]) -> _Table:
+    """The kernel table of a series table ``d``, with its thresholds."""
+    a = np.array(d)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_abs = np.log(np.abs(a))
+        theta = _thetas(log_abs)
+        nonzero = np.flatnonzero(a[1:]) + 1
+        prev = np.concatenate(([0], nonzero))[:-1]
+        g = np.exp((log_abs[prev] - log_abs[nonzero]) / (nonzero - prev))
+    late = nonzero >= _GROW_MIN_K
+    g, ks = g[late], nonzero[late]
+    # the maximum of g over each window of _GROW_STREAK, by its last entry
+    win = g[_GROW_STREAK - 1 :].copy()
+    for j in range(1, _GROW_STREAK):
+        np.maximum(win, g[_GROW_STREAK - 1 - j :][: win.size], out=win)
+    return _Table(
+        d=_read_only(a),
+        r=None,
+        settle=_read_only(_settle(theta)),
+        quiet=_read_only(np.maximum.accumulate(np.where(a != 0.0, theta, 0.0))),
+        grow=_read_only(-np.minimum.accumulate(win)),
+        grow_at=_read_only(np.append(ks[_GROW_STREAK - 1 :], a.size)),
+        exact=not np.abs(a).max() <= _MAX_FAST_D,
+    )
 
 
 def log_gamma_orders(alpha: float, K: int) -> list[float]:
@@ -105,137 +210,186 @@ def log_gamma_orders(alpha: float, K: int) -> list[float]:
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
-def gamma_ratios(alpha: float) -> np.ndarray:
-    """Read-only r[k] = Gamma(alpha k + 1) / Gamma(alpha k + alpha + 1), k < _MAX_TERMS - 1."""
+def _ml_table(alpha: float) -> _Table:
+    """E_alpha's kernel table: the ratios of :func:`gamma_ratios` and the
+    thresholds of |d_k| = 1/Gamma(alpha k + 1), from one set of log-Gammas."""
     lg = log_gamma_orders(alpha, _MAX_TERMS - 1)
-    return _read_only(np.array([math.exp(lg[k - 1] - lg[k]) for k in range(1, _MAX_TERMS)]))
+    r = np.array([math.exp(lg[k - 1] - lg[k]) for k in range(1, _MAX_TERMS)])
+    return _Table(d=None, r=_read_only(r), settle=_read_only(_settle(_thetas(-np.array(lg)))))
 
 
-def _term_matrix(
-    x: np.ndarray, d, r, lo: int, hi: int, carry: tuple
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, tuple]:
-    """Extend the sums at the nodes ``x`` by the terms ``t_k``, ``lo < k <= hi``.
+def gamma_ratios(alpha: float) -> np.ndarray:
+    """Read-only r[k] = Gamma(alpha k + 1) / Gamma(alpha k + alpha + 1), k < _MAX_TERMS - 1.
 
-    Row ``k - lo - 1`` holds the term ``t_k`` of the one table given (the
-    other is None): ``d_k x^k`` of a series table ``d``, with the
-    divergence rule, or ``prod_{j<k} (x r_j)`` of a ratio table ``r``
-    (``t_0 = 1``), without it.  ``carry`` is each column's state after
-    the term ``t_lo``: the running product before the ``d_k`` multiply,
-    the partial sum, ``|t|`` and negligibility of the last
-    ``_STOP_STREAK`` terms (at ``lo = 0`` these stand for ``t_0``), and
-    the growth streak; a scalar holds for every column.  The sequential
-    accumulates continue from it, so every row rounds as the scalar loop
-    would, and no earlier row is built again.  Returns, per column,
-    whether the stopping rule fired, the terms used, ``converged``, the
-    partial sum and the term at the stop (else at ``t_hi``), and the
-    carry after ``t_hi``, which is read only for the columns that did not
-    stop.  Rows past a stop may overflow; they are never read.
+    One array per alpha, cached with E_alpha's thresholds (``_ml_table``).
     """
-    prod, total, mag_pad, neg_pad, streak = carry
-    rows, pad = hi - lo, _STOP_STREAK
-    grow = d is not None
-    terms = np.empty((rows, x.size))
-    np.multiply(x, 1.0 if grow else r[lo:hi, None], out=terms)
-    terms[0] *= prod
+    return _ml_table(alpha).r
+
+
+def _classify(x: np.ndarray, table: _Table, cap: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each node's stop index (1..cap), ``converged`` flag and whether it
+    must take the exact rule, from the thresholds of ``table``.
+
+    Every threshold test runs at |x| (1 -+ ``_MARGIN``), and a node whose
+    answers differ takes the exact rule.  A series node is read off the
+    thresholds in three cases; every other one takes the exact rule:
+
+    * it grows: the growth rule fires at G before the first negligible
+      term F of a non-zero entry and before the stop rule's S: stop G;
+    * it settles: no growth fires before min(S, F), and S <= F + 2, so
+      that the terms F..S are all in the stop rule's final window, and
+      negligible: stop S, converged;
+    * it runs to the end: none of S, F, G falls in the table.
+
+    E_alpha has no growth rule: every node settles at S or runs to the end.
+    """
+    # row 0 at |x| (1 - _MARGIN), row 1 at |x| (1 + _MARGIN)
+    band = np.abs(x) * np.array([[1.0 - _MARGIN], [1.0 + _MARGIN]])
+    s = np.searchsorted(table.settle[: cap + 1], band, "right")
+    slow = s[0] != s[1]
+    s = s[0]
+    if table.d is None:
+        return np.minimum(s, cap), s <= cap, slow
+    f = np.searchsorted(table.quiet, band, "right")
+    g = table.grow_at[np.searchsorted(table.grow, -band, "right")]
+    slow |= (f[0] != f[1]) | (g[0] != g[1])
+    f, g = f[0], g[0]
+    grows = g < np.minimum(s, f)
+    settles = (s <= cap) & (s <= f + 2)
+    ends = (s > cap) & (f > cap)
+    slow |= ~(grows | settles | ends) | table.exact
+    return np.where(grows, g, np.minimum(s, cap)), ~grows & (s <= cap), slow
+
+
+def _sum_to(x: np.ndarray, table: _Table, stop: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Partial sums to the term t_stop, and that term, at each node, stop >= 1.
+
+    The nodes go in groups of at most ``_CHUNK``, sorted by stop, and each
+    group builds the rows up to its largest stop: one forward
+    ``multiply.accumulate`` for the powers (or ratio products), one
+    multiply by ``d`` and one ``add.accumulate``, the scalar loop's order
+    of operations, so every sum rounds as it would.  Rows past a node's
+    stop may overflow; they are never read.
+    """
+    d, r = table.d, table.r
+    total, last = np.empty(x.size), np.empty(x.size)
+    order = np.argsort(stop)
+    for start in range(0, x.size, _CHUNK):
+        at = order[start : start + _CHUNK]
+        n, cols = stop[at], np.arange(at.size)
+        # the terms t_1..t_n[-1], then in place the partial sums from t_0
+        sums = np.empty((n[-1] + 1, at.size))
+        terms = sums[1:]
+        if d is None:
+            np.multiply(x[at], r[: n[-1], None], out=terms)
+        else:
+            terms[:] = x[at]
+        np.multiply.accumulate(terms, axis=0, out=terms)
+        if d is not None:
+            terms *= d[1 : n[-1] + 1, None]
+        last[at] = sums[n, cols]
+        sums[0] = 1.0 if d is None else d[0]
+        np.add.accumulate(sums, axis=0, out=sums)
+        total[at] = sums[n, cols]
+    return total, last
+
+
+def _rule(
+    x: np.ndarray, table: _Table, cap: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The stopping rule evaluated term by term over the whole table.
+
+    Row ``k - 1`` of the term matrix holds t_k, built as :func:`_sum_to`
+    builds it.  Returns per node the partial sum and the term at the stop
+    (else at t_cap), the terms used and ``converged``.  The reference that
+    the thresholds stand in for; it runs where they cannot decide.
+    """
+    d, r = table.d, table.r
+    grow, pad = d is not None, _STOP_STREAK
+    first = 1.0 if d is None else d[0]
+    terms = np.empty((cap, x.size))
+    np.multiply(x, 1.0 if grow else r[:cap, None], out=terms)
     np.multiply.accumulate(terms, axis=0, out=terms)
-    prod = terms[-1].copy()
     if grow:
-        terms *= d[lo + 1 : hi + 1, None]
-    totals = np.empty((rows + 1, x.size))
-    totals[0] = total
+        terms *= d[1:, None]
+    totals = np.empty((cap + 1, x.size))
+    totals[0] = first
     totals[1:] = terms
     np.add.accumulate(totals, axis=0, out=totals)
 
-    # |term| and negligibility, padded above by the carried last pad rows;
-    # at lo = 0 those stand for t_0, which opens the growth comparison as
-    # a non-negligible term
-    mag = np.empty((pad + rows, x.size))
-    mag[:pad] = mag_pad
+    # |term| and negligibility, padded above by pad rows that stand for
+    # t_0, which opens the growth comparison as a non-negligible term
+    mag = np.empty((pad + cap, x.size))
+    mag[:pad] = abs(first)
     np.abs(terms, out=mag[pad:])
-    neg = np.empty((pad + rows, x.size), dtype=bool)
-    neg[:pad] = neg_pad
+    neg = np.zeros((pad + cap, x.size), dtype=bool)
     np.less(mag[pad:], _ABS_TOL, out=neg[pad:])
     # converged: the row ends a run of _STOP_STREAK negligible terms.
     # prev: the previous non-negligible |term|, found within pad rows back
     # because no earlier row ended such a run
     converged = neg[pad:].copy()
-    prev = mag[:rows].copy() if grow else None
+    prev = mag[:cap].copy() if grow else None
     for j in range(1, pad):
-        converged &= neg[j : j + rows]
+        converged &= neg[j : j + cap]
         if grow:
-            np.copyto(prev, mag[j : j + rows], where=~neg[j : j + rows])
+            np.copyto(prev, mag[j : j + cap], where=~neg[j : j + cap])
     stop = converged
     if grow:
         up = ~neg[pad:] & (mag[pad:] > prev)
-        up[: max(_GROW_MIN_K - 1 - lo, 0)] = False
+        up[: _GROW_MIN_K - 1] = False
         # the growth streak restarts at each non-negligible term that does
-        # not grow; the count of growing terms, from the carried streak on,
-        # never decreases, so its running maximum over those rows is its
-        # value at the latest one.  int16 holds the count (at most 4 + 499),
-        # and its accumulates ran 3x as fast as int64's
+        # not grow; the count of growing terms never decreases, so its
+        # running maximum over those rows is its value at the latest one.
+        # int16 holds the count (at most 499), and its accumulates ran 3x
+        # as fast as int64's
         count = np.cumsum(up, axis=0, dtype=np.int16)
-        count += streak
         restart = np.where(neg[pad:] | up, 0, count)
         np.maximum.accumulate(restart, axis=0, out=restart)
-        run = count - restart
-        stop = converged | (run >= _GROW_STREAK)
-        streak = run[-1]
+        stop = converged | (count - restart >= _GROW_STREAK)
 
-    stopped = stop.any(axis=0)
-    last = np.where(stopped, stop.argmax(axis=0), rows - 1)
+    last = np.where(stop.any(axis=0), stop.argmax(axis=0), cap - 1)
     cols = np.arange(x.size)
-    carry = (prod, totals[-1], mag[-pad:], neg[-pad:], streak)
-    return (stopped, lo + last + 2, converged[last, cols], totals[last + 1, cols],
-            terms[last, cols], carry)
+    return totals[last + 1, cols], terms[last, cols], last + 2, converged[last, cols]
 
 
 def _sum_terms(
-    x: np.ndarray, d=None, r=None
+    x: np.ndarray, table: _Table
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Partial sums, terms used, ``converged`` flags and last terms at the nodes ``x``.
 
-    The terms of :func:`_term_matrix` for exactly one table, which sets
-    the mode of the call:
+    The terms of one kernel table (:class:`_Table`), which sets the mode:
 
-    * a series table ``d``: at most ``len(d)`` terms, the divergence rule
-      applies, and every node is summed;
+    * a series table ``d``: at most ``len(d)`` terms, and the divergence
+      rule applies;
     * a ratio table ``r`` (E_alpha): at most ``len(r) + 1`` terms
-      (``_MAX_TERMS`` for :func:`gamma_ratios`), no divergence rule, and,
-      as the caller raises at any unconverged node, the chunks after the
-      first one holding an unconverged node are not summed: their nodes
-      read unconverged, and the first unconverged node keeps its last
-      term.
+      (``_MAX_TERMS`` for :func:`gamma_ratios`), no divergence rule.
 
-    Nodes go in chunks of ``_CHUNK``.  A chunk sums ``_FIRST_ROWS`` terms,
-    then extends the columns not yet stopped from their carried state, at
-    least doubling the terms summed (see ``_FIRST_ROWS``); stopped columns
-    drop out, and each term is built once per node.
+    Each node's stop comes from the table's thresholds (:func:`_classify`)
+    where they decide it, and its sum from :func:`_sum_to`; the other
+    nodes take :func:`_rule`, as does every node whose sum is not finite
+    (inf or nan terms break the comparisons the thresholds stand for),
+    except an E_alpha node that runs to the end: its terms, once one
+    overflows, stay inf and never negligible, as the thresholds say.
+    The results are those of the rule at every node, bit for bit.
     """
+    d, r = table.d, table.r
     cap = len(r) if d is None else len(d) - 1
-    first = 1.0 if d is None else d[0]
-    total, last = np.full(x.size, first), np.full(x.size, first)
-    used, converged = np.ones(x.size, dtype=int), np.zeros(x.size, dtype=bool)
+    total = np.full(x.size, 1.0 if d is None else d[0])
+    if not (cap and x.size):
+        return total, np.ones(x.size, dtype=int), np.zeros(x.size, dtype=bool), total.copy()
+    last = np.empty(x.size)
     with np.errstate(over="ignore", invalid="ignore"):
-        for start in range(0, x.size if cap else 0, _CHUNK):
-            cols = np.arange(start, min(start + _CHUNK, x.size))
-            # the state after t_0, the same for every column
-            carry = (1.0, first, abs(first), False, 0)
-            lo, hi = 0, min(_FIRST_ROWS, cap)
-            while True:
-                stopped, n, ok, s, t, carry = _term_matrix(x[cols], d, r, lo, hi, carry)
-                done = stopped | (hi == cap)
-                at = cols[done]
-                total[at], used[at], converged[at], last[at] = s[done], n[done], ok[done], t[done]
-                if done.all():
-                    break
-                if done.any():
-                    open_ = ~done
-                    cols = cols[open_]
-                    # a scalar (E_alpha's streak, never counted) holds for all
-                    carry = tuple(a[..., open_] if np.ndim(a) else a for a in carry)
-                lo, hi = hi, min(hi + max(hi, _FIRST_ROWS * _CHUNK // cols.size), cap)
-            if d is None and not converged[start : start + _CHUNK].all():
-                break
+        stop, converged, slow = _classify(x, table, cap)
+        fast = np.flatnonzero(~slow)
+        total[fast], last[fast] = _sum_to(x[fast], table, stop[fast])
+        used = stop + 1
+        redo = ~np.isfinite(total)
+        if d is None:
+            redo &= converged
+        slow = np.flatnonzero(slow | redo)
+        for start in range(0, slow.size, _CHUNK):
+            at = slow[start : start + _CHUNK]
+            total[at], last[at], used[at], converged[at] = _rule(x[at], table, cap)
     return total, used, converged, last
 
 
@@ -248,12 +402,14 @@ def mittag_leffler(alpha: float, z) -> float | np.ndarray:
     series on the negative axis (E_1(-20) is ~100x too large; ROADMAP 1).
 
     ``z`` is a float (giving a float) or an array, summed by one kernel
-    call (:func:`_sum_terms`) with a column per z; as even one column
-    costs tens of microseconds, pass many points as one array.  Raises
-    :class:`DomainError`, naming the first non-finite z, before any sum,
-    and :class:`NonConvergenceError`, naming the first z at fault and its
-    last term, if the stopping rule has not fired within ``_MAX_TERMS``
-    terms.
+    call (:func:`_sum_terms`) with a column per z.  A call costs a fixed
+    few dozen numpy calls, tens of microseconds, whatever its size, so
+    pass many points as one array.  Raises :class:`DomainError`, naming
+    the first non-finite z, before any sum, and
+    :class:`NonConvergenceError`, naming the first z at fault and its last
+    term, if the stopping rule has not fired within ``_MAX_TERMS`` terms.
+    A z past E_alpha's last threshold cannot converge: the z after the
+    first such one are not summed.
     """
     if not 0 < alpha <= 1:
         raise DomainError(f"mittag_leffler requires alpha in (0, 1], got {alpha}")
@@ -261,7 +417,11 @@ def mittag_leffler(alpha: float, z) -> float | np.ndarray:
     bad = np.flatnonzero(~np.isfinite(zs))
     if bad.size:
         raise DomainError(f"mittag_leffler requires a finite z, got z={float(zs.flat[bad[0]])}")
-    total, _, converged, last = _sum_terms(zs.ravel(), r=gamma_ratios(alpha))
+    table, x = _ml_table(alpha), zs.ravel()
+    # past the last threshold, margin included, a z cannot converge and the
+    # call raises: the z after the first such one are not summed
+    doomed = np.flatnonzero(np.abs(x) * (1.0 - _MARGIN) >= table.settle[-1])
+    total, _, converged, last = _sum_terms(x[: doomed[0] + 1] if doomed.size else x, table)
     if not converged.all():
         i = int(converged.argmin())
         raise NonConvergenceError(

@@ -366,10 +366,24 @@ class TestEmpiricalRadius:
         table = a_coeffs(0.6, 40)
         twin = CoeffTable(table.alpha, table.kind, table.d)
         empirical_radius(table)
+        table._terms  # the kernel table and thresholds, kept the same way
         assert "_root" in vars(table) and "_root" not in vars(twin)
+        assert "_terms" in vars(table) and "_terms" not in vars(twin)
         assert table == twin and hash(table) == hash(twin) and repr(table) == repr(twin)
         assert asdict(table) == asdict(twin) == {"alpha": 0.6, "kind": CoeffKind.A_COEFF,
                                                  "d": table.d}
+
+    def test_hash_is_kept_and_follows_equality(self):
+        # the hash of the fields, computed once per table object, so a cache
+        # keyed by the table does not hash its 201 entries on every lookup
+        table = a_coeffs(0.6, MAX_ORDER)
+        twin = CoeffTable(table.alpha, table.kind, table.d)
+        assert hash(table) == hash((table.alpha, table.kind, table.d)) == hash(twin)
+        assert vars(table)["_hash"] == hash(table)
+        for other in (CoeffTable(0.7, table.kind, table.d),
+                      CoeffTable(table.alpha, CoeffKind.EULER_ALPHA, table.d),
+                      CoeffTable(table.alpha, table.kind, table.d[:-1])):
+            assert other != table and len({table, twin, other}) == 2
 
     def test_domain(self):
         with pytest.raises(DomainError):
@@ -488,15 +502,13 @@ class TestTableCache:
         # both kinds at MAX_ORDER and an E_alpha sum of 363 terms read
         # prefixes of one ratio table
         coeffs._table.cache_clear()
-        specfn.gamma_ratios.cache_clear()
+        specfn._ml_table.cache_clear()
         euler_alpha(0.5123, MAX_ORDER)
         a_coeffs(0.5123, MAX_ORDER)
-        _, used, converged, _ = specfn._sum_terms(
-            np.array([8.0]), r=specfn.gamma_ratios(0.5123)
-        )
+        _, used, converged, _ = specfn._sum_terms(np.array([8.0]), specfn._ml_table(0.5123))
         assert converged[0] and used[0] > 256
         assert specfn.mittag_leffler(0.5123, 8.0) > 0
-        assert specfn.gamma_ratios.cache_info().currsize == 1
+        assert specfn._ml_table.cache_info().currsize == 1
 
     def test_cache_is_bounded(self):
         maxsize = coeffs._table.cache_info().maxsize

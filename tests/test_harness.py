@@ -346,7 +346,7 @@ class TestEmit:
             return {p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()}
 
         coeffs._table.cache_clear()
-        specfn.gamma_ratios.cache_clear()
+        specfn._ml_table.cache_clear()
         trees = []
         for side in ("cold", "warm"):
             (tmp_path / side).mkdir()

@@ -7,6 +7,8 @@ from dataclasses import astuple
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fracsis import _cache, cli, specfn
 from fracsis.coeffs import (
@@ -36,7 +38,6 @@ from fracsis.solvers import TimeGrid, node_powers, solve_pece
 from fracsis.specfn import (
     _ABS_TOL,
     _CHUNK,
-    _FIRST_ROWS,
     _GROW_MIN_K,
     _GROW_STREAK,
     _MAX_TERMS,
@@ -355,16 +356,13 @@ class TestTermMatrixMatchesScalarLoop:
         assert_same(evaluate(sol, 1e300), want)
 
 
-# the first term of each extension of a full chunk: the kernel sums
-# _FIRST_ROWS terms past d_0, then extends _CHUNK open columns to twice as
-# many terms each time
-EDGES = [_FIRST_ROWS + 1, 2 * _FIRST_ROWS + 1, 4 * _FIRST_ROWS + 1]
 TAIL = [1.0] * 8
 
 
-def boundary_cases(edge):
-    """Tables whose sums at t = 1 stop near ``edge``, each with its terms used."""
-    for s in range(edge - 3, edge + 3):
+def rule_cases(near):
+    """Tables whose sums at t = 1 stop near term ``near`` by each rule,
+    each with its terms used."""
+    for s in range(near - 3, near + 3):
         # three zero terms ending at d_s: the negligible streak stops there
         yield "negligible", [1.0] * (s - 2) + [0.0] * 3 + TAIL, s + 1
         # five growing terms ending at d_s
@@ -375,81 +373,159 @@ def boundary_cases(edge):
         # a term that does not grow, at d_s, restarts a streak of four
         d = [1.0] * (s - 1) + [100.0, 50.0, 60.0, 70.0, 80.0, 90.0] + TAIL
         yield "restart", d, len(d)
+        # one negligible term, then five growing ones ending at d_s: the
+        # first of them outgrows the term before the negligible one
+        yield "growth-after-a-dip", [1.0] * (s - 5) + [1e-20, 2.0, 3.0, 4.0, 5.0, 6.0] + TAIL, s + 1
+        # the same across the dip, with the negligible streak right behind
+        d = [1.0] * (s - 5) + [2.0, 3.0, 4.0, 5.0, 1e-20, 6.0] + [0.0] * 3 + TAIL
+        yield "growth-across-a-dip", d, s + 1
+        # one negligible term, then shrinking ones: no stop and no growth
+        d = [1.0] * (s - 1) + [1e-20] + [1.0 / j for j in range(2, 10)]
+        yield "dip-to-the-end", d, len(d)
+
+
+#: stops early (the growth cases' first growing term just past
+#: _GROW_MIN_K), mid-table, and near the end of a MAX_ORDER table
+RULE_STOPS = [24, 64, MAX_ORDER - 8]
+
+
+def thresholds(d, k):
+    """The x at which term k of the table ``d`` reaches 1e-14, and at which
+    it outgrows the previous non-zero term (none for d_k = 0)."""
+    if d[k] == 0.0:
+        return []
+    p = max((j for j in range(k) if d[j] != 0.0), default=0)
+    xs = [math.exp((math.log(_ABS_TOL) - math.log(abs(d[k]))) / k)]
+    if d[p] != 0.0:
+        xs.append(math.exp((math.log(abs(d[p])) - math.log(abs(d[k]))) / (k - p)))
+    return xs
+
+
+def assert_nodes_match(table, xs):
+    """``_sum_nodes`` at the nodes x = ``xs`` equals the scalar loop at each."""
+    sol = table_series(table.d)  # alpha = 1 and arg_scale = 1: x = t
+    u, terms, converged = _sum_nodes(table, 1.0, np.asarray(xs, dtype=float))
+    for i, x in enumerate(xs):
+        want = scalar_evaluate(sol, x)
+        assert_same(EvalResult(float(u[i]), int(terms[i]), bool(converged[i]),
+                               want.beyond_theoretical_radius), want)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-class TestSegmentBoundaries:
-    """Stops that fall on the edges between a chunk's row segments."""
+class TestStopClasses:
+    """A node's stop is read off its table's thresholds where they decide
+    it, and found by the rule term by term where they do not; either way
+    each sum, terms used and flag is the scalar loop's."""
 
-    @pytest.mark.parametrize("edge", EDGES)
-    def test_stops_at_the_edges(self, edge, monkeypatch):
-        # a full chunk of nodes x = t <= 1, so that all its columns stay
-        # open up to the stop and the kernel doubles the terms summed; at
-        # t = 1 the terms are the d_k, and x^k != 1 at the others
-        ts = np.linspace(1.0 - 1e-3, 1.0, _CHUNK)
-        starts = set()
-        term_matrix = specfn._term_matrix
+    @staticmethod
+    def classes(table, xs):
+        stop, converged, exact = specfn._classify(xs, table._terms, table.order)
+        ends = ~exact & ~converged & (stop == table.order)
+        return {"settles": ~exact & converged, "grows": ~exact & ~converged & ~ends,
+                "ends": ends, "exact": exact}
 
-        def spy(x, d, r, lo, *args):
-            starts.add(lo)
-            return term_matrix(x, d, r, lo, *args)
+    def test_each_class_runs_and_matches_the_scalar_loop(self):
+        seen = dict.fromkeys(["settles", "grows", "ends", "exact"], 0)
+        for table in (a_coeffs(0.5, MAX_ORDER), euler_alpha(0.7, 120), a_coeffs(0.9, 6)):
+            # inside and past the radius, and at the thresholds to within 2 ulp
+            xs = np.linspace(0.0, 2.0, 301).tolist()
+            for k in range(1, table.order + 1, 7):
+                for x in thresholds(table.d, k):
+                    xs += [x * (1 + j * 2.0**-52) for j in (-2, 0, 2)]
+            for name, at in self.classes(table, np.array(xs)).items():
+                seen[name] += int(at.sum())
+            assert_nodes_match(table, xs)
+        assert all(seen.values()), seen
 
-        monkeypatch.setattr(specfn, "_term_matrix", spy)
-        for name, d, used in boundary_cases(edge):
+    @pytest.mark.parametrize("build", [euler_alpha, a_coeffs])
+    def test_every_short_order(self, build):
+        # orders 0..24 hold from none to a few growth windows of non-zero
+        # entries past _GROW_MIN_K (the Euler tables' odd ones)
+        for K in range(25):
+            table = build(0.6, K)
+            xs = np.linspace(0.0, 3.0, 31).tolist()
+            for k in range(1, K + 1):
+                xs += thresholds(table.d, k)
+            assert_nodes_match(table, xs)
+
+    @pytest.mark.parametrize("s", RULE_STOPS)
+    def test_stops_by_each_rule(self, s):
+        # two groups' worth of nodes x = t <= 1, and one more, on tables that
+        # stop near term s by each rule; at t = 1 the terms are the d_k, and
+        # x^k != 1 at the others
+        ts = np.linspace(1.0 - 1e-3, 1.0, 2 * _CHUNK + 1)
+        for name, d, used in rule_cases(s):
             sol = table_series(d)
             assert scalar_evaluate(sol, 1.0).terms_used == used, name
-            u, terms, converged = _sum_nodes(sol.coeffs, sol.arg_scale, ts)  # t**1 is t
-            for i, t in enumerate(ts.tolist()):
-                want = scalar_evaluate(sol, t)
-                assert_same(EvalResult(float(u[i]), int(terms[i]), bool(converged[i]),
-                                       want.beyond_theoretical_radius), want)
-        assert edge - 1 in starts
+            assert_nodes_match(sol.coeffs, ts.tolist())
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        alpha=st.floats(0.05, 1.0),
+        K=st.one_of(st.integers(1, 24), st.sampled_from([60, 120, MAX_ORDER])),
+        build=st.sampled_from([euler_alpha, a_coeffs]),
+        free=st.lists(st.floats(0.0, 4.0), max_size=16),
+        near=st.lists(st.tuples(st.integers(1, MAX_ORDER), st.integers(-6, 6),
+                                st.booleans()), max_size=16),
+    )
+    def test_sums_are_the_scalar_loops(self, alpha, K, build, free, near):
+        # nodes drawn freely and within a few ulp of a threshold
+        table = build(alpha, K)
+        xs = list(free)
+        for k, ulps, growth in near:
+            at = thresholds(table.d, (k - 1) % K + 1)
+            if at:
+                xs.append(at[growth % len(at)] * (1 + ulps * 2.0**-52))
+        assert_nodes_match(table, xs)
 
 
 class TestNoRebuild:
+    """Each node is summed by one pass, the threshold path or the exact
+    rule, over as many rows as it uses at least: no term is built twice."""
+
     @staticmethod
-    def segments(monkeypatch, run):
-        """The (lo, hi) term ranges summed per node value, in call order."""
+    def passes(monkeypatch, run):
+        """The rows built for each node value, one entry per pass over it."""
         built = {}
-        term_matrix = specfn._term_matrix
+        sum_to, rule = specfn._sum_to, specfn._rule
 
-        def spy(x, d, r, lo, hi, *args):
+        def spy_sum_to(x, table, stop):
+            for v, n in zip(x.tolist(), stop.tolist()):
+                built.setdefault(v, []).append(n)
+            return sum_to(x, table, stop)
+
+        def spy_rule(x, table, cap):
             for v in x.tolist():
-                built.setdefault(v, []).append((lo, hi))
-            return term_matrix(x, d, r, lo, hi, *args)
+                built.setdefault(v, []).append(cap)
+            return rule(x, table, cap)
 
-        monkeypatch.setattr(specfn, "_term_matrix", spy)
+        monkeypatch.setattr(specfn, "_sum_to", spy_sum_to)
+        monkeypatch.setattr(specfn, "_rule", spy_rule)
         run()
         return built
 
     @staticmethod
-    def assert_contiguous(built, used):
-        """Each node's ranges start at 0, each at the end of the one before,
-        and reach the terms it used; some node was extended twice."""
+    def assert_once(built, used):
         assert sorted(built) == sorted(used)
-        for v, ranges in built.items():
-            assert ranges[0][0] == 0, v
-            assert all(lo < hi for lo, hi in ranges), (v, ranges)
-            assert all(a[1] == b[0] for a, b in zip(ranges, ranges[1:])), (v, ranges)
-            assert ranges[-1][1] >= used[v] - 1, (v, ranges)
-        assert max(len(r) for r in built.values()) >= 3
+        for v, rows in built.items():
+            assert len(rows) == 1 and rows[0] >= used[v] - 1, (v, rows)
 
     def test_series_terms_are_built_once(self, monkeypatch):
-        # 801 distinct nodes over several chunks, inside and past the radius
+        # 801 distinct nodes over several groups, inside and past the radius
         sol = zero_capacity(0.5, MAX_ORDER)
         grid = TimeGrid(0.4, 0.0005)
         x = [sol.arg_scale * t**sol.alpha for t in grid.nodes().tolist()]
         used = sample_trajectory(sol, grid).meta["terms_used"]
         _unit_scale_sums.cache_clear()  # else the spied call is a cache hit
-        built = self.segments(monkeypatch, lambda: sample_trajectory(sol, grid))
-        self.assert_contiguous(built, dict(zip(x, used)))
+        built = self.passes(monkeypatch, lambda: sample_trajectory(sol, grid))
+        self.assert_once(built, dict(zip(x, used)))
 
     def test_mittag_leffler_terms_are_built_once(self, monkeypatch):
         zs = np.linspace(-2.0, 9.0, 300)
-        _, used, _, _ = specfn._sum_terms(zs, r=specfn.gamma_ratios(0.5))
-        assert used.max() > 8 * _FIRST_ROWS
-        built = self.segments(monkeypatch, lambda: specfn.mittag_leffler(0.5, zs))
-        self.assert_contiguous(built, dict(zip(zs.tolist(), used.tolist())))
+        _, used, _, _ = specfn._sum_terms(zs, specfn._ml_table(0.5))
+        assert used.max() > 256
+        built = self.passes(monkeypatch, lambda: specfn.mittag_leffler(0.5, zs))
+        self.assert_once(built, dict(zip(zs.tolist(), used.tolist())))
 
 
 class TestClassicalReductionNearRadius:
@@ -596,33 +672,26 @@ class TestSumCache:
     def cold(self):
         _unit_scale_sums.cache_clear()
 
-    @pytest.fixture
-    def kernel_calls(self, monkeypatch):
-        calls = []
-
-        def counted(*args, **kwargs):
-            calls.append(args[0].size)
-            return specfn._sum_terms(*args, **kwargs)
-
-        monkeypatch.setattr("fracsis.series._sum_terms", counted)
-        return calls
+    @staticmethod
+    def counts():
+        """(misses, hits) of the cache: a miss is one kernel call."""
+        info = _unit_scale_sums.cache_info()
+        return info.misses, info.hits
 
     def test_cached_arrays_refuse_writes(self):
         for x in _unit_scale_sums(a_coeffs(0.7, 40), TimeGrid(5.0, 0.05)):
             with pytest.raises(ValueError, match="read-only"):
                 x[0] = 1
 
-    def test_two_betas_cost_one_kernel_call_and_equal_uncached_runs(
-        self, kernel_calls, monkeypatch
-    ):
+    def test_two_betas_cost_one_kernel_call_and_equal_uncached_runs(self, monkeypatch):
         table, grid = a_coeffs(0.6, 120), TimeGrid(1.0, 0.01)
         betas = (0.7, 1.3, 0.7)
         got = [sample_trajectory(zero_capacity_series(b, 0.6, table), grid) for b in betas]
-        assert kernel_calls == [grid.N + 1]
+        assert self.counts() == (1, 2)
         assert got[0].u.tobytes() != got[1].u.tobytes()
         monkeypatch.setattr(_cache, "_CACHE_MAX_N", 0)  # no grid is cached
         want = [sample_trajectory(zero_capacity_series(b, 0.6, table), grid) for b in betas]
-        assert len(kernel_calls) == 1 + len(betas)
+        assert self.counts() == (1, 2)  # each uncached run summed past the cache
         assert [sample_fields(t) for t in got] == [sample_fields(t) for t in want]
         assert [t.meta for t in got] == [t.meta for t in want]
 
@@ -633,19 +702,19 @@ class TestSumCache:
         assert [x.tobytes() for x in got] == [x.tobytes() for x in want]
 
     @pytest.mark.parametrize("build", [carrying, rescaled])
-    def test_scaled_arguments_never_enter_the_cache(self, build, kernel_calls):
+    def test_scaled_arguments_never_enter_the_cache(self, build):
         sample_trajectory(zero_capacity(0.6, 40), TimeGrid(5.0, 0.05))
         for _ in range(2):
             sample_trajectory(build(0.6, 40), TimeGrid(5.0, 0.05))
         assert _unit_scale_sums.cache_info().currsize == 1
-        assert len(kernel_calls) == 3
+        assert self.counts() == (1, 0)
 
-    def test_grids_past_the_bound_keep_nothing(self, kernel_calls):
+    def test_grids_past_the_bound_keep_nothing(self):
         grid = TimeGrid(1.0, 1.0 / (_cache._CACHE_MAX_N + 1))
         for _ in range(2):
             sample_trajectory(zero_capacity(0.6, 40), grid)
         assert _unit_scale_sums.cache_info().currsize == 0
-        assert len(kernel_calls) == 2
+        assert self.counts() == (0, 0)
 
     def test_bounded_and_equal_after_eviction(self):
         grid = TimeGrid(1.0, 0.01)

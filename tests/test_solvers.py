@@ -658,9 +658,9 @@ class TestPlanCache:
     def test_twenty_paper_ops_build_eight_plans_per_scheme(self, monkeypatch):
         # every cache holds the paper sweep's working set: each value is
         # built once, so a bound cut below it fails here
-        for cache in (coeffs._table, specfn.gamma_ratios, series._unit_scale_sums):
+        for cache in (coeffs._table, specfn._ml_table, series._unit_scale_sums):
             cache.cache_clear()
-        built = {"pece": 0, "l1": 0, "table": 0, "root": 0, "ratios": 0}
+        built = {"pece": 0, "l1": 0, "table": 0, "root": 0, "thresholds": 0, "ratios": 0}
         sums = {"unit": 0, "scaled": 0}
 
         def spy(name, build):
@@ -678,7 +678,8 @@ class TestPlanCache:
         monkeypatch.setattr(solvers, "l1_kernel", spy("l1", l1_kernel))
         monkeypatch.setattr(coeffs, "_recurse", spy("table", coeffs._recurse))
         monkeypatch.setattr(coeffs, "_root_test", spy("root", coeffs._root_test))
-        # within specfn only gamma_ratios reads the log-Gammas
+        monkeypatch.setattr(coeffs, "_series_table", spy("thresholds", coeffs._series_table))
+        # within specfn only _ml_table, which holds the ratios, reads the log-Gammas
         monkeypatch.setattr(specfn, "log_gamma_orders", spy("ratios", specfn.log_gamma_orders))
         monkeypatch.setattr(series, "_sum_nodes", summed)
         for i in range(20):  # 4 alphas x 2 preset grids, each seen 2 or 3 times
@@ -686,8 +687,9 @@ class TestPlanCache:
             cfg = preset_config(preset, alpha, methods=("series", "pece", "l1"))
             assert cfg.grid.N <= _cache._CACHE_MAX_N
             assert run_methods(cfg)[Method.PECE].u.size == cfg.grid.N + 1
-        # one table of each kind and one ratio table per alpha
-        assert built == {"pece": 8, "l1": 8, "table": 8, "root": 8, "ratios": 4}
+        # one table of each kind, with its root test and thresholds, and one
+        # ratio table per alpha
+        assert built == {"pece": 8, "l1": 8, "table": 8, "root": 8, "thresholds": 8, "ratios": 4}
         # every grid is within the bound, so each miss is one build
         assert node_powers.cache_info().misses == 8
         # one zero-capacity sum per alpha; the 12 carrying samples are never cached

@@ -50,8 +50,9 @@ def per_term_lgamma_ml(alpha, z, max_terms=_MAX_TERMS):
 def capped_ml(alpha, z, max_terms):
     """E_alpha(z) summed by the kernel of :func:`mittag_leffler`, cut at
     ``max_terms`` terms by the first ``max_terms - 1`` ratios."""
+    table = specfn._ml_table(alpha)
     total, _, converged, last = specfn._sum_terms(
-        np.array([z]), r=gamma_ratios(alpha)[: max_terms - 1]
+        np.array([z]), table._replace(r=table.r[: max_terms - 1])
     )
     if not converged[0]:
         raise NonConvergenceError(
@@ -136,8 +137,8 @@ class TestMittagLeffler:
 
     @pytest.mark.parametrize("alpha", [0.3, 0.7, 1.0])
     def test_array_matches_scalar_calls(self, alpha):
-        # more z than one _CHUNK-column chunk, spread so that some stop in
-        # the first row segment and others need extensions
+        # more z than one _CHUNK-column group, spread so that their stops
+        # differ
         zs = np.concatenate([[0.0, -0.0], np.linspace(-3.0, 2.0, 301)])
         got = mittag_leffler(alpha, zs)
         assert isinstance(got, np.ndarray) and got.shape == zs.shape
@@ -147,10 +148,10 @@ class TestMittagLeffler:
 
     @pytest.mark.parametrize("alpha, lo, hi", [(0.3, 2.2, 3.2), (0.5, 5.5, 9.5), (0.7, 15.0, 30.0)])
     def test_sums_past_256_terms_match_per_term_lgamma(self, alpha, lo, hi):
-        # z whose sums stop on both sides of 256 terms, over several row
-        # segments, and some that do not converge within _MAX_TERMS
+        # z whose sums stop on both sides of 256 terms, in groups of
+        # different heights, and some that do not converge within _MAX_TERMS
         zs = np.linspace(lo, hi, 200)
-        _, used, converged, _ = specfn._sum_terms(zs, r=gamma_ratios(alpha))
+        _, used, converged, _ = specfn._sum_terms(zs, specfn._ml_table(alpha))
         assert used[converged].min() < 256 < used[converged].max()
         assert not converged.all()
         want = [outcome(per_term_lgamma_ml, alpha, z) for z in zs.tolist()]
@@ -172,25 +173,43 @@ class TestMittagLeffler:
         assert "(alpha=0.5, z=80.0); last term" in str(array.value)
         assert str(array.value) == str(scalar.value)
 
-    @pytest.mark.parametrize("bad", [3, 130, _CHUNK + 2])
-    def test_array_stops_after_the_chunk_of_the_first_failure(self, bad, monkeypatch):
-        # the call raises anyway, so no node past the chunk of the first
-        # unconverged z is summed
-        zs = np.linspace(-1.0, 1.0, 3 * _CHUNK + 5)
+    @pytest.mark.parametrize("bad", [3, 130, 258])
+    def test_array_names_its_first_failure(self, bad, monkeypatch):
+        # wherever the first unconverged z sits, the error names it as the
+        # scalar call does, and as the call raises anyway, no z after it is
+        # summed
+        zs = np.linspace(-1.0, 1.0, 773)
         zs[bad], zs[bad + 3] = 80.0, 90.0
         summed = []
-        term_matrix = specfn._term_matrix
+        sum_terms = specfn._sum_terms
 
         def spy(x, *args):
             summed.extend(x.tolist())
-            return term_matrix(x, *args)
+            return sum_terms(x, *args)
 
-        monkeypatch.setattr(specfn, "_term_matrix", spy)
+        monkeypatch.setattr(specfn, "_sum_terms", spy)
         with pytest.raises(NonConvergenceError) as err:
             mittag_leffler(0.5, zs)
-        assert "(alpha=0.5, z=80.0); last term" in str(err.value)
-        end = (bad // _CHUNK + 1) * _CHUNK
-        assert set(summed) == set(zs[:end].tolist())
+        with pytest.raises(NonConvergenceError) as scalar:
+            mittag_leffler(0.5, 80.0)
+        assert str(err.value) == str(scalar.value)
+        assert summed[: bad + 1] == zs[: bad + 1].tolist() and 90.0 not in summed
+
+    @pytest.mark.parametrize("alpha", [0.1, 0.5, 0.9, 1.0])
+    def test_thresholds_match_per_term_lgamma(self, alpha):
+        # z where a term of E_alpha reaches 1e-14, and within 3 ulp of it:
+        # the stops read off the thresholds and those the rule finds agree
+        # with the per-term loop
+        lg = [math.lgamma(alpha * k + 1.0) for k in range(_MAX_TERMS)]
+        zs = []
+        for k in range(1, _MAX_TERMS, 5):
+            z = math.exp((math.log(_ABS_TOL) + lg[k]) / k)
+            zs += [s * z * (1 + j * 2.0**-52) for s in (1, -1) for j in range(-3, 4)]
+        want = [outcome(per_term_lgamma_ml, alpha, z) for z in zs]
+        assert [outcome(mittag_leffler, alpha, z) for z in zs] == want
+        ok = [type(v) is float for v in want]
+        got = mittag_leffler(alpha, np.array(zs)[ok])
+        assert got.tobytes() == np.array([v for v in want if type(v) is float]).tobytes()
 
     def test_non_convergence_error(self):
         with pytest.raises(NonConvergenceError, match=f"after {_MAX_TERMS} terms"):
