@@ -17,10 +17,11 @@ before each of its rounds, so it times the summation kernel, and
 sums and builds the meta.  Each table's stop thresholds are built at its
 first sum and kept on it, so every round after the first reads them.
 Nearly every node of those samples has its stop read off the
-thresholds; ``test_sum_nodes_band`` times the other path, the rule term
-by term, on 1001 nodes x within 5 ulp of the x where a term of the
-K = 200 table reaches 1e-14 (for the Euler table every 1e-14 crossing
-of its 100 non-zero entries, for the A-table the first 100 of its 200).  The carrying-capacity series is the
+thresholds; ``test_sum_nodes_band`` times the other path, the rule's
+Python loop over one node at a time, on 1001 nodes x within 5 ulp of
+the x where a term of the K = 200 table reaches 1e-14 (for the Euler
+table every 1e-14 crossing of its 100 non-zero entries, for the A-table
+the first 100 of its 200).  The carrying-capacity series is the
 solution of the endemic reference rates (beta = 0.7, gamma = 0.05,
 mu = 0.12) over the alpha-Euler table; the zero-capacity series has
 beta = 0.7 over the A-table.  The directory lies outside the test paths,

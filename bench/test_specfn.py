@@ -9,13 +9,19 @@ alpha = 0.6, lam - mu = -1, T = 5 and dt = 0.005 (N = 1000 nodes, one
 kernel call; the nodes' t^alpha are cached after the first round), and
 on the same grid at alpha = 0.3, lam - mu = -4.7, where z = -3.14 at
 node 52 is the first past E_alpha's last threshold: the call sums nodes
-0..52 and is timed until it raises.
+0..52 and is timed until it raises.  ``test_mittag_leffler_band`` times
+E_alpha's kernel call on 2495 z = -x, x within 2 ulp of each of the 499
+points where a term of E_0.6 reaches 1e-14: all but the last 10 z take
+the rule's Python loop, the path that the thresholds leave to it.
 The directory lies outside the test paths, so the tier-1 suite does not
 run it.  From the root of a checkout:
 
     PYTHONPATH=src python -m pytest bench --benchmark-only
 """
 
+import math
+
+import numpy as np
 import pytest
 
 from fracsis import specfn
@@ -54,3 +60,13 @@ def test_population_curve_failing_grid(benchmark):
             population_curve(0.3, 0.0, 4.7, 1.0, grid)
 
     benchmark(until_raised)
+
+
+def test_mittag_leffler_band(benchmark):
+    lg = specfn.log_gamma_orders(ALPHA, specfn._MAX_TERMS - 1)
+    zs = np.array([
+        -math.exp((math.log(1e-14) + lg[k]) / k) * (1 + j * 2.0**-52)
+        for k in range(1, len(lg)) for j in range(-2, 3)
+    ])
+    total, used, _, _ = benchmark(specfn._sum_terms, zs, specfn._ml_table(ALPHA))
+    assert total.size == zs.size == 2495 and used.max() <= specfn._MAX_TERMS

@@ -45,9 +45,9 @@ form, ``CoeffTable._terms``.  That form carries the rules' thresholds in
 |x|, built once per table object: most nodes' stops are read off them
 (the node settles, grows past the radius, or runs to the end of the
 table), and the rest, within 1e-9 relative of a threshold or with a
-negligible term that does not settle the sum, take the rule term by
-term; either way each value, terms used and flag is the term-by-term
-loop's, bit for bit.
+negligible term that does not settle the sum, take the rule in a
+per-node loop over their terms; either way each value, terms used and
+flag is the term-by-term loop's, bit for bit.
 """
 
 from __future__ import annotations
@@ -234,12 +234,13 @@ def _sum_nodes(
     the nodes t >= 0 whose libm powers t**alpha are ``powers``
     (:func:`~fracsis.solvers.node_powers`), with ``x = arg_scale * t**alpha``.
 
-    t = 0 gives d_0 from one term, converged: the kernel sums d_0 there
-    exactly, for every table length.
+    t = 0 gives d_0 from one term, converged, as the term-by-term loop
+    does; the kernel's sum there is d_0 + 0 d_1 + ..., which a non-finite
+    entry makes nan.
     """
     total, used, converged, _ = _sum_terms(arg_scale * powers, table._terms)
     at0 = powers == 0.0
-    used[at0], converged[at0] = 1, True
+    total[at0], used[at0], converged[at0] = table.d[0], 1, True
     return total, used, converged
 
 

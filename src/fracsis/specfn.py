@@ -45,14 +45,19 @@ into three classes:
   can complete: the stop is the stop rule's index (or the table's end);
 * (b) the growth rule fires at G while every earlier term of a non-zero
   entry is non-negligible: the stop is G;
-* (c) everything else, the exact rule term by term (:func:`_rule`):
-  nodes within ``_MARGIN`` (1e-9 relative) of a threshold, where a
-  computed term's rounding could flip a test; nodes with a negligible
-  term of a non-zero entry before the stop rule's last window, or before
-  the end of a table that never stops them, whose later terms the
-  thresholds do not follow (a few near a table's end or its radius);
-  tables with an entry past ``_MAX_FAST_D``; and every node whose
-  partial sum is not finite.
+* (c) everything else, each node by :func:`_rule`, one Python loop over
+  its terms that applies the rule as written: nodes within ``_MARGIN``
+  (1e-9 relative) of a threshold, where a computed term's rounding could
+  flip a test; nodes with a negligible term of a non-zero entry before
+  the stop rule's last window, or before the end of a table that never
+  stops them, whose later terms the thresholds do not follow (a few near
+  a table's end or its radius); tables with an entry past
+  ``_MAX_FAST_D``; and every node whose partial sum is not finite.  The
+  loop builds each term as :func:`_sum_to` does and ends at the node's
+  stop, at 0.2-0.3 us per term (2-vCPU Xeon): cheap for the few nodes of
+  a real grid (0.4 per ``series_stress`` op, none on ``paper_sweep``),
+  slower than a vectorised pass where a caller packs many nodes at
+  thresholds.
 
 Classes (a) and (b) are summed to their stops by :func:`_sum_to`, in
 groups of at most ``_CHUNK`` nodes sorted by stop, each as tall as its
@@ -97,13 +102,13 @@ _GROW_MIN_K = 10
 
 #: log of ``_ABS_TOL``
 _LOG_TOL = math.log(_ABS_TOL)
-#: node columns per term matrix, in a group summed to its stops and in an
-#: exact evaluation of the rule.  A group is as tall as its largest stop, so
-#: narrower groups of the sorted nodes waste fewer rows but pay more fixed
-#: numpy calls: over the groups of 40 series_stress ops, 15 interleaved
-#: rounds took 2.39 / 2.10 ms per op at 256 / 128 columns (medians), and
-#: splitting each group further where that saves more cells than a group's
-#: fixed cost gained under 5% more (2-vCPU Xeon, numpy 2.4)
+#: node columns per term matrix of a group summed to its stops.  A group is
+#: as tall as its largest stop, so narrower groups of the sorted nodes waste
+#: fewer rows but pay more fixed numpy calls: over the groups of 40
+#: series_stress ops, 15 interleaved rounds took 2.39 / 2.10 ms per op at
+#: 256 / 128 columns (medians), and splitting each group further where that
+#: saves more cells than a group's fixed cost gained under 5% more (2-vCPU
+#: Xeon, numpy 2.4)
 _CHUNK = 128
 #: a node's stop is read off its table's thresholds only where it is the
 #: same at |x| (1 - _MARGIN) and at |x| (1 + _MARGIN).  A computed term
@@ -294,62 +299,42 @@ def _sum_to(x: np.ndarray, table: _Table, stop: np.ndarray) -> tuple[np.ndarray,
     return total, last
 
 
-def _rule(
-    x: np.ndarray, table: _Table, cap: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The stopping rule evaluated term by term over the whole table.
+def _rule(x: float, coeffs: list[float], series: bool) -> tuple[float, float, int, bool]:
+    """The stopping rule at one node, term by term.
 
-    Row ``k - 1`` of the term matrix holds t_k, built as :func:`_sum_to`
-    builds it.  Returns per node the partial sum and the term at the stop
-    (else at t_cap), the terms used and ``converged``.  The reference that
-    the thresholds stand in for; it runs where they cannot decide.
+    ``coeffs`` is a table as a list: a series table d (``series``: t_k =
+    x^k d_k, and the divergence rule applies) or E_alpha's ratios r
+    (t_k = t_{k-1} x r_{k-1}, no divergence rule), each term built as
+    :func:`_sum_to` builds it.  Returns the partial sum and the term at the
+    stop (else at the table's end), the terms used and ``converged``.  The
+    reference that the thresholds stand in for; it runs where they cannot
+    decide.
     """
-    d, r = table.d, table.r
-    grow, pad = d is not None, _STOP_STREAK
-    first = 1.0 if d is None else d[0]
-    terms = np.empty((cap, x.size))
-    np.multiply(x, 1.0 if grow else r[:cap, None], out=terms)
-    np.multiply.accumulate(terms, axis=0, out=terms)
-    if grow:
-        terms *= d[1:, None]
-    totals = np.empty((cap + 1, x.size))
-    totals[0] = first
-    totals[1:] = terms
-    np.add.accumulate(totals, axis=0, out=totals)
-
-    # |term| and negligibility, padded above by pad rows that stand for
-    # t_0, which opens the growth comparison as a non-negligible term
-    mag = np.empty((pad + cap, x.size))
-    mag[:pad] = abs(first)
-    np.abs(terms, out=mag[pad:])
-    neg = np.zeros((pad + cap, x.size), dtype=bool)
-    np.less(mag[pad:], _ABS_TOL, out=neg[pad:])
-    # converged: the row ends a run of _STOP_STREAK negligible terms.
-    # prev: the previous non-negligible |term|, found within pad rows back
-    # because no earlier row ended such a run
-    converged = neg[pad:].copy()
-    prev = mag[:cap].copy() if grow else None
-    for j in range(1, pad):
-        converged &= neg[j : j + cap]
-        if grow:
-            np.copyto(prev, mag[j : j + cap], where=~neg[j : j + cap])
-    stop = converged
-    if grow:
-        up = ~neg[pad:] & (mag[pad:] > prev)
-        up[: _GROW_MIN_K - 1] = False
-        # the growth streak restarts at each non-negligible term that does
-        # not grow; the count of growing terms never decreases, so its
-        # running maximum over those rows is its value at the latest one.
-        # int16 holds the count (at most 499), and its accumulates ran 3x
-        # as fast as int64's
-        count = np.cumsum(up, axis=0, dtype=np.int16)
-        restart = np.where(neg[pad:] | up, 0, count)
-        np.maximum.accumulate(restart, axis=0, out=restart)
-        stop = converged | (count - restart >= _GROW_STREAK)
-
-    last = np.where(stop.any(axis=0), stop.argmax(axis=0), cap - 1)
-    cols = np.arange(x.size)
-    return totals[last + 1, cols], terms[last, cols], last + 2, converged[last, cols]
+    total = coeffs[0] if series else 1.0
+    p, prev, below, grown = 1.0, abs(total), 0, 0
+    cap = len(coeffs) - 1 if series else len(coeffs)
+    for k in range(1, cap + 1):
+        if series:
+            p *= x
+            t = p * coeffs[k]
+        else:
+            p *= x * coeffs[k - 1]
+            t = p
+        total += t
+        if abs(t) < _ABS_TOL:
+            below += 1
+            if below == _STOP_STREAK:
+                return total, t, k + 1, True
+            continue
+        below = 0
+        if series:
+            # a growth streak counts the non-negligible terms that outgrow
+            # the previous one from _GROW_MIN_K on; any other restarts it
+            grown = grown + 1 if abs(t) > prev and k >= _GROW_MIN_K else 0
+            if grown == _GROW_STREAK:
+                return total, t, k + 1, False
+            prev = abs(t)
+    return total, t, cap + 1, False
 
 
 def _sum_terms(
@@ -365,12 +350,14 @@ def _sum_terms(
       (``_MAX_TERMS`` for :func:`gamma_ratios`), no divergence rule.
 
     Each node's stop comes from the table's thresholds (:func:`_classify`)
-    where they decide it, and its sum from :func:`_sum_to`; the other
-    nodes take :func:`_rule`, as does every node whose sum is not finite
-    (inf or nan terms break the comparisons the thresholds stand for),
-    except an E_alpha node that runs to the end: its terms, once one
-    overflows, stay inf and never negligible, as the thresholds say.
-    The results are those of the rule at every node, bit for bit.
+    where they decide it, and its sum from :func:`_sum_to`.  Every other
+    node, and every node whose sum is not finite (inf or nan terms break
+    the comparisons the thresholds stand for), takes one call of
+    :func:`_rule` over the table as a list, converted once per call here;
+    an E_alpha node that runs to the end keeps its threshold sum: its
+    terms, once one overflows, stay inf and never negligible, as the
+    thresholds say.  The results are those of the rule at every node, bit
+    for bit.
     """
     d, r = table.d, table.r
     cap = len(r) if d is None else len(d) - 1
@@ -387,9 +374,10 @@ def _sum_terms(
         if d is None:
             redo &= converged
         slow = np.flatnonzero(slow | redo)
-        for start in range(0, slow.size, _CHUNK):
-            at = slow[start : start + _CHUNK]
-            total[at], last[at], used[at], converged[at] = _rule(x[at], table, cap)
+        if slow.size:
+            coeffs = (r if d is None else d).tolist()
+            for i, v in zip(slow.tolist(), x[slow].tolist()):
+                total[i], last[i], used[i], converged[i] = _rule(v, coeffs, d is not None)
     return total, used, converged, last
 
 

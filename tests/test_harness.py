@@ -1,16 +1,19 @@
 """Config handling, comparisons, emission, determinism, and the CLI."""
 
 import dataclasses
+import io
 import json
+import math
 import re
 import shutil
 import tempfile
 import warnings
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 import fracsis
@@ -862,3 +865,103 @@ class TestSharedParser:
         first = helps()
         assert all(t.out.startswith("usage: fracsis") and t.err == "" for t in first)
         assert helps() == first
+
+
+#: the rates, alpha, i0 and n0 of the argv gate: decimals and the float
+#: boundaries
+GATE_NUMBERS = st.decimals(-3, 3, places=3).map(float) | st.sampled_from(
+    [0.0, -0.0, 5e-324, 1e-300, 1e300, math.inf, -math.inf, math.nan]
+)
+
+
+@st.composite
+def gate_values(draw, required, optional=(), nonneg=()):
+    """A value per key: from ``GATE_NUMBERS`` (at least 0 for the ``nonneg``
+    keys) for up to two drawn keys, a decimal in (0, 1] for the others, or none
+    for an ``optional`` one, so that many calls run past validation."""
+    keys = required + optional
+    odd = draw(st.sets(st.sampled_from(keys), max_size=2))
+    values = {}
+    for k in keys:
+        if k in odd:
+            strategy = GATE_NUMBERS.filter(lambda v: not v < 0) if k in nonneg else GATE_NUMBERS
+        else:
+            strategy = st.decimals("0.001", 1, places=3).map(float)
+            if k in optional:
+                strategy = st.none() | strategy
+        values[k] = draw(strategy)
+    return values
+
+
+@st.composite
+def gate_grid(draw):
+    """``--T``/``--dt`` flags with T/dt <= 200, a non-positive T, or none."""
+    if draw(st.booleans()):
+        return []
+    dt = float(draw(st.decimals("0.001", 1, places=3)))
+    T = draw(st.integers(1, 200).map(lambda n: n * dt) | st.sampled_from([0.0, -0.0, -1.0]))
+    return [f"--T={T}", f"--dt={dt}"]
+
+
+def gate_flags(values):
+    """``--key=value`` for each value given, in a form argparse never takes
+    for an option (as it would ``-inf``)."""
+    return [f"--{key}={value}" for key, value in values.items() if value is not None]
+
+
+class TestCliArgvGate:
+    """Every argv of valid syntax exits 0 with finite output, 1 with an
+    ``error:`` line or 2 with a ``numeric failure:`` line; none raises."""
+
+    @staticmethod
+    def assert_outcome(argv):
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = cli.main(argv)
+        out, err = out.getvalue(), err.getvalue()
+        event(f"exit {code}")
+        if code == 0:
+            cells = [c for c in re.split(r"[,:\s]+", out) if c]
+            numbers = []
+            for c in cells:
+                try:
+                    numbers.append(float(c))
+                except ValueError:
+                    pass
+            assert numbers and all(map(math.isfinite, numbers)), (argv, out)
+        else:
+            prefix = {1: "error: ", 2: "numeric failure: "}.get(code)
+            assert prefix and err.startswith(prefix) and err.count("\n") == 1, (argv, code, err)
+
+    @settings(max_examples=500, deadline=None)
+    @given(
+        solve=st.booleans(),
+        methods=st.lists(st.sampled_from([m.value for m in Method]), min_size=1, max_size=4,
+                         unique=True),
+        preset=st.sampled_from([None, *sorted(harness.PRESETS)]),
+        values=gate_values(("alpha",), ("beta", "gamma", "mu", "i0")),
+        terms=st.none() | st.sampled_from([0, 1, -3, 120, 200, 201]),
+        grid=gate_grid(),
+    )
+    def test_solve_and_compare(self, solve, methods, preset, values, terms, grid):
+        if solve:
+            argv = ["solve", f"--method={methods[0]}"]
+        else:
+            argv = ["compare", f"--methods={','.join(methods)}"]
+        values.update(preset=preset, terms=terms)
+        self.assert_outcome(argv + gate_flags(values) + grid)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        values=gate_values(("alpha", "lambda", "mu"), ("n0",), nonneg=("lambda", "mu")),
+        grid=gate_grid(),
+    )
+    def test_population(self, values, grid):
+        self.assert_outcome(["population", *gate_flags(values), *grid])
+
+    @pytest.mark.xfail(strict=True, reason="population accepts a negative rate (ROADMAP item 3)")
+    def test_population_refuses_a_negative_rate(self, capsys):
+        # it exits 0 with a decaying N(t), though ModelParams refuses a
+        # negative rate
+        assert cli.main(["population", "--alpha", "0.6", "--lambda", "-0.5", "--mu", "0.1"]) == 1
+        assert capsys.readouterr().err.startswith("error: lambda")

@@ -437,6 +437,20 @@ class TestStopClasses:
             assert_nodes_match(table, xs)
         assert all(seen.values()), seen
 
+    @pytest.mark.parametrize("d", [
+        [1.0, 0.5, 1e295, -0.25] + [0.1] * 10 + [1e295] + [1e-3] * 5,
+        [1.0, 0.5, -0.25] + [0.1] * 10 + [1e300] * 20,
+        [1.0, 0.5, math.inf, -0.25] + [0.1] * 10 + [math.inf] + [1e-3] * 5,
+        [1.0, 0.5, math.nan, -0.25] + [0.1] * 10 + [math.nan] + [1e-3] * 5,
+    ], ids=["1e295", "1e300-tail", "inf", "nan"])
+    def test_tables_past_the_fast_bound(self, d):
+        # an entry past _MAX_FAST_D sends every node to the rule, from stops
+        # before a late entry to x^k overflowing; t = 0 is d_0 from one term
+        # also where 0 times an early entry is nan
+        table = CoeffTable(1.0, CoeffKind.A_COEFF, tuple(d))
+        assert table._terms.exact
+        assert_nodes_match(table, [0.0, 1e-20, 0.3, 1.0, 2.0, 1e10, 1e300])
+
     @pytest.mark.parametrize("build", [euler_alpha, a_coeffs])
     def test_every_short_order(self, build):
         # orders 0..24 hold from none to a few growth windows of non-zero
@@ -485,19 +499,19 @@ class TestNoRebuild:
 
     @staticmethod
     def passes(monkeypatch, run):
-        """The rows built for each node value, one entry per pass over it."""
+        """The passes over each node value, as (path, rows built) pairs."""
         built = {}
         sum_to, rule = specfn._sum_to, specfn._rule
 
         def spy_sum_to(x, table, stop):
             for v, n in zip(x.tolist(), stop.tolist()):
-                built.setdefault(v, []).append(n)
+                built.setdefault(v, []).append(("thresholds", n))
             return sum_to(x, table, stop)
 
-        def spy_rule(x, table, cap):
-            for v in x.tolist():
-                built.setdefault(v, []).append(cap)
-            return rule(x, table, cap)
+        def spy_rule(x, coeffs, series):
+            out = rule(x, coeffs, series)
+            built.setdefault(x, []).append(("rule", out[2] - 1))
+            return out
 
         monkeypatch.setattr(specfn, "_sum_to", spy_sum_to)
         monkeypatch.setattr(specfn, "_rule", spy_rule)
@@ -506,22 +520,40 @@ class TestNoRebuild:
 
     @staticmethod
     def assert_once(built, used):
+        """One pass per node, over its terms used, and some by the rule."""
         assert sorted(built) == sorted(used)
         for v, rows in built.items():
-            assert len(rows) == 1 and rows[0] >= used[v] - 1, (v, rows)
+            assert len(rows) == 1 and rows[0][1] >= used[v] - 1, (v, rows)
+        assert [rows[0][0] for rows in built.values()].count("rule") >= 1
 
     def test_series_terms_are_built_once(self, monkeypatch):
-        # 801 distinct nodes over several groups, inside and past the radius
+        # 801 distinct nodes over several groups, inside and past the radius,
+        # and nodes within an ulp of the thresholds of every 7th term, some of
+        # which only the rule decides
         sol = zero_capacity(0.5, MAX_ORDER)
         grid = TimeGrid(0.4, 0.0005)
         x = [sol.arg_scale * t**sol.alpha for t in grid.nodes().tolist()]
+        near = [v * (1 + j * 2.0**-52) for k in range(1, MAX_ORDER + 1, 7)
+                for v in thresholds(sol.coeffs.d, k) for j in (-1, 1)]
         used = sample_trajectory(sol, grid).meta["terms_used"]
+        used += _sum_nodes(sol.coeffs, 1.0, np.array(near))[1].tolist()
         _unit_scale_sums.cache_clear()  # else the spied call is a cache hit
-        built = self.passes(monkeypatch, lambda: sample_trajectory(sol, grid))
-        self.assert_once(built, dict(zip(x, used)))
+
+        def run():
+            sample_trajectory(sol, grid)
+            _sum_nodes(sol.coeffs, 1.0, np.array(near))
+
+        built = self.passes(monkeypatch, run)
+        self.assert_once(built, dict(zip(x + near, used)))
 
     def test_mittag_leffler_terms_are_built_once(self, monkeypatch):
-        zs = np.linspace(-2.0, 9.0, 300)
+        # z over several groups, and within an ulp of the z in [-9, 9] where
+        # a term reaches 1e-14, some of which only the rule decides
+        lg = specfn.log_gamma_orders(0.5, _MAX_TERMS - 1)
+        near = [math.exp((math.log(_ABS_TOL) + lg[k]) / k) for k in range(1, _MAX_TERMS)]
+        zs = np.concatenate([np.linspace(-2.0, 9.0, 300), [
+            s * z * (1 + j * 2.0**-52) for z in near if z <= 9.0 for s in (-1, 1) for j in (-1, 1)
+        ]])
         _, used, _, _ = specfn._sum_terms(zs, specfn._ml_table(0.5))
         assert used.max() > 256
         built = self.passes(monkeypatch, lambda: specfn.mittag_leffler(0.5, zs))
