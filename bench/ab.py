@@ -103,8 +103,6 @@ def main(argv=None) -> int:
     parser.add_argument("-k", dest="keyword", help="pytest -k expression selecting cases")
     parser.add_argument("--rounds", type=int, default=5, help="rounds per side (default 5)")
     parser.add_argument("--json", type=Path, help="write the per-round medians and summary")
-    parser.add_argument("--labels", nargs=2, metavar=("OLD", "NEW"),
-                        help="names of the two sides in --json (default: directory names)")
     args = parser.parse_args(argv)
     if args.rounds < 1:
         parser.error("--rounds must be at least 1")
@@ -129,9 +127,8 @@ def main(argv=None) -> int:
     summed = summary(rounds)
     print(report(summed))
     if args.json:
-        labels = args.labels or [sides["old"].name, sides["new"].name]
         args.json.write_text(json.dumps({
-            "old": labels[0], "new": labels[1], "rounds": args.rounds,
+            "old": sides["old"].name, "new": sides["new"].name, "rounds": args.rounds,
             "order": "case by case, old first in odd rounds and new first in even ones",
             "unit": "s", "python": platform.python_version(), "machine": platform.machine(),
             "cpus": os.cpu_count(), "cases": summed,
