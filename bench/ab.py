@@ -8,17 +8,20 @@ the two timings of a pair are seconds apart, and a drift of the host's
 speed (up to 1.6x between runs on a shared 2-vCPU machine) falls on
 both.  Both sides run the bench files beside this script, so a case that
 the newer side added times the older one too where the older one has
-what the case calls.  After the rounds it prints one line per case: the median over
-rounds of each side's median, the ratio new / old and the number of
-rounds in which the new side was faster.  A case that did not run on a
-side shows ``-``.
+what the case calls.  After the rounds it prints one line per case: each
+side's median over rounds of its per-run medians, with their quartiles, the
+ratio new / old, the rounds in which the new side was faster and a verdict.
+The verdict is "gain" (or "loss") only where the new side was faster (or
+slower) in at least nine tenths of at least 10 pairs and the two medians
+differ by more than the old side's interquartile range; else it is
+"unresolved".  A case that did not run on a side shows ``-``.
 
     python bench/ab.py OLD NEW [-k EXPR] [--rounds N] [--json FILE]
 
 OLD and NEW are checkout roots, e.g. made with ``git worktree add`` or
 ``git archive <commit> | tar -x -C <dir>``.  ``-k`` selects cases as
 pytest's ``-k`` does.  ``--json`` writes the per-round medians and the
-summary.
+summary, quartiles and verdicts included.
 """
 
 from __future__ import annotations
@@ -64,8 +67,31 @@ def median_of(root: Path, bench: Path, case: str) -> float | None:
     return runs[0]["stats"]["median"]
 
 
+def quartiles(values: list[float]) -> list[float]:
+    """The first quartile, median and third quartile, linearly interpolated."""
+    if len(values) < 2:
+        return values * 3
+    q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return [q1, q2, q3]
+
+
+def verdict(case: dict) -> str:
+    """"gain" or "loss" where the new side wins or loses at least 9/10 of at
+    least 10 pairs, ties counting for neither, and the medians differ by more
+    than the old side's interquartile range; else "unresolved"."""
+    q1, _, q3 = case["old_quartiles"]
+    if case["pairs"] < 10 or abs(case["new_median"] - case["old_median"]) <= q3 - q1:
+        return "unresolved"
+    if 10 * case["new_wins"] >= 9 * case["pairs"]:
+        return "gain"
+    if 10 * case["new_losses"] >= 9 * case["pairs"]:
+        return "loss"
+    return "unresolved"
+
+
 def summary(rounds: list[dict[str, dict[str, float]]]) -> dict[str, dict]:
-    """Per case: each side's per-round medians, their medians, the ratio and the wins."""
+    """Per case: each side's per-round medians, their quartiles, the ratio,
+    the wins and losses of the new side over the pairs, and the verdict."""
     names = sorted({name for r in rounds for side in r.values() for name in side})
     cases = {}
     for name in names:
@@ -76,23 +102,31 @@ def summary(rounds: list[dict[str, dict[str, float]]]) -> dict[str, dict]:
         case = {"old": old, "new": new}
         if old and new:
             case.update(
+                old_quartiles=quartiles(old), new_quartiles=quartiles(new),
                 old_median=statistics.median(old), new_median=statistics.median(new),
-                new_wins=sum(n < o for o, n in paired), pairs=len(paired),
+                new_wins=sum(n < o for o, n in paired), new_losses=sum(n > o for o, n in paired),
+                pairs=len(paired),
             )
             case["ratio"] = case["new_median"] / case["old_median"]
+            case["verdict"] = verdict(case)
         cases[name] = case
     return cases
 
 
 def report(cases: dict[str, dict]) -> str:
     def us(values):
-        return f"{statistics.median(values) * 1e6:12.1f}" if values else f"{'-':>12}"
+        if not values:
+            return f"{'-':>28}"
+        q1, q2, q3 = (v * 1e6 for v in quartiles(values))
+        return f"{q2:10.1f} [{q1:7.1f}, {q3:7.1f}]"
 
-    lines = [f"{'case':<64} {'old us':>12} {'new us':>12} {'new/old':>8} {'wins':>6}"]
+    lines = [f"{'case':<64} {'old us [q1, q3]':>28} {'new us [q1, q3]':>28} "
+             f"{'new/old':>8} {'wins':>6} verdict"]
     for name, c in cases.items():
         ratio = f"{c['ratio']:8.3f}" if "ratio" in c else f"{'-':>8}"
         wins = f"{c['new_wins']}/{c['pairs']}" if "ratio" in c else "-"
-        lines.append(f"{name:<64} {us(c['old'])} {us(c['new'])} {ratio} {wins:>6}")
+        lines.append(f"{name:<64} {us(c['old'])} {us(c['new'])} {ratio} {wins:>6} "
+                     f"{c.get('verdict', '-')}")
     return "\n".join(lines)
 
 

@@ -504,7 +504,7 @@ def population_curve(alpha: float, lam: float, mu: float, n0: float, grid: TimeG
         if not math.isfinite(value):
             raise DomainError(f"{name} must be finite, got {value}")
     if not n0 > 0:
-        raise DomainError(f"N0 must be positive, got {n0}")
+        raise DomainError(f"n0 must be positive, got {n0}")
     if not 0 < alpha <= 1:
         raise DomainError(f"alpha must be in (0, 1], got {alpha}")
     with np.errstate(over="ignore"):

@@ -59,12 +59,14 @@ into three classes:
   slower than a vectorised pass where a caller packs many nodes at
   thresholds.
 
-Classes (a) and (b) are summed to their stops by :func:`_sum_to`, in
-groups of at most ``_CHUNK`` nodes sorted by stop, each as tall as its
-largest stop: one forward ``multiply.accumulate``, ``* d`` and
-``add.accumulate``, the scalar loop's order of operations.  So every
-term is built once per node, and every sum, terms used, ``converged``
-flag and E_a value is the rule's, bit for bit.
+Classes (a) and (b) are summed to their stops by :func:`_sum_to`, with
+the nodes sorted by stop.  While at least ``_WIDE`` nodes are still
+summing, a row is one vectorised step across them; the fewer left finish
+in one block as tall as their largest stop: one forward
+``multiply.accumulate``, ``* d`` and ``add.accumulate`` from each node's
+carried power and sum.  Both take the scalar loop's operations in its
+order.  So every term is built once per node, and every sum, terms used,
+``converged`` flag and E_a value is the rule's, bit for bit.
 
 All functions are pure and operate in binary64.
 """
@@ -102,14 +104,16 @@ _GROW_MIN_K = 10
 
 #: log of ``_ABS_TOL``
 _LOG_TOL = math.log(_ABS_TOL)
-#: node columns per term matrix of a group summed to its stops.  A group is
-#: as tall as its largest stop, so narrower groups of the sorted nodes waste
-#: fewer rows but pay more fixed numpy calls: over the groups of 40
-#: series_stress ops, 15 interleaved rounds took 2.39 / 2.10 ms per op at
-#: 256 / 128 columns (medians), and splitting each group further where that
-#: saves more cells than a group's fixed cost gained under 5% more (2-vCPU
-#: Xeon, numpy 2.4)
-_CHUNK = 128
+#: nodes still summing at least, for a row of a sum to its stops to be one
+#: step across them; the fewer left finish in one accumulate block.  A row
+#: costs three numpy calls whatever its width, and the block about 10 ns per
+#: cell (numpy's accumulate along axis 0 does not vectorise across columns).
+#: Replaying 144 series_stress calls (1001 nodes each) in two sweeps of
+#: opposite order, 128 to 256 took 0.36-0.65 ms per call, 32 and 512 up to
+#: 0.74, and 128-node accumulate groups with no rows 0.70-0.86; at 32 to 96
+#: the paper_sweep calls (101 nodes) run rows too and took 1.6-2.5x as long
+#: as at 128 (medians of 9 interleaved rounds, 2-vCPU Xeon, numpy 2.4)
+_WIDE = 128
 #: a node's stop is read off its table's thresholds only where it is the
 #: same at |x| (1 - _MARGIN) and at |x| (1 + _MARGIN).  A computed term
 #: k <= 500 is within about k 2^-53 relative of |d_k| |x|^k (E_alpha's
@@ -269,33 +273,64 @@ def _classify(x: np.ndarray, table: _Table, cap: int) -> tuple[np.ndarray, np.nd
 def _sum_to(x: np.ndarray, table: _Table, stop: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Partial sums to the term t_stop, and that term, at each node, stop >= 1.
 
-    The nodes go in groups of at most ``_CHUNK``, sorted by stop, and each
-    group builds the rows up to its largest stop: one forward
+    The nodes are sorted by stop, so those still summing at row k are a
+    shrinking suffix.  While at least ``_WIDE`` of them are, row k is one
+    step across that suffix: ``p *= x`` (``p *= x * r[k-1]`` for E_alpha),
+    ``t = p * d[k]``, ``s += t``, and a node whose stop is k keeps its t and
+    s.  The fewer than ``_WIDE`` nodes left finish in one block as tall as
+    their largest stop, from their carried p and s: one forward
     ``multiply.accumulate`` for the powers (or ratio products), one
-    multiply by ``d`` and one ``add.accumulate``, the scalar loop's order
-    of operations, so every sum rounds as it would.  Rows past a node's
-    stop may overflow; they are never read.
+    multiply by ``d`` and one ``add.accumulate``.  Either way each term and
+    partial sum is formed by the scalar loop's operations in its order, so
+    every sum rounds as it would.  Rows of the block past a node's stop
+    may overflow; they are never read.
     """
     d, r = table.d, table.r
     total, last = np.empty(x.size), np.empty(x.size)
     order = np.argsort(stop)
-    for start in range(0, x.size, _CHUNK):
-        at = order[start : start + _CHUNK]
-        n, cols = stop[at], np.arange(at.size)
-        # the terms t_1..t_n[-1], then in place the partial sums from t_0
-        sums = np.empty((n[-1] + 1, at.size))
-        terms = sums[1:]
+    xs, ns = x[order], stop[order]
+    top, s = 0, 1.0 if d is None else d[0]
+    if x.size >= _WIDE:
+        top = int(ns[-_WIDE])
+        # the first node still summing at each row k = 1..top
+        live = np.searchsorted(ns, np.arange(1, top + 1)).tolist()
+        p, s, t = np.ones(x.size), np.full(x.size, s), np.empty(x.size)
+        first = -1
+        for k, c in enumerate((r[:top] if d is None else d[1 : top + 1]).tolist()):
+            if live[k] != first:
+                first = live[k]
+                xv, pv, tv, sv = xs[first:], p[first:], t[first:], s[first:]
+            if d is None:
+                np.multiply(xv, c, out=tv)
+                pv *= tv
+                sv += pv
+            else:
+                pv *= xv
+                np.multiply(pv, c, out=tv)
+                sv += tv
+        lo = int(np.searchsorted(ns, top, "right"))
+        done = order[:lo]
+        total[done], last[done] = s[:lo], (p if d is None else t)[:lo]
+        order, xs, ns, p, s = order[lo:], xs[lo:], ns[lo:], p[lo:], s[lo:]
+    if order.size:
+        cols = np.arange(order.size)
+        # row k of sums holds t_k, then the partial sum to t_k; rows below
+        # top are not used
+        sums = np.empty((ns[-1] + 1, order.size))
+        terms = sums[top + 1 :]
         if d is None:
-            np.multiply(x[at], r[: n[-1], None], out=terms)
+            np.multiply(xs, r[top : ns[-1], None], out=terms)
         else:
-            terms[:] = x[at]
+            terms[:] = xs
+        if top:  # from the powers the rows carried
+            terms[0] *= p
         np.multiply.accumulate(terms, axis=0, out=terms)
         if d is not None:
-            terms *= d[1 : n[-1] + 1, None]
-        last[at] = sums[n, cols]
-        sums[0] = 1.0 if d is None else d[0]
-        np.add.accumulate(sums, axis=0, out=sums)
-        total[at] = sums[n, cols]
+            terms *= d[top + 1 : ns[-1] + 1, None]
+        last[order] = sums[ns, cols]
+        sums[top] = s
+        np.add.accumulate(sums[top:], axis=0, out=sums[top:])
+        total[order] = sums[ns, cols]
     return total, last
 
 

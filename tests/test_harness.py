@@ -911,7 +911,8 @@ def gate_flags(values):
 
 class TestCliArgvGate:
     """Every argv of valid syntax exits 0 with finite output, 1 with an
-    ``error:`` line or 2 with a ``numeric failure:`` line; none raises."""
+    ``error:`` line that names a key of the argv or the required keys it
+    lacks, or 2 with a ``numeric failure:`` line; none raises."""
 
     @staticmethod
     def assert_outcome(argv):
@@ -932,6 +933,15 @@ class TestCliArgvGate:
         else:
             prefix = {1: "error: ", 2: "numeric failure: "}.get(code)
             assert prefix and err.startswith(prefix) and err.count("\n") == 1, (argv, code, err)
+        if code == 1:
+            # each key as its flag spells it, e.g. n0 for --n0
+            keys = {a[2:].partition("=")[0] for a in argv if a.startswith("--")}
+            missing = re.match(r"error: missing required config keys: (.*)", err)
+            if missing:
+                lacked = set(re.findall(r"\w+", missing[1]))
+                assert lacked and not lacked & keys, (argv, err)
+            else:
+                assert keys & set(re.findall(r"\w+", err)), (argv, err)
 
     @settings(max_examples=500, deadline=None)
     @given(

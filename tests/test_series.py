@@ -37,11 +37,11 @@ from fracsis.series import (
 from fracsis.solvers import TimeGrid, node_powers, solve_pece
 from fracsis.specfn import (
     _ABS_TOL,
-    _CHUNK,
     _GROW_MIN_K,
     _GROW_STREAK,
     _MAX_TERMS,
     _STOP_STREAK,
+    _WIDE,
 )
 
 ENDEMIC = dict(beta=0.7, gamma=0.05, mu=0.12)
@@ -464,10 +464,11 @@ class TestStopClasses:
 
     @pytest.mark.parametrize("s", RULE_STOPS)
     def test_stops_by_each_rule(self, s):
-        # two groups' worth of nodes x = t <= 1, and one more, on tables that
-        # stop near term s by each rule; at t = 1 the terms are the d_k, and
-        # x^k != 1 at the others
-        ts = np.linspace(1.0 - 1e-3, 1.0, 2 * _CHUNK + 1)
+        # twice as many nodes x = t <= 1 as a row needs, and one more, on
+        # tables that stop near term s by each rule, so that the rows and the
+        # block both run; at t = 1 the terms are the d_k, and x^k != 1 at the
+        # others
+        ts = np.linspace(1.0 - 1e-3, 1.0, 2 * _WIDE + 1)
         for name, d, used in rule_cases(s):
             sol = table_series(d)
             assert scalar_evaluate(sol, 1.0).terms_used == used, name
@@ -481,11 +482,17 @@ class TestStopClasses:
         free=st.lists(st.floats(0.0, 4.0), max_size=16),
         near=st.lists(st.tuples(st.integers(1, MAX_ORDER), st.integers(-6, 6),
                                 st.booleans()), max_size=16),
+        size=st.sampled_from([None, _WIDE - 1, _WIDE, _WIDE + 1, 2 * _WIDE + 1]),
+        rng=st.randoms(use_true_random=False),
     )
-    def test_sums_are_the_scalar_loops(self, alpha, K, build, free, near):
-        # nodes drawn freely and within a few ulp of a threshold
+    def test_sums_are_the_scalar_loops(self, alpha, K, build, free, near, size, rng):
+        # nodes drawn freely and within a few ulp of a threshold; a drawn
+        # size pads the free ones, nearly all of which the thresholds decide,
+        # to about _WIDE, so that the rows and the switch to the block run
         table = build(alpha, K)
         xs = list(free)
+        while size is not None and len(xs) < size:
+            xs.append(rng.uniform(0.0, 4.0))
         for k, ulps, growth in near:
             at = thresholds(table.d, (k - 1) % K + 1)
             if at:

@@ -12,8 +12,8 @@ from fracsis.harness import population_curve
 from fracsis.solvers import TimeGrid
 from fracsis.specfn import (
     _ABS_TOL,
-    _CHUNK,
     _MAX_TERMS,
+    _WIDE,
     gamma_ratios,
     mittag_leffler,
     ml_asymptotics,
@@ -137,9 +137,9 @@ class TestMittagLeffler:
 
     @pytest.mark.parametrize("alpha", [0.3, 0.7, 1.0])
     def test_array_matches_scalar_calls(self, alpha):
-        # more z than one _CHUNK-column group, spread so that their stops
-        # differ
-        zs = np.concatenate([[0.0, -0.0], np.linspace(-3.0, 2.0, 301)])
+        # more than twice as many z as a row needs, spread so that their
+        # stops differ: the rows and the block both run
+        zs = np.concatenate([[0.0, -0.0], np.linspace(-3.0, 2.0, 2 * _WIDE + 45)])
         got = mittag_leffler(alpha, zs)
         assert isinstance(got, np.ndarray) and got.shape == zs.shape
         want = [mittag_leffler(alpha, float(z)) for z in zs]
@@ -148,8 +148,8 @@ class TestMittagLeffler:
 
     @pytest.mark.parametrize("alpha, lo, hi", [(0.3, 2.2, 3.2), (0.5, 5.5, 9.5), (0.7, 15.0, 30.0)])
     def test_sums_past_256_terms_match_per_term_lgamma(self, alpha, lo, hi):
-        # z whose sums stop on both sides of 256 terms, in groups of
-        # different heights, and some that do not converge within _MAX_TERMS
+        # z whose sums stop on both sides of 256 terms, by rows and in the
+        # block, and some that do not converge within _MAX_TERMS
         zs = np.linspace(lo, hi, 200)
         _, used, converged, _ = specfn._sum_terms(zs, specfn._ml_table(alpha))
         assert used[converged].min() < 256 < used[converged].max()
