@@ -11,7 +11,9 @@ Prints one SHA-256 per output class, one ``name hash`` line each:
 * ``E_alpha``: ``mittag_leffler`` arrays and scalars and
   ``population_curve`` values, or the error each raised;
 * ``table1``, ``c0``: every file that ``run_table1`` and
-  ``run_c0_suite`` write (CSV, JSON manifest and SVG).
+  ``run_c0_suite`` write (CSV, JSON manifest and SVG);
+* ``schemes``: ``solve_pece`` and ``solve_l1`` trajectories and the
+  ``discrete_caputo_l1`` of each, or the error each raised.
 
 The draws are ``DRAWS`` (alpha, K, kind, a0, grid, beta) tuples from a
 fixed seed, over more distinct alphas than the package's cache bound,
@@ -20,6 +22,11 @@ table, nodes sit at the thresholds in x where a term crosses the
 stopping rule's 1e-14 or outgrows the term before it, and at
 (1 +- k 2^-52) times them, so that sums whose stop is decided within
 rounding are hashed too; E_alpha gets the same at its own thresholds.
+The schemes run on logistic right-hand sides with c > 0, c = 0 and
+c < 0 at every N from 1 to 2 BLOCK + 8, so every block boundary and
+partial block is met, and at N = 100, 2000 and 4000, with alpha = 1
+among the PECE draws and ``u' = u^2`` from u0 = 1e100 as the one
+config that overflows.
 
 Two checkouts compare by ``diff``:
 
@@ -29,7 +36,7 @@ Two checkouts compare by ``diff``:
 
 ``--src`` defaults to the ``src/`` of this checkout.  The node sums use
 the private ``fracsis.series._sum_nodes(table, arg_scale, powers)``, so
-the script runs on checkouts that have it.  It takes under a minute.
+the script runs on checkouts that have it.  It takes a few seconds.
 """
 
 from __future__ import annotations
@@ -157,6 +164,39 @@ def ml_draws(fx, out, rng):
         out.add("E_alpha", outcome(fx.harness.population_curve, alpha, 0.5, 0.5 - rate, 1.0, grid))
 
 
+def scheme_draws(fx, out, rng):
+    """Both marches and the discrete Caputo derivative of each, over
+    grid sizes that meet every block boundary, and one overflow."""
+    sizes = [*range(1, 2 * fx.solvers.BLOCK + 9), 100, 2000, 4000]
+    for N in sizes:
+        # gamma = mu = share * beta / 2 gives sigma = 1 / share: c > 0, c = 0, c < 0
+        for share in (rng.uniform(0.1, 0.9), 1.0, rng.uniform(1.1, 3.0)):
+            beta = float(rng.uniform(0.1, 1.0))
+            gamma = beta * float(share) / 2.0
+            alpha = float(rng.uniform(0.05, 0.99))
+            params = fx.model.ModelParams(beta, gamma, gamma, alpha, float(rng.uniform(0.01, 1.0)))
+            f = fx.model.logistic_rhs(params, fx.model.derive(params))
+            grid = fx.solvers.TimeGrid(N * 0.025, 0.025)
+            for solve, a in ((fx.solvers.solve_pece, alpha), (fx.solvers.solve_pece, 1.0),
+                             (fx.solvers.solve_l1, alpha)):
+                scheme_outcome(fx, out, solve, f, params.i0, grid, a)
+    grid = fx.solvers.TimeGrid(1.0, 0.1)
+    for solve in (fx.solvers.solve_pece, fx.solvers.solve_l1):
+        scheme_outcome(fx, out, solve, lambda u: u * u, 1e100, grid, 0.5)
+
+
+def scheme_outcome(fx, out, solve, f, u0, grid, alpha):
+    """Hash one march and its discrete Caputo derivative, or its refusal."""
+    try:
+        u = solve(f, u0, grid, alpha).u
+    except fx.errors.FracsisError as e:
+        out.add("schemes", f"{type(e).__name__}: {e}")
+        return
+    out.add("schemes", u)
+    if alpha < 1.0:
+        out.add("schemes", fx.solvers.discrete_caputo_l1(u, alpha, grid.dt))
+
+
 def harness_files(fx, out):
     """The files of both suites, written under a relative path, as the
     manifests record it."""
@@ -180,10 +220,11 @@ def main(argv=None) -> int:
     import fracsis as fx
 
     out = Hashes(["u", "terms_used", "converged", "beyond_theoretical_radius", "radii",
-                  "raised", "E_alpha", "table1", "c0"])
+                  "raised", "E_alpha", "table1", "c0", "schemes"])
     rng = np.random.default_rng(SEED)
     series_draws(fx, out, rng)
     ml_draws(fx, out, rng)
+    scheme_draws(fx, out, np.random.default_rng(SEED))
     harness_files(fx, out)
     print("\n".join(out.lines()))
     return 0

@@ -7,13 +7,16 @@ so each routine builds its lag kernel once, not per step.  The marches
 then run in blocks of :data:`BLOCK` steps: at the start of a block, one
 ``np.convolve`` per kernel prices the history before the block for
 every step in it (the far history).  Inside the block each step adds the
-at most BLOCK lags that fall in the block (the near history) as a sum of
-Python floats: each block starts a fresh near list of the values the
-lags weight, every step appends its new value, and step s + j pairs that
-list with its weight tail, the weights of the lags it spans in reverse
-order, held as a tuple.  The work stays O(N^2) multiply-adds, but no
-step makes a numpy call or slices a list: at the grid sizes used here,
-either cost more than the step's arithmetic.
+at most BLOCK lags that fall in the block (the near history) with a
+straight-line kernel of fixed length from :data:`_DOTS`: each block
+starts a fresh near list of the values the lags weight, every step
+appends its new value, and step s + j pairs that list with its weight
+tail, the weights of the lags it spans in reverse order, held as a
+tuple.  The work stays O(N^2) multiply-adds, but no step makes a numpy
+call, slices a list or iterates: at the grid sizes used here, any of
+them costs more than the step's arithmetic.  The rounding of a march is
+fixed by BLOCK, which sets the far/near split, by the argument order of
+the ``np.convolve`` calls and by the kernels' left-to-right order.
 
 What a march needs that depends only on alpha and the grid is its plan:
 the lag kernel, the weight tails and the scalar constants.  Each scheme
@@ -43,7 +46,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from operator import mul
+from itertools import repeat
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -65,12 +68,27 @@ __all__ = [
 
 # Steps per block of the marches.  A numpy call costs about as much as a
 # few dozen scalar multiply-adds in Python, so the far history is priced
-# once per block and the near lags per step.  On the long_horizon op stream
-# 16 was the fastest of 8, 16, 24, 32 and 48; with the slice-free near sums
-# it was re-measured against 24 and 32 (27 ops, two interleaved runs of five
-# alternations) and stayed fastest in 3 of 5 alternations of each run, with
-# medians of 0.416 / 0.399 / 0.494 s and 0.362 / 0.374 / 0.379 s.
+# once per block and the near lags per step.  With the straight-line near
+# sums below, re-measured on the long_horizon stream (perfbench, seed 4242,
+# eight rounds in rotating order, 2-vCPU Xeon): p50 medians of 8.79, 7.87,
+# 7.90 and 8.65 ms at 8, 16, 24 and 32; 16 and 24 were each fastest in 4
+# of 8 rounds.  BLOCK also sets the far/near split, so changing it changes
+# the rounding of every trajectory.
 BLOCK = 16
+
+# The near sums: _DOTS[m](w, n) is 0.0 + w[0]*n[0] + ... + w[m-1]*n[m-1],
+# added left to right from 0.0, as ``sum(map(mul, w, n))`` adds on Python
+# 3.11.  Written out, a sum makes no iterator and no call per term: on 1 to
+# 16 terms ``sum(map(mul, ...))`` took 244-718 ns and the kernel 72-420 ns
+# (timeit, Python 3.11).  From Python 3.12 on ``sum`` of floats is
+# compensated; the kernels round the same on every version.  The weights
+# are arguments, so these BLOCK + 1 functions are compiled once, at import
+# (about 1 ms), and no plan compiles anything.
+_DOTS = tuple(
+    eval("lambda w, n: 0.0" + "".join(f" + w[{i}] * n[{i}]" for i in range(m)))
+    for m in range(BLOCK + 1)
+)
+
 #: numpy's largest array, in bytes; read once, as ``np.iinfo`` costs microseconds
 _MAX_ARRAY_BYTES = np.iinfo(np.intp).max
 
@@ -171,13 +189,15 @@ def pece_kernels(alpha: float, N: int, dt: float) -> tuple[np.ndarray, ...]:
     a = k * (
         (m + 2.0) ** (alpha + 1.0) - 2.0 * (m + 1.0) ** (alpha + 1.0) + m ** (alpha + 1.0)
     )
-    # a0 cancels about log10(n) digits, so it keeps the scalar libm pow:
-    # on AVX-512 hardware numpy's vectorised pow differs from libm by one
-    # ulp on 206 of 4001 nodes, and the cancellation turns that into up to
-    # 6e-13 on a logistic PECE trajectory at N = 4000
-    a0 = k * np.array(
-        [n ** (alpha + 1.0) - (n - alpha) * (n + 1.0) ** alpha for n in range(N)]
-    )
+    # a0 cancels about log10(n) digits, so its powers are the scalar libm
+    # pow of Python floats: on AVX-512 hardware numpy's vectorised pow
+    # differs from libm by one ulp on 206 of 4001 nodes, and the
+    # cancellation turns that into up to 6e-13 on a logistic PECE
+    # trajectory at N = 4000.  The products and differences are numpy's,
+    # the same IEEE operations in the same order as the scalar expression.
+    up = np.fromiter(map(pow, m.tolist(), repeat(alpha + 1.0)), float, N)
+    down = np.fromiter(map(pow, (m + 1.0).tolist(), repeat(alpha)), float, N)
+    a0 = k * (up - (m - alpha) * down)
     return b, a, a0
 
 
@@ -238,9 +258,11 @@ def solve_pece(
         else:
             far_b = far_a = [0.0] * e
         near = [fn]
-        for wbj, waj, fb, fc, a0fn in zip(wb, wa if s else wa0, far_b, far_a, a0f[s:e]):
-            pred = u0 + inv_gamma * (fb + sum(map(mul, wbj, near)))
-            hist = a0fn + (fc + sum(map(mul, waj, near)))
+        for dot, wbj, waj, fb, fc, a0fn in zip(
+            _DOTS[1:], wb, wa if s else wa0, far_b, far_a, a0f[s:e]
+        ):
+            pred = u0 + inv_gamma * (fb + dot(wbj, near))
+            hist = a0fn + (fc + dot(waj, near))
             nxt = u0 + inv_gamma * (hist + k * f(pred))
             if not math.isfinite(nxt):  # u holds u_0..u_n: this is step n + 1
                 raise NumericOverflowError(f"PECE iterate overflowed at step {len(u)}")
@@ -317,8 +339,8 @@ def solve_l1(
         e = min(s + BLOCK, N)
         far = np.convolve(da[:s], g[1:e], "valid").tolist() if s else [0.0] * e
         near = []
-        for wgj, fg in zip(wg, far):
-            nxt = un - (fg + sum(map(mul, wgj, near))) + gain * f(un)
+        for dot, wgj, fg in zip(_DOTS, wg, far):
+            nxt = un - (fg + dot(wgj, near)) + gain * f(un)
             if not math.isfinite(nxt):  # u holds u_0..u_n: this is step n + 1
                 raise NumericOverflowError(f"L1 iterate overflowed at step {len(u)}")
             u.append(nxt)

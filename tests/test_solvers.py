@@ -461,6 +461,39 @@ def inf_from_call(m, f):
     return lambda u: math.inf if next(calls) >= m else f(u)
 
 
+class TestNearKernels:
+    """The straight-line near sums against a left fold from 0.0."""
+
+    # where the order of the additions matters (1e16 + 1.0 - 1e16 is 0.0,
+    # 1e16 - 1e16 + 1.0 is 1.0), signed zeros, and then infinities and nan
+    FINITE = [1e16, 1.0, -1e16, 0.0, -0.0, 0.1, -3.0]
+    SPECIAL = [math.inf, -math.inf, math.nan]
+
+    @staticmethod
+    def bits(x):
+        # the sign of a nan is not compared: which of two nan operands an
+        # addition returns varies between the interpreter's add paths, and
+        # a march refuses any non-finite iterate
+        return "nan" if math.isnan(x) else np.float64(x).tobytes()
+
+    @pytest.mark.parametrize("m", range(BLOCK + 1))
+    def test_left_fold_from_zero(self, m):
+        assert len(solvers._DOTS) == BLOCK + 1
+        rng = np.random.default_rng(m)
+        cases = [([1.0] * m, [(1e16, 1.0, -1e16)[i % 3] for i in range(m)]),
+                 ([-0.0] * m, [1.0] * m)]
+        for pool in (self.FINITE, self.FINITE + self.SPECIAL):
+            for _ in range(100):
+                cases.append(tuple(rng.choice(pool, m).tolist() for _ in "wn"))
+        for w, n in cases:
+            want = 0.0
+            for x, y in zip(w, n):
+                want = want + x * y
+            got = solvers._DOTS[m](tuple(w), n)
+            assert type(got) is float
+            assert self.bits(got) == self.bits(want), (w, n)
+
+
 class TestBlockedMarches:
     """The block-by-block marches at and around the block boundaries."""
 
