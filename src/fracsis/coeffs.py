@@ -32,9 +32,9 @@ repeated call returns the same frozen table.  The part of
 :func:`empirical_radius` that reads only the table (its tail maximum,
 window and count of non-vanishing entries) is computed once per table
 object; each call still checks its ``b_scale`` and applies it.  So are
-:attr:`CoeffTable.values`, the table's form for the summation kernel,
-with the thresholds of its stopping rule (``CoeffTable._terms``, see
-:mod:`fracsis.specfn`), and its hash.
+the table's form for the summation kernel, with the thresholds of its
+stopping rule (``CoeffTable._terms``, see :mod:`fracsis.specfn`), and its
+hash.
 """
 
 from __future__ import annotations
@@ -86,9 +86,9 @@ class CoeffKind(enum.Enum):
 class CoeffTable:
     """A finite prefix ``d[0..K]`` of a normalised coefficient sequence.
 
-    ``d[k] = c_k / Gamma(alpha k + 1)``; ``d[0] = c_0``.  The ``c_k``
-    view, the root test of :func:`empirical_radius`, the kernel table and
-    the hash are kept on the table, out of its fields.
+    ``d[k] = c_k / Gamma(alpha k + 1)``; ``d[0] = c_0``.  The root test
+    of :func:`empirical_radius`, the kernel table and the hash are kept
+    on the table, out of its fields.
     """
 
     alpha: float
@@ -100,13 +100,12 @@ class CoeffTable:
         """Largest index K held by the table."""
         return len(self.d) - 1
 
-    @cached_property
+    @property
     def values(self) -> tuple[float, ...]:
         """The unnormalised coefficients ``c_k = d_k Gamma(alpha k + 1)``.
 
-        Formed in log space, so no Gamma is formed on its own, once per
-        table object.  Raises :class:`NumericOverflowError` at the first
-        c_k beyond binary64, on every read, as a refusal is not kept.
+        Formed in log space, so no Gamma is formed on its own.  Raises
+        :class:`NumericOverflowError` at the first c_k beyond binary64.
         """
         vals = []
         for k, (dk, lg) in enumerate(zip(self.d, log_gamma_orders(self.alpha, self.order))):

@@ -81,9 +81,11 @@ BLOCK = 16
 # 3.11.  Written out, a sum makes no iterator and no call per term: on 1 to
 # 16 terms ``sum(map(mul, ...))`` took 244-718 ns and the kernel 72-420 ns
 # (timeit, Python 3.11).  From Python 3.12 on ``sum`` of floats is
-# compensated; the kernels round the same on every version.  The weights
-# are arguments, so these BLOCK + 1 functions are compiled once, at import
-# (about 1 ms), and no plan compiles anything.
+# compensated and the kernels are not: they round the same on every
+# version, but match the former ``sum`` bit for bit on 3.10 and 3.11 only
+# (checked on 3.11).  The weights are arguments, so these BLOCK + 1
+# functions are compiled once, at import (about 1 ms), and no plan
+# compiles anything.
 _DOTS = tuple(
     eval("lambda w, n: 0.0" + "".join(f" + w[{i}] * n[{i}]" for i in range(m)))
     for m in range(BLOCK + 1)
