@@ -2,12 +2,13 @@
 
 Each case runs on the logistic right-hand side of the endemic reference
 rates (beta = 0.7, gamma = 0.05, mu = 0.12, I0 = c/2) at alpha = 0.6 and
-dt = 0.025, with N = 100 (the paper's grid size), 1000 and 4000 steps.
-Plans (lag kernel, weight tails, constants) are cached per alpha and
-grid up to N = 1000, so ``test_solve_pece`` and ``test_solve_l1`` time
-the march alone there; the ``_cold`` cases clear the plan cache before
-every round, so each round also builds its plan, as a fresh alpha does.
-At N = 4000 no plan is cached, and both kinds of case build it.
+dt = 0.025, with N = 100 (the paper's grid size), 1000, 2000 (the grid
+of most ``long_horizon`` perfbench ops) and 4000 steps.  Plans (lag
+kernel, block weights, constants) are cached per alpha and grid up to
+N = 1000, so ``test_solve_pece`` and ``test_solve_l1`` time the march
+alone there; the ``_cold`` cases clear the plan cache before every
+round, so each round also builds its plan, as a fresh alpha does.  At
+N = 2000 and 4000 no plan is cached, and both kinds of case build it.
 The directory lies outside the test paths, so the tier-1 suite does not
 run it.  From the root of a checkout:
 
@@ -22,9 +23,9 @@ from fracsis.solvers import TimeGrid, discrete_caputo_l1, solve_l1, solve_pece
 
 ALPHA = 0.6
 DT = 0.025
-SIZES = [100, 1000, 4000]
+SIZES = [100, 1000, 2000, 4000]
 #: rounds of the cold cases: each case takes under a second
-ROUNDS = {100: 2000, 1000: 200, 4000: 20}
+ROUNDS = {100: 2000, 1000: 200, 2000: 50, 4000: 20}
 
 
 def logistic_problem():

@@ -4,27 +4,33 @@ Both schemes solve ``D^alpha u = f(u)``, ``u(0) = u0`` on a uniform grid
 and are nonlocal in time: step n + 1 uses the entire history u_0..u_n.
 On a uniform grid the memory weights depend only on the lag m = n - j,
 so each routine builds its lag kernel once, not per step.  The marches
-then run in blocks of :data:`BLOCK` steps: at the start of a block, one
-``np.convolve`` per kernel prices the history before the block for
-every step in it (the far history).  Inside the block each step adds the
-at most BLOCK lags that fall in the block (the near history) with a
-straight-line kernel of fixed length from :data:`_DOTS`: each block
-starts a fresh near list of the values the lags weight, every step
-appends its new value, and step s + j pairs that list with its weight
-tail, the weights of the lags it spans in reverse order, held as a
-tuple.  The work stays O(N^2) multiply-adds, but no step makes a numpy
-call, slices a list or iterates: at the grid sizes used here, any of
-them costs more than the step's arithmetic.  The rounding of a march is
-fixed by BLOCK, which sets the far/near split, by the argument order of
-the ``np.convolve`` calls and by the kernels' left-to-right order.
+then run in blocks of :data:`BLOCK` steps.  The history is kept in one
+array stored reversed, newest value first: f(u_n) for PECE, the
+increments u_{n+1} - u_n for L1.  At the start of a block, one
+``np.correlate`` per kernel with that array prices the history before
+the block for every step in it (the far history).  The block itself is
+one call of a generated function, :func:`_pece_block` or
+:func:`_l1_block`, written out for BLOCK steps: the block's lag weights
+and each new value are local variables, and each step adds the at most
+BLOCK lags that fall in the block (the near history) as one
+straight-line sum ``0.0 + w_j*v_0 + ... + w_0*v_j``, added left to right
+from 0.0.  The block's new values then enter the array in one slice
+assignment.  The work stays O(N^2) multiply-adds, but no step makes a
+numpy call, indexes a weight, appends to a list or iterates: at the grid
+sizes used here, any of them costs more than the step's arithmetic.  The rounding of a
+march is fixed by BLOCK, which sets the far/near split, by the pairing
+of the far correlations (that of ``np.convolve`` of the history with the
+kernel) and by the near sums' left-to-right order; no ``sum`` is used,
+so it is the same on every Python version.
 
 What a march needs that depends only on alpha and the grid is its plan:
-the lag kernel, the weight tails and the scalar constants.  Each scheme
-keeps its plans per (alpha, :class:`TimeGrid`), as :func:`node_powers`
-keeps the t_n**alpha of a grid, under the package's one cache policy
-(:mod:`fracsis._cache`): a sweep that repeats its alphas builds each plan
-once.  The public :func:`pece_kernels` and :func:`l1_kernel` are not
-cached: each call returns fresh, writable arrays.
+the lag kernel, the block's lag weights as one flat tuple and the scalar
+constants.  Each scheme keeps its plans per (alpha, :class:`TimeGrid`),
+as :func:`node_powers` keeps the t_n**alpha of a grid, under the
+package's one cache policy (:mod:`fracsis._cache`): a sweep that repeats
+its alphas builds each plan once.  The public :func:`pece_kernels` and
+:func:`l1_kernel` are not cached: each call returns fresh, writable
+arrays.
 
 * :func:`solve_pece` — fractional Adams-Bashforth-Moulton in PECE form.
   The predictor integrates the memory kernel with a product rectangle
@@ -68,28 +74,107 @@ __all__ = [
 
 # Steps per block of the marches.  A numpy call costs about as much as a
 # few dozen scalar multiply-adds in Python, so the far history is priced
-# once per block and the near lags per step.  With the straight-line near
-# sums below, re-measured on the long_horizon stream (perfbench, seed 4242,
-# eight rounds in rotating order, 2-vCPU Xeon): p50 medians of 8.79, 7.87,
-# 7.90 and 8.65 ms at 8, 16, 24 and 32; 16 and 24 were each fastest in 4
-# of 8 rounds.  BLOCK also sets the far/near split, so changing it changes
-# the rounding of every trajectory.
+# once per block and the near lags per step.  Measured with straight-line
+# near sums on the long_horizon stream (perfbench, seed 4242, eight rounds
+# in rotating order, 2-vCPU Xeon): p50 medians of 8.79, 7.87, 7.90 and
+# 8.65 ms at 8, 16, 24 and 32; 16 and 24 were each fastest in 4 of 8
+# rounds.  BLOCK also sets the far/near split, so changing it changes the
+# rounding of every trajectory.
 BLOCK = 16
 
-# The near sums: _DOTS[m](w, n) is 0.0 + w[0]*n[0] + ... + w[m-1]*n[m-1],
-# added left to right from 0.0, as ``sum(map(mul, w, n))`` adds on Python
-# 3.11.  Written out, a sum makes no iterator and no call per term: on 1 to
-# 16 terms ``sum(map(mul, ...))`` took 244-718 ns and the kernel 72-420 ns
-# (timeit, Python 3.11).  From Python 3.12 on ``sum`` of floats is
-# compensated and the kernels are not: they round the same on every
-# version, but match the former ``sum`` bit for bit on 3.10 and 3.11 only
-# (checked on 3.11).  The weights are arguments, so these BLOCK + 1
-# functions are compiled once, at import (about 1 ms), and no plan
-# compiles anything.
-_DOTS = tuple(
-    eval("lambda w, n: 0.0" + "".join(f" + w[{i}] * n[{i}]" for i in range(m)))
-    for m in range(BLOCK + 1)
-)
+# The block functions.  _pece_block(m, s, f, u0, inv_gamma, k, w, F0, H0,
+# fb, fa, a0f) and _l1_block(m, s, f, U0, gain, w, fg) run steps s + 1 to
+# s + m of a march, m <= BLOCK, given the block's far sums (fb, fa, fg),
+# and return two tuples: the new iterates, and the new history values
+# newest first, as the reversed history array stores them.  Each is
+# written out for BLOCK steps, with a return after every step for a
+# shorter last block, from one source string: the lag weights, unpacked
+# from the plan's flat tuple w, and every new value are local variables,
+# and step j's near sum is 0.0 + W{j}*V0 + ... + W0*V{j}, added left to
+# right from 0.0.  After each step the iterate is checked and a
+# non-finite one raises NumericOverflowError naming its step.  The
+# weights are arguments, so the two functions are compiled once, at
+# import (about 4 ms), and no plan compiles anything.
+
+
+def _pece_block_source() -> str:
+    """Source of ``_pece_block``: step j predicts with the b weights over
+    F0..F{j} (the f(u) of the block so far), corrects with the a weights
+    over H0, F1..F{j}, where H0 is F0, or 0.0 in block 0, whose f(u_0)
+    takes a0[n] alone, and evaluates f at both points."""
+    bs = ", ".join(f"B{i}" for i in range(BLOCK))
+    As = ", ".join(f"A{i}" for i in range(BLOCK))
+    lines = [
+        "def _pece_block(m, s, f, u0, inv_gamma, k, w, F0, H0, fb, fa, a0f):",
+        f"    {bs}, {As} = w",
+    ]
+    for j in range(BLOCK):
+        n = j + 1
+        nb = "".join(f" + B{j - i} * F{i}" for i in range(n))
+        na = f" + A{j} * H0" + "".join(f" + A{j - i} * F{i}" for i in range(1, n))
+        lines += [
+            f"    P = u0 + inv_gamma * (fb[{j}] + (0.0{nb}))",
+            f"    U{n} = u0 + inv_gamma * (a0f[{j}] + (fa[{j}] + (0.0{na})) + k * f(P))",
+            f"    if not isfinite(U{n}):",
+            f'        raise NumericOverflowError(f"PECE iterate overflowed at step {{s + {n}}}")',
+            f"    F{n} = f(U{n})",
+            *_block_return(n, [f"F{i}" for i in range(n, 0, -1)]),
+        ]
+    return "\n".join(lines) + "\n"
+
+
+def _l1_block_source() -> str:
+    """Source of ``_l1_block``: step j takes U{j} (U0 the last iterate
+    before the block) to U{j+1} with the g weights over the block's
+    increments D0..D{j-1}, and forms D{j} = U{j+1} - U{j}."""
+    gs = ", ".join(f"G{i}" for i in range(1, BLOCK))
+    lines = ["def _l1_block(m, s, f, U0, gain, w, fg):", f"    {gs} = w"]
+    for j in range(BLOCK):
+        near = "".join(f" + G{j - i} * D{i}" for i in range(j))
+        lines += [
+            f"    U{j + 1} = U{j} - (fg[{j}] + (0.0{near})) + gain * f(U{j})",
+            f"    if not isfinite(U{j + 1}):",
+            f'        raise NumericOverflowError(f"L1 iterate overflowed at step {{s + {j + 1}}}")',
+            f"    D{j} = U{j + 1} - U{j}",
+            *_block_return(j + 1, [f"D{i}" for i in range(j, -1, -1)]),
+        ]
+    return "\n".join(lines) + "\n"
+
+
+def _block_return(n: int, values: list[str]) -> list[str]:
+    """The return after step n: the iterates U1..U{n}, then the values."""
+    ret = "return (%s,), (%s,)" % (", ".join(f"U{i}" for i in range(1, n + 1)), ", ".join(values))
+    return [f"    {ret}"] if n == BLOCK else [f"    if m == {n}:", f"        {ret}"]
+
+
+def _compile_block(source: str, name: str):
+    scope = {"isfinite": math.isfinite, "NumericOverflowError": NumericOverflowError}
+    exec(compile(source, f"<fracsis.solvers.{name}>", "exec"), scope)
+    return scope[name]
+
+
+_pece_block = _compile_block(_pece_block_source(), "_pece_block")
+_l1_block = _compile_block(_l1_block_source(), "_l1_block")
+#: the far sums of block 0, which has no history before it
+_ZEROS = (0.0,) * BLOCK
+
+
+def _far(w: np.ndarray, h: np.ndarray) -> list:
+    """The far sums of a block, ``np.convolve(h[::-1], w, "valid")``, as a
+    list; w is the kernel slice, h the history before the block, stored
+    reversed.
+
+    ``np.convolve`` puts its longer argument first and correlates it with
+    the other reversed, which copies the other.  While w is the longer,
+    that is ``np.correlate(w, h)`` on the stored order, with no copy.  At
+    equal lengths, in a one-step last block, convolve keeps h[::-1] first
+    and so does this: the other pairing adds the products in another
+    order.
+    """
+    if w.size > h.size:
+        return np.correlate(w, h, "valid").tolist()
+    return np.convolve(h[::-1], w, "valid").tolist()
+
 
 #: numpy's largest array, in bytes; read once, as ``np.iinfo`` costs microseconds
 _MAX_ARRAY_BYTES = np.iinfo(np.intp).max
@@ -205,30 +290,24 @@ def pece_kernels(alpha: float, N: int, dt: float) -> tuple[np.ndarray, ...]:
 
 class _PecePlan(NamedTuple):
     """What a PECE march needs of (alpha, grid): the kernels of
-    :func:`pece_kernels`, their k, 1/Gamma(alpha) and the weight tails."""
+    :func:`pece_kernels`, their k, 1/Gamma(alpha) and the block weights."""
 
     k: float
     inv_gamma: float
     b: np.ndarray
     a: np.ndarray
     a0: np.ndarray
-    wb: tuple
-    wa: tuple
-    wa0: tuple
+    w: tuple
 
 
 @_per_grid
 def _pece_plan(alpha: float, grid: TimeGrid) -> _PecePlan:
     b, a, a0 = map(_read_only, pece_kernels(alpha, grid.N, grid.dt))
-    # weight tails: step s + j of a block pairs b[j..0] and a[j..0] with
-    # the near list f(u_s..u_{s+j}); in block 0 f(u_0) takes a0[n] alone,
-    # so its a weight is zero: (0.0, a[j-1..0]), or (0.0,) at j = 0
-    head = min(BLOCK, grid.N)
-    bl, al = b[:head].tolist(), a[:head].tolist()
-    wb = tuple(tuple(bl[j::-1]) for j in range(head))
-    wa = tuple(tuple(al[j::-1]) for j in range(head))
-    wa0 = ((0.0,), *((0.0, *t) for t in wa[:-1]))
-    return _PecePlan(_pece_k(alpha, grid.dt), 1.0 / math.gamma(alpha), b, a, a0, wb, wa, wa0)
+    # the block weights b[0..BLOCK-1], a[0..BLOCK-1], zero past the last
+    # lag of a shorter grid, which no step reads
+    pad = [0.0] * (BLOCK - min(BLOCK, grid.N))
+    w = (*b[:BLOCK].tolist(), *pad, *a[:BLOCK].tolist(), *pad)
+    return _PecePlan(_pece_k(alpha, grid.dt), 1.0 / math.gamma(alpha), b, a, a0, w)
 
 
 def solve_pece(
@@ -244,34 +323,25 @@ def solve_pece(
     left the representable range.
     """
     N = grid.N
-    k, inv_gamma, b, a, a0, wb, wa, wa0 = _pece_plan(alpha, grid)
+    k, inv_gamma, b, a, a0, w = _pece_plan(alpha, grid)
     u0 = float(u0)
     u = [u0]
     fn = f(u0)
     a0f = (a0 * fn).tolist()  # f(u_0) weighted by a0[n], for every step n
-    fa = np.empty(N + 1)  # f(u_n), mirrored once per block for the far sums
-    fa[0] = fn
+    R = np.empty(N + 1)  # R[N - n] = f(u_n): the history reversed, for the far sums
+    R[N] = fn
     for s in range(0, N, BLOCK):
         e = min(s + BLOCK, N)
-        # f(u_0) takes the weight a0[n], so the a sums start at j = 1
         if s:
-            far_b = np.convolve(fa[:s], b[1:e], "valid").tolist()
-            far_a = np.convolve(fa[1:s], a[1 : e - 1], "valid").tolist()
-        else:
-            far_b = far_a = [0.0] * e
-        near = [fn]
-        for dot, wbj, waj, fb, fc, a0fn in zip(
-            _DOTS[1:], wb, wa if s else wa0, far_b, far_a, a0f[s:e]
-        ):
-            pred = u0 + inv_gamma * (fb + dot(wbj, near))
-            hist = a0fn + (fc + dot(waj, near))
-            nxt = u0 + inv_gamma * (hist + k * f(pred))
-            if not math.isfinite(nxt):  # u holds u_0..u_n: this is step n + 1
-                raise NumericOverflowError(f"PECE iterate overflowed at step {len(u)}")
-            u.append(nxt)
-            fn = f(nxt)
-            near.append(fn)
-        fa[s : e + 1] = near
+            # f(u_0) takes the weight a0[n], so the a sums start at u_1
+            far_b = _far(b[1:e], R[N - s + 1 :])
+            far_a = _far(a[1 : e - 1], R[N - s + 1 : N])
+            us, fs = _pece_block(e - s, s, f, u0, inv_gamma, k, w, fn, fn, far_b, far_a, a0f[s:e])
+        else:  # and in block 0 f(u_0) takes no a weight: H0 is 0.0
+            us, fs = _pece_block(e, 0, f, u0, inv_gamma, k, w, fn, 0.0, _ZEROS, _ZEROS, a0f)
+        u += us
+        R[N - e : N - s] = fs
+        fn = fs[0]
     return Trajectory(grid, np.array(u), Method.PECE, {"alpha": alpha, "u0": u0})
 
 
@@ -300,21 +370,20 @@ def _l1_gain(alpha: float, dt: float) -> float:
 
 class _L1Plan(NamedTuple):
     """What an L1 march needs of (alpha, grid): the kernel of
-    :func:`l1_kernel`, its weight tails and the gain Gamma(2-alpha) dt^alpha."""
+    :func:`l1_kernel`, its block weights and the gain Gamma(2-alpha) dt^alpha."""
 
     g: np.ndarray
-    wg: tuple
+    w: tuple
     gain: float
 
 
 @_per_grid
 def _l1_plan(alpha: float, grid: TimeGrid) -> _L1Plan:
     g = _read_only(l1_kernel(alpha, grid.N))
-    # weight tails: step s + j of a block pairs g[j..1] with the near list
-    # of the increments du_s..du_{s+j-1}
-    gl = g[: min(BLOCK, grid.N)].tolist()
-    wg = tuple(tuple(gl[j:0:-1]) for j in range(len(gl)))
-    return _L1Plan(g, wg, _l1_gain(alpha, grid.dt))
+    # the block weights g[1..BLOCK-1], zero past the last lag of a shorter
+    # grid, which no step reads
+    w = (*g[1:BLOCK].tolist(), *[0.0] * (BLOCK - min(BLOCK, grid.N)))
+    return _L1Plan(g, w, _l1_gain(alpha, grid.dt))
 
 
 def solve_l1(
@@ -332,23 +401,18 @@ def solve_l1(
     naming the step at which the iterate left the representable range.
     """
     N = grid.N
-    g, wg, gain = _l1_plan(alpha, grid)
+    g, w, gain = _l1_plan(alpha, grid)
     u0 = float(u0)
     u = [u0]
     un = u0
-    da = np.empty(N)  # the increments du_n, mirrored once per block for the far sums
+    R = np.empty(N + 1)  # R[N - n] = u_{n+1} - u_n: the increments reversed, for the far sums
     for s in range(0, N, BLOCK):
         e = min(s + BLOCK, N)
-        far = np.convolve(da[:s], g[1:e], "valid").tolist() if s else [0.0] * e
-        near = []
-        for dot, wgj, fg in zip(_DOTS, wg, far):
-            nxt = un - (fg + dot(wgj, near)) + gain * f(un)
-            if not math.isfinite(nxt):  # u holds u_0..u_n: this is step n + 1
-                raise NumericOverflowError(f"L1 iterate overflowed at step {len(u)}")
-            u.append(nxt)
-            near.append(nxt - un)
-            un = nxt
-        da[s:e] = near
+        far = _far(g[1:e], R[N - s + 1 :]) if s else _ZEROS
+        us, ds = _l1_block(e - s, s, f, un, gain, w, far)
+        u += us
+        R[N - e + 1 : N - s + 1] = ds
+        un = us[-1]
     return Trajectory(grid, np.array(u), Method.L1, {"alpha": alpha, "u0": u0})
 
 

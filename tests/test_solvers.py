@@ -461,37 +461,203 @@ def inf_from_call(m, f):
     return lambda u: math.inf if next(calls) >= m else f(u)
 
 
+def left_fold(w, v):
+    """0.0 + w[0]*v[0] + w[1]*v[1] + ..., added left to right."""
+    acc = 0.0
+    for x, y in zip(w, v):
+        acc = acc + x * y
+    return acc
+
+
+def stepwise_pece(f, u0, grid, alpha):
+    """The PECE march one step at a time: each step folds its near lags
+    from 0.0 and reads its far sums from one ``np.convolve`` per kernel
+    and block."""
+    N = grid.N
+    b, a, a0 = pece_kernels(alpha, N, grid.dt)
+    bl, al = b.tolist(), a.tolist()
+    k, inv_gamma = grid.dt**alpha / (alpha * (alpha + 1.0)), 1.0 / math.gamma(alpha)
+    u0 = float(u0)
+    u, F = [u0], [f(u0)]
+    a0f = (a0 * F[0]).tolist()
+    for s in range(0, N, BLOCK):
+        e = min(s + BLOCK, N)
+        fa = np.array(F)
+        if s:
+            far_b = np.convolve(fa[:s], b[1:e], "valid").tolist()
+            far_a = np.convolve(fa[1:s], a[1 : e - 1], "valid").tolist()
+        else:
+            far_b = far_a = [0.0] * e
+        for n in range(s, e):
+            j = n - s
+            wb = [bl[j - i] for i in range(j + 1)]
+            # in block 0, f(u_0) takes a0[n] alone: its a weight is 0.0
+            wa = [0.0 if s == i == 0 else al[j - i] for i in range(j + 1)]
+            pred = u0 + inv_gamma * (far_b[j] + left_fold(wb, F[s:]))
+            hist = a0f[n] + (far_a[j] + left_fold(wa, F[s:]))
+            nxt = u0 + inv_gamma * (hist + k * f(pred))
+            if not math.isfinite(nxt):
+                raise NumericOverflowError(f"PECE iterate overflowed at step {n + 1}")
+            u.append(nxt)
+            F.append(f(nxt))
+    return np.array(u)
+
+
+def stepwise_l1(f, u0, grid, alpha):
+    """The L1 march one step at a time, as :func:`stepwise_pece`."""
+    N = grid.N
+    g = l1_kernel(alpha, N)
+    gl = g.tolist()
+    gain = math.gamma(2.0 - alpha) * grid.dt**alpha
+    u0 = float(u0)
+    u, du = [u0], []
+    for s in range(0, N, BLOCK):
+        e = min(s + BLOCK, N)
+        far = np.convolve(np.array(du), g[1:e], "valid").tolist() if s else [0.0] * e
+        for n in range(s, e):
+            j = n - s
+            near = left_fold([gl[j - i] for i in range(j)], du[s:])
+            nxt = u[n] - (far[j] + near) + gain * f(u[n])
+            if not math.isfinite(nxt):
+                raise NumericOverflowError(f"L1 iterate overflowed at step {n + 1}")
+            u.append(nxt)
+            du.append(nxt - u[n])
+    return np.array(u)
+
+
+def bits(x):
+    # the sign of a nan is not compared: which of two nan operands an
+    # addition returns varies between the interpreter's add paths, and a
+    # march refuses any non-finite iterate
+    return "nan" if math.isnan(x) else np.float64(x).tobytes()
+
+
 class TestNearKernels:
-    """The straight-line near sums against a left fold from 0.0."""
+    """The block functions' near sums against a left fold from 0.0.
+
+    Case m drives the sums of m terms: the last step of an m-step PECE
+    block and of an (m + 1)-step L1 block.  The right-hand side is a
+    script, so the values the lags weight are chosen, not computed.
+    """
 
     # where the order of the additions matters (1e16 + 1.0 - 1e16 is 0.0,
     # 1e16 - 1e16 + 1.0 is 1.0), signed zeros, and then infinities and nan
     FINITE = [1e16, 1.0, -1e16, 0.0, -0.0, 0.1, -3.0]
     SPECIAL = [math.inf, -math.inf, math.nan]
 
-    @staticmethod
-    def bits(x):
-        # the sign of a nan is not compared: which of two nan operands an
-        # addition returns varies between the interpreter's add paths, and
-        # a march refuses any non-finite iterate
-        return "nan" if math.isnan(x) else np.float64(x).tobytes()
+    def cases(self, m, size):
+        rng = np.random.default_rng(m)
+        yield [1.0] * BLOCK, [(1e16, 1.0, -1e16)[i % 3] for i in range(size)]
+        yield [-0.0] * BLOCK, [1.0] * size
+        yield [-0.0] * BLOCK, [-0.0] * size
+        for pool in (self.FINITE, self.FINITE + self.SPECIAL):
+            for _ in range(100):
+                yield rng.choice(pool, BLOCK).tolist(), rng.choice(pool, size).tolist()
 
     @pytest.mark.parametrize("m", range(BLOCK + 1))
     def test_left_fold_from_zero(self, m):
-        assert len(solvers._DOTS) == BLOCK + 1
-        rng = np.random.default_rng(m)
-        cases = [([1.0] * m, [(1e16, 1.0, -1e16)[i % 3] for i in range(m)]),
-                 ([-0.0] * m, [1.0] * m)]
-        for pool in (self.FINITE, self.FINITE + self.SPECIAL):
-            for _ in range(100):
-                cases.append(tuple(rng.choice(pool, m).tolist() for _ in "wn"))
-        for w, n in cases:
-            want = 0.0
-            for x, y in zip(w, n):
-                want = want + x * y
-            got = solvers._DOTS[m](tuple(w), n)
-            assert type(got) is float
-            assert self.bits(got) == self.bits(want), (w, n)
+        if m:
+            self.check_pece(m)
+        if m < BLOCK:
+            self.check_l1(m)
+
+    def check_pece(self, m):
+        # with 1/Gamma = 1, k = 0, and u0, the far sums and a0 f(u_0) all
+        # -0.0, step j predicts at its b sum and corrects to its a sum, bit
+        # for bit, sign of zero included; the script returns -0.0 at each
+        # prediction and the next value at each iterate
+        zeros = [-0.0] * BLOCK
+        for (w, v), first in itertools.product(self.cases(m, m + 1), (True, False)):
+            wb, wa = w, w[::-1]
+            h0 = v[0] if first else 0.0
+            calls, values = [], iter(v[1:])
+
+            def f(x):
+                calls.append(x)
+                return -0.0 if len(calls) % 2 else next(values)
+
+            try:
+                got = solvers._pece_block(
+                    m, 0, f, -0.0, 1.0, 0.0, (*wb, *wa), v[0], h0, zeros, zeros, zeros
+                )
+            except NumericOverflowError as exc:
+                got = str(exc)
+            preds = [left_fold(wb[j::-1], v) for j in range(m)]
+            iterates = [left_fold(wa[j::-1], [h0, *v[1:]]) for j in range(m)]
+            assert [bits(x) for x in calls[::2]] == [bits(x) for x in preds[: len(calls[::2])]]
+            assert [bits(x) for x in calls[1::2]] == [bits(x) for x in iterates[: len(calls[1::2])]]
+            bad = [j for j, x in enumerate(iterates) if not math.isfinite(x)]
+            if bad:
+                assert got == f"PECE iterate overflowed at step {bad[0] + 1}", (w, v, first)
+            else:
+                us, fs = got
+                assert [bits(x) for x in us] == [bits(x) for x in iterates], (w, v, first)
+                assert [bits(x) for x in fs] == [bits(x) for x in v[m:0:-1]]
+
+    def check_l1(self, m):
+        # with a gain of 1, step j takes U_j to U_j - (far + near sum) +
+        # f(U_j), and the script chooses f(U_j); U_0 and the far sums are
+        # -0.0, so that a near sum of -0.0 would show
+        zeros = [-0.0] * BLOCK
+        for w, v in self.cases(m, m + 1):
+            values = iter(v)
+            try:
+                got = solvers._l1_block(
+                    m + 1, 0, lambda x: next(values), -0.0, 1.0, tuple(w[1:]), zeros
+                )
+            except NumericOverflowError as exc:
+                got = str(exc)
+            U, D = [-0.0], []
+            for j in range(m + 1):
+                nxt = U[j] - (-0.0 + left_fold(w[j:0:-1], D)) + v[j]
+                if not math.isfinite(nxt):
+                    assert got == f"L1 iterate overflowed at step {j + 1}", (w, v)
+                    break
+                U.append(nxt)
+                D.append(nxt - U[j])
+            else:
+                us, ds = got
+                assert [bits(x) for x in us] == [bits(x) for x in U[1:]], (w, v)
+                assert [bits(x) for x in ds] == [bits(x) for x in D[::-1]], (w, v)
+
+
+class TestStepwiseMarches:
+    """The block functions against the step-by-step march, byte for byte."""
+
+    NS = [*range(1, 2 * BLOCK + 9), *(k * BLOCK + d for k in (3, 4) for d in (-1, 1)), 2000]
+
+    @staticmethod
+    def problems(alpha):
+        """The logistic right-hand sides of the three regimes, one whose
+        history is all signed zeros, and one whose sums depend on the
+        order of their additions."""
+        for regime in sorted(REGIMES):
+            p, f = regime_problem(regime, alpha)
+            yield regime, f, p.i0
+        yield "-0", lambda u: -0.0 * u, 0.25
+        yield "order", lambda u: math.sin(1e16 * u) * 1e16 + 1.0, 0.5
+
+    @staticmethod
+    def outcome(solver, f, u0, grid, alpha):
+        try:
+            u = solver(f, u0, grid, alpha)
+        except NumericOverflowError as exc:
+            return str(exc)
+        return getattr(u, "u", u).tobytes()  # a Trajectory or the stepwise array
+
+    @pytest.mark.parametrize("alpha", [0.3, 0.7, 1.0])
+    def test_pece(self, alpha):
+        for (name, f, u0), N in itertools.product(self.problems(alpha), self.NS):
+            g = TimeGrid(N * 0.05, 0.05)
+            want = self.outcome(stepwise_pece, f, u0, g, alpha)
+            assert self.outcome(solve_pece, f, u0, g, alpha) == want, (name, N)
+
+    @pytest.mark.parametrize("alpha", [0.3, 0.7])
+    def test_l1(self, alpha):
+        for (name, f, u0), N in itertools.product(self.problems(alpha), self.NS):
+            g = TimeGrid(N * 0.05, 0.05)
+            want = self.outcome(stepwise_l1, f, u0, g, alpha)
+            assert self.outcome(solve_l1, f, u0, g, alpha) == want, (name, N)
 
 
 class TestBlockedMarches:
@@ -641,8 +807,8 @@ class TestPlanCache:
         for x in (pece.b, pece.a, pece.a0, l1.g, node_powers(0.7, grid)):
             with pytest.raises(ValueError, match="read-only"):
                 x[0] = 1.0
-        for tails in (pece.wb, pece.wa, pece.wa0, l1.wg):
-            assert type(tails) is tuple and all(type(t) is tuple for t in tails)
+        for w in (pece.w, l1.w):
+            assert type(w) is tuple and all(type(x) is float for x in w)
 
     def test_public_kernels_are_fresh_and_writable(self):
         grid = TimeGrid(5.0, 0.05)
@@ -662,15 +828,16 @@ class TestPlanCache:
                     assert x == y
 
     def test_tails_are_the_kernel_slices(self):
-        b, a, _ = pece_kernels(0.45, 40, 0.025)
-        g = l1_kernel(0.45, 40)
-        pece = solvers._pece_plan(0.45, TimeGrid(1.0, 0.025))
-        wg = solvers._l1_plan(0.45, TimeGrid(1.0, 0.025)).wg
-        for j in range(BLOCK):
-            assert pece.wb[j] == tuple(b[j::-1].tolist())
-            assert pece.wa[j] == tuple(a[j::-1].tolist())
-            assert pece.wa0[j] == (0.0, *a[:j][::-1].tolist())
-            assert wg[j] == tuple(g[j:0:-1].tolist())
+        # the block weights: lags 0..BLOCK-1 of b and a, lags 1..BLOCK-1
+        # of g, each padded with zeros past the grid's last lag
+        for N in (1, BLOCK - 1, BLOCK, 40):
+            grid = TimeGrid(N * 0.025, 0.025)
+            b, a, _ = pece_kernels(0.45, N, grid.dt)
+            g = l1_kernel(0.45, N)
+            pad = [0.0] * max(0, BLOCK - N)
+            w = (*b[:BLOCK].tolist(), *pad, *a[:BLOCK].tolist(), *pad)
+            assert solvers._pece_plan(0.45, grid).w == w
+            assert solvers._l1_plan(0.45, grid).w == (*g[1:BLOCK].tolist(), *pad)
 
     # against T = 5, dt = 0.05 (N = 100): only dt differs, in its 13th digit
     # (T and N are the same), or only N (dt is the same)
