@@ -404,15 +404,13 @@ def solve_l1(
     g, w, gain = _l1_plan(alpha, grid)
     u0 = float(u0)
     u = [u0]
-    un = u0
     R = np.empty(N + 1)  # R[N - n] = u_{n+1} - u_n: the increments reversed, for the far sums
     for s in range(0, N, BLOCK):
         e = min(s + BLOCK, N)
         far = _far(g[1:e], R[N - s + 1 :]) if s else _ZEROS
-        us, ds = _l1_block(e - s, s, f, un, gain, w, far)
+        us, ds = _l1_block(e - s, s, f, u[-1], gain, w, far)
         u += us
         R[N - e + 1 : N - s + 1] = ds
-        un = us[-1]
     return Trajectory(grid, np.array(u), Method.L1, {"alpha": alpha, "u0": u0})
 
 
