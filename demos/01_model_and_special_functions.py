@@ -12,7 +12,6 @@ import numpy as np
 
 from fracsis import (
     ModelParams,
-    NonConvergenceError,
     TimeGrid,
     classical_sis,
     derive,
@@ -42,17 +41,14 @@ B = math.exp(math.lgamma(1.5) + math.lgamma(2.5) - math.lgamma(4.0))
 print("B(1.5, 2.5)  =", B, " (pi/16)")
 
 # E_alpha(-t^alpha) interpolates between stretched-exponential behaviour
-# at small t and an algebraic t^(-alpha) tail at large t.  The direct
-# series is the tool for moderate arguments; past that the large-t model
-# takes over (the series would need thousands of wildly cancelling terms).
+# at small t and an algebraic t^(-alpha) tail at large t.  On the negative
+# axis E_alpha is a fixed 33-node contour integral, as accurate at t = 1e4
+# as at t = 0.01, so it can be set beside both models.
 print("\n     t      E_a(-t^a)    small-t model   large-t model   (alpha = 0.5)")
 for t in (0.01, 0.1, 1.0, 10.0, 100.0, 1e4):
     e0, einf = ml_asymptotics(0.5, -1.0, t)
-    try:
-        ml = f"{mittag_leffler(0.5, -(t**0.5)):10.6f}"
-    except NonConvergenceError:
-        ml = "(series impractical)"
-    print(f"{t:9.2f}   {ml}   {e0:13.6f}   {einf:13.6f}")
+    ml = mittag_leffler(0.5, -(t**0.5))
+    print(f"{t:9.2f}   {ml:10.6f}   {e0:13.6f}   {einf:13.6f}")
 
 # The total population solves the linear Caputo equation
 # D^alpha N = (lambda - mu) N: constant when the rates balance,

@@ -5,9 +5,14 @@ What depends only on alpha, on a coefficient table, or on either and a
 in an LRU cache of :data:`_CACHE_SIZE` entries; every output is the same
 bit for bit as without it.  The caches, by key:
 
-* alpha: E_alpha's kernel table (``fracsis.specfn._ml_table``), the
-  Gamma ratios of :func:`fracsis.specfn.gamma_ratios` with the
-  thresholds of the stopping rule, both from one set of log-Gammas;
+* (alpha, K): the log-Gammas lgamma(alpha k + 1), k = 0..K, of
+  :func:`fracsis.specfn.log_gamma_orders`, a tuple, from which the
+  coefficient recursions form their Gamma ratios and
+  :attr:`~fracsis.coeffs.CoeffTable.values` its ``c_k``;
+* alpha: E_alpha's kernel table for z > 0 (``fracsis.specfn._ml_table``),
+  the Gamma ratios of :func:`fracsis.specfn.gamma_ratios` with the
+  thresholds of the stopping rule, both from the log-Gammas of
+  (alpha, ``_MAX_TERMS - 1``);
 * (alpha, K, d0, kind): the :class:`~fracsis.coeffs.CoeffTable` of
   :func:`~fracsis.coeffs.euler_alpha` and :func:`~fracsis.coeffs.a_coeffs`,
   whose root test, kernel table with its thresholds, and hash are each a
@@ -26,7 +31,8 @@ dataclasses, tuples, and arrays marked by :func:`_read_only`.
 The bound, 8, is the working set of the paper's sweep: four alphas on
 two grids (the ``c-nonzero`` and ``c-zero`` presets), so eight plans of
 each scheme and eight power tables, and for each alpha one table of each
-kind.  Where alpha is fresh on every call, more entries would only keep
+kind and two log-Gamma tuples (K = 120, and K = 3 for the carrying-capacity
+radius).  Where alpha is fresh on every call, more entries would only keep
 values that no later call reads.
 
 Only grids of at most :data:`_CACHE_MAX_N` = 1000 steps enter the

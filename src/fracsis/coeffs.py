@@ -6,7 +6,9 @@ so that the series evaluator sums ``sum_k d_k x^k`` with
 fractional convolution weight cancels from both recursions, and a table
 stays finite for every alpha in (0, 1] up to :data:`MAX_ORDER`.  With
 ``S_k = sum_{i=0..k} d_i d_{k-i}`` and ``r_k = Gamma(alpha k + 1) /
-Gamma(alpha k + alpha + 1)`` (:func:`fracsis.specfn.gamma_ratios`):
+Gamma(alpha k + alpha + 1)``, formed as ``exp(lg[k] - lg[k+1])`` from the
+table's own log-Gammas ``lg = log_gamma_orders(alpha, K)``
+(:func:`fracsis.specfn.log_gamma_orders`, cached per (alpha, K)):
 
 * alpha-Euler numbers ``E_k`` for the carrying-capacity logistic equation
   ``D^alpha v = v (1 - v) / M^alpha`` with ``v(0) = 1/2``:
@@ -20,10 +22,11 @@ Gamma(alpha k + alpha + 1)`` (:func:`fracsis.specfn.gamma_ratios`):
   coefficients of ``1 / (t + 2)``, i.e. ``(-1)^k k! / 2^(k+1)``.
 
 :attr:`CoeffTable.values` is the one view of the unnormalised ``c_k``
-(``E_k`` or ``A_k``); it refuses, with :class:`NumericOverflowError`, an
-entry beyond binary64.  The module also provides the guaranteed
-convergence radii of both series and an empirical root-test estimate from
-a finite coefficient table.
+(``E_k`` or ``A_k``), formed from the same cached log-Gammas; it
+refuses, with :class:`NumericOverflowError`, an entry beyond binary64.
+The module also provides the guaranteed convergence radii of both
+series and an empirical root-test estimate from a finite coefficient
+table.
 
 Tables are cached per (alpha, K, d0, kind) under the package's one
 cache policy (:mod:`fracsis._cache`), below :func:`euler_alpha` and
@@ -54,7 +57,7 @@ from .errors import (
     InsufficientDataError,
     NumericOverflowError,
 )
-from .specfn import _series_table, _Table, gamma_ratios, log_gamma_orders
+from .specfn import _series_table, _Table, log_gamma_orders
 
 __all__ = [
     "CoeffKind",
@@ -177,7 +180,7 @@ def _recurse(alpha: float, K: int, d0: float, keep_linear: bool) -> tuple[float,
     the odd-index pairs are formed.  The zero pairs skipped add nothing to
     an exact sum, so the table is the same bit for bit.
     """
-    r = gamma_ratios(alpha)[:K].tolist()
+    lg = log_gamma_orders(alpha, K)
     d = [d0]
     # d again, as an array: the pairs' factors d_i, i = i0, i0 + step, ..
     # below h, are its view a[i0:h:step], and their partners d_{k-i} the
@@ -198,7 +201,7 @@ def _recurse(alpha: float, K: int, d0: float, keep_linear: bool) -> tuple[float,
             if k % 2 == 0:
                 p.append(d[h] * d[h])
             s = math.fsum(p)
-            d.append(r[k] * ((d[k] - s) if keep_linear else -s))
+            d.append(math.exp(lg[k] - lg[k + 1]) * ((d[k] - s) if keep_linear else -s))
         a[k + 1] = d[k + 1]
     return tuple(d)
 

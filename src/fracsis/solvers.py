@@ -9,12 +9,13 @@ array stored reversed, newest value first: f(u_n) for PECE, the
 increments u_{n+1} - u_n for L1.  At the start of a block, one
 ``np.correlate`` per kernel with that array prices the history before
 the block for every step in it (the far history).  The block itself is
-one call of a generated function, :func:`_pece_block` or
-:func:`_l1_block`, written out for BLOCK steps: the block's lag weights
-and each new value are local variables, and each step adds the at most
-BLOCK lags that fall in the block (the near history) as one
-straight-line sum ``0.0 + w_j*v_0 + ... + w_0*v_j``, added left to right
-from 0.0.  The block's new values then enter the array in one slice
+one call of a generated function, ``_pece_block`` or ``_l1_block``
+(compiled by :func:`_block` on the first march that needs it), written
+out for BLOCK steps: the block's lag weights and each new value are
+local variables, and each step adds the at most BLOCK lags that fall in
+the block (the near history) as one straight-line sum
+``0.0 + w_j*v_0 + ... + w_0*v_j``, added left to right from 0.0.  The
+block's new values then enter the array in one slice
 assignment.  The work stays O(N^2) multiply-adds, but no step makes a
 numpy call, indexes a weight, appends to a list or iterates: at the grid
 sizes used here, any of them costs more than the step's arithmetic.  The rounding of a
@@ -52,6 +53,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import repeat
 from typing import Callable, NamedTuple
 
@@ -93,8 +95,9 @@ BLOCK = 16
 # and step j's near sum is 0.0 + W{j}*V0 + ... + W0*V{j}, added left to
 # right from 0.0.  After each step the iterate is checked and a
 # non-finite one raises NumericOverflowError naming its step.  The
-# weights are arguments, so the two functions are compiled once, at
-# import (about 4 ms), and no plan compiles anything.
+# weights are arguments, so each function is compiled once per process,
+# by _block on the first march that calls it (about 2 ms each), and no
+# plan compiles anything; a process that runs no march compiles neither.
 
 
 def _pece_block_source() -> str:
@@ -147,14 +150,17 @@ def _block_return(n: int, values: list[str]) -> list[str]:
     return [f"    {ret}"] if n == BLOCK else [f"    if m == {n}:", f"        {ret}"]
 
 
-def _compile_block(source: str, name: str):
+_BLOCK_SOURCES = {"_pece_block": _pece_block_source, "_l1_block": _l1_block_source}
+
+
+@lru_cache(maxsize=None)
+def _block(name: str):
+    """The block function ``name``, compiled from its source on first use."""
     scope = {"isfinite": math.isfinite, "NumericOverflowError": NumericOverflowError}
-    exec(compile(source, f"<fracsis.solvers.{name}>", "exec"), scope)
+    exec(compile(_BLOCK_SOURCES[name](), f"<fracsis.solvers.{name}>", "exec"), scope)
     return scope[name]
 
 
-_pece_block = _compile_block(_pece_block_source(), "_pece_block")
-_l1_block = _compile_block(_l1_block_source(), "_l1_block")
 #: the far sums of block 0, which has no history before it
 _ZEROS = (0.0,) * BLOCK
 
@@ -324,6 +330,7 @@ def solve_pece(
     """
     N = grid.N
     k, inv_gamma, b, a, a0, w = _pece_plan(alpha, grid)
+    block = _block("_pece_block")
     u0 = float(u0)
     u = [u0]
     fn = f(u0)
@@ -336,9 +343,9 @@ def solve_pece(
             # f(u_0) takes the weight a0[n], so the a sums start at u_1
             far_b = _far(b[1:e], R[N - s + 1 :])
             far_a = _far(a[1 : e - 1], R[N - s + 1 : N])
-            us, fs = _pece_block(e - s, s, f, u0, inv_gamma, k, w, fn, fn, far_b, far_a, a0f[s:e])
+            us, fs = block(e - s, s, f, u0, inv_gamma, k, w, fn, fn, far_b, far_a, a0f[s:e])
         else:  # and in block 0 f(u_0) takes no a weight: H0 is 0.0
-            us, fs = _pece_block(e, 0, f, u0, inv_gamma, k, w, fn, 0.0, _ZEROS, _ZEROS, a0f)
+            us, fs = block(e, 0, f, u0, inv_gamma, k, w, fn, 0.0, _ZEROS, _ZEROS, a0f)
         u += us
         R[N - e : N - s] = fs
         fn = fs[0]
@@ -402,13 +409,14 @@ def solve_l1(
     """
     N = grid.N
     g, w, gain = _l1_plan(alpha, grid)
+    block = _block("_l1_block")
     u0 = float(u0)
     u = [u0]
     R = np.empty(N + 1)  # R[N - n] = u_{n+1} - u_n: the increments reversed, for the far sums
     for s in range(0, N, BLOCK):
         e = min(s + BLOCK, N)
         far = _far(g[1:e], R[N - s + 1 :]) if s else _ZEROS
-        us, ds = _l1_block(e - s, s, f, u[-1], gain, w, far)
+        us, ds = block(e - s, s, f, u[-1], gain, w, far)
         u += us
         R[N - e + 1 : N - s + 1] = ds
     return Trajectory(grid, np.array(u), Method.L1, {"alpha": alpha, "u0": u0})

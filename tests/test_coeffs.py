@@ -499,12 +499,21 @@ class TestTableCache:
         assert a_coeffs(0.5, 3, a0=0.25).d != a_coeffs(0.5, 3).d
 
     def test_one_ratio_table_per_alpha(self):
-        # both kinds at MAX_ORDER and an E_alpha sum of 363 terms read
-        # prefixes of one ratio table
+        # both kinds at MAX_ORDER and their values read one log-Gamma tuple
+        # and build no ratio table; E_alpha on the negative axis builds none
+        # either, and an E_alpha sum of 363 terms builds the one ratio table
         coeffs._table.cache_clear()
         specfn._ml_table.cache_clear()
-        euler_alpha(0.5123, MAX_ORDER)
-        a_coeffs(0.5123, MAX_ORDER)
+        specfn.log_gamma_orders.cache_clear()
+        tables = euler_alpha(0.5123, MAX_ORDER), a_coeffs(0.5123, MAX_ORDER)
+        for table in tables:
+            table.values
+        lg = specfn.log_gamma_orders(0.5123, MAX_ORDER)
+        assert type(lg) is tuple
+        assert lg == tuple(math.lgamma(0.5123 * k + 1.0) for k in range(MAX_ORDER + 1))
+        assert specfn.log_gamma_orders.cache_info()[:2] == (4, 1)  # hits, misses
+        assert specfn.mittag_leffler(0.5123, np.linspace(-30.0, 0.0, 50)).min() > 0
+        assert specfn._ml_table.cache_info().currsize == 0
         _, used, converged, _ = specfn._sum_terms(np.array([8.0]), specfn._ml_table(0.5123))
         assert converged[0] and used[0] > 256
         assert specfn.mittag_leffler(0.5123, 8.0) > 0

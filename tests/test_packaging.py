@@ -52,12 +52,15 @@ def test_every_cache_has_the_one_bound():
             for name, obj in vars(scope).items():
                 if callable(getattr(obj, "cache_info", None)) and obj.__module__ == module.__name__:
                     bounds[f"{module.__name__}.{name}"] = obj.cache_info().maxsize
-    # the parser takes no argument: its cache holds one value
+    # the parser takes no argument, and the block functions are two: each
+    # cache holds its few values for the process
     assert bounds.pop("fracsis.cli.build_parser") is None
+    assert bounds.pop("fracsis.solvers._block") is None
     assert bounds == dict.fromkeys([
         "fracsis.coeffs._table", "fracsis.series._unit_scale_sums",
         "fracsis.solvers._l1_plan", "fracsis.solvers._pece_plan",
         "fracsis.solvers.node_powers", "fracsis.specfn._ml_table",
+        "fracsis.specfn.log_gamma_orders",
     ], _CACHE_SIZE)
 
 

@@ -577,7 +577,7 @@ class TestNearKernels:
                 return -0.0 if len(calls) % 2 else next(values)
 
             try:
-                got = solvers._pece_block(
+                got = solvers._block("_pece_block")(
                     m, 0, f, -0.0, 1.0, 0.0, (*wb, *wa), v[0], h0, zeros, zeros, zeros
                 )
             except NumericOverflowError as exc:
@@ -602,7 +602,7 @@ class TestNearKernels:
         for w, v in self.cases(m, m + 1):
             values = iter(v)
             try:
-                got = solvers._l1_block(
+                got = solvers._block("_l1_block")(
                     m + 1, 0, lambda x: next(values), -0.0, 1.0, tuple(w[1:]), zeros
                 )
             except NumericOverflowError as exc:
@@ -858,9 +858,10 @@ class TestPlanCache:
     def test_twenty_paper_ops_build_eight_plans_per_scheme(self, monkeypatch):
         # every cache holds the paper sweep's working set: each value is
         # built once, so a bound cut below it fails here
-        for cache in (coeffs._table, specfn._ml_table, series._unit_scale_sums):
+        for cache in (coeffs._table, specfn._ml_table, specfn.log_gamma_orders,
+                      series._unit_scale_sums):
             cache.cache_clear()
-        built = {"pece": 0, "l1": 0, "table": 0, "root": 0, "thresholds": 0, "ratios": 0}
+        built = {"pece": 0, "l1": 0, "table": 0, "root": 0, "thresholds": 0}
         sums = {"unit": 0, "scaled": 0}
 
         def spy(name, build):
@@ -879,17 +880,19 @@ class TestPlanCache:
         monkeypatch.setattr(coeffs, "_recurse", spy("table", coeffs._recurse))
         monkeypatch.setattr(coeffs, "_root_test", spy("root", coeffs._root_test))
         monkeypatch.setattr(coeffs, "_series_table", spy("thresholds", coeffs._series_table))
-        # within specfn only _ml_table, which holds the ratios, reads the log-Gammas
-        monkeypatch.setattr(specfn, "log_gamma_orders", spy("ratios", specfn.log_gamma_orders))
         monkeypatch.setattr(series, "_sum_nodes", summed)
         for i in range(20):  # 4 alphas x 2 preset grids, each seen 2 or 3 times
             alpha, preset = (0.99, 0.7, 0.5, 0.3)[i % 4], ("c-nonzero", "c-zero")[i // 4 % 2]
             cfg = preset_config(preset, alpha, methods=("series", "pece", "l1"))
             assert cfg.grid.N <= _cache._CACHE_MAX_N
             assert run_methods(cfg)[Method.PECE].u.size == cfg.grid.N + 1
-        # one table of each kind, with its root test and thresholds, and one
-        # ratio table per alpha
-        assert built == {"pece": 8, "l1": 8, "table": 8, "root": 8, "thresholds": 8, "ratios": 4}
+        # one table of each kind, with its root test and thresholds; per
+        # alpha the tables' log-Gammas (K = 120) and the carrying-capacity
+        # radius's (K = 3), each formed once, and no E_alpha ratio table
+        assert built == {"pece": 8, "l1": 8, "table": 8, "root": 8, "thresholds": 8}
+        lgammas = specfn.log_gamma_orders.cache_info()
+        assert (lgammas.misses, lgammas.currsize) == (8, 8)
+        assert specfn._ml_table.cache_info().currsize == 0
         # every grid is within the bound, so each miss is one build
         assert node_powers.cache_info().misses == 8
         # one zero-capacity sum per alpha; the 12 carrying samples are never cached
