@@ -6,12 +6,13 @@ one kernel call over a single column, and at z = -1 and -5 it is one
 pass of the 33-node contour.  It is timed cold, at a fresh alpha every
 round: at z = 0.5, so each round also forms the alpha's log-Gammas and
 builds its 499 ratios and their thresholds, and on 1001 z in [-25, 0),
-the shape of a ``series_stress`` op's N(t), which builds no table.  ``population_curve`` runs at the stress shape:
-alpha = 0.6, lam - mu = -1, T = 5 and dt = 0.005 (N = 1000 nodes, one
-contour pass; the nodes' t^alpha are cached after the first round), and
-on the same grid at alpha = 0.3, lam - mu = -4.7, a decaying grid on
-which the power series cancelled and raised (z = -3.14 at node 52 was
-past its last threshold); the result must be finite and falling.
+the shape of a ``series_stress`` op's N(t), which builds no table.
+``population_curve`` runs at the stress shape: alpha = 0.6,
+lam - mu = -1, T = 5 and dt = 0.005 (N = 1000 nodes, one contour pass;
+the nodes' t^alpha are cached after the first round), and on the same
+grid at alpha = 0.3, lam - mu = -4.7, a decaying grid on which the power
+series cancelled and raised (z = -3.14 at node 52 was past its last
+threshold); the result must be finite and falling.
 ``test_mittag_leffler_band`` times E_alpha's kernel call on 2495
 z = -x, x within 2 ulp of each of the 499 points where a term of E_0.6
 reaches 1e-14: all but the last 10 z take the rule's Python loop, the

@@ -2,6 +2,10 @@
 
 import itertools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -791,6 +795,26 @@ class TestConvergenceOrder:
     def test_l1(self, alpha):
         p = self.orders(solve_l1, alpha)
         assert np.all((p >= 0.8) & (p <= 1.1))
+
+
+def test_block_functions_compile_on_the_first_march():
+    # in a fresh interpreter, importing the package and computing N(t)
+    # compiles neither block function; each scheme's first march compiles
+    # its own, once
+    code = "\n".join([
+        "import fracsis, fracsis.solvers as s",
+        "grid = s.TimeGrid(1.0, 0.05)",
+        "fracsis.population_curve(0.5, 0.1, 0.3, 1.0, grid)",
+        "sizes = [s._block.cache_info().currsize]",
+        "for solve in (s.solve_l1, s.solve_l1, s.solve_pece, s.solve_pece):",
+        "    solve(lambda u: -u, 1.0, grid, 0.5)",
+        "    sizes.append(s._block.cache_info().currsize)",
+        "print(sizes, s._block.cache_info().misses)",
+    ])
+    env = {**os.environ, "PYTHONPATH": str(Path(solvers.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["[0,", "1,", "1,", "2,", "2]", "2"]
 
 
 class TestPlanCache:

@@ -71,7 +71,25 @@ def talbot_ml(alpha, z):
     z < 0 that does not sum the cancelling series."""
     with mpmath.workdps(40):
         a, x = mpmath.mpf(alpha), mpmath.mpf(z)
-        return float(mpmath.invertlaplace(lambda s: s ** (a - 1) / (s**a - x), 1, method="talbot"))
+
+        def transform(s):
+            return s ** (a - 1) / (s**a - x)
+
+        return float(mpmath.invertlaplace(transform, 1, method="talbot"))
+
+
+@pytest.fixture
+def summed(monkeypatch):
+    """The z that the kernel sums, call after call, once installed."""
+    seen = []
+    sum_terms = specfn._sum_terms
+
+    def spy(x, *args):
+        seen.extend(x.tolist())
+        return sum_terms(x, *args)
+
+    monkeypatch.setattr(specfn, "_sum_terms", spy)
+    return seen
 
 
 def outcome(fn, *args):
@@ -145,9 +163,9 @@ class TestMittagLeffler:
     @pytest.mark.parametrize("alpha", [0.05, 0.1, 0.3, 0.5, 0.7, 0.9, 0.99, 1.0])
     def test_cached_ratios_match_per_term_lgamma(self, alpha, max_terms):
         # the kernel with a ratio table, capped or not, is the per-term loop
-        # bit for bit at every z; mittag_leffler sums only its z > 0 so, and
-        # takes exp (alpha = 1) or the contour, to 1e-12 of a Talbot
-        # inversion, at its z < 0
+        # bit for bit at every z, and so is mittag_leffler at z >= 0; at
+        # z < 0 it takes exp (alpha = 1) or the contour, within 1e-12 of a
+        # Talbot inversion
         zs = [-40.0, -12.0, -5.0, -1.0, -0.25, 0.0, 1e-3, 0.5, 3.0, 12.0]
         for z in zs:
             if max_terms is None:
@@ -193,18 +211,10 @@ class TestMittagLeffler:
             want = talbot_ml(alpha, z)
             assert abs(v - want) <= max(1e-12 * abs(want), 1e-15), z
 
-    def test_routes_split_by_sign(self, monkeypatch):
+    def test_routes_split_by_sign(self, summed):
         # one call over z of both signs and zeros is the calls on each part:
         # z == 0 gives 1.0 exactly, and the series sees only the z > 0
         zs = np.array([0.7, -0.0, -2.5, 0.0, 3.0, -40.0, -1e-300, 5e-324])
-        summed = []
-        sum_terms = specfn._sum_terms
-
-        def spy(x, *args):
-            summed.extend(x.tolist())
-            return sum_terms(x, *args)
-
-        monkeypatch.setattr(specfn, "_sum_terms", spy)
         for alpha in (0.4, 1.0):
             summed.clear()
             got = mittag_leffler(alpha, zs)
@@ -252,20 +262,12 @@ class TestMittagLeffler:
         assert str(array.value) == str(scalar.value)
 
     @pytest.mark.parametrize("bad", [3, 130, 258])
-    def test_array_names_its_first_failure(self, bad, monkeypatch):
+    def test_array_names_its_first_failure(self, bad, summed):
         # wherever the first unconverged z sits, the error names it as the
         # scalar call does; only the z > 0 are summed, and as the call raises
         # anyway, none after it
         zs = np.linspace(-1.0, 1.0, 773)
         zs[bad], zs[bad + 3] = 80.0, 90.0
-        summed = []
-        sum_terms = specfn._sum_terms
-
-        def spy(x, *args):
-            summed.extend(x.tolist())
-            return sum_terms(x, *args)
-
-        monkeypatch.setattr(specfn, "_sum_terms", spy)
         with pytest.raises(NonConvergenceError) as err:
             mittag_leffler(0.5, zs)
         assert summed == [z for z in zs[: bad + 1].tolist() if z > 0]
@@ -274,7 +276,7 @@ class TestMittagLeffler:
         assert str(err.value) == str(scalar.value)
 
     @pytest.mark.parametrize("alpha", [0.1, 0.5, 0.9, 1.0])
-    def test_thresholds_match_per_term_lgamma(self, alpha, monkeypatch):
+    def test_thresholds_match_per_term_lgamma(self, alpha, summed):
         # z > 0 where a term of E_alpha reaches 1e-14, and within 3 ulp of
         # it: the stops read off the thresholds and those the rule finds
         # agree with the per-term loop.  The same z < 0 are never summed:
@@ -291,14 +293,7 @@ class TestMittagLeffler:
         got = mittag_leffler(alpha, np.array(zs)[ok])
         assert got.tobytes() == np.array([v for v in want if type(v) is float]).tobytes()
         neg = -np.array(zs)
-        summed = []
-        sum_terms = specfn._sum_terms
-
-        def spy(x, *args):
-            summed.extend(x.tolist())
-            return sum_terms(x, *args)
-
-        monkeypatch.setattr(specfn, "_sum_terms", spy)
+        summed.clear()
         got = mittag_leffler(alpha, neg)
         assert summed == [] and np.isfinite(got).all()
         for z, v in zip(neg[::50].tolist(), got[::50].tolist()):
