@@ -507,7 +507,7 @@ def mittag_leffler(alpha: float, z) -> float | np.ndarray:
 
     ``z`` is a float (giving a float) or an array, with one kernel call
     (:func:`_sum_terms`) for all its z > 0 and one contour pass for all
-    its z < 0.  Besides its work per z (about 0.3-0.5 us on the contour,
+    its z < 0.  Besides its work per z (about 0.25-0.5 us on the contour,
     2-vCPU Xeon), a call costs a fixed few dozen numpy calls, tens of
     microseconds, so pass many points as one array.
     Raises :class:`DomainError`, naming the first non-finite z, before any
