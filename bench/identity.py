@@ -8,8 +8,10 @@ Prints one SHA-256 per output class, one ``name hash`` line each:
   per-node meta of the same calls;
 * ``radii``: each series' ``RadiusEstimate``;
 * ``raised``: the type and message of every refusal met on the way;
-* ``E_alpha``: ``mittag_leffler`` arrays and scalars and
-  ``population_curve`` values, or the error each raised;
+* ``E_alpha``: ``mittag_leffler`` arrays and scalars at z <= 0 and
+  ``population_curve`` values at lam - mu <= 0, or the error each raised;
+* ``E_alpha_pos``: the same at z > 0 and lam - mu > 0, apart, so that a
+  change to one half-axis leaves the other's hash as it was;
 * ``table1``, ``c0``: every file that ``run_table1`` and
   ``run_c0_suite`` write (CSV, JSON manifest and SVG);
 * ``schemes``: ``solve_pece`` and ``solve_l1`` trajectories and the
@@ -21,7 +23,8 @@ so they meet cold tables, cache hits and evictions.  Beside each series
 table, nodes sit at the thresholds in x where a term crosses the
 stopping rule's 1e-14 or outgrows the term before it, and at
 (1 +- k 2^-52) times them, so that sums whose stop is decided within
-rounding are hashed too; E_alpha gets the same at its own thresholds.
+rounding are hashed too; E_alpha gets z at the points where a term of
+its series reaches 1e-14, and within rounding of them.
 The schemes run on logistic right-hand sides with c > 0, c = 0 and
 c < 0 at every N from 1 to 2 BLOCK + 8, so every block boundary and
 partial block is met, and at N = 100, 2000 and 4000, with alpha = 1
@@ -155,13 +158,15 @@ def ml_draws(fx, out, rng):
         near = np.concatenate([th, th * (1 - ks * 2.0**-52), th * (1 + ks * 2.0**-52)])
         zs += [near[near < 6.0], -near[near < 12.0]]
         for z in zs:
-            value = outcome(fx.specfn.mittag_leffler, alpha, z)
-            out.add("E_alpha", value)
+            for part, name in ((z[z <= 0], "E_alpha"), (z[z > 0], "E_alpha_pos")):
+                out.add(name, outcome(fx.specfn.mittag_leffler, alpha, part))
         for z in (-1.0, 0.5, float(rng.uniform(-8, 8))):
-            out.add("E_alpha", outcome(fx.specfn.mittag_leffler, alpha, z))
+            name = "E_alpha" if z <= 0 else "E_alpha_pos"
+            out.add(name, outcome(fx.specfn.mittag_leffler, alpha, z))
         grid = fx.solvers.TimeGrid(5.0, 0.005)
         rate = float(rng.uniform(-5.0, 1.0))
-        out.add("E_alpha", outcome(fx.harness.population_curve, alpha, 0.5, 0.5 - rate, 1.0, grid))
+        name = "E_alpha" if rate <= 0 else "E_alpha_pos"
+        out.add(name, outcome(fx.harness.population_curve, alpha, 0.5, 0.5 - rate, 1.0, grid))
 
 
 def scheme_draws(fx, out, rng):
@@ -220,7 +225,7 @@ def main(argv=None) -> int:
     import fracsis as fx
 
     out = Hashes(["u", "terms_used", "converged", "beyond_theoretical_radius", "radii",
-                  "raised", "E_alpha", "table1", "c0", "schemes"])
+                  "raised", "E_alpha", "E_alpha_pos", "table1", "c0", "schemes"])
     rng = np.random.default_rng(SEED)
     series_draws(fx, out, rng)
     ml_draws(fx, out, rng)

@@ -39,7 +39,7 @@ import math
 import numpy as np
 import pytest
 
-from fracsis import coeffs, specfn
+from fracsis import coeffs
 from fracsis.coeffs import MAX_ORDER, a_coeffs, euler_alpha
 from fracsis.model import ModelParams, derive
 from fracsis.series import (
@@ -70,7 +70,6 @@ def zero_capacity(K):
 
 def clear_caches():
     coeffs._table.cache_clear()
-    specfn._ml_table.cache_clear()
 
 
 @pytest.mark.parametrize("build", [euler_alpha, a_coeffs])

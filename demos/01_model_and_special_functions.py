@@ -50,11 +50,22 @@ for t in (0.01, 0.1, 1.0, 10.0, 100.0, 1e4):
     ml = mittag_leffler(0.5, -(t**0.5))
     print(f"{t:9.2f}   {ml:10.6f}   {e0:13.6f}   {einf:13.6f}")
 
+# On the positive axis E_alpha grows like exp(z^(1/alpha))/alpha.  The
+# contour takes that pole in closed form and integrates the rest at a fixed
+# cost, so it gives E_0.5(20) = 1.0e174, where the power series needs
+# over 2000 terms to stop, and inf once E_alpha is past binary64.
+print("\nE_0.5(z) = e^(z^2) erfc(-z):", end="")
+for z in (1.0, 20.0, 27.0):
+    print(f"  E_0.5({z:g}) = {mittag_leffler(0.5, z):.6e}", end="")
+print()
+
 # The total population solves the linear Caputo equation
 # D^alpha N = (lambda - mu) N: constant when the rates balance,
-# Mittag-Leffler decay when deaths dominate.
+# Mittag-Leffler decay when deaths dominate, growth when births do.
 grid = TimeGrid(10.0, 0.5)
 balanced = population_curve(0.7, 0.12, 0.12, 1.0, grid)
 declining = population_curve(0.7, 0.02, 0.12, 1.0, grid)
 print("\npopulation with lambda = mu   :", balanced[:5], "... constant")
 print("population with lambda < mu   :", np.round(declining[:5], 6), "... decaying")
+growing = population_curve(0.7, 0.22, 0.12, 1.0, grid)
+print("population with lambda > mu   :", np.round(growing[:5], 6), "... growing")

@@ -40,7 +40,6 @@ from .errors import (
     GridMismatchError,
     HypothesisError,
     InsufficientDataError,
-    NonConvergenceError,
     NumericError,
     NumericOverflowError,
     ValidationError,

@@ -9,10 +9,6 @@ bit for bit as without it.  The caches, by key:
   :func:`fracsis.specfn.log_gamma_orders`, a tuple, from which the
   coefficient recursions form their Gamma ratios and
   :attr:`~fracsis.coeffs.CoeffTable.values` its ``c_k``;
-* alpha: E_alpha's kernel table for z > 0 (``fracsis.specfn._ml_table``),
-  the Gamma ratios of :func:`fracsis.specfn.gamma_ratios` with the
-  thresholds of the stopping rule, both from the log-Gammas of
-  (alpha, ``_MAX_TERMS - 1``);
 * (alpha, K, d0, kind): the :class:`~fracsis.coeffs.CoeffTable` of
   :func:`~fracsis.coeffs.euler_alpha` and :func:`~fracsis.coeffs.a_coeffs`,
   whose root test, kernel table with its thresholds, and hash are each a

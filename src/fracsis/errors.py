@@ -2,8 +2,8 @@
 
 Validation-type errors (bad arguments, violated hypotheses, malformed
 configs) derive from :class:`ValidationError`; numeric failures that occur
-mid-computation (a series still unconverged at the end of its table, an
-overflowing coefficient or scheme iterate) derive from
+mid-computation (an overflowing coefficient, scheme iterate or population
+curve) derive from
 :class:`NumericError`.  The CLI maps the former to exit code 1 and the
 latter to exit code 2.
 """
@@ -35,10 +35,6 @@ class InsufficientDataError(ValidationError):
 
 class NumericError(FracsisError, ArithmeticError):
     """Numeric failure during a computation."""
-
-
-class NonConvergenceError(NumericError):
-    """A series did not meet its stopping rule within its table (E_alpha: ``_MAX_TERMS`` terms)."""
 
 
 class NumericOverflowError(NumericError):

@@ -238,7 +238,7 @@ def _sum_nodes(
     does; the kernel's sum there is d_0 + 0 d_1 + ..., which a non-finite
     entry makes nan.
     """
-    total, used, converged, _ = _sum_terms(arg_scale * powers, table._terms)
+    total, used, converged = _sum_terms(arg_scale * powers, table._terms)
     at0 = powers == 0.0
     total[at0], used[at0], converged[at0] = table.d[0], 1, True
     return total, used, converged

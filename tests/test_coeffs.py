@@ -27,8 +27,6 @@ from fracsis.errors import (
     InsufficientDataError,
     NumericOverflowError,
 )
-from fracsis.specfn import gamma_ratios
-
 mpmath.mp.dps = 40
 
 ALPHAS = (0.3, 0.5, 0.7, 0.99, 1.0)
@@ -98,9 +96,16 @@ def mp_normalised_table(alpha, K, d0, keep_linear):
         return d
 
 
+def lgamma_ratios(alpha, K):
+    """Gamma(alpha k + 1) / Gamma(alpha k + alpha + 1), k < K, each from its
+    two lgammas."""
+    lg = [math.lgamma(alpha * k + 1.0) for k in range(K + 1)]
+    return [math.exp(lg[k] - lg[k + 1]) for k in range(K)]
+
+
 def generator_recursion(alpha, K, d0, keep_linear):
     """The d-form recursion with S_k as one fsum over every pair d_i d_{k-i}."""
-    r = gamma_ratios(alpha)[:K].tolist()
+    r = lgamma_ratios(alpha, K)
     d = [d0]
     for k in range(K):
         s = math.fsum(d[i] * d[k - i] for i in range(k + 1))
@@ -111,7 +116,7 @@ def generator_recursion(alpha, K, d0, keep_linear):
 def pairwise_recursion(alpha, K, d0, keep_linear):
     """The recursion with each symmetric pair d_i d_{k-i} formed by a Python
     multiply and listed twice for ``math.fsum``, plus the middle square."""
-    r = gamma_ratios(alpha)[:K].tolist()
+    r = lgamma_ratios(alpha, K)
     d = [d0]
     for k in range(K):
         h = (k + 1) // 2
@@ -499,11 +504,9 @@ class TestTableCache:
         assert a_coeffs(0.5, 3, a0=0.25).d != a_coeffs(0.5, 3).d
 
     def test_one_ratio_table_per_alpha(self):
-        # both kinds at MAX_ORDER and their values read one log-Gamma tuple
-        # and build no ratio table; E_alpha on the negative axis builds none
-        # either, and an E_alpha sum of 363 terms builds the one ratio table
+        # both kinds at MAX_ORDER and their values read one log-Gamma tuple;
+        # E_alpha, a contour on both half-axes, forms no log-Gammas
         coeffs._table.cache_clear()
-        specfn._ml_table.cache_clear()
         specfn.log_gamma_orders.cache_clear()
         tables = euler_alpha(0.5123, MAX_ORDER), a_coeffs(0.5123, MAX_ORDER)
         for table in tables:
@@ -512,12 +515,8 @@ class TestTableCache:
         assert type(lg) is tuple
         assert lg == tuple(math.lgamma(0.5123 * k + 1.0) for k in range(MAX_ORDER + 1))
         assert specfn.log_gamma_orders.cache_info()[:2] == (4, 1)  # hits, misses
-        assert specfn.mittag_leffler(0.5123, np.linspace(-30.0, 0.0, 50)).min() > 0
-        assert specfn._ml_table.cache_info().currsize == 0
-        _, used, converged, _ = specfn._sum_terms(np.array([8.0]), specfn._ml_table(0.5123))
-        assert converged[0] and used[0] > 256
-        assert specfn.mittag_leffler(0.5123, 8.0) > 0
-        assert specfn._ml_table.cache_info().currsize == 1
+        assert specfn.mittag_leffler(0.5123, np.linspace(-30.0, 8.0, 50)).min() > 0
+        assert specfn.log_gamma_orders.cache_info()[:2] == (4, 1)
 
     def test_cache_is_bounded(self):
         maxsize = coeffs._table.cache_info().maxsize

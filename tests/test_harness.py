@@ -17,7 +17,7 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 import fracsis
-from fracsis import cli, coeffs, harness, specfn
+from fracsis import cli, coeffs, harness
 from fracsis.errors import GridMismatchError, ValidationError
 from fracsis.harness import (
     compare_methods,
@@ -349,7 +349,6 @@ class TestEmit:
             return {p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()}
 
         coeffs._table.cache_clear()
-        specfn._ml_table.cache_clear()
         trees = []
         for side in ("cold", "warm"):
             (tmp_path / side).mkdir()

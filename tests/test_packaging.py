@@ -59,8 +59,7 @@ def test_every_cache_has_the_one_bound():
     assert bounds == dict.fromkeys([
         "fracsis.coeffs._table", "fracsis.series._unit_scale_sums",
         "fracsis.solvers._l1_plan", "fracsis.solvers._pece_plan",
-        "fracsis.solvers.node_powers", "fracsis.specfn._ml_table",
-        "fracsis.specfn.log_gamma_orders",
+        "fracsis.solvers.node_powers", "fracsis.specfn.log_gamma_orders",
     ], _CACHE_SIZE)
 
 

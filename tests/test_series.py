@@ -39,7 +39,6 @@ from fracsis.specfn import (
     _ABS_TOL,
     _GROW_MIN_K,
     _GROW_STREAK,
-    _MAX_TERMS,
     _STOP_STREAK,
     _WIDE,
 )
@@ -62,7 +61,6 @@ def scalar_evaluate(series, t):
     if t == 0.0:
         return EvalResult(series.scale_c * d[0], 1, True, beyond)
     x = series.arg_scale * t**series.alpha
-    limit = min(len(d), _MAX_TERMS)
     xk = 1.0
     total = d[0]
     terms_used = 1
@@ -70,7 +68,7 @@ def scalar_evaluate(series, t):
     below = 0
     grow = 0
     prev_mag = abs(d[0])
-    for k in range(1, limit):
+    for k in range(1, len(d)):
         xk *= x
         term = d[k] * xk
         total += term
@@ -515,9 +513,9 @@ class TestNoRebuild:
                 built.setdefault(v, []).append(("thresholds", n))
             return sum_to(x, table, stop)
 
-        def spy_rule(x, coeffs, series):
-            out = rule(x, coeffs, series)
-            built.setdefault(x, []).append(("rule", out[2] - 1))
+        def spy_rule(x, d):
+            out = rule(x, d)
+            built.setdefault(x, []).append(("rule", out[1] - 1))
             return out
 
         monkeypatch.setattr(specfn, "_sum_to", spy_sum_to)
@@ -552,21 +550,6 @@ class TestNoRebuild:
 
         built = self.passes(monkeypatch, run)
         self.assert_once(built, dict(zip(x + near, used)))
-
-    def test_mittag_leffler_terms_are_built_once(self, monkeypatch):
-        # z over several groups, and within an ulp of the z in [-9, 9] where
-        # a term reaches 1e-14, some of which only the rule decides: each
-        # z > 0 is summed once, and no z <= 0, which take the contour, is
-        lg = specfn.log_gamma_orders(0.5, _MAX_TERMS - 1)
-        near = [math.exp((math.log(_ABS_TOL) + lg[k]) / k) for k in range(1, _MAX_TERMS)]
-        zs = np.concatenate([np.linspace(-2.0, 9.0, 300), [
-            s * z * (1 + j * 2.0**-52) for z in near if z <= 9.0 for s in (-1, 1) for j in (-1, 1)
-        ]])
-        pos = zs[zs > 0]
-        _, used, _, _ = specfn._sum_terms(pos, specfn._ml_table(0.5))
-        assert used.max() > 256
-        built = self.passes(monkeypatch, lambda: specfn.mittag_leffler(0.5, zs))
-        self.assert_once(built, dict(zip(pos.tolist(), used.tolist())))
 
 
 class TestClassicalReductionNearRadius:

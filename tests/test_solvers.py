@@ -882,8 +882,7 @@ class TestPlanCache:
     def test_twenty_paper_ops_build_eight_plans_per_scheme(self, monkeypatch):
         # every cache holds the paper sweep's working set: each value is
         # built once, so a bound cut below it fails here
-        for cache in (coeffs._table, specfn._ml_table, specfn.log_gamma_orders,
-                      series._unit_scale_sums):
+        for cache in (coeffs._table, specfn.log_gamma_orders, series._unit_scale_sums):
             cache.cache_clear()
         built = {"pece": 0, "l1": 0, "table": 0, "root": 0, "thresholds": 0}
         sums = {"unit": 0, "scaled": 0}
@@ -912,11 +911,10 @@ class TestPlanCache:
             assert run_methods(cfg)[Method.PECE].u.size == cfg.grid.N + 1
         # one table of each kind, with its root test and thresholds; per
         # alpha the tables' log-Gammas (K = 120) and the carrying-capacity
-        # radius's (K = 3), each formed once, and no E_alpha ratio table
+        # radius's (K = 3), each formed once
         assert built == {"pece": 8, "l1": 8, "table": 8, "root": 8, "thresholds": 8}
         lgammas = specfn.log_gamma_orders.cache_info()
         assert (lgammas.misses, lgammas.currsize) == (8, 8)
-        assert specfn._ml_table.cache_info().currsize == 0
         # every grid is within the bound, so each miss is one build
         assert node_powers.cache_info().misses == 8
         # one zero-capacity sum per alpha; the 12 carrying samples are never cached
