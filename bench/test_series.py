@@ -2,14 +2,14 @@
 and trajectory sampling.
 
 The tables are built at K = MAX_ORDER (200) and alpha = 0.6, cold (the
-table cache and the Gamma-ratio cache are cleared before every round, so
-each round builds the alpha's 499 ratios and E_alpha's thresholds and
-runs the recursion, as at a fresh alpha) and warm (every call after the first is a cache hit behind
-the argument checks).  ``evaluate`` sums one node, t = 3, over K = 200
-tables.  Trajectories are sampled on the preset horizon T = 5 at two
-shapes: the paper's (N = 100 steps over K = 120 tables) and the stress
+table cache is cleared before every round, so each round runs the
+recursion from the alpha's cached log-Gammas) and warm (every call
+after the first is a cache hit behind the argument checks).
+``evaluate`` sums one node, t = 3, over K = 200 tables, by the stopping
+rule's per-node loop.  Trajectories are sampled on the preset horizon
+T = 5 at two shapes: the paper's (N = 100 steps over K = 120 tables) and the stress
 shape (N = 1000 over K = 200), the two sides of the kernel's row width
-``specfn._WIDE`` (128): the paper's 101 nodes are summed in one
+``series._WIDE`` (128): the paper's 101 nodes are summed in one
 accumulate block, the stress shape's 1001 by one vectorised step per
 term row while at least 128 nodes are still summing, and the rest in
 one block.  The nodes' t^alpha are cached per alpha and grid, so every
@@ -19,7 +19,8 @@ well: ``test_sample_trajectory`` clears that cache, and only that one,
 before each of its rounds, so it times the summation kernel, and
 ``test_sample_trajectory_cached`` times the hit, which scales the cached
 sums and builds the meta.  Each table's stop thresholds are built at its
-first sum and kept on it, so every round after the first reads them.
+first sum and kept in the kernel's cache, keyed by the table, so every
+round after the first reads them.
 Nearly every node of those samples has its stop read off the
 thresholds; ``test_sum_nodes_band`` times the other path, the rule's
 Python loop over one node at a time, on 1001 nodes x within 5 ulp of

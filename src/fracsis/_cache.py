@@ -6,14 +6,16 @@ in an LRU cache of :data:`_CACHE_SIZE` entries; every output is the same
 bit for bit as without it.  The caches, by key:
 
 * (alpha, K): the log-Gammas lgamma(alpha k + 1), k = 0..K, of
-  :func:`fracsis.specfn.log_gamma_orders`, a tuple, from which the
+  :func:`fracsis.coeffs.log_gamma_orders`, a tuple, from which the
   coefficient recursions form their Gamma ratios and
   :attr:`~fracsis.coeffs.CoeffTable.values` its ``c_k``;
 * (alpha, K, d0, kind): the :class:`~fracsis.coeffs.CoeffTable` of
   :func:`~fracsis.coeffs.euler_alpha` and :func:`~fracsis.coeffs.a_coeffs`,
-  whose root test, kernel table with its thresholds, and hash are each a
-  ``cached_property``, computed once per table object, so a lookup keyed
-  by the table does not hash its entries again;
+  whose root test and hash are each a ``cached_property``, computed once
+  per table object, so a lookup keyed by the table does not hash its
+  entries again;
+* (table): the summation kernel's form of a coefficient table, with the
+  thresholds of its stopping rule, in :mod:`fracsis.series`;
 * (alpha, grid), through :func:`_per_grid`: the PECE and L1 plans of
   :mod:`fracsis.solvers` and the nodes' t**alpha of
   :func:`~fracsis.solvers.node_powers`;
@@ -27,9 +29,9 @@ dataclasses, tuples, and arrays marked by :func:`_read_only`.
 The bound, 8, is the working set of the paper's sweep: four alphas on
 two grids (the ``c-nonzero`` and ``c-zero`` presets), so eight plans of
 each scheme and eight power tables, and for each alpha one table of each
-kind and two log-Gamma tuples (K = 120, and K = 3 for the carrying-capacity
-radius).  Where alpha is fresh on every call, more entries would only keep
-values that no later call reads.
+kind with its kernel form and two log-Gamma tuples (K = 120, and K = 3
+for the carrying-capacity radius).  Where alpha is fresh on every call,
+more entries would only keep values that no later call reads.
 
 Only grids of at most :data:`_CACHE_MAX_N` = 1000 steps enter the
 per-grid caches: at that size a stress op reads its node powers three

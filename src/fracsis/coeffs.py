@@ -7,8 +7,7 @@ fractional convolution weight cancels from both recursions, and a table
 stays finite for every alpha in (0, 1] up to :data:`MAX_ORDER`.  With
 ``S_k = sum_{i=0..k} d_i d_{k-i}`` and ``r_k = Gamma(alpha k + 1) /
 Gamma(alpha k + alpha + 1)``, formed as ``exp(lg[k] - lg[k+1])`` from the
-table's own log-Gammas ``lg = log_gamma_orders(alpha, K)``
-(:func:`fracsis.specfn.log_gamma_orders`, cached per (alpha, K)):
+table's own log-Gammas ``lg = log_gamma_orders(alpha, K)``:
 
 * alpha-Euler numbers ``E_k`` for the carrying-capacity logistic equation
   ``D^alpha v = v (1 - v) / M^alpha`` with ``v(0) = 1/2``:
@@ -21,12 +20,14 @@ table's own log-Gammas ``lg = log_gamma_orders(alpha, K)``
   alpha -> 1 with ``a0 = 1/2`` the ``A_k`` reduce to the Taylor
   coefficients of ``1 / (t + 2)``, i.e. ``(-1)^k k! / 2^(k+1)``.
 
-:attr:`CoeffTable.values` is the one view of the unnormalised ``c_k``
-(``E_k`` or ``A_k``), formed from the same cached log-Gammas; it
-refuses, with :class:`NumericOverflowError`, an entry beyond binary64.
-The module also provides the guaranteed convergence radii of both
-series and an empirical root-test estimate from a finite coefficient
-table.
+:func:`log_gamma_orders` is the one source of the log-Gammas
+lgamma(alpha k + 1) by which every series of the package is normalised,
+one read-only tuple per (alpha, K).  :attr:`CoeffTable.values` is the
+one view of the unnormalised ``c_k`` (``E_k`` or ``A_k``), formed from
+the same cached log-Gammas; it refuses, with
+:class:`NumericOverflowError`, an entry beyond binary64.  The module
+also provides the guaranteed convergence radii of both series and an
+empirical root-test estimate from a finite coefficient table.
 
 Tables are cached per (alpha, K, d0, kind) under the package's one
 cache policy (:mod:`fracsis._cache`), below :func:`euler_alpha` and
@@ -34,10 +35,8 @@ cache policy (:mod:`fracsis._cache`), below :func:`euler_alpha` and
 repeated call returns the same frozen table.  The part of
 :func:`empirical_radius` that reads only the table (its tail maximum,
 window and count of non-vanishing entries) is computed once per table
-object; each call still checks its ``b_scale`` and applies it.  So are
-the table's form for the summation kernel, with the thresholds of its
-stopping rule (``CoeffTable._terms``, see :mod:`fracsis.specfn`), and its
-hash.
+object; each call still checks its ``b_scale`` and applies it.  So is
+the table's hash, which a cache keyed by the table reads.
 """
 
 from __future__ import annotations
@@ -57,9 +56,9 @@ from .errors import (
     InsufficientDataError,
     NumericOverflowError,
 )
-from .specfn import _series_table, _Table, log_gamma_orders
 
 __all__ = [
+    "log_gamma_orders",
     "CoeffKind",
     "CoeffTable",
     "RadiusEstimate",
@@ -80,6 +79,15 @@ MAX_ORDER = 200
 _MIN_ROOT_TEST = 20
 
 
+@lru_cache(maxsize=_CACHE_SIZE)
+def log_gamma_orders(alpha: float, K: int) -> tuple[float, ...]:
+    """lgamma(alpha k + 1) for k = 0..K: the series normalisation by order.
+
+    One read-only tuple per (alpha, K), shared by every caller.
+    """
+    return tuple(math.lgamma(alpha * k + 1.0) for k in range(K + 1))
+
+
 class CoeffKind(enum.Enum):
     EULER_ALPHA = "euler-alpha"
     A_COEFF = "a-coeff"
@@ -90,8 +98,8 @@ class CoeffTable:
     """A finite prefix ``d[0..K]`` of a normalised coefficient sequence.
 
     ``d[k] = c_k / Gamma(alpha k + 1)``; ``d[0] = c_0``.  The root test
-    of :func:`empirical_radius`, the kernel table and the hash are kept
-    on the table, out of its fields.
+    of :func:`empirical_radius` and the hash are kept on the table, out
+    of its fields.
     """
 
     alpha: float
@@ -124,12 +132,6 @@ class CoeffTable:
     def _root(self) -> tuple[float, int, int]:
         """:func:`_root_test` of ``d``, computed once per table object."""
         return _root_test(self.d)
-
-    @cached_property
-    def _terms(self) -> _Table:
-        """``d`` as the summation kernel's table, with the thresholds of its
-        stopping rule, computed once per table object."""
-        return _series_table(self.d)
 
     @cached_property
     def _hash(self) -> int:

@@ -139,7 +139,10 @@ def classical_sis(params: ModelParams, t):
         if i0 == 0.0:
             i = np.zeros_like(t)
         else:
-            i = d.c / (1.0 + (d.c / i0 - 1.0) * np.exp(-d.b * t))
+            # for c < 0, e^{-b t} and its product overflow to inf at long t,
+            # where I is its limit 0.0
+            with np.errstate(over="ignore"):
+                i = d.c / (1.0 + (d.c / i0 - 1.0) * np.exp(-d.b * t))
     else:
         i = i0 / (1.0 + params.beta * i0 * t)
     if i.ndim == 0:

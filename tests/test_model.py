@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from fracsis import cli
 from fracsis.errors import DomainError, NumericOverflowError, ValidationError
 from fracsis.harness import config_from_dict, population_curve, solve_method
 from fracsis.model import ModelParams, classical_sis, derive, logistic_rhs
@@ -247,6 +248,27 @@ class TestClassicalSis:
         assert classical_sis(p, math.inf) == (derive(p).c, 1.0 - derive(p).c)
         p0 = ModelParams(alpha=1.0, i0=0.3, **P_SIGMA1)
         assert classical_sis(p0, math.inf) == (0.0, 1.0)
+
+    def test_extinction_at_long_times_warns_nothing(self, capsys):
+        # c < 0: e^{-b t} and its product overflow past t of about 1418,
+        # where I is its limit 0.0; before that I is the formula's value
+        p = ModelParams(beta=0.5, gamma=0.9, mu=0.1, alpha=1.0, i0=0.5)
+        d = derive(p)
+        assert d.c < 0
+        t = np.arange(2001.0)
+        argv = ["--beta", "0.5", "--gamma", "0.9", "--mu", "0.1", "--alpha", "1",
+                "--i0", "0.5", "--T", "2000", "--dt", "1"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            i, s = classical_sis(p, t)
+            assert classical_sis(p, 2000.0) == (0.0, 1.0)
+            assert cli.main(["solve", "--method", "classical", *argv]) == 0
+            assert cli.main(["compare", "--methods", "classical,pece", *argv]) == 0
+        assert capsys.readouterr().err == ""
+        want = d.c / (1.0 + (d.c / p.i0 - 1.0) * np.exp(-d.b * t[:1400]))
+        assert i[:1400].tobytes() == want.tobytes() and want.min() > 0.0
+        assert i[1500:].tobytes() == np.zeros(501).tobytes()
+        assert np.all(np.diff(i) <= 0.0) and s.tolist() == (1.0 - i).tolist()
 
 
 class TestLogisticRhs:

@@ -57,10 +57,41 @@ def test_every_cache_has_the_one_bound():
     assert bounds.pop("fracsis.cli.build_parser") is None
     assert bounds.pop("fracsis.solvers._block") is None
     assert bounds == dict.fromkeys([
-        "fracsis.coeffs._table", "fracsis.series._unit_scale_sums",
+        "fracsis.coeffs._table", "fracsis.coeffs.log_gamma_orders",
+        "fracsis.series._kernel_table", "fracsis.series._unit_scale_sums",
         "fracsis.solvers._l1_plan", "fracsis.solvers._pece_plan",
-        "fracsis.solvers.node_powers", "fracsis.specfn.log_gamma_orders",
+        "fracsis.solvers.node_powers",
     ], _CACHE_SIZE)
+
+
+def package_imports(module):
+    """The package modules that ``module`` imports, as (name, names) pairs:
+    the names imported from it, or ``None`` for the module itself."""
+    found = []
+    for node in ast.walk(ast.parse(Path(module.__file__).read_text())):
+        if isinstance(node, ast.ImportFrom):
+            if node.level == 1:
+                found.append((node.module, [alias.name for alias in node.names]))
+            elif (node.module or "").startswith("fracsis."):
+                found.append((node.module[8:], [alias.name for alias in node.names]))
+        elif isinstance(node, ast.Import):
+            found += [(alias.name[8:], None) for alias in node.names
+                      if alias.name.startswith("fracsis.")]
+    return found
+
+
+def test_specfn_is_the_mittag_leffler_module_alone():
+    # the series kernel lives in series and the log-Gammas in coeffs:
+    # specfn reads only the errors, coeffs neither specfn nor series, and
+    # no module reaches into specfn's private names
+    imported = {module.__name__: package_imports(module) for module in modules()}
+    assert [name for name, _ in imported["fracsis.specfn"]] == ["errors"]
+    assert not {"specfn", "series"} & {name for name, _ in imported["fracsis.coeffs"]}
+    for module, found in imported.items():
+        for name, names in found:
+            if name == "specfn":
+                assert names is not None, module
+                assert not [n for n in names if n.startswith("_")], (module, names)
 
 
 def test_cache_policy_is_imported_from_its_home():

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fracsis import _cache, cli, specfn
+from fracsis import _cache, cli, series
 from fracsis.coeffs import (
     MAX_ORDER,
     CoeffKind,
@@ -24,6 +24,11 @@ from fracsis.errors import DomainError, HypothesisError
 from fracsis.harness import population_curve, trajectory_csv
 from fracsis.model import ModelParams, classical_sis, derive, logistic_rhs
 from fracsis.series import (
+    _ABS_TOL,
+    _GROW_MIN_K,
+    _GROW_STREAK,
+    _STOP_STREAK,
+    _WIDE,
     EvalResult,
     SeriesSolution,
     _sum_nodes,
@@ -35,13 +40,6 @@ from fracsis.series import (
     zero_capacity_series,
 )
 from fracsis.solvers import TimeGrid, node_powers, solve_pece
-from fracsis.specfn import (
-    _ABS_TOL,
-    _GROW_MIN_K,
-    _GROW_STREAK,
-    _STOP_STREAK,
-    _WIDE,
-)
 
 ENDEMIC = dict(beta=0.7, gamma=0.05, mu=0.12)
 SIGMA1 = dict(beta=0.7, gamma=0.07, mu=0.63)
@@ -228,6 +226,33 @@ class TestEvaluate:
         _, sol = endemic_setup(0.7)
         with pytest.raises(DomainError, match=f"finite t, got t={t}"):
             evaluate(sol, t)
+
+    def test_one_node_takes_the_rule_with_the_grids_bits(self, monkeypatch):
+        # evaluate sums its node by the rule alone, with the bits that
+        # sample_trajectory gives at the same node: t = 0 and grids inside
+        # and past the radius, and one-step grids ending within 2 ulp of the
+        # thresholds of every 7th term (at alpha = 1 and arg_scale = 1, x = t)
+        cases = [(sol, TimeGrid(5.0, 0.05)) for sol in (
+            carrying(0.7, MAX_ORDER), zero_capacity(0.5, MAX_ORDER), rescaled(0.6, 120))]
+        for table in (a_coeffs(0.5, MAX_ORDER), euler_alpha(0.7, 120)):
+            sol = table_series(table.d)
+            for k in range(1, table.order + 1, 7):
+                for x in thresholds(table.d, k):
+                    ends = [x * (1 + j * 2.0**-52) for j in (-2, 0, 2)]
+                    cases += [(sol, TimeGrid(t, t)) for t in ends]
+        trajs = [sample_trajectory(sol, grid) for sol, grid in cases]
+
+        def refuse(*args):
+            raise AssertionError("evaluate ran the node sum")
+
+        monkeypatch.setattr(series, "_classify", refuse)
+        monkeypatch.setattr(series, "_sum_to", refuse)
+        for (sol, grid), traj in zip(cases, trajs):
+            meta = traj.meta
+            for i, t in enumerate(grid.nodes().tolist()):
+                assert_same(evaluate(sol, t), EvalResult(
+                    float(traj.u[i]), meta["terms_used"][i], meta["converged"][i],
+                    meta["beyond_theoretical_radius"][i]))
 
 
 class TestSampleTrajectory:
@@ -417,7 +442,7 @@ class TestStopClasses:
 
     @staticmethod
     def classes(table, xs):
-        stop, converged, exact = specfn._classify(xs, table._terms, table.order)
+        stop, converged, exact = series._classify(xs, series._kernel_table(table), table.order)
         ends = ~exact & ~converged & (stop == table.order)
         return {"settles": ~exact & converged, "grows": ~exact & ~converged & ~ends,
                 "ends": ends, "exact": exact}
@@ -446,7 +471,7 @@ class TestStopClasses:
         # before a late entry to x^k overflowing; t = 0 is d_0 from one term
         # also where 0 times an early entry is nan
         table = CoeffTable(1.0, CoeffKind.A_COEFF, tuple(d))
-        assert table._terms.exact
+        assert series._kernel_table(table).exact
         assert_nodes_match(table, [0.0, 1e-20, 0.3, 1.0, 2.0, 1e10, 1e300])
 
     @pytest.mark.parametrize("build", [euler_alpha, a_coeffs])
@@ -506,7 +531,7 @@ class TestNoRebuild:
     def passes(monkeypatch, run):
         """The passes over each node value, as (path, rows built) pairs."""
         built = {}
-        sum_to, rule = specfn._sum_to, specfn._rule
+        sum_to, rule = series._sum_to, series._rule
 
         def spy_sum_to(x, table, stop):
             for v, n in zip(x.tolist(), stop.tolist()):
@@ -518,8 +543,8 @@ class TestNoRebuild:
             built.setdefault(x, []).append(("rule", out[1] - 1))
             return out
 
-        monkeypatch.setattr(specfn, "_sum_to", spy_sum_to)
-        monkeypatch.setattr(specfn, "_rule", spy_rule)
+        monkeypatch.setattr(series, "_sum_to", spy_sum_to)
+        monkeypatch.setattr(series, "_rule", spy_rule)
         run()
         return built
 
@@ -686,6 +711,20 @@ def sample_fields(traj):
     meta = traj.meta
     return [np.asarray(x).tobytes() for x in (
         traj.u, meta["terms_used"], meta["converged"], meta["beyond_theoretical_radius"])]
+
+
+def test_kernel_form_is_built_once_per_table():
+    # one miss across repeated samples of one table, at a scaled argument
+    # that never enters the sum cache, on grids and by node sums; an equal
+    # table built apart reads the same entry
+    series._kernel_table.cache_clear()
+    sol = carrying(0.6, 120)
+    for dt in (0.1, 0.05, 0.1):
+        sample_trajectory(sol, TimeGrid(1.0, dt))
+    twin = CoeffTable(sol.coeffs.alpha, sol.coeffs.kind, sol.coeffs.d)
+    _sum_nodes(twin, 0.5, np.array([0.0, 0.5, 2.0]))
+    info = series._kernel_table.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 3, 1)
 
 
 class TestSumCache:

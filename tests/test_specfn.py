@@ -13,7 +13,8 @@ from fracsis import specfn
 from fracsis.errors import DomainError, NumericOverflowError
 from fracsis.harness import population_curve
 from fracsis.solvers import TimeGrid, node_powers
-from fracsis.specfn import _ABS_TOL, _WIDE, mittag_leffler, ml_asymptotics
+from fracsis.series import _ABS_TOL, _WIDE
+from fracsis.specfn import mittag_leffler, ml_asymptotics
 
 mpmath.mp.dps = 40
 
