@@ -47,7 +47,13 @@ import numpy as np
 
 from . import __version__
 from .coeffs import MAX_ORDER, a_coeffs, euler_alpha
-from .errors import DomainError, GridMismatchError, NumericOverflowError, ValidationError
+from .errors import (
+    DomainError,
+    GridMismatchError,
+    NumericOverflowError,
+    ValidationError,
+    check_alpha,
+)
 from .model import ModelParams, DerivedParams, classical_sis, derive, logistic_rhs
 from .series import (
     carrying_capacity_series,
@@ -505,8 +511,7 @@ def population_curve(alpha: float, lam: float, mu: float, n0: float, grid: TimeG
             raise DomainError(f"{name} must be finite, got {value}")
     if not n0 > 0:
         raise DomainError(f"n0 must be positive, got {n0}")
-    if not 0 < alpha <= 1:
-        raise DomainError(f"alpha must be in (0, 1], got {alpha}")
+    check_alpha(alpha, "alpha must be")
     with np.errstate(over="ignore"):
         n = n0 * mittag_leffler(alpha, (lam - mu) * node_powers(alpha, grid))
     finite = np.isfinite(n)

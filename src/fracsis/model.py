@@ -25,7 +25,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import coeffs
-from .errors import DomainError, ValidationError
+from .errors import DomainError, ValidationError, check_alpha
 
 __all__ = [
     "SIGMA_ONE_TOL",
@@ -67,8 +67,7 @@ class ModelParams:
                 f"gamma={self.gamma}, mu={self.mu} leaves no finite carrying "
                 f"capacity c = (sigma - 1) / sigma"
             )
-        if not 0 < self.alpha <= 1:
-            raise ValidationError(f"alpha must be in (0, 1], got {self.alpha}")
+        check_alpha(self.alpha, "alpha must be")
         if not 0 <= self.i0 <= 1:
             raise ValidationError(f"i0 must be in [0, 1], got {self.i0}")
 

@@ -60,7 +60,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from ._cache import _per_grid, _read_only
-from .errors import DomainError, NumericOverflowError, ValidationError
+from .errors import DomainError, NumericOverflowError, ValidationError, check_alpha
 
 __all__ = [
     "TimeGrid",
@@ -274,8 +274,7 @@ def pece_kernels(alpha: float, N: int, dt: float) -> tuple[np.ndarray, ...]:
     identically dt at alpha = 1.  Every PECE routine builds these first,
     so this is where alpha outside (0, 1] is refused.
     """
-    if not 0 < alpha <= 1:
-        raise DomainError(f"the PECE scheme requires alpha in (0, 1], got {alpha}")
+    check_alpha(alpha, "the PECE scheme requires alpha")
     k = _pece_k(alpha, dt)
     m = np.arange(N, dtype=float)
     b = dt**alpha / alpha * ((m + 1.0) ** alpha - m**alpha)
@@ -362,8 +361,7 @@ def l1_kernel(alpha: float, N: int) -> np.ndarray:
     L1 routine builds it first, so this is where alpha outside (0, 1) is
     refused.
     """
-    if not 0 < alpha < 1:
-        raise DomainError(f"the L1 scheme requires alpha in (0, 1), got {alpha}")
+    check_alpha(alpha, "the L1 scheme requires alpha", closed=False)
     m = np.arange(N, dtype=float)
     g = (m + 1.0) ** (1.0 - alpha) - m ** (1.0 - alpha)
     g[:1] = 1.0

@@ -26,7 +26,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, check_alpha
 
 __all__ = [
     "mittag_leffler",
@@ -135,7 +135,9 @@ def _residue_contour(alpha: float, z: np.ndarray) -> np.ndarray:
     z = np.minimum(z, _FAR_Z)
     with np.errstate(over="ignore"):
         p = np.minimum(z**y, _FAR_Z)
-        p += p * (y_lo * np.log(z))
+        # a capped p stays capped: there y_lo log z can be 1e84 or more
+        near = p < _FAR_Z
+        p[near] += p[near] * (y_lo * np.log(z[near]))
         a = _MID_NODES**alpha
         terms = _re_terms(_MID_WEIGHTS * a / _MID_NODES, a, z)
         pole = _re_terms(_MID_WEIGHTS / (alpha * _MID_NODES), _MID_NODES, p)
@@ -175,8 +177,7 @@ def mittag_leffler(alpha: float, z) -> float | np.ndarray:
     tens of microseconds, so pass many points as one array.  Raises
     :class:`DomainError`, naming the first non-finite z, before any sum.
     """
-    if not 0 < alpha <= 1:
-        raise DomainError(f"mittag_leffler requires alpha in (0, 1], got {alpha}")
+    check_alpha(alpha, "mittag_leffler requires alpha")
     zs = np.asarray(z, dtype=float)
     bad = np.flatnonzero(~np.isfinite(zs))
     if bad.size:
@@ -205,8 +206,7 @@ def ml_asymptotics(alpha: float, lam_minus_mu: float, t: float) -> tuple[float, 
     E_alpha(r t^alpha) / einf tends to 1 as t -> infinity.  A non-finite
     rate or t is refused.
     """
-    if not 0 < alpha < 1:
-        raise DomainError(f"ml_asymptotics requires alpha in (0, 1), got {alpha}")
+    check_alpha(alpha, "ml_asymptotics requires alpha", closed=False)
     if not (math.isfinite(lam_minus_mu) and math.isfinite(t)):
         raise DomainError(
             f"ml_asymptotics requires a finite lam - mu and t, got {lam_minus_mu} and {t}"

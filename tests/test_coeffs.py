@@ -126,6 +126,32 @@ def pairwise_recursion(alpha, K, d0, keep_linear):
     return tuple(d)
 
 
+def assert_near_reference(got, want, where):
+    """Every entry of ``got`` a float within 1e-14 relative of ``want``,
+    and zero exactly where ``want`` is: the tables sum each S_k in another
+    order than the references' ``math.fsum``, and every pair of an S_k has
+    one sign, so only the last bits may move."""
+    assert len(got) == len(want), where
+    for k, (g, w) in enumerate(zip(got, want)):
+        assert type(g) is float, (where, k)
+        assert (g == 0.0) == (w == 0.0), (where, k)
+        assert abs(g - w) <= 1e-14 * abs(w), (where, k, g, w)
+
+
+def assert_prefixes(alpha, a0, linear):
+    """``_recurse`` to every order K is the order-MAX_ORDER table's first
+    K + 1 entries, bit for bit."""
+    full = np.array(coeffs._recurse(alpha, MAX_ORDER, a0, linear))
+    for K in range(MAX_ORDER + 1):
+        got = np.array(coeffs._recurse(alpha, K, a0, linear))
+        assert got.tobytes() == full[: K + 1].tobytes(), (alpha, a0, linear, K)
+
+
+def max_relative_error(got, want):
+    """The largest |g - w| / |w| over the non-zero entries of ``want``."""
+    return max(abs(g - w) / abs(w) for g, w in zip(got, want) if w != 0)
+
+
 def loop_radius(table, b_scale):
     """The root test of ``empirical_radius`` as one uncached loop."""
     d, K = table.d, table.order
@@ -408,6 +434,10 @@ class TestNormalisedTables:
                 assert g == 0.0, f"k={k}"
             else:
                 assert abs(g - w) <= 1e-12 * abs(w), f"k={k}"
+        # the error is the ratios' rounding, not the order of summation: no
+        # more than that of the recursion with every S_k correctly rounded
+        exact_sums = generator_recursion(alpha, MAX_ORDER, 0.5, linear)
+        assert max_relative_error(got, want) <= 1.1 * max_relative_error(exact_sums, want)
 
     @pytest.mark.parametrize("build", [euler_alpha, a_coeffs], ids=KIND_IDS)
     def test_finite_for_every_alpha(self, build):
@@ -434,10 +464,11 @@ class TestNormalisedTables:
     @pytest.mark.parametrize("K", [0, 1, 2, 3, MAX_ORDER])
     @pytest.mark.parametrize("alpha", [0.05, 0.3, 0.7, 0.99, 1.0])
     def test_paired_convolution_matches_generator_form(self, alpha, K):
-        # each symmetric pair is summed twice: the exact sum, so the same bits
-        assert euler_alpha(alpha, K).d == generator_recursion(alpha, K, 0.5, True)
+        want = generator_recursion(alpha, K, 0.5, True)
+        assert_near_reference(euler_alpha(alpha, K).d, want, (alpha, K))
         for a0 in (0.5, 0.01, 0.25, 0.7, 0.999):
-            assert a_coeffs(alpha, K, a0).d == generator_recursion(alpha, K, a0, False)
+            want = generator_recursion(alpha, K, a0, False)
+            assert_near_reference(a_coeffs(alpha, K, a0).d, want, (alpha, K, a0))
 
 
 class TestTableCache:
@@ -474,27 +505,33 @@ class TestTableCache:
         want = coeffs._recurse(0.7, 120, 0.5, linear)
         assert np.array(got).tobytes() == np.array(want).tobytes()
 
-    def test_numpy_products_are_the_pairwise_recursion_bit_for_bit(self):
+    def test_blocked_kernel_is_the_pairwise_recursion_to_1e14(self):
+        # random a0 for the A-table; the alpha-Euler table starts at 1/2
         rng = np.random.default_rng(23)
         draws = [(1.0, MAX_ORDER, 0.5, True), (1.0, MAX_ORDER, 0.5, False), (0.01, 0, 0.5, True)]
         for _ in range(240):
+            linear = bool(rng.integers(2))
+            a0 = 0.5 if linear else float(rng.uniform(0.001, 0.999))
             draws.append((float(rng.uniform(0.01, 1.0)), int(rng.integers(0, MAX_ORDER + 1)),
-                          float(rng.uniform(0.001, 0.999)), bool(rng.integers(2))))
-        for alpha, K, d0, linear in draws:
-            got = coeffs._recurse(alpha, K, d0, linear)
-            want = pairwise_recursion(alpha, K, d0, linear)
-            assert np.array(got).tobytes() == np.array(want).tobytes(), (alpha, K, d0, linear)
-            assert all(type(v) is float for v in got)
+                          a0, linear))
+        for alpha, K, a0, linear in draws:
+            got = coeffs._recurse(alpha, K, a0, linear)
+            assert_near_reference(got, pairwise_recursion(alpha, K, a0, linear), (alpha, K, a0))
+            full = coeffs._recurse(alpha, MAX_ORDER, a0, linear)
+            assert np.array(got).tobytes() == np.array(full[: K + 1]).tobytes(), (alpha, K, a0)
+        for alpha, a0 in ((1.0, 0.5), (0.05, 0.999), (0.4711, 0.01), (0.93, 0.37)):
+            assert_prefixes(alpha, a0, False)
 
     def test_euler_tables_skip_only_zero_pairs(self):
-        # from d_0 = 1/2 the recursion forms no pair with an even index past
-        # 0, and still gives every order the pairwise recursion's table
+        # the odd entries obey the A-table's recursion; every even entry
+        # past d_0 is 0.0, as in the pairwise recursion over every pair
         rng = np.random.default_rng(29)
         for alpha in [1.0, *rng.uniform(0.01, 1.0, 400).tolist()]:
-            want = np.array(pairwise_recursion(alpha, MAX_ORDER, 0.5, True))
-            for K in (0, 1, 2, 3, 4, 120, MAX_ORDER):
-                got = coeffs._recurse(alpha, K, 0.5, True)
-                assert np.array(got).tobytes() == want[: K + 1].tobytes(), (alpha, K)
+            got = coeffs._recurse(alpha, MAX_ORDER, 0.5, True)
+            assert_near_reference(got, pairwise_recursion(alpha, MAX_ORDER, 0.5, True), alpha)
+            assert not any(got[2::2][1:])
+        for alpha in (1.0, 0.01, 0.2718, 0.75):
+            assert_prefixes(alpha, 0.5, True)
 
     def test_a0_is_in_the_key(self):
         for a0 in (0.25, 0.5, 0.25):

@@ -447,6 +447,19 @@ class TestRefusals:
         assert cli.main(argv) == 1
         assert capsys.readouterr() == ("", f"error: {message}\n")
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "argv",
+        [["population", "--lambda", "1", "--mu", "0"],
+         ["compare", "--preset", "c-nonzero", "--methods", "pece,l1,series"]],
+        ids=["population", "compare"],
+    )
+    def test_subnormal_alpha(self, argv, capsys):
+        # 1/alpha overflows: refused by the one alpha check, naming alpha
+        message = "alpha must be in (0, 1] with 1/alpha finite, got 1e-310"
+        self.assert_cli_error([*argv, "--alpha", "1e-310", "--T", "1", "--dt", "0.5"],
+                              message, capsys)
+
     def test_unknown_preset(self, tmp_path, capsys):
         message = "unknown preset 'c-one'; available: ['c-nonzero', 'c-zero']"
         with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):

@@ -1,6 +1,7 @@
 """Parameter derivation, classical closed forms, and the population curve."""
 
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -9,10 +10,12 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from fracsis import cli
-from fracsis.errors import DomainError, NumericOverflowError, ValidationError
+from fracsis.coeffs import a_coeffs, euler_alpha, radius_carrying_capacity, radius_zero_capacity
+from fracsis.errors import DomainError, NumericOverflowError, ValidationError, check_alpha
 from fracsis.harness import config_from_dict, population_curve, solve_method
 from fracsis.model import ModelParams, classical_sis, derive, logistic_rhs
-from fracsis.solvers import Method, TimeGrid
+from fracsis.solvers import Method, TimeGrid, l1_kernel, pece_kernels
+from fracsis.specfn import mittag_leffler, ml_asymptotics
 
 # reference experiment parameters
 P_ENDEMIC = dict(beta=0.7, gamma=0.05, mu=0.12)
@@ -63,6 +66,42 @@ class TestModelParams:
             ModelParams(alpha=0.5, i0=0.5, **rates)
         for key, value in rates.items():
             assert f"{key}={value}" in str(e.value)
+
+
+#: every public routine that takes alpha, each called at that alpha
+ALPHA_ROUTINES = {
+    "ModelParams": lambda a: ModelParams(alpha=a, i0=0.3, **P_ENDEMIC),
+    "population_curve": lambda a: population_curve(a, 1.0, 0.0, 1.0, TimeGrid(1.0, 0.5)),
+    "mittag_leffler": lambda a: mittag_leffler(a, np.array([-1.0, 2.0])),
+    "ml_asymptotics": lambda a: ml_asymptotics(a, -1.0, 1.0),
+    "euler_alpha": lambda a: euler_alpha(a, 5),
+    "a_coeffs": lambda a: a_coeffs(a, 5),
+    "radius_carrying_capacity": lambda a: radius_carrying_capacity(a, 0.5),
+    "radius_zero_capacity": radius_zero_capacity,
+    "pece_kernels": lambda a: pece_kernels(a, 4, 0.5),
+    "l1_kernel": lambda a: l1_kernel(a, 4),
+}
+
+
+class TestAlphaCheck:
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("alpha", [5e-324, 1e-310, 5.5e-309])
+    @pytest.mark.parametrize("name", sorted(ALPHA_ROUTINES))
+    def test_subnormal_alpha_is_refused(self, name, alpha):
+        # 1/alpha overflows binary64: one shared check refuses it, naming
+        # alpha, before any power of it is formed
+        with pytest.raises(DomainError, match=rf"^[\w ]*alpha[\w ]* in \(0, 1[\])] with "
+                                              rf"1/alpha finite, got {alpha}$"):
+            ALPHA_ROUTINES[name](alpha)
+
+    def test_refuses_only_an_overflowing_reciprocal(self):
+        smallest = 1.0 / sys.float_info.max
+        while math.isinf(1.0 / smallest):
+            smallest = math.nextafter(smallest, 1.0)
+        check_alpha(smallest, "alpha must be")
+        check_alpha(np.float64(smallest), "alpha must be")
+        with pytest.raises(DomainError, match=r"^alpha must be in \(0, 1\] with 1/alpha finite"):
+            check_alpha(math.nextafter(smallest, 0.0), "alpha must be")
 
 
 class TestDerive:

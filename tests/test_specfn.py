@@ -256,6 +256,15 @@ class TestMittagLeffler:
             assert got.tolist() == [math.inf] * 4
         assert mittag_leffler(0.5, 1e300) == math.inf
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("alpha", [1e-100, 5.5e-88, 1e-87, 1e-20])
+    def test_tiny_alpha_past_one_is_inf_not_nan(self, alpha):
+        # p = z^(1/alpha) is capped at _FAR_Z, where the rounding correction
+        # of 1/alpha, up to 1e84 here, must not move it
+        zs = [1.0001, 2.0, 1e10]
+        assert mittag_leffler(alpha, np.array(zs)).tolist() == [math.inf] * 3
+        assert [mittag_leffler(alpha, z) for z in zs] == [math.inf] * 3
+
     @pytest.mark.parametrize("alpha", [0.995, 0.999, 0.999999, 1 - 2.0**-40])
     def test_negative_axis_near_order_one(self, alpha):
         # for alpha in (0.99, 1) the tail -1/(z Gamma(1 - alpha)) vanishes
