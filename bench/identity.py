@@ -7,6 +7,8 @@ Prints one SHA-256 per output class, one ``name hash`` line each:
 * ``terms_used``, ``converged``, ``beyond_theoretical_radius``: the
   per-node meta of the same calls;
 * ``radii``: each series' ``RadiusEstimate``;
+* ``tables``: each draw's coefficient table ``d``, its ``values`` (or the
+  type and message of their refusal) and its root test ``_root``;
 * ``raised``: the type and message of every refusal met on the way;
 * ``E_alpha``: ``mittag_leffler`` arrays and scalars at z <= 0 and
   ``population_curve`` values at lam - mu <= 0, or the error each raised;
@@ -38,8 +40,9 @@ Two checkouts compare by ``diff``:
     diff /tmp/old.txt /tmp/new.txt
 
 ``--src`` defaults to the ``src/`` of this checkout.  The node sums use
-the private ``fracsis.series._sum_nodes(table, arg_scale, powers)``, so
-the script runs on checkouts that have it.  It takes a few seconds.
+the private ``fracsis.series._sum_nodes(table, arg_scale, powers)`` and
+the ``tables`` line the private ``CoeffTable._root``, so the script runs
+on checkouts that have both.  It takes a few seconds.
 """
 
 from __future__ import annotations
@@ -113,13 +116,13 @@ def series_draws(fx, out, rng):
                 s = float(rng.uniform(0.05, 1.5))
                 b = float(rng.choice([rng.uniform(0.01, 0.99), rng.uniform(1.0, 2.0)]))
                 params = fx.model.ModelParams(s + b, s / 2, s / 2, alpha, 0.5)
-                table = fx.coeffs.euler_alpha(alpha, K)
+                table = table_outcome(fx, out, fx.coeffs.euler_alpha(alpha, K))
                 sol = fx.series.carrying_capacity_series(fx.model.derive(params), alpha, table)
             elif kind == "zero":
-                table = fx.coeffs.a_coeffs(alpha, K)
+                table = table_outcome(fx, out, fx.coeffs.a_coeffs(alpha, K))
                 sol = fx.series.zero_capacity_series(beta, alpha, table)
             else:
-                table = fx.coeffs.a_coeffs(alpha, K, a0=a0)
+                table = table_outcome(fx, out, fx.coeffs.a_coeffs(alpha, K, a0=a0))
                 sol = fx.series.rescaled_zero_capacity_series(a0, alpha, table)
             grid = fx.solvers.TimeGrid(T, T / N)
             traj = fx.series.sample_trajectory(sol, grid)
@@ -141,6 +144,18 @@ def series_draws(fx, out, rng):
         out.add("u", total)
         out.add("terms_used", used)
         out.add("converged", converged)
+
+
+def table_outcome(fx, out, table):
+    """Hash a coefficient table's entries, values (or their refusal) and
+    root test; return the table."""
+    out.add("tables", np.array(table.d))
+    try:
+        out.add("tables", np.array(table.values))
+    except fx.errors.FracsisError as e:
+        out.add("tables", f"{type(e).__name__}: {e}")
+    out.add("tables", table._root)
+    return table
 
 
 def ml_draws(fx, out, rng):
@@ -225,7 +240,7 @@ def main(argv=None) -> int:
     import fracsis as fx
 
     out = Hashes(["u", "terms_used", "converged", "beyond_theoretical_radius", "radii",
-                  "raised", "E_alpha", "E_alpha_pos", "table1", "c0", "schemes"])
+                  "tables", "raised", "E_alpha", "E_alpha_pos", "table1", "c0", "schemes"])
     rng = np.random.default_rng(SEED)
     series_draws(fx, out, rng)
     ml_draws(fx, out, rng)

@@ -11,9 +11,9 @@ bit for bit as without it.  The caches, by key:
   :attr:`~fracsis.coeffs.CoeffTable.values` its ``c_k``;
 * (alpha, K, d0, kind): the :class:`~fracsis.coeffs.CoeffTable` of
   :func:`~fracsis.coeffs.euler_alpha` and :func:`~fracsis.coeffs.a_coeffs`,
-  whose root test and hash are each a ``cached_property``, computed once
-  per table object, so a lookup keyed by the table does not hash its
-  entries again;
+  whose entries' logarithms, root test and hash are each a
+  ``cached_property``, computed once per table object, so a lookup keyed
+  by the table does not hash its entries again;
 * (table): the summation kernel's form of a coefficient table, with the
   thresholds of its stopping rule, in :mod:`fracsis.series`;
 * (alpha, grid), through :func:`_per_grid`: the PECE and L1 plans of
@@ -33,6 +33,11 @@ kind with its kernel form and two log-Gamma tuples (K = 120, and K = 3
 for the carrying-capacity radius).  Where alpha is fresh on every call,
 more entries would only keep values that no later call reads.
 
+Generated code is compiled once per process too, by :func:`_compiled`
+on its first use: the block functions of the two marches in
+:mod:`fracsis.solvers` and of the coefficient recursion in
+:mod:`fracsis.coeffs`.  Importing the package compiles none of them.
+
 Only grids of at most :data:`_CACHE_MAX_N` = 1000 steps enter the
 per-grid caches: at that size a stress op reads its node powers three
 times, in the carrying-capacity sample, the zero-capacity sample and the
@@ -50,6 +55,7 @@ carrying-capacity series with its run's b, the rescaled series),
 from __future__ import annotations
 
 from functools import lru_cache, wraps
+from typing import Callable
 
 import numpy as np
 
@@ -81,3 +87,17 @@ def _per_grid(build):
 
     lookup.cache_info, lookup.cache_clear = cached.cache_info, cached.cache_clear
     return lookup
+
+
+@lru_cache(maxsize=None)
+def _compiled(source: Callable[[], str]) -> Callable:
+    """The function whose source ``source()`` returns, compiled on first use.
+
+    The source is a module of its own, its imports and one ``def`` of the
+    function named as ``source`` less its ``_source`` suffix; it is
+    compiled once per process, and the function is kept.
+    """
+    name = source.__name__.removesuffix("_source")
+    scope: dict = {}
+    exec(compile(source(), f"<{source.__module__}.{name}>", "exec"), scope)
+    return scope[name]

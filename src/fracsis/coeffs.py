@@ -22,16 +22,21 @@ table's own log-Gammas ``lg = log_gamma_orders(alpha, K)``:
 
 Both tables come from one kernel, :func:`_square_recursion`, which prices
 the S_k in blocks of up to 16 orders: the alpha-Euler table through its
-odd entries, which obey the A-table's recursion.  Every pair of an S_k has
-one sign, so the order of summation moves an entry by at most a few ulp
-of each S_k, and a table of order K is a prefix, bit for bit, of every
-larger one.
+odd entries, which obey the A-table's recursion.  Each block is one
+``np.convolve`` and one call of a generated straight-line function,
+compiled on the first table a process builds
+(:func:`fracsis._cache._compiled`), which adds the pairs inside the block
+left to right from 0.0 with no ``sum``, so a table's bits do not depend
+on the Python version.  Every pair of an S_k has one sign, so the order
+of summation moves an entry by at most a few ulp of each S_k, and a
+table of order K is a prefix, bit for bit, of every larger one.
 
 :func:`log_gamma_orders` is the one source of the log-Gammas
 lgamma(alpha k + 1) by which every series of the package is normalised,
 one read-only tuple per (alpha, K).  :attr:`CoeffTable.values` is the
 one view of the unnormalised ``c_k`` (``E_k`` or ``A_k``), formed from
-the same cached log-Gammas; it refuses, with
+the same cached log-Gammas and the table's own cached ``log|d_k|``,
+which the root test reads too; it refuses, with
 :class:`NumericOverflowError`, an entry beyond binary64.  The module
 also provides the guaranteed convergence radii of both series and an
 empirical root-test estimate from a finite coefficient table.
@@ -52,12 +57,12 @@ import enum
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from operator import mul
+from operator import add
 from typing import Optional
 
 import numpy as np
 
-from ._cache import _CACHE_SIZE
+from ._cache import _CACHE_SIZE, _compiled
 from .errors import (
     DomainError,
     HypothesisError,
@@ -109,9 +114,9 @@ class CoeffKind(enum.Enum):
 class CoeffTable:
     """A finite prefix ``d[0..K]`` of a normalised coefficient sequence.
 
-    ``d[k] = c_k / Gamma(alpha k + 1)``; ``d[0] = c_0``.  The root test
-    of :func:`empirical_radius` and the hash are kept on the table, out
-    of its fields.
+    ``d[k] = c_k / Gamma(alpha k + 1)``; ``d[0] = c_0``.  The entries'
+    logarithms, the root test of :func:`empirical_radius` and the hash are
+    kept on the table, out of its fields.
     """
 
     alpha: float
@@ -127,23 +132,37 @@ class CoeffTable:
     def values(self) -> tuple[float, ...]:
         """The unnormalised coefficients ``c_k = d_k Gamma(alpha k + 1)``.
 
-        Formed in log space, so no Gamma is formed on its own.  Raises
-        :class:`NumericOverflowError` at the first c_k beyond binary64.
+        Formed in log space, each ``copysign(exp(log|d_k| + lgamma(alpha k
+        + 1)), d_k)`` from the table's cached ``log|d_k|``, so no Gamma is
+        formed on its own.  A read is three ``map`` passes, with no Python
+        loop: about 40 us at K = 200 for either kind (timeit best of 7,
+        2-vCPU Xeon); the log pass itself, once per table, takes 20-27 us.
+        Raises :class:`NumericOverflowError` at the first c_k beyond
+        binary64.
         """
-        vals = []
-        for k, (dk, lg) in enumerate(zip(self.d, log_gamma_orders(self.alpha, self.order))):
-            try:
-                vals.append(math.copysign(math.exp(math.log(abs(dk)) + lg), dk) if dk else dk)
-            except OverflowError:
-                raise NumericOverflowError(
-                    f"coefficient overflow at index {k} (alpha={self.alpha})"
-                ) from None
-        return tuple(vals)
+        logs = list(map(add, self._log_abs, log_gamma_orders(self.alpha, self.order)))
+        try:
+            return tuple(map(math.copysign, map(math.exp, logs), self.d))
+        except OverflowError:
+            for k, v in enumerate(logs):
+                try:
+                    math.exp(v)
+                except OverflowError:
+                    raise NumericOverflowError(
+                        f"coefficient overflow at index {k} (alpha={self.alpha})"
+                    ) from None
+            raise
+
+    @cached_property
+    def _log_abs(self) -> tuple[float, ...]:
+        """log|d_k|, -inf at a zero, computed once per table object: the
+        one log pass of :attr:`values` and :func:`_root_test`."""
+        return tuple([math.log(abs(v)) if v else -math.inf for v in self.d])
 
     @cached_property
     def _root(self) -> tuple[float, int, int]:
-        """:func:`_root_test` of ``d``, computed once per table object."""
-        return _root_test(self.d)
+        """:func:`_root_test` of the table, computed once per table object."""
+        return _root_test(self._log_abs)
 
     @cached_property
     def _hash(self) -> int:
@@ -176,6 +195,33 @@ def _check_order(K: int) -> None:
         raise DomainError(f"table order capped at {MAX_ORDER}, got {K}")
 
 
+def _sq_block_source() -> str:
+    """Source of ``_sq_block(m, X, Q, P)``, orders m0..m0+m-1 of a block of
+    :func:`_square_recursion`, written out for ``_BLOCK`` orders.
+
+    X holds x_0..x_14, Q the block's q_m and P its known-prefix sums, each
+    zero-padded to its full length.  The block's new entries are Y0, Y1,
+    ...: order k's in-block pairs are ``T = 0.0 + X0*Y{k-1} + ... +
+    X{k-1}*Y0``, added left to right from 0.0, then
+    ``Y{k} = -Q{k} * (P{k} + (T + T))``.  Returns (Y0, ..., Y{m-1}).
+    """
+    def names(c: str, n: int) -> str:
+        return ", ".join(f"{c}{i}" for i in range(n))
+
+    lines = [
+        "def _sq_block(m, X, Q, P):",
+        f"    {names('X', _BLOCK - 1)} = X",
+        f"    {names('Q', _BLOCK)} = Q",
+        f"    {names('P', _BLOCK)} = P",
+    ]
+    for k in range(_BLOCK):
+        pairs = "".join(f" + X{i} * Y{k - 1 - i}" for i in range(k))
+        ret = f"return ({names('Y', k + 1)},)"
+        lines += [f"    T = 0.0{pairs}", f"    Y{k} = -Q{k} * (P{k} + (T + T))"]
+        lines += [f"    {ret}"] if k == _BLOCK - 1 else [f"    if m == {k + 1}:", f"        {ret}"]
+    return "\n".join(lines) + "\n"
+
+
 def _square_recursion(x0: float, q: list[float], n: int) -> list[float]:
     """x_0..x_n of x_{m+1} = -q_m S_m, S_m = sum_{i+j=m} x_i x_j, from x_0 = x0.
 
@@ -185,9 +231,13 @@ def _square_recursion(x0: float, q: list[float], n: int) -> list[float]:
     orders.  So a pair (i, j) of a block's S_m has at most one index past
     m0.  One ``np.convolve`` of the known prefix, zero past x_m0, prices
     every pair of it for all of the block's orders at once; each order
-    then adds its in-block pairs, at most 15 and each doubled, in Python.
-    The blocks start at the same orders whatever n is, so x_0..x_n is a
-    prefix, bit for bit, of the sequence to any larger n.
+    then adds its in-block pairs, at most 15 and each doubled, in one call
+    of the generated straight-line function ``_sq_block``, compiled by
+    :func:`fracsis._cache._compiled` on the first table built.  The blocks
+    start at the same orders whatever n is, so x_0..x_n is a prefix, bit
+    for bit, of the sequence to any larger n.  No ``sum`` is used, so the
+    rounding is the same on every Python version (``sum`` of floats
+    compensates its rounding from Python 3.12 on).
 
     Any order of summation does: where q_m > 0 and x0 > 0, as in both
     tables, x_m alternates in sign by induction, so every pair of S_m has
@@ -198,19 +248,18 @@ def _square_recursion(x0: float, q: list[float], n: int) -> list[float]:
     x0, and against a 60-digit recursion the errors of both were the
     same to within 7%, 1.2e-14 to 3.2e-13, set by the rounding of q.
     """
+    block = _compiled(_sq_block_source)
     xs = [x0]
-    # xs again, as an array whose entries past the known prefix are zero
-    x = np.zeros(n + 1)
+    # xs again, as an array whose entries past the known prefix are zero,
+    # long enough that every block reads _BLOCK prefix sums
+    x = np.zeros(n + _BLOCK)
     x[0] = x0
+    q = q + [0.0] * _BLOCK
     m0 = 0
     while m0 < n:
         b = min(_BLOCK, m0 + 1, n - m0)
-        prefix = np.convolve(x[: m0 + b], x[: m0 + 1], "valid").tolist()
-        new: list[float] = []
-        for k in range(b):
-            # the in-block pairs x_{k-1-l} x_{m0+1+l}, l < k, of order m0 + k
-            t = sum(map(mul, xs, reversed(new)))
-            new.append(-q[m0 + k] * (prefix[k] + (t + t)))
+        prefix = np.convolve(x[: m0 + _BLOCK], x[: m0 + 1], "valid").tolist()
+        new = block(b, x[: _BLOCK - 1].tolist(), q[m0 : m0 + _BLOCK], prefix)
         xs += new
         x[m0 + 1 : m0 + b + 1] = new
         m0 += b
@@ -343,18 +392,17 @@ def empirical_radius(table: CoeffTable, b_scale: float = 1.0) -> RadiusEstimate:
     return RadiusEstimate(empirical=radius, k_used=K + 1 - lo)
 
 
-def _root_test(d: tuple[float, ...]) -> tuple[float, int, int]:
-    """The part of :func:`empirical_radius` that reads only the table ``d``.
+def _root_test(log_abs: tuple[float, ...]) -> tuple[float, int, int]:
+    """The part of :func:`empirical_radius` that reads only the table, from
+    its ``log|d_k|`` (-inf at a zero).
 
     Returns the tail maximum of ``log|d_k| / k``, the window start ``lo``
     and the count of non-vanishing entries.  The window is the last half
     of the table, widened if needed so that it holds at least
-    ``_MIN_ROOT_TEST`` coefficients.
+    ``_MIN_ROOT_TEST`` coefficients.  A vanishing entry's -inf / k never
+    raises the maximum.
     """
-    K = len(d) - 1
+    K = len(log_abs) - 1
     lo = min(K // 2, K + 1 - _MIN_ROOT_TEST)
-    best = -math.inf
-    for k in range(max(lo, 1), K + 1):
-        if d[k] != 0.0:
-            best = max(best, math.log(abs(d[k])) / k)
-    return best, lo, sum(1 for v in d if v != 0.0)
+    best = max([-math.inf, *(log_abs[k] / k for k in range(max(lo, 1), K + 1))])
+    return best, lo, K + 1 - log_abs.count(-math.inf)

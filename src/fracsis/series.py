@@ -319,7 +319,8 @@ class _Table(NamedTuple):
       negligible term the growth rule first fires at ``grow_at[i]``, the
       first i with ``-grow[i] < |x|``.
     * ``exact``: every node takes the exact rule (an entry past
-      ``_MAX_FAST_D``, or not finite).
+      ``_MAX_FAST_D``, or not finite, or d_0 = -0.0, the one start whose
+      sum a zero term can change).
     """
 
     d: np.ndarray
@@ -373,7 +374,8 @@ def _series_table(d: tuple[float, ...]) -> _Table:
         quiet=_read_only(np.maximum.accumulate(np.where(a != 0.0, theta, 0.0))),
         grow=_read_only(-np.minimum.accumulate(win)),
         grow_at=_read_only(np.append(ks[_GROW_STREAK - 1 :], a.size)),
-        exact=not np.abs(a).max() <= _MAX_FAST_D,
+        exact=not np.abs(a).max() <= _MAX_FAST_D
+        or (d[0] == 0.0 and math.copysign(1.0, d[0]) < 0),
     )
 
 
@@ -414,8 +416,12 @@ def _sum_to(x: np.ndarray, table: _Table, stop: np.ndarray) -> np.ndarray:
     The nodes are sorted by stop, so those still summing at row k are a
     shrinking suffix.  While at least ``_WIDE`` of them are, row k is one
     step across that suffix: ``p *= x``, ``t = p * d[k]``, ``s += t``, and
-    a node whose stop is k keeps its s.  The fewer than ``_WIDE`` nodes
-    left finish in one block as tall as their largest stop, from their
+    a node whose stop is k keeps its s.  Where d_k = 0 the row only
+    advances p: the term is a zero, which leaves every s but -0.0 as it is
+    (a table whose d_0 is -0.0 takes the exact rule), and a node whose p
+    is not finite at its stop gets the sum nan, as the loop's inf * 0
+    would give it.  The fewer than ``_WIDE`` nodes left finish in one
+    block as tall as their largest stop, from their
     carried p and s: one forward ``multiply.accumulate`` for the powers,
     one multiply by ``d`` and one ``add.accumulate``.  Either way each
     term and partial sum is formed by the scalar loop's operations in its
@@ -438,10 +444,13 @@ def _sum_to(x: np.ndarray, table: _Table, stop: np.ndarray) -> np.ndarray:
                 first = live[k]
                 xv, pv, tv, sv = xs[first:], p[first:], t[first:], s[first:]
             pv *= xv
-            np.multiply(pv, c, out=tv)
-            sv += tv
+            if c:
+                np.multiply(pv, c, out=tv)
+                sv += tv
         lo = int(np.searchsorted(ns, top, "right"))
-        total[order[:lo]] = s[:lo]
+        # past a power that overflowed, the loop's next term p * d_k is
+        # non-finite even where d_k = 0, and so is its sum
+        total[order[:lo]] = np.where(np.isfinite(p[:lo]), s[:lo], np.nan)
         order, xs, ns, p, s = order[lo:], xs[lo:], ns[lo:], p[lo:], s[lo:]
     if order.size:
         # row k of sums holds t_k, then the partial sum to t_k; rows below

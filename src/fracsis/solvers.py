@@ -10,10 +10,10 @@ increments u_{n+1} - u_n for L1.  At the start of a block, one
 ``np.correlate`` per kernel with that array prices the history before
 the block for every step in it (the far history).  The block itself is
 one call of a generated function, ``_pece_block`` or ``_l1_block``
-(compiled by :func:`_block` on the first march that needs it), written
-out for BLOCK steps: the block's lag weights and each new value are
-local variables, and each step adds the at most BLOCK lags that fall in
-the block (the near history) as one straight-line sum
+(compiled by :func:`fracsis._cache._compiled` on the first march that
+needs it), written out for BLOCK steps: the block's lag weights and each
+new value are local variables, and each step adds the at most BLOCK lags
+that fall in the block (the near history) as one straight-line sum
 ``0.0 + w_j*v_0 + ... + w_0*v_j``, added left to right from 0.0.  The
 block's new values then enter the array in one slice
 assignment.  The work stays O(N^2) multiply-adds, but no step makes a
@@ -53,14 +53,13 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 from itertools import repeat
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from ._cache import _per_grid, _read_only
-from .errors import DomainError, NumericOverflowError, ValidationError, check_alpha
+from ._cache import _compiled, _per_grid, _read_only
+from .errors import DomainError, ValidationError, check_alpha
 
 __all__ = [
     "TimeGrid",
@@ -96,8 +95,10 @@ BLOCK = 16
 # right from 0.0.  After each step the iterate is checked and a
 # non-finite one raises NumericOverflowError naming its step.  The
 # weights are arguments, so each function is compiled once per process,
-# by _block on the first march that calls it (about 2 ms each), and no
+# by _compiled on the first march that calls it (about 2 ms each), and no
 # plan compiles anything; a process that runs no march compiles neither.
+#: the imports of both block functions' sources
+_BLOCK_IMPORTS = ["from math import isfinite", "from fracsis.errors import NumericOverflowError"]
 
 
 def _pece_block_source() -> str:
@@ -108,6 +109,7 @@ def _pece_block_source() -> str:
     bs = ", ".join(f"B{i}" for i in range(BLOCK))
     As = ", ".join(f"A{i}" for i in range(BLOCK))
     lines = [
+        *_BLOCK_IMPORTS,
         "def _pece_block(m, s, f, u0, inv_gamma, k, w, F0, H0, fb, fa, a0f):",
         f"    {bs}, {As} = w",
     ]
@@ -131,7 +133,7 @@ def _l1_block_source() -> str:
     before the block) to U{j+1} with the g weights over the block's
     increments D0..D{j-1}, and forms D{j} = U{j+1} - U{j}."""
     gs = ", ".join(f"G{i}" for i in range(1, BLOCK))
-    lines = ["def _l1_block(m, s, f, U0, gain, w, fg):", f"    {gs} = w"]
+    lines = [*_BLOCK_IMPORTS, "def _l1_block(m, s, f, U0, gain, w, fg):", f"    {gs} = w"]
     for j in range(BLOCK):
         near = "".join(f" + G{j - i} * D{i}" for i in range(j))
         lines += [
@@ -148,17 +150,6 @@ def _block_return(n: int, values: list[str]) -> list[str]:
     """The return after step n: the iterates U1..U{n}, then the values."""
     ret = "return (%s,), (%s,)" % (", ".join(f"U{i}" for i in range(1, n + 1)), ", ".join(values))
     return [f"    {ret}"] if n == BLOCK else [f"    if m == {n}:", f"        {ret}"]
-
-
-_BLOCK_SOURCES = {"_pece_block": _pece_block_source, "_l1_block": _l1_block_source}
-
-
-@lru_cache(maxsize=None)
-def _block(name: str):
-    """The block function ``name``, compiled from its source on first use."""
-    scope = {"isfinite": math.isfinite, "NumericOverflowError": NumericOverflowError}
-    exec(compile(_BLOCK_SOURCES[name](), f"<fracsis.solvers.{name}>", "exec"), scope)
-    return scope[name]
 
 
 #: the far sums of block 0, which has no history before it
@@ -223,10 +214,10 @@ class TimeGrid:
 def node_powers(alpha: float, grid: TimeGrid) -> np.ndarray:
     """Read-only t_n**alpha at the nodes of a grid, cached per (alpha, grid).
 
-    Each power is the libm ``pow`` on a Python float: numpy's vectorised
+    Each power is the libm ``pow`` of ``math.pow``: numpy's vectorised
     pow may differ from it by one ulp.
     """
-    return _read_only(np.array([t**alpha for t in grid.nodes().tolist()]))
+    return _read_only(np.fromiter(map(math.pow, grid.nodes().tolist(), repeat(alpha)), float))
 
 
 class Method(enum.Enum):
@@ -329,7 +320,7 @@ def solve_pece(
     """
     N = grid.N
     k, inv_gamma, b, a, a0, w = _pece_plan(alpha, grid)
-    block = _block("_pece_block")
+    block = _compiled(_pece_block_source)
     u0 = float(u0)
     u = [u0]
     fn = f(u0)
@@ -407,7 +398,7 @@ def solve_l1(
     """
     N = grid.N
     g, w, gain = _l1_plan(alpha, grid)
-    block = _block("_l1_block")
+    block = _compiled(_l1_block_source)
     u0 = float(u0)
     u = [u0]
     R = np.empty(N + 1)  # R[N - n] = u_{n+1} - u_n: the increments reversed, for the far sums

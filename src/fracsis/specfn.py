@@ -125,7 +125,7 @@ def _residue_contour(alpha: float, z: np.ndarray) -> np.ndarray:
     1/(alpha (s - p)), whose transform e^p / alpha the sum would then
     cancel, keeps both parts small where E is: for z <= 0.5 the rounding
     stays within 9 ulp of E for alpha down to 0.01, not about 4/alpha ulp.
-    Where p is past ``_FAR_Z`` so is E, and e^p is inf.
+    Where p is past ``_FAR_Z`` so is E: e^p is inf, and R is left out.
     """
     y = 1.0 / alpha
     # y = 1/alpha rounded puts up to 2^-53 log p of relative error into
@@ -140,8 +140,11 @@ def _residue_contour(alpha: float, z: np.ndarray) -> np.ndarray:
         p[near] += p[near] * (y_lo * np.log(z[near]))
         a = _MID_NODES**alpha
         terms = _re_terms(_MID_WEIGHTS * a / _MID_NODES, a, z)
-        pole = _re_terms(_MID_WEIGHTS / (alpha * _MID_NODES), _MID_NODES, p)
-        pole *= p
+        # where p is capped, e^p is inf and R is left out: at a tiny alpha
+        # its weights, about 1/alpha, times p would overflow to inf - inf
+        p_near = np.where(near, p, 0.0)
+        pole = _re_terms(_MID_WEIGHTS / (alpha * _MID_NODES), _MID_NODES, p_near)
+        pole *= p_near
         terms -= pole
         return np.expm1(p) / alpha + _node_sum(terms)
 

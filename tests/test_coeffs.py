@@ -126,6 +126,31 @@ def pairwise_recursion(alpha, K, d0, keep_linear):
     return tuple(d)
 
 
+def loop_square_recursion(x0, q, n):
+    """The blocked kernel with each order's in-block pairs added in a Python
+    loop: the blocks, convolutions and order of additions of
+    ``coeffs._square_recursion``, as it was before its generated blocks
+    (whose ``sum(map(mul, ...))`` added left to right from 0.0 before
+    Python 3.12, as this loop does on every version)."""
+    xs = [x0]
+    x = np.zeros(n + 1)
+    x[0] = x0
+    m0 = 0
+    while m0 < n:
+        b = min(16, m0 + 1, n - m0)
+        prefix = np.convolve(x[: m0 + b], x[: m0 + 1], "valid").tolist()
+        new = []
+        for k in range(b):
+            t = 0.0
+            for pair in map(operator.mul, xs, reversed(new)):
+                t += pair
+            new.append(-q[m0 + k] * (prefix[k] + (t + t)))
+        xs += new
+        x[m0 + 1 : m0 + b + 1] = new
+        m0 += b
+    return xs
+
+
 def assert_near_reference(got, want, where):
     """Every entry of ``got`` a float within 1e-14 relative of ``want``,
     and zero exactly where ``want`` is: the tables sum each S_k in another
@@ -521,6 +546,19 @@ class TestTableCache:
             assert np.array(got).tobytes() == np.array(full[: K + 1]).tobytes(), (alpha, K, a0)
         for alpha, a0 in ((1.0, 0.5), (0.05, 0.999), (0.4711, 0.01), (0.93, 0.37)):
             assert_prefixes(alpha, a0, False)
+
+    def test_generated_blocks_are_the_loop_bit_for_bit(self):
+        # every n of the A-table's kernel call from a random a0, and the
+        # alpha-Euler table's call on its odd entries
+        rng = np.random.default_rng(31)
+        for alpha in [1.0, 0.01, *rng.uniform(0.01, 1.0, 30).tolist()]:
+            r = lgamma_ratios(alpha, MAX_ORDER)
+            calls = [(float(rng.uniform(0.001, 0.999)), r[:n], n) for n in range(MAX_ORDER + 1)]
+            calls.append((r[0] / 4, r[2::2], (MAX_ORDER - 1) // 2))
+            for x0, q, n in calls:
+                got = coeffs._square_recursion(x0, q, n)
+                want = loop_square_recursion(x0, q, n)
+                assert np.array(got).tobytes() == np.array(want).tobytes(), (alpha, x0, n)
 
     def test_euler_tables_skip_only_zero_pairs(self):
         # the odd entries obey the A-table's recursion; every even entry

@@ -52,10 +52,10 @@ def test_every_cache_has_the_one_bound():
             for name, obj in vars(scope).items():
                 if callable(getattr(obj, "cache_info", None)) and obj.__module__ == module.__name__:
                     bounds[f"{module.__name__}.{name}"] = obj.cache_info().maxsize
-    # the parser takes no argument, and the block functions are two: each
-    # cache holds its few values for the process
+    # the parser takes no argument, and the generated functions are three:
+    # each cache holds its few values for the process
     assert bounds.pop("fracsis.cli.build_parser") is None
-    assert bounds.pop("fracsis.solvers._block") is None
+    assert bounds.pop("fracsis._cache._compiled") is None
     assert bounds == dict.fromkeys([
         "fracsis.coeffs._table", "fracsis.coeffs.log_gamma_orders",
         "fracsis.series._kernel_table", "fracsis.series._unit_scale_sums",

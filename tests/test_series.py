@@ -313,9 +313,11 @@ def test_meta_kind_names_the_table_family(build, kind):
 # caps on the terms summed, set through the table: a cut lowers the
 # order K to at most ``cut - 1``, so the series sums at most ``cut`` terms
 CUTS = {"default": None, "one-term": 1, "15-terms": 15}
-# the paper grid, N = 1, past the radius, and t = 1e10, where x^k
-# overflows in rows past each node's stop
-GRIDS = [TimeGrid(5.0, 0.05), TimeGrid(0.3, 0.3), TimeGrid(1e3, 25.0), TimeGrid(1e10, 2.5e9)]
+# the paper grid, N = 1, past the radius, t = 1e10, where x^k overflows
+# in rows past each node's stop, and 2 _WIDE + 1 nodes, so that the node
+# sums run rows across at least _WIDE nodes before their last block
+GRIDS = [TimeGrid(5.0, 0.05), TimeGrid(0.3, 0.3), TimeGrid(1e3, 25.0), TimeGrid(1e10, 2.5e9),
+         TimeGrid(6.4, 0.025)]
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -484,6 +486,20 @@ class TestStopClasses:
             for k in range(1, K + 1):
                 xs += thresholds(table.d, k)
             assert_nodes_match(table, xs)
+
+    @pytest.mark.parametrize("d", [
+        [1.0, 1.0, 0.0, 1e-320] + [0.0] * 8,
+        [1.0, 1.0, 0.0, 1.0, 0.0, 2.0] + [0.0] * 8,
+        [-0.0] + [0.0] * 11,
+    ], ids=["overflow-at-the-stop", "overflow-before-a-term", "negative-zero-start"])
+    def test_zero_rows_in_the_node_rows(self, d):
+        # at nodes x in [1e100, 2e100], x^4 overflows on the zero entry d_4:
+        # the loop's inf * 0 there makes the sum nan, within the stop rule's
+        # window (so the rule never fires) or before the term of d_5; and
+        # from d_0 = -0.0 a zero term makes the loop's sum +0.0.  Rows run
+        # across all 2 _WIDE + 1 nodes
+        xs = np.linspace(1e100, 2e100, 2 * _WIDE + 1).tolist()
+        assert_nodes_match(CoeffTable(1.0, CoeffKind.A_COEFF, tuple(d)), xs)
 
     @pytest.mark.parametrize("s", RULE_STOPS)
     def test_stops_by_each_rule(self, s):

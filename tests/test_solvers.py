@@ -581,7 +581,7 @@ class TestNearKernels:
                 return -0.0 if len(calls) % 2 else next(values)
 
             try:
-                got = solvers._block("_pece_block")(
+                got = _cache._compiled(solvers._pece_block_source)(
                     m, 0, f, -0.0, 1.0, 0.0, (*wb, *wa), v[0], h0, zeros, zeros, zeros
                 )
             except NumericOverflowError as exc:
@@ -606,7 +606,7 @@ class TestNearKernels:
         for w, v in self.cases(m, m + 1):
             values = iter(v)
             try:
-                got = solvers._block("_l1_block")(
+                got = _cache._compiled(solvers._l1_block_source)(
                     m + 1, 0, lambda x: next(values), -0.0, 1.0, tuple(w[1:]), zeros
                 )
             except NumericOverflowError as exc:
@@ -799,22 +799,27 @@ class TestConvergenceOrder:
 
 def test_block_functions_compile_on_the_first_march():
     # in a fresh interpreter, importing the package and computing N(t)
-    # compiles neither block function; each scheme's first march compiles
-    # its own, once
+    # compiles no generated function; the first table compiles the
+    # recursion's block alone, and each scheme's first march its own, once
     code = "\n".join([
         "import fracsis, fracsis.solvers as s",
+        "from fracsis._cache import _compiled as c",
+        "sizes = [c.cache_info().currsize]",
         "grid = s.TimeGrid(1.0, 0.05)",
         "fracsis.population_curve(0.5, 0.1, 0.3, 1.0, grid)",
-        "sizes = [s._block.cache_info().currsize]",
+        "sizes.append(c.cache_info().currsize)",
+        "for build in (fracsis.euler_alpha, fracsis.a_coeffs):",
+        "    build(0.5, 40)",
+        "    sizes.append(c.cache_info().currsize)",
         "for solve in (s.solve_l1, s.solve_l1, s.solve_pece, s.solve_pece):",
         "    solve(lambda u: -u, 1.0, grid, 0.5)",
-        "    sizes.append(s._block.cache_info().currsize)",
-        "print(sizes, s._block.cache_info().misses)",
+        "    sizes.append(c.cache_info().currsize)",
+        "print(sizes, c.cache_info().misses)",
     ])
     env = {**os.environ, "PYTHONPATH": str(Path(solvers.__file__).parents[1])}
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["[0,", "1,", "1,", "2,", "2]", "2"]
+    assert proc.stdout.split() == ["[0,", "0,", "1,", "1,", "2,", "2,", "3,", "3]", "3"]
 
 
 class TestPlanCache:

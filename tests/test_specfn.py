@@ -257,10 +257,11 @@ class TestMittagLeffler:
         assert mittag_leffler(0.5, 1e300) == math.inf
 
     @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("alpha", [1e-100, 5.5e-88, 1e-87, 1e-20])
+    @pytest.mark.parametrize("alpha", [1e-300, 1e-200, 1e-160, 1e-100, 5.5e-88, 1e-87, 1e-20])
     def test_tiny_alpha_past_one_is_inf_not_nan(self, alpha):
         # p = z^(1/alpha) is capped at _FAR_Z, where the rounding correction
-        # of 1/alpha, up to 1e84 here, must not move it
+        # of 1/alpha, up to 1e84 here, must not move it, and the pole part,
+        # whose weights are about 1/alpha, must not overflow to inf - inf
         zs = [1.0001, 2.0, 1e10]
         assert mittag_leffler(alpha, np.array(zs)).tolist() == [math.inf] * 3
         assert [mittag_leffler(alpha, z) for z in zs] == [math.inf] * 3
