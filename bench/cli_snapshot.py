@@ -71,6 +71,12 @@ CALLS = [
     ["population", "--alpha", "0.6", "--lambda", "1", "--mu", "0", "--n0", "1e308",
      "--T", "1", "--dt", "0.5"],
     ["compare", *_C_NONZERO, "--methods", "pece"],
+    # the error paths of the shared flags
+    ["table1", "--terms", "0"],
+    ["table1", "--terms", "201"],
+    ["c0-suite", "--formats", "xml"],
+    ["coeffs", "--kind", "a", "--alpha", "0.7", "-K", "201"],
+    ["compare", "--config", "missing.json"],
 ]
 
 

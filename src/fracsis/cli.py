@@ -9,10 +9,12 @@ Subcommands:
     c0-suite    run the zero-capacity preset (series blow-up showcase)
     population  N(t) via the Mittag-Leffler function
 
-The flags of ``solve`` and ``compare`` mirror the config key vocabulary
-(beta, gamma, mu, alpha, i0, T, dt, methods, terms, out, formats); there
-``--config FILE`` loads a JSON config (or a previously emitted manifest)
-and explicit flags override it.
+The config flags come from one key table, ``harness._KEYS``: ``solve``
+and ``compare`` take all of them (preset, beta, gamma, mu, alpha, i0, T,
+dt, methods, terms, out, formats) and ``--config FILE``, a JSON config
+or an emitted manifest that explicit flags override; ``table1`` takes
+terms, out and formats, ``c0-suite`` out and formats, and ``population``
+T and dt.
 
 The parser is built once per process, on the first :func:`main` call,
 and reused by every later one.
@@ -32,25 +34,19 @@ from .coeffs import a_coeffs, euler_alpha
 from .errors import NumericError, ValidationError
 from .solvers import Method, TimeGrid
 
-_METHODS_HELP = f"comma-separated subset of {','.join(m.value for m in Method)}"
-_FORMATS_HELP = f"comma-separated subset of {','.join(sorted(harness._FORMATS))}"
+
+def _add_flags(p: argparse.ArgumentParser, *keys: str, default=False, help="{}") -> None:
+    """Add the flag of each config key from ``harness._KEYS``, with its default if
+    ``default``; ``help`` is the help line, formatted with the key's help and default."""
+    for key in keys:
+        k = harness._KEYS[key]
+        p.add_argument(f"--{key}", **k.flag, default=k.default if default else None,
+                       help=help.format(k.help, k.default))
 
 
 def _add_config_flags(p: argparse.ArgumentParser, with_methods: bool = True) -> None:
     p.add_argument("--config", type=Path, help="JSON config or manifest to load")
-    p.add_argument("--preset", choices=sorted(harness.PRESETS), help="named parameter preset")
-    p.add_argument("--beta", type=float, help="contact rate")
-    p.add_argument("--gamma", type=float, help="recovery removal rate")
-    p.add_argument("--mu", type=float, help="birth/death removal rate")
-    p.add_argument("--alpha", type=float, help="fractional order in (0, 1]")
-    p.add_argument("--i0", type=float, help="initial infected fraction")
-    p.add_argument("--T", type=float, help="final time")
-    p.add_argument("--dt", type=float, help="time step")
-    if with_methods:
-        p.add_argument("--methods", help=_METHODS_HELP)
-    p.add_argument("--terms", type=int, help="series truncation order")
-    p.add_argument("--out", type=Path, help="output directory")
-    p.add_argument("--formats", help=_FORMATS_HELP)
+    _add_flags(p, *(k for k in harness._KEYS if with_methods or k != "methods"))
 
 
 def _merged_config(args) -> harness.RunConfig:
@@ -155,15 +151,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_compare)
 
     p = sub.add_parser("table1", help="pairwise error table on the c-nonzero preset")
-    p.add_argument("--terms", type=int, default=harness._DEFAULT_TERMS,
-                   help="series truncation order (default %(default)s)")
-    p.add_argument("--out", type=Path, help="output directory")
-    p.add_argument("--formats", help=_FORMATS_HELP)
+    _add_flags(p, "terms", default=True, help="{} (default {})")
+    _add_flags(p, "out", "formats")
     p.set_defaults(func=_cmd_table1)
 
     p = sub.add_parser("c0-suite", help="zero-capacity preset across alphas")
-    p.add_argument("--out", type=Path, help="output directory")
-    p.add_argument("--formats", help=_FORMATS_HELP)
+    _add_flags(p, "out", "formats")
     p.set_defaults(func=_cmd_c0_suite)
 
     p = sub.add_parser("population", help="population curve N(t) = N0 E_alpha((lambda-mu) t^alpha)")
@@ -171,8 +164,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda", dest="lam", type=float, required=True)
     p.add_argument("--mu", type=float, required=True)
     p.add_argument("--n0", type=float, default=1.0)
-    p.add_argument("--T", type=float, default=5.0)
-    p.add_argument("--dt", type=float, default=0.05)
+    _add_flags(p, "T", "dt", default=True)
     p.add_argument("--out", type=Path, help="CSV file (default: stdout)")
     p.set_defaults(func=_cmd_population)
 

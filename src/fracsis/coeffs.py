@@ -190,9 +190,9 @@ class RadiusEstimate:
 
 def _check_order(K: int) -> None:
     if K < 0:
-        raise DomainError(f"table order must be >= 0, got {K}")
+        raise DomainError(f"table order K must be >= 0, got K={K}")
     if K > MAX_ORDER:
-        raise DomainError(f"table order capped at {MAX_ORDER}, got {K}")
+        raise DomainError(f"table order K is capped at {MAX_ORDER}, got K={K}")
 
 
 def _sq_block_source() -> str:

@@ -14,10 +14,13 @@ alone (``r_alpha`` is None exactly where the hypothesis fails); one
 helper holds the series initial datum (c/2, or 1/(2 beta) at sigma = 1),
 which is both the default ``i0`` and what a series run checks.
 
-Config values reach a run in one pass: :func:`config_from_dict` checks
-every key against its type rule, lays the given values over the preset's
-and the defaults in one merge, and parses them into a RunConfig, which
-derives the model parameters once (``RunConfig.derived``).  Every later
+One table, ``_KEYS``, holds each config key's value test, CLI flag and
+default (preset, beta, gamma, mu, alpha, i0, T, dt, methods, terms, out,
+formats); the manifest's ``"config"`` and the CLI's flags read it.  Config
+values reach a run in one pass: :func:`config_from_dict` checks each key
+by the table's test, lays the given values over the preset's and the
+table's defaults in one merge, and parses them into a RunConfig, which
+derives the model parameters once (``RunConfig.derived``); every later
 step reads the RunConfig and parses or derives nothing again.
 
 File writing and the preset-suite loop each live in one place: every file
@@ -38,6 +41,7 @@ import json
 import math
 import numbers
 import os
+from collections import namedtuple
 from dataclasses import asdict, dataclass, field, replace
 from itertools import chain
 from pathlib import Path
@@ -95,40 +99,6 @@ _FMT = "%.17g"
 
 _FORMATS = {"csv", "json", "svg"}
 
-
-def _is_number(v) -> bool:
-    return isinstance(v, numbers.Real) and not isinstance(v, bool)
-
-
-def _is_integer(v) -> bool:
-    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
-
-
-def _is_names(v) -> bool:
-    return isinstance(v, str) or (
-        isinstance(v, (list, tuple)) and all(isinstance(m, str) for m in v)
-    )
-
-
-#: the config key vocabulary: the test that a given value of each key must pass,
-#: and what it asks for
-_KEY_TYPES = {
-    "preset": (lambda v: isinstance(v, str), "a preset name"),
-    **dict.fromkeys(("beta", "gamma", "mu", "alpha", "i0", "T", "dt"), (_is_number, "a number")),
-    "terms": (_is_integer, "an integer"),
-    **dict.fromkeys(("methods", "formats"), (_is_names, "a string or a list of strings")),
-    "out": (lambda v: isinstance(v, (str, os.PathLike)), "a path"),
-}
-CONFIG_KEYS = set(_KEY_TYPES)
-
-_DEFAULT_TERMS = 120
-_DEFAULT_FORMATS = ("csv", "json")
-#: the value of each key that neither the config nor its preset gives
-_DEFAULTS = {
-    "T": 5.0, "dt": 0.05, "methods": ("pece", "l1"),
-    "terms": _DEFAULT_TERMS, "formats": _DEFAULT_FORMATS,
-}
-
 TABLE1_ALPHAS = (0.99, 0.7, 0.3)
 #: the method pairs of the table1 columns, in order
 _TABLE1_PAIRS = (("series", "pece"), ("series", "l1"), ("pece", "l1"))
@@ -150,6 +120,43 @@ PRESETS = {
 }
 
 
+def _is_number(v) -> bool:
+    return isinstance(v, numbers.Real) and not isinstance(v, bool)
+
+
+def _is_names(v) -> bool:
+    return isinstance(v, str) or (
+        isinstance(v, (list, tuple)) and all(isinstance(m, str) for m in v)
+    )
+
+
+#: a config key: the test a given value must pass and what it asks for, its
+#: flag's argparse keywords and help, and the value no config or preset gives
+_Key = namedtuple("_Key", "test want flag help default", defaults=[None])
+_NUMBER = (_is_number, "a number", {"type": float})
+_NAMES = (_is_names, "a string or a list of strings", {})
+_SUBSET = "comma-separated subset of {}".format
+#: the config key vocabulary, in the order of the CLI flags
+_KEYS = {
+    "preset": _Key(lambda v: isinstance(v, str), "a preset name",
+                   {"choices": sorted(PRESETS)}, "named parameter preset"),
+    "beta": _Key(*_NUMBER, "contact rate"),
+    "gamma": _Key(*_NUMBER, "recovery removal rate"),
+    "mu": _Key(*_NUMBER, "birth/death removal rate"),
+    "alpha": _Key(*_NUMBER, "fractional order in (0, 1]"),
+    "i0": _Key(*_NUMBER, "initial infected fraction"),
+    "T": _Key(*_NUMBER, "final time", 5.0),
+    "dt": _Key(*_NUMBER, "time step", 0.05),
+    "methods": _Key(*_NAMES, _SUBSET(",".join(m.value for m in Method)), ("pece", "l1")),
+    "terms": _Key(lambda v: isinstance(v, numbers.Integral) and not isinstance(v, bool),
+                  "an integer", {"type": int}, "series truncation order", 120),
+    "out": _Key(lambda v: isinstance(v, (str, os.PathLike)), "a path", {"type": Path},
+                "output directory"),
+    "formats": _Key(*_NAMES, _SUBSET(",".join(sorted(_FORMATS))), ("csv", "json")),
+}
+CONFIG_KEYS = set(_KEYS)
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """A fully validated, reproducible run description."""
@@ -157,9 +164,9 @@ class RunConfig:
     params: ModelParams
     grid: TimeGrid
     methods: tuple[Method, ...]
-    series_terms: int = _DEFAULT_TERMS
+    series_terms: int = _KEYS["terms"].default
     output_dir: Optional[Path] = None
-    formats: tuple[str, ...] = _DEFAULT_FORMATS
+    formats: tuple[str, ...] = _KEYS["formats"].default
     #: ``derive(params)``, computed once at construction for every later step
     derived: DerivedParams = field(init=False, repr=False, compare=False)
 
@@ -266,21 +273,22 @@ def config_from_dict(cfg: dict) -> RunConfig:
 
     The one pass from config values to a run.  Every key is checked
     against its type rule; then the given values that are not None
-    override the preset's, which override ``_DEFAULTS``; then the merged
-    values are parsed and the RunConfig derives its parameters once.
+    override the preset's, which override the defaults of ``_KEYS``; then
+    the merged values are parsed and the RunConfig derives its parameters
+    once.
     """
     unknown = set(cfg) - CONFIG_KEYS
     if unknown:
         raise ValidationError(f"unknown config keys: {sorted(unknown)}")
-    for key, (test, want) in _KEY_TYPES.items():
+    for key, k in _KEYS.items():
         value = cfg.get(key)
-        if value is not None and not test(value):
-            raise ValidationError(f"config key {key!r} must be {want}, got {value!r}")
+        if value is not None and not k.test(value):
+            raise ValidationError(f"config key {key!r} must be {k.want}, got {value!r}")
     preset = cfg.get("preset")
     if preset is not None and preset not in PRESETS:
         raise ValidationError(f"unknown preset {preset!r}; available: {sorted(PRESETS)}")
     given = {k: v for k, v in cfg.items() if v is not None}
-    cfg = {**_DEFAULTS, **PRESETS.get(preset, {}), **given}
+    cfg = {**{k: key.default for k, key in _KEYS.items()}, **PRESETS.get(preset, {}), **given}
     out = cfg.get("out")
     return RunConfig(
         params=_build_params(cfg),
@@ -417,7 +425,7 @@ def _run_suite(
 
 
 def run_table1(
-    terms: int = _DEFAULT_TERMS,
+    terms: int = _KEYS["terms"].default,
     out: Optional[Path] = None,
     formats: Optional[str | Sequence[str]] = None,
 ) -> list[ComparisonReport]:
@@ -539,20 +547,17 @@ def _write(path: Path, text: str) -> Path:
 
 
 def _config_dict(config: RunConfig) -> dict:
-    p = config.params
-    return {
-        "beta": p.beta,
-        "gamma": p.gamma,
-        "mu": p.mu,
-        "alpha": p.alpha,
-        "i0": p.i0,
+    """The manifest's ``"config"``: the value of every key of ``_KEYS`` but the preset."""
+    values = {
+        **vars(config.params),
         "T": config.grid.T,
         "dt": config.grid.dt,
         "methods": [m.value for m in config.methods],
         "terms": config.series_terms,
-        "formats": list(config.formats),
         "out": None if config.output_dir is None else str(config.output_dir),
+        "formats": list(config.formats),
     }
+    return {key: values[key] for key in _KEYS if key != "preset"}
 
 
 def csv_text(header: str, rows) -> str:

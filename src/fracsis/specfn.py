@@ -62,6 +62,12 @@ _MID_NODES, _MID_WEIGHTS = _contour_nodes(_CONTOUR_N, 0.5)
 #: to binary64, its limit sum_k Re w_k / -z, as |s_k^alpha| < 40, and for
 #: z > 0 E_alpha is past binary64
 _FAR_Z = 1e150
+#: alpha E_alpha(1) as alpha -> 0, the integral of 1/Gamma(1 + x) over x > 0
+#: (2.2665345076998488): :func:`_residue_contour`'s sum at z = 1 with
+#: s^alpha - 1 = alpha log s, by the same rule
+_E1_LIMIT = math.expm1(1.0) + float(
+    (_MID_WEIGHTS / _MID_NODES * (1 / np.log(_MID_NODES) - 1 / (_MID_NODES - 1))).real.sum()
+)
 
 
 def _re_terms(c: np.ndarray, v: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -126,7 +132,18 @@ def _residue_contour(alpha: float, z: np.ndarray) -> np.ndarray:
     cancel, keeps both parts small where E is: for z <= 0.5 the rounding
     stays within 9 ulp of E for alpha down to 0.01, not about 4/alpha ulp.
     Where p is past ``_FAR_Z`` so is E: e^p is inf, and R is left out.
+
+    Below about alpha = 1.5e-161, s_k^alpha rounds to 1 + i Im s_k^alpha
+    and (Im s_k^alpha)^2 underflows, so at z = 1 the rule would divide by
+    0.  There E = ``_E1_LIMIT`` / alpha, to within alpha relative.
     """
+    a = _MID_NODES**alpha
+    one = z == 1.0
+    if one.any() and not (a.imag * a.imag).all():
+        with np.errstate(over="ignore"):
+            total = np.full(z.size, _E1_LIMIT / np.float64(alpha))
+        total[~one] = _residue_contour(alpha, z[~one])
+        return total
     y = 1.0 / alpha
     # y = 1/alpha rounded puts up to 2^-53 log p of relative error into
     # z^y, which e^p multiplies by p; so p = z^y (1 + y_lo log z), with
@@ -138,14 +155,16 @@ def _residue_contour(alpha: float, z: np.ndarray) -> np.ndarray:
         # a capped p stays capped: there y_lo log z can be 1e84 or more
         near = p < _FAR_Z
         p[near] += p[near] * (y_lo * np.log(z[near]))
-        a = _MID_NODES**alpha
         terms = _re_terms(_MID_WEIGHTS * a / _MID_NODES, a, z)
         # where p is capped, e^p is inf and R is left out: at a tiny alpha
-        # its weights, about 1/alpha, times p would overflow to inf - inf
+        # its weights, about 1/alpha, times p would overflow to inf - inf.
+        # Where p is 0, R is 0; below about alpha = 2e-308 the weights
+        # overflow, and there every p is 0 or capped
         p_near = np.where(near, p, 0.0)
-        pole = _re_terms(_MID_WEIGHTS / (alpha * _MID_NODES), _MID_NODES, p_near)
-        pole *= p_near
-        terms -= pole
+        if p_near.any():
+            pole = _re_terms(_MID_WEIGHTS / (alpha * _MID_NODES), _MID_NODES, p_near)
+            pole *= p_near
+            terms -= pole
         return np.expm1(p) / alpha + _node_sum(terms)
 
 

@@ -1,6 +1,7 @@
 """Config handling, comparisons, emission, determinism, and the CLI."""
 
 import dataclasses
+import inspect
 import io
 import json
 import math
@@ -13,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
 import fracsis
@@ -43,7 +44,7 @@ def write_config(tmp_path, payload, name="cfg.json"):
 
 
 class TestLoadConfig:
-    def test_minimal_config_gets_defaults(self, tmp_path):
+    def test_minimal_config_gets_defaults(self, tmp_path, capsys):
         p = write_config(
             tmp_path, {"beta": 0.7, "gamma": 0.05, "mu": 0.12, "alpha": 0.7, "i0": 0.3}
         )
@@ -52,6 +53,30 @@ class TestLoadConfig:
         assert cfg.series_terms == 120
         assert cfg.formats == ("csv", "json")
         assert cfg.methods == (Method.PECE, Method.L1)
+        # they are the key table's, as are RunConfig's, run_table1's and the flags'
+        default = {k: key.default for k, key in harness._KEYS.items()}
+        assert (default["T"], default["dt"], default["terms"]) == (5.0, 0.05, 120)
+        assert default["formats"] == cfg.formats and default["methods"] == ("pece", "l1")
+        fields = {f.name: f.default for f in dataclasses.fields(harness.RunConfig)}
+        assert (fields["series_terms"], fields["formats"]) == (120, cfg.formats)
+        assert inspect.signature(run_table1).parameters["terms"].default == 120
+        parser = cli.build_parser()
+        args = parser.parse_args(["population", "--alpha", "1", "--lambda", "1", "--mu", "1"])
+        assert (args.T, args.dt) == (5.0, 0.05)
+        assert parser.parse_args(["table1"]).terms == 120
+        with pytest.raises(SystemExit):
+            cli.main(["table1", "--help"])
+        assert "series truncation order (default 120)" in " ".join(capsys.readouterr().out.split())
+
+    def test_flags_and_manifest_keys_are_the_config_keys(self, tmp_path):
+        parser = cli.build_parser()
+        for argv in (["solve", "--method", "pece"], ["compare"]):
+            flags = set(vars(parser.parse_args(argv))) - {"command", "func", "config"}
+            assert flags == harness.CONFIG_KEYS
+        cfg = preset_config("c-nonzero", 0.7, methods="pece,l1", out=tmp_path)
+        emit(run_methods(cfg), [], cfg)
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert set(manifest["config"]) == harness.CONFIG_KEYS - {"preset"}
 
     def test_parse_error_reports_line(self, tmp_path):
         p = tmp_path / "bad.json"
@@ -879,6 +904,10 @@ class TestSharedParser:
         assert helps() == first
 
 
+#: the values of --terms and --formats that table1 and c0-suite must refuse
+BAD_TERMS = [0, -3, 201, 10**9]
+BAD_FORMATS = ["", ",", "xml", "csv,xml", "CSV"]
+
 #: the rates, alpha, i0 and n0 of the argv gate: decimals and the float
 #: boundaries
 GATE_NUMBERS = st.decimals(-3, 3, places=3).map(float) | st.sampled_from(
@@ -946,14 +975,15 @@ class TestCliArgvGate:
             prefix = {1: "error: ", 2: "numeric failure: "}.get(code)
             assert prefix and err.startswith(prefix) and err.count("\n") == 1, (argv, code, err)
         if code == 1:
-            # each key as its flag spells it, e.g. n0 for --n0
-            keys = {a[2:].partition("=")[0] for a in argv if a.startswith("--")}
+            # each key as its flag spells it, e.g. n0 for --n0 and K for -K
+            keys = {a.lstrip("-").partition("=")[0] for a in argv if a.startswith("-")}
             missing = re.match(r"error: missing required config keys: (.*)", err)
             if missing:
                 lacked = set(re.findall(r"\w+", missing[1]))
                 assert lacked and not lacked & keys, (argv, err)
             else:
                 assert keys & set(re.findall(r"\w+", err)), (argv, err)
+        return code
 
     @settings(max_examples=500, deadline=None)
     @given(
@@ -980,6 +1010,28 @@ class TestCliArgvGate:
     )
     def test_population(self, values, grid):
         self.assert_outcome(["population", *gate_flags(values), *grid])
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        kind=st.sampled_from(["euler", "a"]),
+        values=gate_values(("alpha",)),
+        K=st.none() | st.integers(0, 200) | st.sampled_from([-1, -7, 201, 10**9]),
+    )
+    def test_coeffs(self, kind, values, K):
+        order = [] if K is None else [f"-K={K}"]
+        self.assert_outcome(["coeffs", f"--kind={kind}", *gate_flags(values), *order])
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        table1=st.booleans(),
+        terms=st.none() | st.sampled_from([1, 200, *BAD_TERMS]),
+        formats=st.none() | st.sampled_from(["csv", "json,svg", *BAD_FORMATS]),
+    )
+    def test_table1_and_c0_suite(self, table1, terms, formats):
+        # only argvs that must be refused: a whole suite takes about a second
+        values = {"terms": terms if table1 else None, "formats": formats}
+        assume(values["terms"] in BAD_TERMS or formats in BAD_FORMATS)
+        assert self.assert_outcome(["table1" if table1 else "c0-suite", *gate_flags(values)]) == 1
 
     @pytest.mark.xfail(strict=True, reason="population accepts a negative rate (ROADMAP item 3)")
     def test_population_refuses_a_negative_rate(self, capsys):

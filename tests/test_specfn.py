@@ -266,6 +266,21 @@ class TestMittagLeffler:
         assert mittag_leffler(alpha, np.array(zs)).tolist() == [math.inf] * 3
         assert [mittag_leffler(alpha, z) for z in zs] == [math.inf] * 3
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("alpha", [1e-200, 1e-300, 1e-308, 5.6e-309])
+    def test_smallest_alphas_take_the_order_zero_limit(self, alpha):
+        # E_0(z) = 1/(1 - z) below z = 1 and inf past it; at z = 1 alpha E
+        # tends to the integral of 1/Gamma(1 + x) over x > 0, where the
+        # rule's (Im s_k^alpha)^2 underflows and the pole weights overflow
+        zs = [1e-300, 0.25, 0.5, 0.999, 1 - 2.0**-53, 1.0, 1 + 2.0**-52, 1.0001, 2.0, 1e10]
+        with mpmath.workdps(30):
+            at_one = float(mpmath.quad(lambda x: 1 / mpmath.gamma(1 + x), [0, 1, 5, 20, mpmath.inf]))
+        want = [1 / (1 - z) for z in zs[:5]]
+        for got in (mittag_leffler(alpha, np.array(zs)).tolist(), [mittag_leffler(alpha, z) for z in zs]):
+            assert got[:5] == pytest.approx(want, rel=1e-12, abs=0)
+            assert got[5] == pytest.approx(at_one / alpha, rel=1e-14) if alpha > 1e-308 else got[5] == math.inf
+            assert got[6:] == [math.inf] * 4
+
     @pytest.mark.parametrize("alpha", [0.995, 0.999, 0.999999, 1 - 2.0**-40])
     def test_negative_axis_near_order_one(self, alpha):
         # for alpha in (0.99, 1) the tail -1/(z Gamma(1 - alpha)) vanishes
