@@ -14,8 +14,8 @@ bit for bit as without it.  The caches, by key:
   whose entries' logarithms, root test and hash are each a
   ``cached_property``, computed once per table object, so a lookup keyed
   by the table does not hash its entries again;
-* (table): the summation kernel's form of a coefficient table, with the
-  thresholds of its stopping rule, in :mod:`fracsis.series`;
+* (table): :func:`fracsis.series._series_table`, the summation kernel's
+  form of a coefficient table with the thresholds of its stopping rule;
 * (alpha, grid), through :func:`_per_grid`: the PECE and L1 plans of
   :mod:`fracsis.solvers` and the nodes' t**alpha of
   :func:`~fracsis.solvers.node_powers`;

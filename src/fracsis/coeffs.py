@@ -249,9 +249,8 @@ def _square_recursion(x0: float, q: list[float], n: int) -> list[float]:
     same to within 7%, 1.2e-14 to 3.2e-13, set by the rounding of q.
     """
     block = _compiled(_sq_block_source)
-    xs = [x0]
-    # xs again, as an array whose entries past the known prefix are zero,
-    # long enough that every block reads _BLOCK prefix sums
+    # zero past the known prefix, and long enough that every block reads
+    # _BLOCK prefix sums
     x = np.zeros(n + _BLOCK)
     x[0] = x0
     q = q + [0.0] * _BLOCK
@@ -259,11 +258,9 @@ def _square_recursion(x0: float, q: list[float], n: int) -> list[float]:
     while m0 < n:
         b = min(_BLOCK, m0 + 1, n - m0)
         prefix = np.convolve(x[: m0 + _BLOCK], x[: m0 + 1], "valid").tolist()
-        new = block(b, x[: _BLOCK - 1].tolist(), q[m0 : m0 + _BLOCK], prefix)
-        xs += new
-        x[m0 + 1 : m0 + b + 1] = new
+        x[m0 + 1 : m0 + b + 1] = block(b, x[: _BLOCK - 1].tolist(), q[m0 : m0 + _BLOCK], prefix)
         m0 += b
-    return xs
+    return x[: n + 1].tolist()
 
 
 def _recurse(alpha: float, K: int, a0: float, euler: bool) -> tuple[float, ...]:

@@ -53,10 +53,11 @@ rules are thresholds in |x|.  Term k is negligible exactly when
 |x| < theta_k = (_ABS_TOL / |d_k|)^(1/k), and it outgrows the term of
 the previous non-zero entry p when |x| > |d_p / d_k|^(1/(k - p)).  Each
 table's kernel form (:class:`_Table`) carries the running extrema of
-these thresholds over the rules' windows, built once per coefficient
-table and kept in an LRU cache of ``_CACHE_SIZE`` entries keyed by the
-table, so a node's stop is one ``np.searchsorted`` per rule, and
-:func:`_classify` sorts the nodes into three classes:
+these thresholds over the rules' windows (:func:`_windows`).
+:func:`_series_table` builds it once per coefficient table and is itself
+an LRU cache of ``_CACHE_SIZE`` entries keyed by the table, so a node's
+stop is one ``np.searchsorted`` per rule, and :func:`_classify` sorts the
+nodes into three classes:
 
 * (a) the stop rule fires, or the table ends, before any growth streak
   can complete: the stop is the stop rule's index (or the table's end);
@@ -341,21 +342,22 @@ def _thetas(log_abs: np.ndarray) -> np.ndarray:
     return theta
 
 
-def _settle(theta: np.ndarray) -> np.ndarray:
-    """The running maximum of theta's ``_STOP_STREAK``-term window minimum
-    (0 for the first windows, which hold t_0)."""
-    n = _STOP_STREAK - 1
-    win = np.zeros(theta.size)
-    full = win[n:]
-    full[:] = theta[n:]
-    for j in range(1, _STOP_STREAK):
-        np.minimum(full, theta[n - j :][: full.size], out=full)
-    return np.maximum.accumulate(win)
+def _windows(x: np.ndarray, n: int, pick, out: np.ndarray) -> np.ndarray:
+    """``out[i]`` = ``pick`` (``np.minimum`` or ``np.maximum``) over the
+    n-term window x[i - n + 1..i], for each i >= n - 1; ``out[:n - 1]``
+    is left as it is.  Returns ``out``."""
+    w = out[n - 1 :]
+    w[:] = x[n - 1 :]
+    for j in range(1, n):
+        pick(w, x[n - 1 - j :][: w.size], out=w)
+    return out
 
 
-def _series_table(d: tuple[float, ...]) -> _Table:
-    """The kernel table of a series table ``d``, with its thresholds."""
-    a = np.array(d)
+@lru_cache(maxsize=_CACHE_SIZE)
+def _series_table(table: CoeffTable) -> _Table:
+    """The kernel form of ``table``, with its thresholds, built once per
+    table and cached by it: a lookup hashes through the table's cached hash."""
+    a = np.array(table.d)
     with np.errstate(divide="ignore", invalid="ignore"):
         log_abs = np.log(np.abs(a))
         theta = _thetas(log_abs)
@@ -364,18 +366,19 @@ def _series_table(d: tuple[float, ...]) -> _Table:
         g = np.exp((log_abs[prev] - log_abs[nonzero]) / (nonzero - prev))
     late = nonzero >= _GROW_MIN_K
     g, ks = g[late], nonzero[late]
-    # the maximum of g over each window of _GROW_STREAK, by its last entry
-    win = g[_GROW_STREAK - 1 :].copy()
-    for j in range(1, _GROW_STREAK):
-        np.maximum(win, g[_GROW_STREAK - 1 - j :][: win.size], out=win)
+    # the minimum of theta over each stop window (0 for the first windows,
+    # which hold t_0), and the maximum of g over each growth window, by its
+    # last entry
+    settle = _windows(theta, _STOP_STREAK, np.minimum, np.zeros(theta.size))
+    grow = _windows(g, _GROW_STREAK, np.maximum, np.empty(g.size))[_GROW_STREAK - 1 :]
     return _Table(
         d=_read_only(a),
-        settle=_read_only(_settle(theta)),
+        settle=_read_only(np.maximum.accumulate(settle)),
         quiet=_read_only(np.maximum.accumulate(np.where(a != 0.0, theta, 0.0))),
-        grow=_read_only(-np.minimum.accumulate(win)),
+        grow=_read_only(-np.minimum.accumulate(grow)),
         grow_at=_read_only(np.append(ks[_GROW_STREAK - 1 :], a.size)),
         exact=not np.abs(a).max() <= _MAX_FAST_D
-        or (d[0] == 0.0 and math.copysign(1.0, d[0]) < 0),
+        or (table.d[0] == 0.0 and math.copysign(1.0, table.d[0]) < 0),
     )
 
 
@@ -497,13 +500,6 @@ def _rule(x: float, d: tuple[float, ...]) -> tuple[float, int, bool]:
     return total, len(d), False
 
 
-@lru_cache(maxsize=_CACHE_SIZE)
-def _kernel_table(table: CoeffTable) -> _Table:
-    """The kernel form of ``table``, built once per table and cached by it:
-    a lookup hashes through the table's cached hash."""
-    return _series_table(table.d)
-
-
 def _sum_nodes(
     table: CoeffTable, arg_scale: float, powers: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -521,7 +517,7 @@ def _sum_nodes(
     node, bit for bit.
     """
     x = arg_scale * powers
-    kernel = _kernel_table(table)
+    kernel = _series_table(table)
     cap = table.order
     total = np.full(x.size, table.d[0])
     used, converged = np.ones(x.size, dtype=int), np.zeros(x.size, dtype=bool)

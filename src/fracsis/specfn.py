@@ -12,7 +12,8 @@ parabolic contour of Weideman & Trefethen (2007, Math. Comp.
 76:1341-1356), which costs the same for every z and does not cancel:
 for z < 0 the trapezoidal rule (:func:`_contour`), and for z > 0 the
 transform's pole z^(1/a) in closed form plus the midpoint rule on what
-is left (:func:`_residue_contour`).  The small- and large-time
+is left (:func:`_residue_contour`), or, at an a too small for the rule
+to resolve, E_0(z) = 1/(1 - z) in closed form.  The small- and large-time
 asymptotic companions of E_a(-|r| t^a) are exposed separately rather
 than auto-switched.
 
@@ -131,19 +132,21 @@ def _residue_contour(alpha: float, z: np.ndarray) -> np.ndarray:
     1/(alpha (s - p)), whose transform e^p / alpha the sum would then
     cancel, keeps both parts small where E is: for z <= 0.5 the rounding
     stays within 9 ulp of E for alpha down to 0.01, not about 4/alpha ulp.
-    Where p is past ``_FAR_Z`` so is E: e^p is inf, and R is left out.
+    Where p is capped at ``_FAR_Z`` so is E: e^p is inf, and the sum,
+    finite, leaves it so.
 
-    Below about alpha = 1.5e-161, s_k^alpha rounds to 1 + i Im s_k^alpha
-    and (Im s_k^alpha)^2 underflows, so at z = 1 the rule would divide by
-    0.  There E = ``_E1_LIMIT`` / alpha, to within alpha relative.
+    Where every Re s_k^alpha rounds to 1 (alpha below about 3.06e-17)
+    the rule cannot resolve alpha log|s_k|, and E takes its order-zero
+    limit in closed form before any contour work: 1/(1 - z) below z = 1,
+    ``_E1_LIMIT`` / alpha at z = 1 (inf below alpha of about 1.26e-308)
+    and inf above.  The limit is within about alpha / (1 - z) relative of
+    E below z = 1 and alpha relative at z = 1.
     """
     a = _MID_NODES**alpha
-    one = z == 1.0
-    if one.any() and not (a.imag * a.imag).all():
-        with np.errstate(over="ignore"):
-            total = np.full(z.size, _E1_LIMIT / np.float64(alpha))
-        total[~one] = _residue_contour(alpha, z[~one])
-        return total
+    if (a.real == 1.0).all():
+        with np.errstate(divide="ignore", over="ignore"):
+            at_one = np.where(z == 1.0, _E1_LIMIT / np.float64(alpha), np.inf)
+            return np.where(z < 1.0, 1.0 / (1.0 - z), at_one)
     y = 1.0 / alpha
     # y = 1/alpha rounded puts up to 2^-53 log p of relative error into
     # z^y, which e^p multiplies by p; so p = z^y (1 + y_lo log z), with
@@ -156,15 +159,9 @@ def _residue_contour(alpha: float, z: np.ndarray) -> np.ndarray:
         near = p < _FAR_Z
         p[near] += p[near] * (y_lo * np.log(z[near]))
         terms = _re_terms(_MID_WEIGHTS * a / _MID_NODES, a, z)
-        # where p is capped, e^p is inf and R is left out: at a tiny alpha
-        # its weights, about 1/alpha, times p would overflow to inf - inf.
-        # Where p is 0, R is 0; below about alpha = 2e-308 the weights
-        # overflow, and there every p is 0 or capped
-        p_near = np.where(near, p, 0.0)
-        if p_near.any():
-            pole = _re_terms(_MID_WEIGHTS / (alpha * _MID_NODES), _MID_NODES, p_near)
-            pole *= p_near
-            terms -= pole
+        pole = _re_terms(_MID_WEIGHTS / (alpha * _MID_NODES), _MID_NODES, p)
+        pole *= p
+        terms -= pole
         return np.expm1(p) / alpha + _node_sum(terms)
 
 
@@ -188,7 +185,10 @@ def mittag_leffler(alpha: float, z) -> float | np.ndarray:
       cost for every z.  Against a 40-digit Talbot inversion of
       F - 1/(alpha (s - p)), plus e^p / alpha, its error is at most 1e-12
       relative for alpha in [0.01, 1) and p <= 50, and 4e-16 (1 + p)
-      relative beyond, where e^p turns p's rounding into p ulp.
+      relative beyond, where e^p turns p's rounding into p ulp.  Below
+      alpha of about 3.06e-17 it is the order-zero limit instead:
+      1/(1 - z) below z = 1, 2.2665... / alpha at z = 1 (the integral of
+      1/Gamma(1 + x) over x > 0) and inf above.
 
     Where E_alpha(z) is past binary64 the result is ``inf``, as
     ``np.exp`` gives it, to within that accuracy of the edge, and never

@@ -58,7 +58,7 @@ def test_every_cache_has_the_one_bound():
     assert bounds.pop("fracsis._cache._compiled") is None
     assert bounds == dict.fromkeys([
         "fracsis.coeffs._table", "fracsis.coeffs.log_gamma_orders",
-        "fracsis.series._kernel_table", "fracsis.series._unit_scale_sums",
+        "fracsis.series._series_table", "fracsis.series._unit_scale_sums",
         "fracsis.solvers._l1_plan", "fracsis.solvers._pece_plan",
         "fracsis.solvers.node_powers",
     ], _CACHE_SIZE)

@@ -444,7 +444,7 @@ class TestStopClasses:
 
     @staticmethod
     def classes(table, xs):
-        stop, converged, exact = series._classify(xs, series._kernel_table(table), table.order)
+        stop, converged, exact = series._classify(xs, series._series_table(table), table.order)
         ends = ~exact & ~converged & (stop == table.order)
         return {"settles": ~exact & converged, "grows": ~exact & ~converged & ~ends,
                 "ends": ends, "exact": exact}
@@ -473,7 +473,7 @@ class TestStopClasses:
         # before a late entry to x^k overflowing; t = 0 is d_0 from one term
         # also where 0 times an early entry is nan
         table = CoeffTable(1.0, CoeffKind.A_COEFF, tuple(d))
-        assert series._kernel_table(table).exact
+        assert series._series_table(table).exact
         assert_nodes_match(table, [0.0, 1e-20, 0.3, 1.0, 2.0, 1e10, 1e300])
 
     @pytest.mark.parametrize("build", [euler_alpha, a_coeffs])
@@ -733,13 +733,13 @@ def test_kernel_form_is_built_once_per_table():
     # one miss across repeated samples of one table, at a scaled argument
     # that never enters the sum cache, on grids and by node sums; an equal
     # table built apart reads the same entry
-    series._kernel_table.cache_clear()
+    series._series_table.cache_clear()
     sol = carrying(0.6, 120)
     for dt in (0.1, 0.05, 0.1):
         sample_trajectory(sol, TimeGrid(1.0, dt))
     twin = CoeffTable(sol.coeffs.alpha, sol.coeffs.kind, sol.coeffs.d)
     _sum_nodes(twin, 0.5, np.array([0.0, 0.5, 2.0]))
-    info = series._kernel_table.cache_info()
+    info = series._series_table.cache_info()
     assert (info.misses, info.hits, info.currsize) == (1, 3, 1)
 
 

@@ -887,10 +887,10 @@ class TestPlanCache:
     def test_twenty_paper_ops_build_eight_plans_per_scheme(self, monkeypatch):
         # every cache holds the paper sweep's working set: each value is
         # built once, so a bound cut below it fails here
-        for cache in (coeffs._table, coeffs.log_gamma_orders, series._kernel_table,
+        for cache in (coeffs._table, coeffs.log_gamma_orders, series._series_table,
                       series._unit_scale_sums):
             cache.cache_clear()
-        built = {"pece": 0, "l1": 0, "table": 0, "root": 0, "thresholds": 0}
+        built = {"pece": 0, "l1": 0, "table": 0, "root": 0}
         sums = {"unit": 0, "scaled": 0}
 
         def spy(name, build):
@@ -908,7 +908,6 @@ class TestPlanCache:
         monkeypatch.setattr(solvers, "l1_kernel", spy("l1", l1_kernel))
         monkeypatch.setattr(coeffs, "_recurse", spy("table", coeffs._recurse))
         monkeypatch.setattr(coeffs, "_root_test", spy("root", coeffs._root_test))
-        monkeypatch.setattr(series, "_series_table", spy("thresholds", series._series_table))
         monkeypatch.setattr(series, "_sum_nodes", summed)
         for i in range(20):  # 4 alphas x 2 preset grids, each seen 2 or 3 times
             alpha, preset = (0.99, 0.7, 0.5, 0.3)[i % 4], ("c-nonzero", "c-zero")[i // 4 % 2]
@@ -918,7 +917,8 @@ class TestPlanCache:
         # one table of each kind, with its root test and thresholds; per
         # alpha the tables' log-Gammas (K = 120) and the carrying-capacity
         # radius's (K = 3), each formed once
-        assert built == {"pece": 8, "l1": 8, "table": 8, "root": 8, "thresholds": 8}
+        assert built == {"pece": 8, "l1": 8, "table": 8, "root": 8}
+        assert series._series_table.cache_info().misses == 8
         lgammas = coeffs.log_gamma_orders.cache_info()
         assert (lgammas.misses, lgammas.currsize) == (8, 8)
         # every grid is within the bound, so each miss is one build

@@ -267,19 +267,33 @@ class TestMittagLeffler:
         assert [mittag_leffler(alpha, z) for z in zs] == [math.inf] * 3
 
     @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("alpha", [1e-200, 1e-300, 1e-308, 5.6e-309])
+    @pytest.mark.parametrize("alpha", [1e-200, 1e-300, 1e-308, 5.6e-309, 3e-17, 1e-17, 1e-20,
+                                       1e-50, 1e-100, 1e-160])
     def test_smallest_alphas_take_the_order_zero_limit(self, alpha):
-        # E_0(z) = 1/(1 - z) below z = 1 and inf past it; at z = 1 alpha E
-        # tends to the integral of 1/Gamma(1 + x) over x > 0, where the
-        # rule's (Im s_k^alpha)^2 underflows and the pole weights overflow
+        # where every Re s_k^alpha rounds to 1, E takes the order-zero
+        # limit: E_0(z) = 1/(1 - z) below z = 1, within about alpha / (1 - z)
+        # of E, and inf past it; at z = 1 alpha E tends to the integral of
+        # 1/Gamma(1 + x) over x > 0, 2.2665, which the rule gave as about
+        # 32.5 from alpha = 3e-17 down to 1.5e-161
         zs = [1e-300, 0.25, 0.5, 0.999, 1 - 2.0**-53, 1.0, 1 + 2.0**-52, 1.0001, 2.0, 1e10]
         with mpmath.workdps(30):
             at_one = float(mpmath.quad(lambda x: 1 / mpmath.gamma(1 + x), [0, 1, 5, 20, mpmath.inf]))
+            series = [float(mpmath.fsum(mpmath.mpf(z) ** k / mpmath.gamma(1 + alpha * k)
+                                        for k in range(200))) for z in zs[1:3]]
         want = [1 / (1 - z) for z in zs[:5]]
         for got in (mittag_leffler(alpha, np.array(zs)).tolist(), [mittag_leffler(alpha, z) for z in zs]):
             assert got[:5] == pytest.approx(want, rel=1e-12, abs=0)
+            assert got[1:3] == pytest.approx(series, rel=1e-15, abs=0)
             assert got[5] == pytest.approx(at_one / alpha, rel=1e-14) if alpha > 1e-308 else got[5] == math.inf
             assert got[6:] == [math.inf] * 4
+
+    @pytest.mark.filterwarnings("error")
+    def test_just_past_the_order_zero_limit_is_finite(self):
+        # alpha = 1e-16 takes the contour: finite up to z = 1 + 2^-52, where
+        # p = z^(1/alpha) is about 9.2, inf past it, and never nan
+        zs = np.array([1e-300, 0.25, 0.5, 0.999, 1 - 2.0**-53, 1.0, 1 + 2.0**-52, 1.0001, 2.0, 1e10])
+        for got in (mittag_leffler(1e-16, zs), np.array([mittag_leffler(1e-16, z) for z in zs])):
+            assert np.isfinite(got[:7]).all() and got[7:].tolist() == [math.inf] * 3
 
     @pytest.mark.parametrize("alpha", [0.995, 0.999, 0.999999, 1 - 2.0**-40])
     def test_negative_axis_near_order_one(self, alpha):
@@ -354,7 +368,7 @@ class TestMittagLeffler:
         got = mittag_leffler(0.5, np.array([]))
         assert isinstance(got, np.ndarray) and got.size == 0
 
-    def test_array_names_first_unconverged_z(self):
+    def test_array_gives_inf_past_binary64(self):
         # the z whose series never stopped (80 and 90 at alpha = 0.5) are
         # past binary64: inf there, as alone, and the other z are unchanged
         zs = np.array([-1.0, 80.0, -0.5, 90.0])
@@ -364,7 +378,7 @@ class TestMittagLeffler:
         assert got[[0, 2]].tobytes() == mittag_leffler(0.5, zs[[0, 2]]).tobytes()
 
     @pytest.mark.parametrize("bad", [3, 130, 258])
-    def test_array_names_its_first_failure(self, bad):
+    def test_array_matches_scalar_calls_around_inf(self, bad):
         # wherever the z past binary64 sit, the array call gives inf there
         # and the scalar calls' bits everywhere
         zs = np.linspace(-1.0, 1.0, 773)
