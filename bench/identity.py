@@ -21,12 +21,14 @@ Prints one SHA-256 per output class, one ``name hash`` line each:
 
 The draws are ``DRAWS`` (alpha, K, kind, a0, grid, beta) tuples from a
 fixed seed, over more distinct alphas than the package's cache bound,
-so they meet cold tables, cache hits and evictions.  Beside each series
+so they meet cold tables, cache hits and evictions; ``STRESS_ALPHAS``
+add K = 200 tables on the ``series_stress`` grid.  Beside each series
 table, nodes sit at the thresholds in x where a term crosses the
 stopping rule's 1e-14 or outgrows the term before it, and at
 (1 +- k 2^-52) times them, so that sums whose stop is decided within
 rounding are hashed too; E_alpha gets z at the points where a term of
-its series reaches 1e-14, and within rounding of them.
+its series reaches 1e-14, and within rounding of them, and arrays of
+``ML_LENGTHS`` z on each side of 0.
 The schemes run on logistic right-hand sides with c > 0, c = 0 and
 c < 0 at every N from 1 to 2 BLOCK + 8, so every block boundary and
 partial block is met, and at N = 100, 2000 and 4000, with alpha = 1
@@ -64,6 +66,12 @@ SEED = 2021
 ALPHAS = 40
 KS = (0, 1, 2, 3, 5, 12, 15, 20, 60, 120, 200)
 GRIDS = ((0.5, 10), (1.0, 100), (5.0, 100), (5.0, 400), (20.0, 1000), (5.0, 1000))
+#: z per sign of the E_alpha draws around the contour's block of 256 z
+#: (``specfn._Z_BLOCK``): a partial block, full ones and a lone last column
+ML_LENGTHS = (1, 2, 255, 256, 257, 513)
+#: alphas of the K = 200 A-tables summed on the series_stress grid, whose
+#: nodes left after the rows span two tail blocks (``series._TAIL``)
+STRESS_ALPHAS = (0.5, 0.6, 0.9)
 
 
 class Hashes:
@@ -146,6 +154,18 @@ def series_draws(fx, out, rng):
         out.add("converged", converged)
 
 
+def stress_draws(fx, out):
+    """The node sums of K = 200 A-tables on the series_stress grid."""
+    grid = fx.solvers.TimeGrid(5.0, 0.005)
+    for alpha in STRESS_ALPHAS:
+        sol = fx.series.zero_capacity_series(0.7, alpha, fx.coeffs.a_coeffs(alpha, 200))
+        powers = fx.solvers.node_powers(alpha, grid)
+        total, used, converged = fx.series._sum_nodes(sol.coeffs, sol.arg_scale, powers)
+        out.add("u", total)
+        out.add("terms_used", used)
+        out.add("converged", converged)
+
+
 def table_outcome(fx, out, table):
     """Hash a coefficient table's entries, values (or their refusal) and
     root test; return the table."""
@@ -172,6 +192,8 @@ def ml_draws(fx, out, rng):
         th = np.array([math.exp((math.log(1e-14) + lg[k]) / k) for k in ks.tolist()])
         near = np.concatenate([th, th * (1 - ks * 2.0**-52), th * (1 + ks * 2.0**-52)])
         zs += [near[near < 6.0], -near[near < 12.0]]
+        zs += [np.concatenate([-rng.uniform(0.0, 8.0, n), rng.uniform(0.0, 4.0, n)])
+               for n in ML_LENGTHS]
         for z in zs:
             for part, name in ((z[z <= 0], "E_alpha"), (z[z > 0], "E_alpha_pos")):
                 out.add(name, outcome(fx.specfn.mittag_leffler, alpha, part))
@@ -243,6 +265,7 @@ def main(argv=None) -> int:
                   "tables", "raised", "E_alpha", "E_alpha_pos", "table1", "c0", "schemes"])
     rng = np.random.default_rng(SEED)
     series_draws(fx, out, rng)
+    stress_draws(fx, out)
     ml_draws(fx, out, rng)
     scheme_draws(fx, out, np.random.default_rng(SEED))
     harness_files(fx, out)

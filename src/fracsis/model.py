@@ -138,10 +138,19 @@ def classical_sis(params: ModelParams, t):
         if i0 == 0.0:
             i = np.zeros_like(t)
         else:
+            lead = d.c / i0 - 1.0
             # for c < 0, e^{-b t} and its product overflow to inf at long t,
             # where I is its limit 0.0
             with np.errstate(over="ignore"):
-                i = d.c / (1.0 + (d.c / i0 - 1.0) * np.exp(-d.b * t))
+                if math.isfinite(lead):
+                    i = d.c / (1.0 + lead * np.exp(-d.b * t))
+                else:
+                    # c / i0 overflows at a subnormal i0: with the product
+                    # (c/i0 - 1) e^{-b t} = sign(c) e^L formed in logs,
+                    # I = c / (1 + sign(c) e^L), scaled by e^-L where L > 0
+                    lg = math.log(abs(d.c - i0)) - math.log(i0) - d.b * t
+                    e, sign = np.exp(-np.abs(lg)), math.copysign(1.0, d.c)
+                    i = np.where(lg > 0, d.c * e / (e + sign), d.c / (1.0 + sign * e))
     else:
         i = i0 / (1.0 + params.beta * i0 * t)
     if i.ndim == 0:

@@ -78,7 +78,7 @@ nodes into three classes:
 Classes (a) and (b) are summed to their stops by :func:`_sum_to`, with
 the nodes sorted by stop.  While at least ``_WIDE`` nodes are still
 summing, a row is one vectorised step across them; the fewer left finish
-in one block as tall as their largest stop: one forward
+in column blocks, each as tall as its largest stop: one forward
 ``multiply.accumulate``, ``* d`` and ``add.accumulate`` from each node's
 carried power and sum.  Both take the rule's operations in its order.
 So every term is built once per node, and every sum, terms used and
@@ -276,15 +276,17 @@ _GROW_MIN_K = 10
 #: log of ``_ABS_TOL``
 _LOG_TOL = math.log(_ABS_TOL)
 #: nodes still summing at least, for a row of a sum to its stops to be one
-#: step across them; the fewer left finish in one accumulate block.  A row
-#: costs three numpy calls whatever its width, and the block about 10 ns per
-#: cell (numpy's accumulate along axis 0 does not vectorise across columns).
-#: Replaying 144 series_stress calls (1001 nodes each) in two sweeps of
-#: opposite order, 128 to 256 took 0.36-0.65 ms per call, 32 and 512 up to
-#: 0.74, and 128-node accumulate groups with no rows 0.70-0.86; at 32 to 96
-#: the paper_sweep calls (101 nodes) run rows too and took 1.6-2.5x as long
-#: as at 128 (medians of 9 interleaved rounds, 2-vCPU Xeon, numpy 2.4)
+#: step across them; the fewer left finish in accumulate blocks.  A row
+#: costs three numpy calls whatever its width, and a block's accumulate
+#: works cell by cell (along axis 0 numpy does not vectorise across
+#: columns), so rows win on wide suffixes and blocks on the narrow rest
 _WIDE = 128
+#: nodes per accumulate block: sorted by stop, a block is only as tall as
+#: its last node's stop, so it holds at most 201 x 64 float64, 100 KiB,
+#: under malloc's 128 KiB mmap threshold (as ``specfn._Z_BLOCK``;
+#: ``BENCH_36.json``).  Every step of a block is elementwise down a
+#: column, so a node's sum does not depend on the block it shares
+_TAIL = 64
 #: a node's stop is read off its table's thresholds only where it is the
 #: same at |x| (1 - _MARGIN) and at |x| (1 + _MARGIN).  A computed term
 #: k is within about k 2^-53 relative of |d_k| |x|^k, so its test against
@@ -423,17 +425,17 @@ def _sum_to(x: np.ndarray, table: _Table, stop: np.ndarray) -> np.ndarray:
     advances p: the term is a zero, which leaves every s but -0.0 as it is
     (a table whose d_0 is -0.0 takes the exact rule), and a node whose p
     is not finite at its stop gets the sum nan, as the loop's inf * 0
-    would give it.  The fewer than ``_WIDE`` nodes left finish in one
-    block as tall as their largest stop, from their
+    would give it.  The fewer than ``_WIDE`` nodes left finish in blocks
+    of ``_TAIL``, each as tall as its largest stop, from their
     carried p and s: one forward ``multiply.accumulate`` for the powers,
     one multiply by ``d`` and one ``add.accumulate``.  Either way each
     term and partial sum is formed by the scalar loop's operations in its
-    order, so every sum rounds as it would.  Rows of the block past a
+    order, so every sum rounds as it would.  Rows of a block past a
     node's stop may overflow; they are never read.
     """
     d = table.d
     total = np.empty(x.size)
-    order = np.argsort(stop)
+    order = np.argsort(stop, kind="stable")
     xs, ns = x[order], stop[order]
     top, s = 0, d[0]
     if x.size >= _WIDE:
@@ -455,19 +457,20 @@ def _sum_to(x: np.ndarray, table: _Table, stop: np.ndarray) -> np.ndarray:
         # non-finite even where d_k = 0, and so is its sum
         total[order[:lo]] = np.where(np.isfinite(p[:lo]), s[:lo], np.nan)
         order, xs, ns, p, s = order[lo:], xs[lo:], ns[lo:], p[lo:], s[lo:]
-    if order.size:
-        # row k of sums holds t_k, then the partial sum to t_k; rows below
-        # top are not used
-        sums = np.empty((ns[-1] + 1, order.size))
-        terms = sums[top + 1 :]
-        terms[:] = xs
+    for i in range(0, order.size, _TAIL):
+        cols = slice(i, i + _TAIL)
+        stops = ns[cols]
+        # row k - top of sums holds t_k, then the partial sum to t_k
+        sums = np.empty((stops[-1] + 1 - top, stops.size))
+        terms = sums[1:]
+        terms[:] = xs[cols]
         if top:  # from the powers the rows carried
-            terms[0] *= p
+            terms[0] *= p[cols]
         np.multiply.accumulate(terms, axis=0, out=terms)
-        terms *= d[top + 1 : ns[-1] + 1, None]
-        sums[top] = s
-        np.add.accumulate(sums[top:], axis=0, out=sums[top:])
-        total[order] = sums[ns, np.arange(order.size)]
+        terms *= d[top + 1 : stops[-1] + 1, None]
+        sums[0] = s[cols] if top else s
+        np.add.accumulate(sums, axis=0, out=sums)
+        total[order[cols]] = sums[stops - top, np.arange(stops.size)]
     return total
 
 

@@ -422,11 +422,16 @@ def discrete_caputo_l1(u, alpha: float, dt: float) -> np.ndarray:
     with g, zero-padded to 2n so that the circular product holds the
     linear convolution.  Annihilates constants exactly (zero increments
     transform to zeros) and is linear in u.  A step dt that is not
-    positive and finite is refused.
+    positive and finite, or a u with a non-finite entry, is refused.
     """
     u = np.asarray(u, dtype=float)
     if u.ndim != 1 or u.size < 2:
         raise DomainError("discrete_caputo_l1 needs a 1-D sequence of length >= 2")
+    bad = np.flatnonzero(~np.isfinite(u))
+    if bad.size:
+        raise DomainError(
+            f"discrete_caputo_l1 requires a finite u, got u[{bad[0]}]={u[bad[0]]}"
+        )
     if not (dt > 0 and math.isfinite(dt)):
         raise DomainError(f"discrete_caputo_l1 requires a positive, finite dt, got dt={dt}")
     n = u.size - 1

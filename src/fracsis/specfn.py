@@ -94,6 +94,24 @@ def _node_sum(terms: np.ndarray) -> np.ndarray:
     return terms.sum(axis=0)
 
 
+#: z per block of a contour sum: a temporary of :func:`_re_terms` holds at
+#: most 33 x 256 float64, 66 KiB, under glibc malloc's 128 KiB mmap
+#: threshold, so it is reused from the heap; 1001 z in one pass make
+#: 264 KiB ones, which malloc maps and unmaps on every call, faulting
+#: their pages in anew (``BENCH_36.json``).  A column's sum depends on
+#: its own z alone (:func:`_node_sum`), so blocks give one pass's bits
+_Z_BLOCK = 256
+
+
+def _block_sums(n: int, terms_of) -> np.ndarray:
+    """:func:`_node_sum` of ``terms_of(cols)`` over the n columns, ``_Z_BLOCK`` at a time."""
+    total = np.empty(n)
+    for i in range(0, n, _Z_BLOCK):
+        cols = slice(i, i + _Z_BLOCK)
+        total[cols] = _node_sum(terms_of(cols))
+    return total
+
+
 def _contour(alpha: float, z: np.ndarray) -> np.ndarray:
     """E_alpha(z) at each z < 0 of a 1-d array, 0 < alpha < 1.
 
@@ -102,12 +120,13 @@ def _contour(alpha: float, z: np.ndarray) -> np.ndarray:
     principal sheet.  The trapezoidal rule on the contour of
     :func:`_contour_nodes` gives E = Re sum_k w_k / (a_k - z), with
     a_k = s_k^alpha and w_k the weights times s_k^(alpha-1), formed by
-    :func:`_re_terms` for all z at once and summed over the nodes in their
-    order, k = 0..N.
+    :func:`_re_terms` for a block of z at a time and summed over the nodes
+    in their order, k = 0..N.
     """
     a = _NODES**alpha
     w = _WEIGHTS * a / _NODES
-    total = _node_sum(_re_terms(w, a, np.maximum(z, -_FAR_Z)))
+    x = np.maximum(z, -_FAR_Z)
+    total = _block_sums(x.size, lambda cols: _re_terms(w, a, x[cols]))
     far = z < -_FAR_Z
     if far.any():
         total[far] = w.real.sum() / -z[far]
@@ -158,11 +177,16 @@ def _residue_contour(alpha: float, z: np.ndarray) -> np.ndarray:
         # a capped p stays capped: there y_lo log z can be 1e84 or more
         near = p < _FAR_Z
         p[near] += p[near] * (y_lo * np.log(z[near]))
-        terms = _re_terms(_MID_WEIGHTS * a / _MID_NODES, a, z)
-        pole = _re_terms(_MID_WEIGHTS / (alpha * _MID_NODES), _MID_NODES, p)
-        pole *= p
-        terms -= pole
-        return np.expm1(p) / alpha + _node_sum(terms)
+        w, wp = _MID_WEIGHTS * a / _MID_NODES, _MID_WEIGHTS / (alpha * _MID_NODES)
+
+        def terms_of(cols):
+            terms = _re_terms(w, a, z[cols])
+            pole = _re_terms(wp, _MID_NODES, p[cols])
+            pole *= p[cols]
+            terms -= pole
+            return terms
+
+        return np.expm1(p) / alpha + _block_sums(z.size, terms_of)
 
 
 def mittag_leffler(alpha: float, z) -> float | np.ndarray:
@@ -193,10 +217,9 @@ def mittag_leffler(alpha: float, z) -> float | np.ndarray:
     Where E_alpha(z) is past binary64 the result is ``inf``, as
     ``np.exp`` gives it, to within that accuracy of the edge, and never
     nan: E_0.5(20) is 1.0e174 and E_0.5(27) inf.  ``z`` is a float
-    (giving a float) or an array, with one contour pass for all its z < 0
-    and one for all its z > 0.  Besides its work per z (about 0.25-0.5 us
-    for z < 0 and 0.7 us for z > 0, 2-vCPU Xeon), a call costs a fixed few dozen numpy calls,
-    tens of microseconds, so pass many points as one array.  Raises
+    (giving a float) or an array, summed ``_Z_BLOCK`` z at a time on each
+    side of 0.  Besides its work per z a call costs a fixed few dozen
+    numpy calls, so pass many points as one array.  Raises
     :class:`DomainError`, naming the first non-finite z, before any sum.
     """
     check_alpha(alpha, "mittag_leffler requires alpha")

@@ -4,6 +4,7 @@ import math
 import sys
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -257,6 +258,26 @@ class TestClassicalSis:
             ip, _ = classical_sis(p, t + h)
             i, _ = classical_sis(p, t)
             assert (ip - im) / (2 * h) == pytest.approx(f(i), abs=5 * h * h + 1e-10)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("beta", [1.2, 0.3])  # c > 0 and c < 0
+    def test_subnormal_i0(self, beta):
+        # c / i0 overflows; the true I, of the same binary64 c, b and i0
+        p = ModelParams(beta, 0.3, 0.2, 0.6, 5e-324)
+        d = derive(p)
+        t = np.array([0.0, 1e3, 1e4, 2e4])
+        c, b, i0 = (mpmath.mpf(v) for v in (d.c, d.b, p.i0))
+        exact = [float(c / (1 + (c / i0 - 1) * mpmath.exp(-b * mpmath.mpf(v)))) for v in t]
+        i, _ = classical_sis(p, t)
+        assert i[0] == 5e-324
+        assert i == pytest.approx(exact, rel=1e-12, abs=0.0)
+
+    def test_tiny_normal_i0_keeps_the_direct_form(self):
+        p = ModelParams(1.2, 0.3, 0.2, 0.6, 1e-300)
+        d = derive(p)
+        t = np.array([0.0, 1e3, 1e4, 2e4])
+        i, _ = classical_sis(p, t)
+        assert np.array_equal(i, d.c / (1.0 + (d.c / 1e-300 - 1.0) * np.exp(-d.b * t)))
 
     def test_vectorised(self):
         p = params()

@@ -539,6 +539,24 @@ class TestStopClasses:
         assert_nodes_match(table, xs)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_a_tail_of_several_blocks_is_the_rule():
+    # a K = 200 A-table on the stress grid: the nodes left after the rows
+    # span at least two tail blocks, and each node's sum, terms used and
+    # flag is the rule's, bit for bit
+    sol = zero_capacity(0.6, MAX_ORDER)
+    powers = node_powers(0.6, TimeGrid(5.0, 0.005))
+    x = sol.arg_scale * powers
+    with np.errstate(over="ignore", invalid="ignore"):
+        stop, _, slow = series._classify(x, series._series_table(sol.coeffs), MAX_ORDER)
+    stops = np.sort(stop[~slow])
+    assert (stops > stops[-_WIDE]).sum() > series._TAIL
+    u, used, converged = _sum_nodes(sol.coeffs, sol.arg_scale, powers)
+    for i, v in enumerate(x.tolist()[1:], 1):
+        total, n, ok = series._rule(v, sol.coeffs.d)
+        assert (float(u[i]).hex(), used[i], converged[i]) == (total.hex(), n, ok), i
+
+
 class TestNoRebuild:
     """Each node is summed by one pass, the threshold path or the exact
     rule, over as many rows as it uses at least: no term is built twice."""

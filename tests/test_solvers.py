@@ -3,6 +3,7 @@
 import itertools
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -340,6 +341,14 @@ class TestDiscreteCaputo:
     def test_refuses_a_bad_step(self, dt):
         with pytest.raises(DomainError, match=rf"dt={dt}$"):
             discrete_caputo_l1(np.arange(5.0), 0.5, dt)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "u, at", [([0.0, 1.0, math.inf, 2.0], "u[2]=inf"), ([0.0, math.nan, 1.0], "u[1]=nan")]
+    )
+    def test_refuses_a_non_finite_u(self, u, at):
+        with pytest.raises(DomainError, match=rf"finite u, got {re.escape(at)}$"):
+            discrete_caputo_l1(u, 0.5, 0.1)
 
     def test_annihilates_constants(self):
         # zero increments transform to zeros, so the FFT product is exact

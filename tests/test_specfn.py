@@ -348,6 +348,18 @@ class TestMittagLeffler:
         assert all(type(v) is float for v in want)
         assert got.tobytes() == np.array(want).tobytes()
 
+    @pytest.mark.parametrize("alpha", [0.3, 0.7])
+    @pytest.mark.parametrize(
+        "n", [1, 2, specfn._Z_BLOCK - 1, specfn._Z_BLOCK, specfn._Z_BLOCK + 1, 2 * specfn._Z_BLOCK + 1]
+    )
+    def test_contour_blocks_match_scalar_calls(self, alpha, n):
+        # n z on each side of 0: full blocks, a partial one and a lone last
+        # column each give a z the bits it has alone
+        rng = np.random.default_rng(n)
+        zs = np.concatenate([-rng.uniform(0.0, 6.0, n), rng.uniform(0.0, 3.0, n)])
+        want = [mittag_leffler(alpha, z) for z in zs.tolist()]
+        assert mittag_leffler(alpha, zs).tobytes() == np.array(want).tobytes()
+
     @pytest.mark.parametrize("alpha, lo, hi", [(0.3, 2.2, 3.2), (0.5, 5.5, 9.5), (0.7, 15.0, 30.0)])
     def test_sums_past_256_terms_match_per_term_lgamma(self, alpha, lo, hi):
         # z whose series stop on both sides of 256 terms, and some whose
