@@ -80,4 +80,4 @@ from .solvers import (
     solve_l1,
     solve_pece,
 )
-from .specfn import mittag_leffler, ml_asymptotics
+from .specfn import mittag_leffler

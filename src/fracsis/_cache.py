@@ -2,26 +2,8 @@
 
 What depends only on alpha, on a coefficient table, or on either and a
 :class:`~fracsis.solvers.TimeGrid` is computed once per process and kept
-in an LRU cache of :data:`_CACHE_SIZE` entries; every output is the same
-bit for bit as without it.  The caches, by key:
-
-* (alpha, K): the log-Gammas lgamma(alpha k + 1), k = 0..K, of
-  :func:`fracsis.coeffs.log_gamma_orders`, a tuple, from which the
-  coefficient recursions form their Gamma ratios and
-  :attr:`~fracsis.coeffs.CoeffTable.values` its ``c_k``;
-* (alpha, K, d0, kind): the :class:`~fracsis.coeffs.CoeffTable` of
-  :func:`~fracsis.coeffs.euler_alpha` and :func:`~fracsis.coeffs.a_coeffs`,
-  whose entries' logarithms, root test and hash are each a
-  ``cached_property``, computed once per table object, so a lookup keyed
-  by the table does not hash its entries again;
-* (table): :func:`fracsis.series._series_table`, the summation kernel's
-  form of a coefficient table with the thresholds of its stopping rule;
-* (alpha, grid), through :func:`_per_grid`: the PECE and L1 plans of
-  :mod:`fracsis.solvers` and the nodes' t**alpha of
-  :func:`~fracsis.solvers.node_powers`;
-* (table, grid), through :func:`_per_grid`: the zero-capacity series'
-  unscaled node sums, terms used and ``converged`` flags in
-  :mod:`fracsis.series`.
+in an LRU cache of :data:`_CACHE_SIZE` entries, keyed where it is
+declared; every output is the same bit for bit as without it.
 
 Cached values are shared by every caller, so they are read-only: frozen
 dataclasses, tuples, and arrays marked by :func:`_read_only`.
@@ -33,11 +15,6 @@ kind with its kernel form and two log-Gamma tuples (K = 120, and K = 3
 for the carrying-capacity radius).  Where alpha is fresh on every call,
 more entries would only keep values that no later call reads.
 
-Generated code is compiled once per process too, by :func:`_compiled`
-on its first use: the block functions of the two marches in
-:mod:`fracsis.solvers` and of the coefficient recursion in
-:mod:`fracsis.coeffs`.  Importing the package compiles none of them.
-
 Only grids of at most :data:`_CACHE_MAX_N` = 1000 steps enter the
 per-grid caches: at that size a stress op reads its node powers three
 times, in the carrying-capacity sample, the zero-capacity sample and the
@@ -45,11 +22,8 @@ population curve N(t).  Past it a plan costs O(N) beside its O(N^2)
 march and would hold O(N) memory per entry, so a larger grid is built
 for on every call and nothing is kept.
 
-Never cached: the public :func:`~fracsis.solvers.pece_kernels` and
-:func:`~fracsis.solvers.l1_kernel` (each call returns fresh, writable
-arrays), the sums of a series whose argument carries a scale (the
-carrying-capacity series with its run's b, the rescaled series),
-``evaluate``, ``mittag_leffler`` and ``population_curve``.
+Generated code is compiled once per process, by :func:`_compiled` on its
+first use, so importing the package compiles nothing.
 """
 
 from __future__ import annotations
@@ -71,13 +45,12 @@ def _read_only(x: np.ndarray) -> np.ndarray:
 
 
 def _per_grid(build):
-    """``build(key, grid)`` behind an LRU cache of ``_CACHE_SIZE`` entries.
+    """``build(key, grid)`` behind an LRU cache of ``_CACHE_SIZE`` entries
+    that a grid of more than ``_CACHE_MAX_N`` steps bypasses.
 
     The key is what the build reads besides the grid: alpha, or a
-    coefficient table.  A grid of more than ``_CACHE_MAX_N`` steps is
-    built for afresh and nothing is kept.  The wrapper has the
-    ``cache_info`` and ``cache_clear`` of the cache; ``__wrapped__`` is
-    ``build``.
+    coefficient table.  The wrapper has the ``cache_info`` and
+    ``cache_clear`` of the cache; ``__wrapped__`` is ``build``.
     """
     cached = lru_cache(maxsize=_CACHE_SIZE)(build)
 
@@ -94,8 +67,10 @@ def _compiled(source: Callable[[], str]) -> Callable:
     """The function whose source ``source()`` returns, compiled on first use.
 
     The source is a module of its own, its imports and one ``def`` of the
-    function named as ``source`` less its ``_source`` suffix; it is
-    compiled once per process, and the function is kept.
+    function named as ``source`` less its ``_source`` suffix.  Every
+    generated function adds its terms with ``+``, left to right from 0.0,
+    and calls no ``sum``, which compensates float rounding from Python
+    3.12 on: so its bits are the same on every Python version.
     """
     name = source.__name__.removesuffix("_source")
     scope: dict = {}

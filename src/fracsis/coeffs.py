@@ -6,8 +6,7 @@ so that the series evaluator sums ``sum_k d_k x^k`` with
 fractional convolution weight cancels from both recursions, and a table
 stays finite for every alpha in (0, 1] up to :data:`MAX_ORDER`.  With
 ``S_k = sum_{i=0..k} d_i d_{k-i}`` and ``r_k = Gamma(alpha k + 1) /
-Gamma(alpha k + alpha + 1)``, formed as ``exp(lg[k] - lg[k+1])`` from the
-table's own log-Gammas ``lg = log_gamma_orders(alpha, K)``:
+Gamma(alpha k + alpha + 1)``:
 
 * alpha-Euler numbers ``E_k`` for the carrying-capacity logistic equation
   ``D^alpha v = v (1 - v) / M^alpha`` with ``v(0) = 1/2``:
@@ -20,35 +19,14 @@ table's own log-Gammas ``lg = log_gamma_orders(alpha, K)``:
   alpha -> 1 with ``a0 = 1/2`` the ``A_k`` reduce to the Taylor
   coefficients of ``1 / (t + 2)``, i.e. ``(-1)^k k! / 2^(k+1)``.
 
-Both tables come from one kernel, :func:`_square_recursion`, which prices
-the S_k in blocks of up to 16 orders: the alpha-Euler table through its
-odd entries, which obey the A-table's recursion.  Each block is one
-``np.convolve`` and one call of a generated straight-line function,
-compiled on the first table a process builds
-(:func:`fracsis._cache._compiled`), which adds the pairs inside the block
-left to right from 0.0 with no ``sum``, so a table's bits do not depend
-on the Python version.  Every pair of an S_k has one sign, so the order
-of summation moves an entry by at most a few ulp of each S_k, and a
-table of order K is a prefix, bit for bit, of every larger one.
-
-:func:`log_gamma_orders` is the one source of the log-Gammas
-lgamma(alpha k + 1) by which every series of the package is normalised,
-one read-only tuple per (alpha, K).  :attr:`CoeffTable.values` is the
-one view of the unnormalised ``c_k`` (``E_k`` or ``A_k``), formed from
-the same cached log-Gammas and the table's own cached ``log|d_k|``,
-which the root test reads too; it refuses, with
-:class:`NumericOverflowError`, an entry beyond binary64.  The module
-also provides the guaranteed convergence radii of both series and an
-empirical root-test estimate from a finite coefficient table.
-
-Tables are cached per (alpha, K, a0, kind) under the package's one
-cache policy (:mod:`fracsis._cache`), below :func:`euler_alpha` and
-:func:`a_coeffs`, so their argument checks run on every call and a
-repeated call returns the same frozen table.  The part of
-:func:`empirical_radius` that reads only the table (its tail maximum,
-window and count of non-vanishing entries) is computed once per table
-object; each call still checks its ``b_scale`` and applies it.  So is
-the table's hash, which a cache keyed by the table reads.
+Both tables come from one kernel, :func:`_square_recursion`, which
+fixes their rounding (:func:`_recurse` derives each table from it).
+:func:`log_gamma_orders` is the one source of the log-Gammas by which
+every series of the package is normalised, and :attr:`CoeffTable.values`
+the one view of the unnormalised ``c_k`` (``E_k`` or ``A_k``).  The
+module also provides the guaranteed convergence radii of both series and
+an empirical root-test estimate from a finite coefficient table
+(:func:`empirical_radius`).
 """
 
 from __future__ import annotations
@@ -134,11 +112,8 @@ class CoeffTable:
 
         Formed in log space, each ``copysign(exp(log|d_k| + lgamma(alpha k
         + 1)), d_k)`` from the table's cached ``log|d_k|``, so no Gamma is
-        formed on its own.  A read is three ``map`` passes, with no Python
-        loop: about 40 us at K = 200 for either kind (timeit best of 7,
-        2-vCPU Xeon); the log pass itself, once per table, takes 20-27 us.
-        Raises :class:`NumericOverflowError` at the first c_k beyond
-        binary64.
+        formed on its own.  Raises :class:`NumericOverflowError` at the
+        first c_k beyond binary64.
         """
         logs = list(map(add, self._log_abs, log_gamma_orders(self.alpha, self.order)))
         try:
@@ -169,7 +144,8 @@ class CoeffTable:
         return hash((self.alpha, self.kind, self.d))
 
     def __hash__(self) -> int:
-        """The hash of the fields, as the dataclass's own, computed once per table object."""
+        """The hash of the fields, as the dataclass's own, computed once per
+        table object: a cache keyed by the table does not hash ``d`` again."""
         return self._hash
 
 
@@ -232,12 +208,9 @@ def _square_recursion(x0: float, q: list[float], n: int) -> list[float]:
     m0.  One ``np.convolve`` of the known prefix, zero past x_m0, prices
     every pair of it for all of the block's orders at once; each order
     then adds its in-block pairs, at most 15 and each doubled, in one call
-    of the generated straight-line function ``_sq_block``, compiled by
-    :func:`fracsis._cache._compiled` on the first table built.  The blocks
+    of the generated straight-line function ``_sq_block``.  The blocks
     start at the same orders whatever n is, so x_0..x_n is a prefix, bit
-    for bit, of the sequence to any larger n.  No ``sum`` is used, so the
-    rounding is the same on every Python version (``sum`` of floats
-    compensates its rounding from Python 3.12 on).
+    for bit, of the sequence to any larger n.
 
     Any order of summation does: where q_m > 0 and x0 > 0, as in both
     tables, x_m alternates in sign by induction, so every pair of S_m has
@@ -289,7 +262,9 @@ def _recurse(alpha: float, K: int, a0: float, euler: bool) -> tuple[float, ...]:
 
 @lru_cache(maxsize=_CACHE_SIZE)
 def _table(alpha: float, K: int, a0: float, kind: CoeffKind) -> CoeffTable:
-    """The table of :func:`_recurse`, cached per (alpha, K, a0, kind)."""
+    """The table of :func:`_recurse`, cached per (alpha, K, a0, kind) below
+    :func:`euler_alpha` and :func:`a_coeffs`, so their argument checks run
+    on every call."""
     return CoeffTable(alpha, kind, _recurse(alpha, K, a0, kind is CoeffKind.EULER_ALPHA))
 
 

@@ -5,27 +5,14 @@ byte-identical CSV output (fixed summation orders, fixed 17-significant-
 digit formatting, sorted JSON keys, no timestamps).  Each emitted run
 carries a ``manifest.json`` that embeds the exact config under a
 ``"config"`` key, so a manifest can be fed back to :func:`load_config`
-to reproduce the run bit-for-bit.  The manifest's ``series_radius`` is
-read from the series trajectory's meta, so a run builds its coefficient
-table and series once.
+to reproduce the run bit-for-bit.
 
-The regime and the series hypothesis come from :func:`~fracsis.model.derive`
-alone (``r_alpha`` is None exactly where the hypothesis fails); one
-helper holds the series initial datum (c/2, or 1/(2 beta) at sigma = 1),
-which is both the default ``i0`` and what a series run checks.
-
-One table, ``_KEYS``, holds each config key's value test, CLI flag and
-default (preset, beta, gamma, mu, alpha, i0, T, dt, methods, terms, out,
-formats); the manifest's ``"config"`` and the CLI's flags read it.  Config
-values reach a run in one pass: :func:`config_from_dict` checks each key
-by the table's test, lays the given values over the preset's and the
-table's defaults in one merge, and parses them into a RunConfig, which
-derives the model parameters once (``RunConfig.derived``); every later
-step reads the RunConfig and parses or derives nothing again.
-
-File writing and the preset-suite loop each live in one place: every file
-goes through ``_write`` (parent directories made, an ``OSError`` raised as
-a ValidationError naming the path), and both suites run ``_run_suite``.
+Each rule has one home: ``_KEYS``, the config keys, which the manifest's
+``"config"`` and the CLI's flags read; :func:`config_from_dict`, the one
+pass from config values to a RunConfig, which derives the model
+parameters once; :func:`~fracsis.model.derive`, the regime and the series
+hypothesis; :func:`_series_i0`, the series initial datum; :func:`_write`,
+every file written; :func:`_run_suite`, both preset suites.
 
 Two presets reproduce the reference experiments:
 
@@ -271,11 +258,11 @@ def _parse_formats(raw) -> tuple[str, ...]:
 def config_from_dict(cfg: dict) -> RunConfig:
     """Validate a flat key-value mapping into a RunConfig; bad keys and values are named.
 
-    The one pass from config values to a run.  Every key is checked
-    against its type rule; then the given values that are not None
-    override the preset's, which override the defaults of ``_KEYS``; then
-    the merged values are parsed and the RunConfig derives its parameters
-    once.
+    Every key is checked against its type rule; then the given values
+    that are not None override the preset's, which override the defaults
+    of ``_KEYS``, in one merge; then the merged values are parsed, and
+    every later step reads the RunConfig and parses or derives nothing
+    again.
     """
     unknown = set(cfg) - CONFIG_KEYS
     if unknown:
@@ -639,11 +626,10 @@ def emit(
 ) -> list[Path]:
     """Write trajectory CSVs, the run manifest, and optional extras.
 
-    Every trajectory goes to ``<method>.csv`` with header ``t,I,S`` at 17
-    significant digits (S written as 1 - I); the manifest records the
-    exact config, derived parameters, the series radius recorded in the
-    series trajectory's meta, per-node series convergence flags and the
-    emitted file names.  Requires ``config.output_dir``, which is created
+    Every trajectory goes to ``<method>.csv`` (:func:`trajectory_csv`);
+    the manifest records the exact config, derived parameters, the series
+    radius recorded in the series trajectory's meta, per-node series
+    convergence flags and the emitted file names.  Requires ``config.output_dir``, which is created
     with its parents if missing; returns the written paths.
     """
     if config.output_dir is None:

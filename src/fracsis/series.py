@@ -16,21 +16,6 @@ in the family reads
   dilated in time by 2^q, extending its guaranteed interval of validity
   to (0, 2^q a0^(1/alpha)).
 
-:func:`sample_trajectory` evaluates a series on a grid and records the
-series' radius in the trajectory meta, so each run builds its series
-once.  It reads the nodes' t^alpha from the per-(alpha, grid) cache of
-:func:`fracsis.solvers.node_powers`, which ``harness.population_curve``
-shares, so a grid sampled again at a repeated alpha forms no power.
-A series whose ``arg_scale`` is 1, the zero-capacity one, sums the same
-terms for every beta, which enters only through ``scale_c``: its
-unscaled node sums, terms used and ``converged`` flags are cached per
-(coefficient table, grid) under the package's one cache policy
-(:mod:`fracsis._cache`).  Each sample scales them by 1/beta and builds
-its meta lists afresh.  The carrying-capacity series
-scales its argument by the run's own b, so a cache keyed by table would
-rarely hit and would evict the entries that do: it is summed on every
-sample.
-
 The stopping rule
 -----------------
 Every series sums its terms ``d_k x^k`` in increasing k; the table
@@ -41,48 +26,16 @@ is accepted once ``_STOP_STREAK`` consecutive terms fall below
 ``_ABS_TOL`` in absolute value, and flagged divergent (``converged``
 off, never an exception) once ``_GROW_STREAK`` consecutive
 non-negligible terms grow after ``_GROW_MIN_K`` terms are summed.  A sum
-that does neither runs to the table's end, unconverged.  t = 0 gives
-d_0 from one term, converged.  :func:`_rule` applies the rule as
-written, one Python loop over the terms of one node; :func:`evaluate`
-calls it, and so does the node sum below wherever it cannot decide.
+that does neither runs to the table's end, unconverged, and one whose
+next term or partial sum is not finite stops before it, unconverged.
+t = 0 gives d_0 from one term, converged.
 
-The node sum
-------------
-:func:`_sum_nodes` sums a grid's nodes at once.  For a fixed table both
-rules are thresholds in |x|.  Term k is negligible exactly when
-|x| < theta_k = (_ABS_TOL / |d_k|)^(1/k), and it outgrows the term of
-the previous non-zero entry p when |x| > |d_p / d_k|^(1/(k - p)).  Each
-table's kernel form (:class:`_Table`) carries the running extrema of
-these thresholds over the rules' windows (:func:`_windows`).
-:func:`_series_table` builds it once per coefficient table and is itself
-an LRU cache of ``_CACHE_SIZE`` entries keyed by the table, so a node's
-stop is one ``np.searchsorted`` per rule, and :func:`_classify` sorts the
-nodes into three classes:
-
-* (a) the stop rule fires, or the table ends, before any growth streak
-  can complete: the stop is the stop rule's index (or the table's end);
-* (b) the growth rule fires at G while every earlier term of a non-zero
-  entry is non-negligible: the stop is G;
-* (c) everything else, each node by :func:`_rule`: nodes within
-  ``_MARGIN`` (1e-9 relative) of a threshold, where a computed term's
-  rounding could flip a test; nodes with a negligible term of a non-zero
-  entry before the stop rule's last window, or before the end of a table
-  that never stops them, whose later terms the thresholds do not follow
-  (a few near a table's end or its radius); tables with an entry past
-  ``_MAX_FAST_D``; and every node whose partial sum is not finite.  The
-  loop ends at the node's stop, at 0.2-0.3 us per term (2-vCPU Xeon):
-  cheap for the few nodes of a real grid (0.4 per ``series_stress`` op,
-  none on ``paper_sweep``), slower than a vectorised pass where a caller
-  packs many nodes at thresholds.
-
-Classes (a) and (b) are summed to their stops by :func:`_sum_to`, with
-the nodes sorted by stop.  While at least ``_WIDE`` nodes are still
-summing, a row is one vectorised step across them; the fewer left finish
-in column blocks, each as tall as its largest stop: one forward
-``multiply.accumulate``, ``* d`` and ``add.accumulate`` from each node's
-carried power and sum.  Both take the rule's operations in its order.
-So every term is built once per node, and every sum, terms used and
-``converged`` flag is the rule's, bit for bit.
+:func:`_rule` applies the rule as written, one Python loop over the
+terms of one node; :func:`evaluate` calls it.  :func:`_sum_nodes` sums a
+grid's nodes at once with the rule's bits: :func:`_series_table` turns a
+table into thresholds in |x| (:class:`_Table`), :func:`_classify` reads
+each node's stop off them or sends the node to :func:`_rule`, and
+:func:`_sum_to` sums the nodes it read to their stops.
 """
 
 from __future__ import annotations
@@ -141,9 +94,10 @@ class SeriesSolution:
 class EvalResult:
     """Point evaluation with truncation/diagnostic flags.
 
-    ``converged`` is False both when the stopping rule never fired within
-    the available terms and when sustained term growth was detected; in
-    either case ``value_i`` carries the last partial sum.
+    ``converged`` is False when the stopping rule never fired within the
+    available terms, when sustained term growth was detected and when the
+    next term or partial sum was not finite; in each case ``value_i``
+    carries the last finite partial sum.
     """
 
     value_i: float
@@ -279,13 +233,14 @@ _LOG_TOL = math.log(_ABS_TOL)
 #: step across them; the fewer left finish in accumulate blocks.  A row
 #: costs three numpy calls whatever its width, and a block's accumulate
 #: works cell by cell (along axis 0 numpy does not vectorise across
-#: columns), so rows win on wide suffixes and blocks on the narrow rest
+#: columns), so rows win on wide suffixes and blocks on the narrow rest;
+#: the sweep is in CHANGES.md ("sums its wide rows across nodes")
 _WIDE = 128
-#: nodes per accumulate block: sorted by stop, a block is only as tall as
-#: its last node's stop, so it holds at most 201 x 64 float64, 100 KiB,
-#: under malloc's 128 KiB mmap threshold (as ``specfn._Z_BLOCK``;
-#: ``BENCH_36.json``).  Every step of a block is elementwise down a
-#: column, so a node's sum does not depend on the block it shares
+#: nodes per accumulate block: a block is only as tall as its last node's
+#: stop, so it holds at most 201 x 64 float64, 100 KiB, under malloc's
+#: 128 KiB mmap threshold (as ``specfn._Z_BLOCK``; ``BENCH_36.json``).
+#: Every step of a block is elementwise down a column, so a node's sum
+#: does not depend on the block it shares
 _TAIL = 64
 #: a node's stop is read off its table's thresholds only where it is the
 #: same at |x| (1 - _MARGIN) and at |x| (1 + _MARGIN).  A computed term
@@ -384,13 +339,14 @@ def _series_table(table: CoeffTable) -> _Table:
     )
 
 
-def _classify(x: np.ndarray, table: _Table, cap: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Each node's stop index (1..cap), ``converged`` flag and whether it
-    must take the exact rule, from the thresholds of ``table``.
+def _classify(x: np.ndarray, table: _Table) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each node's stop index (1..K, the table's order), ``converged`` flag
+    and whether it must take the exact rule, from the thresholds of ``table``.
 
     Every threshold test runs at |x| (1 -+ ``_MARGIN``), and a node whose
     answers differ takes the exact rule.  A node is read off the
-    thresholds in three cases; every other one takes the exact rule:
+    thresholds in three cases; every other one, a few near a table's end
+    or its radius on a real grid, takes the exact rule:
 
     * it grows: the growth rule fires at G before the first negligible
       term F of a non-zero entry and before the stop rule's S: stop G;
@@ -399,9 +355,10 @@ def _classify(x: np.ndarray, table: _Table, cap: int) -> tuple[np.ndarray, np.nd
       negligible: stop S, converged;
     * it runs to the end: none of S, F, G falls in the table.
     """
+    K = table.d.size - 1
     # row 0 at |x| (1 - _MARGIN), row 1 at |x| (1 + _MARGIN)
     band = np.abs(x) * np.array([[1.0 - _MARGIN], [1.0 + _MARGIN]])
-    s = np.searchsorted(table.settle[: cap + 1], band, "right")
+    s = np.searchsorted(table.settle, band, "right")
     slow = s[0] != s[1]
     s = s[0]
     f = np.searchsorted(table.quiet, band, "right")
@@ -409,10 +366,10 @@ def _classify(x: np.ndarray, table: _Table, cap: int) -> tuple[np.ndarray, np.nd
     slow |= (f[0] != f[1]) | (g[0] != g[1])
     f, g = f[0], g[0]
     grows = g < np.minimum(s, f)
-    settles = (s <= cap) & (s <= f + 2)
-    ends = (s > cap) & (f > cap)
+    settles = (s <= K) & (s <= f + 2)
+    ends = (s > K) & (f > K)
     slow |= ~(grows | settles | ends) | table.exact
-    return np.where(grows, g, np.minimum(s, cap)), ~grows & (s <= cap), slow
+    return np.where(grows, g, np.minimum(s, K)), ~grows & (s <= K), slow
 
 
 def _sum_to(x: np.ndarray, table: _Table, stop: np.ndarray) -> np.ndarray:
@@ -487,12 +444,16 @@ def _rule(x: float, d: tuple[float, ...]) -> tuple[float, int, bool]:
     for k in range(1, len(d)):
         p *= x
         t = p * d[k]
-        total += t
         if abs(t) < _ABS_TOL:
+            total += t
             below += 1
             if below == _STOP_STREAK:
                 return total, k + 1, True
             continue
+        # inf and nan terms land here, and a negligible one leaves a finite sum finite
+        if not math.isfinite(total + t):
+            return total, k, False
+        total += t
         below = 0
         # a growth streak counts the non-negligible terms that outgrow the
         # previous one from _GROW_MIN_K on; any other restarts it
@@ -510,23 +471,19 @@ def _sum_nodes(
     the nodes t >= 0 whose libm powers t**alpha are ``powers``
     (:func:`~fracsis.solvers.node_powers`), with ``x = arg_scale * t**alpha``.
 
-    Each node's stop comes from the thresholds of the table's kernel form
-    (:func:`_classify`) where they decide it, and its sum from
-    :func:`_sum_to`.  Every other node, and every node whose sum is not
-    finite (inf or nan terms break the comparisons the thresholds stand
-    for), takes one call of :func:`_rule`.  t = 0 gives d_0 from one term,
-    converged; the thresholds' sum there is d_0 + 0 d_1 + ..., which a
-    non-finite entry makes nan.  The results are the rule's at every
-    node, bit for bit.
+    Every node the thresholds leave undecided, and every node whose sum is
+    not finite (inf or nan terms break the comparisons the thresholds
+    stand for), takes one call of :func:`_rule`.  t = 0 is set apart: the
+    thresholds' sum there is d_0 + 0 d_1 + ..., which a non-finite entry
+    makes nan.  The results are the rule's at every node, bit for bit.
     """
     x = arg_scale * powers
     kernel = _series_table(table)
-    cap = table.order
     total = np.full(x.size, table.d[0])
     used, converged = np.ones(x.size, dtype=int), np.zeros(x.size, dtype=bool)
-    if cap and x.size:
+    if table.order and x.size:
         with np.errstate(over="ignore", invalid="ignore"):
-            stop, converged, slow = _classify(x, kernel, cap)
+            stop, converged, slow = _classify(x, kernel)
             fast = np.flatnonzero(~slow)
             total[fast] = _sum_to(x[fast], kernel, stop[fast])
             used = stop + 1
@@ -544,23 +501,21 @@ def _unit_scale_sums(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Read-only :func:`_sum_nodes` of a series with ``arg_scale = 1`` on a
     grid, cached per (table, grid): the zero-capacity series, whose beta
-    enters only through ``scale_c``."""
+    enters only through ``scale_c``.  A series whose argument carries a
+    scale (the carrying-capacity one with its run's own b, the rescaled
+    one) is summed on every sample: a cache keyed by table would rarely
+    hit and would evict the entries that do."""
     return tuple(map(_read_only, _sum_nodes(table, 1.0, node_powers(table.alpha, grid))))
 
 
 def evaluate(series: SeriesSolution, t: float) -> EvalResult:
     """Evaluate the truncated series at a single finite time t >= 0.
 
-    The sum is accumulated in increasing k (fixed order, deterministic)
-    over at most the whole table, under the stopping rule of the module
-    docstring.  Divergence is never an exception: past-radius evaluation
-    is flagged via ``beyond_theoretical_radius`` and sustained growth
-    clears ``converged``.
-
-    The one node is summed by :func:`_rule`, at 0.2-0.3 us per term
-    (2-vCPU Xeon), with the bits :func:`sample_trajectory` gives at the
-    same node: a caller with many points should still pass them as one
-    grid.
+    The sum follows the stopping rule of the module docstring, and
+    past-radius evaluation is flagged via ``beyond_theoretical_radius``.
+    The one node is summed by :func:`_rule`, one Python loop over its
+    terms, with the bits :func:`sample_trajectory` gives at the same node:
+    a caller with many points should pass them as one grid.
     """
     if not math.isfinite(t):
         raise DomainError(f"series evaluation requires a finite t, got t={t}")
@@ -582,10 +537,11 @@ def sample_trajectory(series: SeriesSolution, grid: TimeGrid) -> Trajectory:
 
     The meta also records the series' convergence radius under
     ``"radius"`` (``theoretical``, ``empirical``, ``k_used``), so that
-    consumers such as the run manifest need not rebuild the series.
-    With ``arg_scale`` 1 the sums come from the per-(table, grid) cache,
-    at the table's alpha, which the series constructors check is the
-    series' own.
+    consumers such as the run manifest need not rebuild the series.  The
+    nodes' t^alpha come from :func:`~fracsis.solvers.node_powers`, which
+    ``harness.population_curve`` shares.  With ``arg_scale`` 1 the sums
+    come from :func:`_unit_scale_sums`, at the table's alpha, which the
+    series constructors check is the series' own.
     """
     nodes = grid.nodes()
     if series.arg_scale == 1.0:

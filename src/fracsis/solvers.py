@@ -3,35 +3,17 @@
 Both schemes solve ``D^alpha u = f(u)``, ``u(0) = u0`` on a uniform grid
 and are nonlocal in time: step n + 1 uses the entire history u_0..u_n.
 On a uniform grid the memory weights depend only on the lag m = n - j,
-so each routine builds its lag kernel once, not per step.  The marches
-then run in blocks of :data:`BLOCK` steps.  The history is kept in one
-array stored reversed, newest value first: f(u_n) for PECE, the
-increments u_{n+1} - u_n for L1.  At the start of a block, one
-``np.correlate`` per kernel with that array prices the history before
-the block for every step in it (the far history).  The block itself is
-one call of a generated function, ``_pece_block`` or ``_l1_block``
-(compiled by :func:`fracsis._cache._compiled` on the first march that
-needs it), written out for BLOCK steps: the block's lag weights and each
-new value are local variables, and each step adds the at most BLOCK lags
-that fall in the block (the near history) as one straight-line sum
-``0.0 + w_j*v_0 + ... + w_0*v_j``, added left to right from 0.0.  The
-block's new values then enter the array in one slice
-assignment.  The work stays O(N^2) multiply-adds, but no step makes a
-numpy call, indexes a weight, appends to a list or iterates: at the grid
-sizes used here, any of them costs more than the step's arithmetic.  The rounding of a
-march is fixed by BLOCK, which sets the far/near split, by the pairing
-of the far correlations (that of ``np.convolve`` of the history with the
-kernel) and by the near sums' left-to-right order; no ``sum`` is used,
-so it is the same on every Python version.
-
-What a march needs that depends only on alpha and the grid is its plan:
-the lag kernel, the block's lag weights as one flat tuple and the scalar
-constants.  Each scheme keeps its plans per (alpha, :class:`TimeGrid`),
-as :func:`node_powers` keeps the t_n**alpha of a grid, under the
-package's one cache policy (:mod:`fracsis._cache`): a sweep that repeats
-its alphas builds each plan once.  The public :func:`pece_kernels` and
-:func:`l1_kernel` are not cached: each call returns fresh, writable
-arrays.
+so a march's lag kernel is part of its plan (:func:`_pece_plan`,
+:func:`_l1_plan`), not built per step.  A march runs in blocks of
+:data:`BLOCK` steps: one ``np.correlate`` per kernel prices the
+history before a block for every step in it (:func:`_far`), and one call
+of a generated block function adds the lags inside it
+(:func:`_pece_block_source`, :func:`_l1_block_source`).  The work stays
+O(N^2) multiply-adds, but no step makes a numpy call, indexes a weight,
+appends to a list or iterates: at the grid sizes used here, any of them
+costs more than the step's arithmetic.  The rounding of a march is fixed
+by BLOCK, which sets the far/near split, by the pairing of :func:`_far`
+and by the block functions' left-to-right near sums.
 
 * :func:`solve_pece` — fractional Adams-Bashforth-Moulton in PECE form.
   The predictor integrates the memory kernel with a product rectangle
@@ -73,39 +55,30 @@ __all__ = [
     "discrete_caputo_l1",
 ]
 
-# Steps per block of the marches.  A numpy call costs about as much as a
-# few dozen scalar multiply-adds in Python, so the far history is priced
-# once per block and the near lags per step.  Measured with straight-line
-# near sums on the long_horizon stream (perfbench, seed 4242, eight rounds
-# in rotating order, 2-vCPU Xeon): p50 medians of 8.79, 7.87, 7.90 and
-# 8.65 ms at 8, 16, 24 and 32; 16 and 24 were each fastest in 4 of 8
-# rounds.  BLOCK also sets the far/near split, so changing it changes the
-# rounding of every trajectory.
+#: steps per block of the marches.  A numpy call costs about as much as a
+#: few dozen scalar multiply-adds in Python, so the far history is priced
+#: once per block and the near lags per step; 16 and 24 tied on
+#: ``long_horizon``, and 8 and 32 were slower (CHANGES.md, "sum their
+#: near history with straight-line kernels").  BLOCK also sets the
+#: far/near split, so changing it changes the rounding of every trajectory
 BLOCK = 16
 
-# The block functions.  _pece_block(m, s, f, u0, inv_gamma, k, w, F0, H0,
-# fb, fa, a0f) and _l1_block(m, s, f, U0, gain, w, fg) run steps s + 1 to
-# s + m of a march, m <= BLOCK, given the block's far sums (fb, fa, fg),
-# and return two tuples: the new iterates, and the new history values
-# newest first, as the reversed history array stores them.  Each is
-# written out for BLOCK steps, with a return after every step for a
-# shorter last block, from one source string: the lag weights, unpacked
-# from the plan's flat tuple w, and every new value are local variables,
-# and step j's near sum is 0.0 + W{j}*V0 + ... + W0*V{j}, added left to
-# right from 0.0.  After each step the iterate is checked and a
-# non-finite one raises NumericOverflowError naming its step.  The
-# weights are arguments, so each function is compiled once per process,
-# by _compiled on the first march that calls it (about 2 ms each), and no
-# plan compiles anything; a process that runs no march compiles neither.
 #: the imports of both block functions' sources
 _BLOCK_IMPORTS = ["from math import isfinite", "from fracsis.errors import NumericOverflowError"]
 
 
 def _pece_block_source() -> str:
-    """Source of ``_pece_block``: step j predicts with the b weights over
-    F0..F{j} (the f(u) of the block so far), corrects with the a weights
-    over H0, F1..F{j}, where H0 is F0, or 0.0 in block 0, whose f(u_0)
-    takes a0[n] alone, and evaluates f at both points."""
+    """Source of ``_pece_block(m, s, f, u0, inv_gamma, k, w, F0, H0, fb,
+    fa, a0f)``, steps s + 1 to s + m of a PECE march given the block's far
+    sums fb and fa.
+
+    w holds the block's lag weights B0..B{BLOCK-1}, A0..A{BLOCK-1}: an
+    argument, so one compiled function serves every plan.  Step j
+    predicts with the b weights over F0..F{j} (the f(u) of the block so
+    far), corrects with the a weights over H0, F1..F{j}, where H0 is F0,
+    or 0.0 in block 0, whose f(u_0) takes a0[n] alone, and evaluates f at
+    both points.  Each near sum is ``0.0 + W{j}*V0 + ... + W0*V{j}``.
+    """
     bs = ", ".join(f"B{i}" for i in range(BLOCK))
     As = ", ".join(f"A{i}" for i in range(BLOCK))
     lines = [
@@ -129,9 +102,14 @@ def _pece_block_source() -> str:
 
 
 def _l1_block_source() -> str:
-    """Source of ``_l1_block``: step j takes U{j} (U0 the last iterate
-    before the block) to U{j+1} with the g weights over the block's
-    increments D0..D{j-1}, and forms D{j} = U{j+1} - U{j}."""
+    """Source of ``_l1_block(m, s, f, U0, gain, w, fg)``, steps s + 1 to
+    s + m of an L1 march given the block's far sums fg.
+
+    w holds the block's lag weights G1..G{BLOCK-1}.  Step j takes U{j}
+    (U0 the last iterate before the block) to U{j+1} with the g weights
+    over the block's increments D0..D{j-1}, summed as in
+    :func:`_pece_block_source`, and forms D{j} = U{j+1} - U{j}.
+    """
     gs = ", ".join(f"G{i}" for i in range(1, BLOCK))
     lines = [*_BLOCK_IMPORTS, "def _l1_block(m, s, f, U0, gain, w, fg):", f"    {gs} = w"]
     for j in range(BLOCK):
@@ -147,7 +125,9 @@ def _l1_block_source() -> str:
 
 
 def _block_return(n: int, values: list[str]) -> list[str]:
-    """The return after step n: the iterates U1..U{n}, then the values."""
+    """The return after step n, the last of a block of n <= BLOCK steps:
+    the iterates U1..U{n}, then the new history values newest first, as
+    the reversed history array stores them."""
     ret = "return (%s,), (%s,)" % (", ".join(f"U{i}" for i in range(1, n + 1)), ", ".join(values))
     return [f"    {ret}"] if n == BLOCK else [f"    if m == {n}:", f"        {ret}"]
 
@@ -263,7 +243,8 @@ def pece_kernels(alpha: float, N: int, dt: float) -> tuple[np.ndarray, ...]:
     corrector, f(u_0) by a0[n], f(u_j) by a[n-j] for j = 1..n and the
     predicted value by k.  b is positive, decreasing in the lag, and
     identically dt at alpha = 1.  Every PECE routine builds these first,
-    so this is where alpha outside (0, 1] is refused.
+    so this is where alpha outside (0, 1] is refused.  Each call returns
+    fresh, writable arrays.
     """
     check_alpha(alpha, "the PECE scheme requires alpha")
     k = _pece_k(alpha, dt)
@@ -350,7 +331,7 @@ def l1_kernel(alpha: float, N: int) -> np.ndarray:
     it weights increments, so it annihilates constants exactly.  g[0] = 1,
     g decreases in m, and sum_{m<N} g[m] telescopes to N^(1-alpha).  Every
     L1 routine builds it first, so this is where alpha outside (0, 1) is
-    refused.
+    refused.  Each call returns a fresh, writable array.
     """
     check_alpha(alpha, "the L1 scheme requires alpha", closed=False)
     m = np.arange(N, dtype=float)

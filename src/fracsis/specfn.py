@@ -1,23 +1,13 @@
-"""The one-parameter Mittag-Leffler function E_alpha and its asymptotics.
-
-The one-parameter Mittag-Leffler function
+"""The one-parameter Mittag-Leffler function E_alpha.
 
     E_a(z) = sum_{k>=0} z^k / Gamma(a k + 1)
 
-takes one of three routes in :func:`mittag_leffler`, chosen per z in one
-vectorised pass: E_1(z) = exp(z); E_a(0) = 1; and for 0 < a < 1 and
-z != 0 the inverse Laplace transform at t = 1 of s^(a-1) / (s^a - z) by
-a fixed rule of ``_CONTOUR_N`` or ``_CONTOUR_N + 1`` nodes on the
+:func:`mittag_leffler` does not sum the series: for 0 < a < 1 and
+z != 0 it inverts E_a's Laplace transform by a fixed rule on the
 parabolic contour of Weideman & Trefethen (2007, Math. Comp.
-76:1341-1356), which costs the same for every z and does not cancel:
-for z < 0 the trapezoidal rule (:func:`_contour`), and for z > 0 the
-transform's pole z^(1/a) in closed form plus the midpoint rule on what
-is left (:func:`_residue_contour`), or, at an a too small for the rule
-to resolve, E_0(z) = 1/(1 - z) in closed form.  The small- and large-time
-asymptotic companions of E_a(-|r| t^a) are exposed separately rather
-than auto-switched.
-
-All functions are pure and operate in binary64.
+76:1341-1356), which costs the same for every z and does not cancel
+(:func:`_contour` for z < 0, :func:`_residue_contour` for z > 0).  All
+functions are pure and operate in binary64.
 """
 
 from __future__ import annotations
@@ -29,10 +19,7 @@ import numpy as np
 
 from .errors import DomainError, check_alpha
 
-__all__ = [
-    "mittag_leffler",
-    "ml_asymptotics",
-]
+__all__ = ["mittag_leffler"]
 
 
 #: steps on each half of E_alpha's contour (:func:`_contour_nodes`).  Its
@@ -41,12 +28,14 @@ __all__ = [
 _CONTOUR_N = 32
 
 
-def _contour_nodes(n: int, start: float) -> tuple[np.ndarray, np.ndarray]:
+def _contour_nodes(start: float) -> tuple[np.ndarray, np.ndarray]:
     """The nodes s_k = s(u_k) of the parabola s(u) = n (0.1309 - 0.1194 u^2
-    + 0.25 i u) at u_k = (k + start) h in [0, 3], h = 3/n, and the
-    alpha-free part of their weights, h/(2 pi i) e^(s_k) s'(u_k), doubled
-    where u_k > 0 to stand for the conjugate node s(-u_k).  ``start`` 0
-    gives the trapezoidal rule's n + 1 nodes, 1/2 the midpoint rule's n."""
+    + 0.25 i u), n = ``_CONTOUR_N``, at u_k = (k + start) h in [0, 3],
+    h = 3/n, and the alpha-free part of their weights,
+    h/(2 pi i) e^(s_k) s'(u_k), doubled where u_k > 0 to stand for the
+    conjugate node s(-u_k).  ``start`` 0 gives the trapezoidal rule's
+    n + 1 nodes, 1/2 the midpoint rule's n."""
+    n = _CONTOUR_N
     h = 3.0 / n
     u = np.arange(start, n + 1 - start) * h
     s = n * (0.1309 - 0.1194 * u**2 + 0.25j * u)
@@ -55,10 +44,10 @@ def _contour_nodes(n: int, start: float) -> tuple[np.ndarray, np.ndarray]:
     return s, w
 
 
-_NODES, _WEIGHTS = _contour_nodes(_CONTOUR_N, 0.0)
+_NODES, _WEIGHTS = _contour_nodes(0.0)
 #: the midpoint rule has no node on the real axis, where a pole z^(1/alpha)
 #: near the trapezoidal rule's apex 0.1309 N would cancel its subtraction
-_MID_NODES, _MID_WEIGHTS = _contour_nodes(_CONTOUR_N, 0.5)
+_MID_NODES, _MID_WEIGHTS = _contour_nodes(0.5)
 #: past this |z|, D^2 below would overflow; for z < 0 the contour sum is,
 #: to binary64, its limit sum_k Re w_k / -z, as |s_k^alpha| < 40, and for
 #: z > 0 E_alpha is past binary64
@@ -155,11 +144,11 @@ def _residue_contour(alpha: float, z: np.ndarray) -> np.ndarray:
     finite, leaves it so.
 
     Where every Re s_k^alpha rounds to 1 (alpha below about 3.06e-17)
-    the rule cannot resolve alpha log|s_k|, and E takes its order-zero
-    limit in closed form before any contour work: 1/(1 - z) below z = 1,
-    ``_E1_LIMIT`` / alpha at z = 1 (inf below alpha of about 1.26e-308)
-    and inf above.  The limit is within about alpha / (1 - z) relative of
-    E below z = 1 and alpha relative at z = 1.
+    the rule cannot resolve alpha log|s_k|, and E takes the order-zero
+    limit of :func:`mittag_leffler` before any contour work
+    (``_E1_LIMIT`` / alpha at z = 1, inf below alpha of about 1.26e-308).
+    The limit is within about alpha / (1 - z) relative of E below z = 1
+    and alpha relative at z = 1.
     """
     a = _MID_NODES**alpha
     if (a.real == 1.0).all():
@@ -211,15 +200,13 @@ def mittag_leffler(alpha: float, z) -> float | np.ndarray:
       relative for alpha in [0.01, 1) and p <= 50, and 4e-16 (1 + p)
       relative beyond, where e^p turns p's rounding into p ulp.  Below
       alpha of about 3.06e-17 it is the order-zero limit instead:
-      1/(1 - z) below z = 1, 2.2665... / alpha at z = 1 (the integral of
-      1/Gamma(1 + x) over x > 0) and inf above.
+      1/(1 - z) below z = 1, 2.2665... / alpha at z = 1 and inf above.
 
     Where E_alpha(z) is past binary64 the result is ``inf``, as
     ``np.exp`` gives it, to within that accuracy of the edge, and never
     nan: E_0.5(20) is 1.0e174 and E_0.5(27) inf.  ``z`` is a float
-    (giving a float) or an array, summed ``_Z_BLOCK`` z at a time on each
-    side of 0.  Besides its work per z a call costs a fixed few dozen
-    numpy calls, so pass many points as one array.  Raises
+    (giving a float) or an array.  Besides its work per z a call costs a
+    fixed few dozen numpy calls, so pass many points as one array.  Raises
     :class:`DomainError`, naming the first non-finite z, before any sum.
     """
     check_alpha(alpha, "mittag_leffler requires alpha")
@@ -238,34 +225,3 @@ def mittag_leffler(alpha: float, z) -> float | np.ndarray:
                 total[side] = route(alpha, x[side])
     return float(total[0]) if zs.ndim == 0 else total.reshape(zs.shape)
 
-
-def ml_asymptotics(alpha: float, lam_minus_mu: float, t: float) -> tuple[float, float]:
-    """Small- and large-time companions of E_alpha((lam - mu) t^alpha).
-
-    For a non-positive rate r = lam - mu returns the pair
-
-        e0   = exp(-|r| t^alpha / Gamma(1 + alpha))      (t -> 0 regime)
-        einf = t^(-alpha) / (|r| Gamma(1 - alpha))        (t -> infinity regime)
-
-    The ratio E_alpha(r t^alpha) / e0 tends to 1 as t -> 0 and
-    E_alpha(r t^alpha) / einf tends to 1 as t -> infinity.  A non-finite
-    rate or t is refused.
-    """
-    check_alpha(alpha, "ml_asymptotics requires alpha", closed=False)
-    if not (math.isfinite(lam_minus_mu) and math.isfinite(t)):
-        raise DomainError(
-            f"ml_asymptotics requires a finite lam - mu and t, got {lam_minus_mu} and {t}"
-        )
-    if lam_minus_mu > 0:
-        raise DomainError(
-            f"asymptotic pair defined for lam - mu <= 0, got {lam_minus_mu}"
-        )
-    if not t > 0:
-        raise DomainError(f"ml_asymptotics requires t > 0, got {t}")
-    if lam_minus_mu == 0:
-        # e0 degenerates to 1 but einf divides by zero; refuse the pair.
-        raise DomainError("large-time asymptote undefined for lam == mu")
-    rate = abs(lam_minus_mu)
-    e0 = math.exp(-rate * t**alpha / math.gamma(1.0 + alpha))
-    einf = t ** (-alpha) / (rate * math.gamma(1.0 - alpha))
-    return e0, einf

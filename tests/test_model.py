@@ -16,7 +16,7 @@ from fracsis.errors import DomainError, NumericOverflowError, ValidationError, c
 from fracsis.harness import config_from_dict, population_curve, solve_method
 from fracsis.model import ModelParams, classical_sis, derive, logistic_rhs
 from fracsis.solvers import Method, TimeGrid, l1_kernel, pece_kernels
-from fracsis.specfn import mittag_leffler, ml_asymptotics
+from fracsis.specfn import mittag_leffler
 
 # reference experiment parameters
 P_ENDEMIC = dict(beta=0.7, gamma=0.05, mu=0.12)
@@ -74,7 +74,6 @@ ALPHA_ROUTINES = {
     "ModelParams": lambda a: ModelParams(alpha=a, i0=0.3, **P_ENDEMIC),
     "population_curve": lambda a: population_curve(a, 1.0, 0.0, 1.0, TimeGrid(1.0, 0.5)),
     "mittag_leffler": lambda a: mittag_leffler(a, np.array([-1.0, 2.0])),
-    "ml_asymptotics": lambda a: ml_asymptotics(a, -1.0, 1.0),
     "euler_alpha": lambda a: euler_alpha(a, 5),
     "a_coeffs": lambda a: a_coeffs(a, 5),
     "radius_carrying_capacity": lambda a: radius_carrying_capacity(a, 0.5),

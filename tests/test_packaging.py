@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import re
 from pathlib import Path
 
 import pytest
@@ -9,7 +10,8 @@ from setuptools.config.pyprojecttoml import read_configuration
 
 import fracsis
 
-PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+ROOT = Path(__file__).resolve().parents[1]
+PYPROJECT = ROOT / "pyproject.toml"
 
 
 @pytest.mark.filterwarnings("ignore:Support for `\\[tool.setuptools\\]`")
@@ -104,3 +106,16 @@ def test_cache_policy_is_imported_from_its_home():
                 assert not names or node.module == "_cache", (module.__name__, names)
         if module.__name__ != "fracsis._cache":
             assert not hasattr(module, "_CACHE_MAX_N"), module.__name__
+
+
+#: a measured timing: a duration, the host it ran on or the tool that took it
+TIMING = re.compile(r"\d\s?(?:us|µs|ms)\b|Xeon|timeit|best of \d|\bp50\b")
+
+
+def test_no_measured_timings_in_the_sources_or_readme():
+    # a timing drifts with every change to the code it measures: it lives
+    # once, in CHANGES.md or a BENCH_*.json file, which a comment may cite
+    files = [*sorted((ROOT / "src" / "fracsis").glob("*.py")), ROOT / "README.md"]
+    hits = [f"{path.name}:{i}: {line.strip()}" for path in files
+            for i, line in enumerate(path.read_text().splitlines(), 1) if TIMING.search(line)]
+    assert not hits

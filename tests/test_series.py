@@ -69,6 +69,8 @@ def scalar_evaluate(series, t):
     for k in range(1, len(d)):
         xk *= x
         term = d[k] * xk
+        if not math.isfinite(total + term):
+            break  # the last finite partial sum stands, unconverged
         total += term
         terms_used += 1
         mag = abs(term)
@@ -227,6 +229,25 @@ class TestEvaluate:
         with pytest.raises(DomainError, match=f"finite t, got t={t}"):
             evaluate(sol, t)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("t", [1e38, 1e50, 1e100, 1e300])
+    def test_stops_before_an_overflowed_term(self, t):
+        # far past the radius a term or partial sum overflows before a
+        # growth streak can complete: the sum stops before it with the last
+        # finite partial sum, unconverged, alone and on a grid (it was inf
+        # from t of about 5e36 and nan from 3.3e39)
+        sol = zero_capacity_series(0.7, 0.6, a_coeffs(0.6, 120))
+        r = evaluate(sol, t)
+        assert math.isfinite(r.value_i) and not r.converged and r.beyond_theoretical_radius
+        assert r.terms_used < sol.coeffs.order
+        assert_same(r, scalar_evaluate(sol, t))
+        grid = TimeGrid(t, t / 10)
+        traj = sample_trajectory(sol, grid)
+        assert np.isfinite(traj.u).all() and not any(traj.meta["converged"][1:])
+        for i, node in enumerate(grid.nodes().tolist()):
+            got = evaluate(sol, node)
+            assert (got.value_i, got.terms_used) == (traj.u[i], traj.meta["terms_used"][i])
+
     def test_one_node_takes_the_rule_with_the_grids_bits(self, monkeypatch):
         # evaluate sums its node by the rule alone, with the bits that
         # sample_trajectory gives at the same node: t = 0 and grids inside
@@ -374,10 +395,11 @@ class TestTermMatrixMatchesScalarLoop:
 
     @pytest.mark.parametrize("build", [carrying, zero_capacity])
     def test_overflow_inside_the_summed_terms(self, build):
-        # x^2 overflows, so the loop itself sums inf and nan terms
+        # x^2 overflows: the loop stops before the overflowed term, with the
+        # last finite partial sum, unconverged
         sol = build(1.0, 40)
         want = scalar_evaluate(sol, 1e300)
-        assert not want.converged and not math.isfinite(want.value_i)
+        assert not want.converged and math.isfinite(want.value_i)
         assert_same(evaluate(sol, 1e300), want)
 
 
@@ -444,7 +466,7 @@ class TestStopClasses:
 
     @staticmethod
     def classes(table, xs):
-        stop, converged, exact = series._classify(xs, series._series_table(table), table.order)
+        stop, converged, exact = series._classify(xs, series._series_table(table))
         ends = ~exact & ~converged & (stop == table.order)
         return {"settles": ~exact & converged, "grows": ~exact & ~converged & ~ends,
                 "ends": ends, "exact": exact}
@@ -548,7 +570,7 @@ def test_a_tail_of_several_blocks_is_the_rule():
     powers = node_powers(0.6, TimeGrid(5.0, 0.005))
     x = sol.arg_scale * powers
     with np.errstate(over="ignore", invalid="ignore"):
-        stop, _, slow = series._classify(x, series._series_table(sol.coeffs), MAX_ORDER)
+        stop, _, slow = series._classify(x, series._series_table(sol.coeffs))
     stops = np.sort(stop[~slow])
     assert (stops > stops[-_WIDE]).sum() > series._TAIL
     u, used, converged = _sum_nodes(sol.coeffs, sol.arg_scale, powers)

@@ -17,6 +17,7 @@ from fracsis import _cache, coeffs, series, solvers
 from fracsis.errors import DomainError, NumericOverflowError, ValidationError
 from fracsis.harness import preset_config, run_methods, solve_method
 from fracsis.model import ModelParams, classical_sis, derive, logistic_rhs
+from fracsis.specfn import mittag_leffler
 from fracsis.solvers import (
     BLOCK,
     Method,
@@ -804,6 +805,48 @@ class TestConvergenceOrder:
     def test_l1(self, alpha):
         p = self.orders(solve_l1, alpha)
         assert np.all((p >= 0.8) & (p <= 1.1))
+
+
+class TestExactLinearSolution:
+    """Both marches against the exact solution of D^alpha u = lam u,
+    u(0) = 1: u = E_alpha(lam t^alpha), which :func:`mittag_leffler` gives
+    within 1e-12 of a Talbot oracle, out to ``long_horizon``'s T = 100.
+
+    At t = T the error falls like N^-p, about p = 1 + alpha for PECE and
+    p = 1 for L1, and each observed p is pinned within 0.02 of its
+    measured value.  The max error sits at the first nodes, where u has a
+    t^alpha term, and falls far more slowly; it is pinned at or below
+    its measured value plus 10%.
+    """
+
+    # scheme, alpha, lam, T, the grid sizes N, the observed order at t = T
+    # and the max error at each N, as measured
+    CASES = [
+        (solve_pece, 0.3, -1.0, 100.0, (2000, 4000), 1.46, (2.44e-2, 1.12e-2)),
+        (solve_pece, 0.6, -1.0, 100.0, (2000, 4000), 1.66, (9.46e-4, 7.58e-4)),
+        (solve_pece, 0.9, -1.0, 100.0, (2000, 4000), 1.93, (1.91e-4, 5.00e-5)),
+        (solve_pece, 0.6, 0.5, 5.0, (2000, 4000), 1.59, (1.15e-4, 3.81e-5)),
+        (solve_l1, 0.3, -1.0, 100.0, (2000, 4000, 16000), 1.0, (5.03e-2, 2.53e-2, 1.46e-3)),
+        (solve_l1, 0.6, -1.0, 100.0, (2000, 4000, 16000), 1.0, (1.60e-2, 1.53e-2, 9.05e-3)),
+        (solve_l1, 0.9, -1.0, 100.0, (2000, 4000, 16000), 1.0, (7.84e-3, 3.92e-3, 1.01e-3)),
+        (solve_l1, 0.6, 0.5, 5.0, (2000, 4000, 16000), 0.99, (2.35e-2, 1.18e-2, 2.98e-3)),
+    ]
+
+    @pytest.mark.parametrize(
+        "solver, alpha, lam, T, Ns, order, worst", CASES,
+        ids=[f"{c[0].__name__[6:]}-{c[1]}-lam{c[2]:g}" for c in CASES],
+    )
+    def test_order_at_T_and_max_error(self, solver, alpha, lam, T, Ns, order, worst):
+        worst_seen, at_T = [], []
+        for N in Ns:
+            grid = TimeGrid(T, T / N)
+            u = solver(lambda v: lam * v, 1.0, grid, alpha).u
+            err = np.abs(u - mittag_leffler(alpha, lam * node_powers(alpha, grid)))
+            worst_seen.append(err.max())
+            at_T.append(err[-1])
+        orders = np.log(np.divide(at_T[:-1], at_T[1:])) / np.log(np.divide(Ns[1:], Ns[:-1]))
+        assert np.all(np.abs(orders - order) <= 0.02), orders
+        assert np.all(np.array(worst_seen) <= 1.1 * np.array(worst)), worst_seen
 
 
 def test_block_functions_compile_on_the_first_march():
