@@ -542,7 +542,7 @@ class TestPopulationCurve:
 class TestAsymptotics:
     # E_alpha(-|r| t^alpha) against its small-time model
     # exp(-|r| t^alpha / Gamma(1 + alpha)) and its large-time model
-    # t^(-alpha) / (|r| Gamma(1 - alpha)), here at r = -1 and alpha = 1/2
+    # t^(-alpha) / (|r| Gamma(1 - alpha)), here at r = -1
     def test_small_time_ratio_tends_to_one(self):
         for t in (1e-4, 1e-6):
             e0 = math.exp(-(t**0.5) / math.gamma(1.5))
@@ -554,3 +554,20 @@ class TestAsymptotics:
         einf = 1e6**-0.5 / math.gamma(0.5)
         ml = float(mpmath.exp(mpmath.mpf(1000) ** 2) * mpmath.erfc(1000))
         assert ml / einf == pytest.approx(1.0, abs=0.05)
+
+    @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.9])
+    def test_small_time_model_across_alpha(self, alpha):
+        # the two models' series agree to first order in x = t^alpha, so
+        # the ratio is 1 + c x^2 with |c| < 1 for alpha in (0, 1)
+        for t in (1e-4, 1e-8):
+            x = t**alpha
+            e0 = math.exp(-x / math.gamma(1.0 + alpha))
+            assert mittag_leffler(alpha, -x) / e0 == pytest.approx(1.0, abs=x * x)
+
+    @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.9])
+    def test_large_time_model_across_alpha(self, alpha):
+        # E_alpha(-x) = 1/(x Gamma(1 - alpha)) - 1/(x^2 Gamma(1 - 2 alpha))
+        # + O(x^-3): the ratio to the first term is within 2/x of 1 here
+        for x in (1e3, 1e5):
+            einf = 1.0 / (x * math.gamma(1.0 - alpha))
+            assert mittag_leffler(alpha, -x) / einf == pytest.approx(1.0, abs=2.0 / x)
