@@ -77,6 +77,8 @@ CALLS = [
     ["c0-suite", "--formats", "xml"],
     ["coeffs", "--kind", "a", "--alpha", "0.7", "-K", "201"],
     ["compare", "--config", "missing.json"],
+    # a run whose one format is svg still writes its manifest
+    ["solve", "--method", "pece", *_C_NONZERO, "--out", "d", "--formats", "svg"],
 ]
 
 

@@ -9,10 +9,10 @@ after the first is a cache hit behind the argument checks).
 rule's per-node loop.  Trajectories are sampled on the preset horizon
 T = 5 at two shapes: the paper's (N = 100 steps over K = 120 tables) and the stress
 shape (N = 1000 over K = 200), the two sides of the kernel's row width
-``series._WIDE`` (128): the paper's 101 nodes are summed in one
-accumulate block, the stress shape's 1001 by one vectorised step per
-term row while at least 128 nodes are still summing, and the rest in
-one block.  The nodes' t^alpha are cached per alpha and grid, so every
+``series._WIDE`` (128): the paper's 101 nodes are summed in accumulate
+blocks of ``series._TAIL`` (64) columns, 64 + 37, the stress shape's
+1001 by one vectorised step per term row while at least 128 nodes are
+still summing, and the rest in blocks of ``_TAIL``.  The nodes' t^alpha are cached per alpha and grid, so every
 round after the first reads them from the cache.
 The zero-capacity series' node sums are cached per (table, grid) as
 well: ``test_sample_trajectory`` clears that cache, and only that one,

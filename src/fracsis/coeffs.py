@@ -113,7 +113,8 @@ class CoeffTable:
         Formed in log space, each ``copysign(exp(log|d_k| + lgamma(alpha k
         + 1)), d_k)`` from the table's cached ``log|d_k|``, so no Gamma is
         formed on its own.  Raises :class:`NumericOverflowError` at the
-        first c_k beyond binary64.
+        first c_k beyond binary64: the last entries of the order-200 A-table
+        for alpha above about 0.979.
         """
         logs = list(map(add, self._log_abs, log_gamma_orders(self.alpha, self.order)))
         try:

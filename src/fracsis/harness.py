@@ -624,13 +624,16 @@ def emit(
     reports: Sequence[ComparisonReport],
     config: RunConfig,
 ) -> list[Path]:
-    """Write trajectory CSVs, the run manifest, and optional extras.
+    """Write the run's files in ``config.formats`` and its manifest.
 
-    Every trajectory goes to ``<method>.csv`` (:func:`trajectory_csv`);
-    the manifest records the exact config, derived parameters, the series
-    radius recorded in the series trajectory's meta, per-node series
-    convergence flags and the emitted file names.  Requires ``config.output_dir``, which is created
-    with its parents if missing; returns the written paths.
+    With ``"csv"`` every trajectory goes to ``<method>.csv``
+    (:func:`trajectory_csv`) and the report pairs to ``comparison.csv``;
+    with ``"svg"`` the plot goes to ``trajectories.svg``.  Every run,
+    whatever its formats, writes ``manifest.json``: the exact config,
+    derived parameters, the series radius recorded in the series
+    trajectory's meta, per-node series convergence flags and the emitted
+    CSV names.  Requires ``config.output_dir``, which is created with its
+    parents if missing; returns the written paths.
     """
     if config.output_dir is None:
         raise ValidationError("emit requires an output directory in the config")
@@ -653,20 +656,19 @@ def emit(
     if reports and "csv" in config.formats:
         rows = (p for r in reports for p in r.pairs)
         written.append(_write(out / "comparison.csv", csv_text("method_a,method_b,linf", rows)))
-    if "json" in config.formats or "csv" in config.formats:
-        series = trajectories.get(Method.SERIES)
-        manifest = {
-            "tool": TOOL_NAME,
-            "version": __version__,
-            "config": _config_dict(config),
-            "derived": asdict(config.derived),
-            "series_radius": None if series is None else series.meta["radius"],
-            "comparisons": [
-                {"alpha": r.alpha, "pairs": [list(p) for p in r.pairs]}
-                for r in reports
-            ],
-            "trajectories": manifest_trajs,
-        }
-        text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
-        written.append(_write(out / "manifest.json", text))
+    series = trajectories.get(Method.SERIES)
+    manifest = {
+        "tool": TOOL_NAME,
+        "version": __version__,
+        "config": _config_dict(config),
+        "derived": asdict(config.derived),
+        "series_radius": None if series is None else series.meta["radius"],
+        "comparisons": [
+            {"alpha": r.alpha, "pairs": [list(p) for p in r.pairs]}
+            for r in reports
+        ],
+        "trajectories": manifest_trajs,
+    }
+    text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
+    written.append(_write(out / "manifest.json", text))
     return written

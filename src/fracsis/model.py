@@ -134,25 +134,22 @@ def classical_sis(params: ModelParams, t):
         raise DomainError(f"classical_sis requires t >= 0, got t={float(bad[0])}")
     d = derive(params)
     i0 = params.i0
-    if d.c != 0.0:
+    # where a product overflows to inf at long t (beta i0 t at c = 0, and
+    # e^{-b t} with its product for c < 0), I is its limit 0.0
+    with np.errstate(over="ignore"):
         if i0 == 0.0:
             i = np.zeros_like(t)
+        elif d.c == 0.0:
+            i = i0 / (1.0 + params.beta * i0 * t)
+        elif math.isfinite(lead := d.c / i0 - 1.0):
+            i = d.c / (1.0 + lead * np.exp(-d.b * t))
         else:
-            lead = d.c / i0 - 1.0
-            # for c < 0, e^{-b t} and its product overflow to inf at long t,
-            # where I is its limit 0.0
-            with np.errstate(over="ignore"):
-                if math.isfinite(lead):
-                    i = d.c / (1.0 + lead * np.exp(-d.b * t))
-                else:
-                    # c / i0 overflows at a subnormal i0: with the product
-                    # (c/i0 - 1) e^{-b t} = sign(c) e^L formed in logs,
-                    # I = c / (1 + sign(c) e^L), scaled by e^-L where L > 0
-                    lg = math.log(abs(d.c - i0)) - math.log(i0) - d.b * t
-                    e, sign = np.exp(-np.abs(lg)), math.copysign(1.0, d.c)
-                    i = np.where(lg > 0, d.c * e / (e + sign), d.c / (1.0 + sign * e))
-    else:
-        i = i0 / (1.0 + params.beta * i0 * t)
+            # c / i0 overflows at a subnormal i0: with the product
+            # (c/i0 - 1) e^{-b t} = sign(c) e^L formed in logs,
+            # I = c / (1 + sign(c) e^L), scaled by e^-L where L > 0
+            lg = math.log(abs(d.c - i0)) - math.log(i0) - d.b * t
+            e, sign = np.exp(-np.abs(lg)), math.copysign(1.0, d.c)
+            i = np.where(lg > 0, d.c * e / (e + sign), d.c / (1.0 + sign * e))
     if i.ndim == 0:
         i = float(i)
     return i, 1.0 - i

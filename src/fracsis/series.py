@@ -4,7 +4,10 @@ A :class:`SeriesSolution` packages a normalised coefficient table
 ``d_k = c_k / Gamma(alpha k + 1)`` with two scales so that every solution
 in the family reads
 
-    value(t) = scale_c * sum_k d_k x^k,    x = arg_scale * t^alpha.
+    value(t) = scale_c * sum_k d_k x^k,    x = arg_scale * t^alpha,
+
+which is ``inf`` where the product is past binary64 (a zero-capacity
+series of a small beta, whose scale_c is 1/beta).
 
 * carrying-capacity case (c != 0, b^(1/alpha) < 1):  I(t) with
   ``scale_c = c`` and ``arg_scale = b`` over the alpha-Euler table, i.e.
@@ -155,11 +158,14 @@ def zero_capacity_series(beta: float, alpha: float, coeff_table: CoeffTable) -> 
     """Series solution I(t) for the sigma = 1 case (c = 0).
 
     The construction fixes the initial datum I(0) = 1/(2 beta), i.e. the
-    table must be the canonical A-table with A_0 = 1/2.
+    table must be the canonical A-table with A_0 = 1/2, and beta must be
+    positive with beta and the scale 1/beta finite.
     """
     _check_table(coeff_table, CoeffKind.A_COEFF, alpha)
-    if not beta > 0:
-        raise HypothesisError(f"zero-capacity series requires beta > 0, got {beta}")
+    if not (0 < beta < math.inf and 1.0 / beta < math.inf):
+        raise HypothesisError(
+            f"zero-capacity series requires a finite beta > 0 with 1/beta finite, got beta={beta}"
+        )
     if coeff_table.d[0] != 0.5:
         raise HypothesisError(
             f"zero-capacity epidemic series requires A_0 = 1/2, "
@@ -185,7 +191,9 @@ def rescaled_zero_capacity_series(
         q = 1/a0                      if a0 < 1/2,
         q = 4 + (1/a0 - 4) / 2        otherwise,
 
-    which stretches the guaranteed radius to 2^q * a0^(1/alpha) (inf past binary64).
+    which stretches the guaranteed radius to 2^q * a0^(1/alpha) (inf past
+    binary64).  Where 2^q and a0^(1/alpha) are both past binary64, a
+    subnormal a0 at an alpha below about 4e-306, the radius is refused.
     """
     if not 0 < a0 < 1:
         raise DomainError(f"rescaled series requires a0 in (0, 1), got {a0}")
@@ -203,9 +211,12 @@ def rescaled_zero_capacity_series(
         arg_scale = math.ldexp((2.0**-h) ** alpha * 2.0 ** -float(rest % 1), -math.floor(rest))
     except OverflowError:  # q = 1/a0 past binary64
         arg_scale = 0.0
+    ln_radius = math.log(a0) / alpha
+    if math.isinf(q) and math.isinf(ln_radius):
+        raise DomainError(f"rescaled series radius is inf * 0 at a0={a0}, alpha={alpha}")
     # the undilated series' radii times 2^q (empirical: None for a short table,
     # 0.0 where it underflowed undilated)
-    radius = _radius_for(coeff_table, 1.0, _dilated(math.log(a0) / alpha, q))
+    radius = _radius_for(coeff_table, 1.0, _dilated(ln_radius, q))
     if radius.empirical:
         radius = replace(radius, empirical=_dilated(math.log(radius.empirical), q))
     return SeriesSolution(
@@ -550,7 +561,8 @@ def sample_trajectory(series: SeriesSolution, grid: TimeGrid) -> Trajectory:
         total, terms, converged = _sum_nodes(
             series.coeffs, series.arg_scale, node_powers(series.alpha, grid)
         )
-    u = series.scale_c * total
+    with np.errstate(over="ignore"):
+        u = series.scale_c * total
     theo = series.radius.theoretical
     beyond = nodes > theo if theo is not None else np.zeros(nodes.size, dtype=bool)
     converged = converged.tolist()

@@ -41,7 +41,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from ._cache import _compiled, _per_grid, _read_only
-from .errors import DomainError, ValidationError, check_alpha
+from .errors import DomainError, NumericOverflowError, ValidationError, check_alpha
 
 __all__ = [
     "TimeGrid",
@@ -243,10 +243,15 @@ def pece_kernels(alpha: float, N: int, dt: float) -> tuple[np.ndarray, ...]:
     corrector, f(u_0) by a0[n], f(u_j) by a[n-j] for j = 1..n and the
     predicted value by k.  b is positive, decreasing in the lag, and
     identically dt at alpha = 1.  Every PECE routine builds these first,
-    so this is where alpha outside (0, 1] is refused.  Each call returns
-    fresh, writable arrays.
+    so this is where alpha outside (0, 1], a negative N and a dt that is
+    not positive and finite are refused.  Each call returns fresh,
+    writable arrays.
     """
     check_alpha(alpha, "the PECE scheme requires alpha")
+    if N < 0:
+        raise DomainError(f"pece_kernels requires N >= 0, got N={N}")
+    if not (dt > 0 and math.isfinite(dt)):
+        raise DomainError(f"pece_kernels requires a positive, finite dt, got dt={dt}")
     k = _pece_k(alpha, dt)
     m = np.arange(N, dtype=float)
     b = dt**alpha / alpha * ((m + 1.0) ** alpha - m**alpha)
@@ -295,17 +300,20 @@ def solve_pece(
     Per step: predict with the rectangle rule over the stored history,
     evaluate f there, correct once with the trapezoidal rule (the
     endpoint weight applied to the predicted value), evaluate f at the
-    corrected value.  f is called with Python floats only.  Raises
-    :class:`NumericOverflowError` naming the step at which the iterate
-    left the representable range.
+    corrected value.  f is called with Python floats only.  A u0 that is
+    not finite is refused; :class:`NumericOverflowError` names the step
+    at which the iterate left the representable range.
     """
     N = grid.N
     k, inv_gamma, b, a, a0, w = _pece_plan(alpha, grid)
     block = _compiled(_pece_block_source)
     u0 = float(u0)
+    if not math.isfinite(u0):
+        raise DomainError(f"the PECE scheme requires a finite u0, got u0={u0}")
     u = [u0]
     fn = f(u0)
-    a0f = (a0 * fn).tolist()  # f(u_0) weighted by a0[n], for every step n
+    with np.errstate(over="ignore", invalid="ignore"):  # a step's check sees an inf or nan
+        a0f = (a0 * fn).tolist()  # f(u_0) weighted by a0[n], for every step n
     R = np.empty(N + 1)  # R[N - n] = f(u_n): the history reversed, for the far sums
     R[N] = fn
     for s in range(0, N, BLOCK):
@@ -330,10 +338,12 @@ def l1_kernel(alpha: float, N: int) -> np.ndarray:
     sum_{m=0}^{n-1} g[m] (u_{n-m} - u_{n-m-1}) / (Gamma(2-alpha) dt^alpha):
     it weights increments, so it annihilates constants exactly.  g[0] = 1,
     g decreases in m, and sum_{m<N} g[m] telescopes to N^(1-alpha).  Every
-    L1 routine builds it first, so this is where alpha outside (0, 1) is
-    refused.  Each call returns a fresh, writable array.
+    L1 routine builds it first, so this is where alpha outside (0, 1) and
+    a negative N are refused.  Each call returns a fresh, writable array.
     """
     check_alpha(alpha, "the L1 scheme requires alpha", closed=False)
+    if N < 0:
+        raise DomainError(f"l1_kernel requires N >= 0, got N={N}")
     m = np.arange(N, dtype=float)
     g = (m + 1.0) ** (1.0 - alpha) - m ** (1.0 - alpha)
     g[:1] = 1.0
@@ -374,13 +384,16 @@ def solve_l1(
                   + Gamma(2-alpha) dt^alpha f(u_n),
 
     so the first step is u_1 = u_0 + Gamma(2-alpha) dt^alpha f(u_0).  f is
-    called with Python floats only.  Raises :class:`NumericOverflowError`
-    naming the step at which the iterate left the representable range.
+    called with Python floats only.  A u0 that is not finite is refused;
+    :class:`NumericOverflowError` names the step at which the iterate left
+    the representable range.
     """
     N = grid.N
     g, w, gain = _l1_plan(alpha, grid)
     block = _compiled(_l1_block_source)
     u0 = float(u0)
+    if not math.isfinite(u0):
+        raise DomainError(f"the L1 scheme requires a finite u0, got u0={u0}")
     u = [u0]
     R = np.empty(N + 1)  # R[N - n] = u_{n+1} - u_n: the increments reversed, for the far sums
     for s in range(0, N, BLOCK):
@@ -403,7 +416,8 @@ def discrete_caputo_l1(u, alpha: float, dt: float) -> np.ndarray:
     with g, zero-padded to 2n so that the circular product holds the
     linear convolution.  Annihilates constants exactly (zero increments
     transform to zeros) and is linear in u.  A step dt that is not
-    positive and finite, or a u with a non-finite entry, is refused.
+    positive and finite, or a u with a non-finite entry, is refused, and
+    :class:`NumericOverflowError` names the first node whose value is not.
     """
     u = np.asarray(u, dtype=float)
     if u.ndim != 1 or u.size < 2:
@@ -419,4 +433,9 @@ def discrete_caputo_l1(u, alpha: float, dt: float) -> np.ndarray:
     g = l1_kernel(alpha, n)
     scale = 1.0 / _l1_gain(alpha, dt)
     m = 2 * n
-    return scale * np.fft.irfft(np.fft.rfft(np.diff(u), m) * np.fft.rfft(g, m), m)[:n]
+    with np.errstate(over="ignore", invalid="ignore"):
+        d = scale * np.fft.irfft(np.fft.rfft(np.diff(u), m) * np.fft.rfft(g, m), m)[:n]
+    bad = np.flatnonzero(~np.isfinite(d))
+    if bad.size:
+        raise NumericOverflowError(f"discrete_caputo_l1 overflowed at node {bad[0] + 1}")
+    return d

@@ -6,8 +6,9 @@
 z != 0 it inverts E_a's Laplace transform by a fixed rule on the
 parabolic contour of Weideman & Trefethen (2007, Math. Comp.
 76:1341-1356), which costs the same for every z and does not cancel
-(:func:`_contour` for z < 0, :func:`_residue_contour` for z > 0).  All
-functions are pure and operate in binary64.
+(:func:`_contour` for z < 0, :func:`_residue_contour` for z > 0), each
+over :data:`_Z_BLOCK` z at a time (:func:`_block_sums`).  All functions
+are pure and operate in binary64.
 """
 
 from __future__ import annotations

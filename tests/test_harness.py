@@ -834,6 +834,15 @@ class TestCli:
         assert names == ["manifest.json", "pece.csv", "trajectories.svg"]
         assert sorted(printed) == sorted(str(f) for f in out.iterdir())
 
+    def test_svg_only_run_writes_its_manifest(self, tmp_path, capsys):
+        # every emitted run is reproducible from its manifest, whatever its formats
+        out = tmp_path / "run"
+        argv = ["solve", "--method", "pece", *self.PRESET, "--out", str(out), "--formats", "svg"]
+        assert cli.main(argv) == 0
+        assert sorted(p.name for p in out.iterdir()) == ["manifest.json", "trajectories.svg"]
+        want = preset_config("c-nonzero", 0.7, methods=("pece",), out=str(out), formats="svg")
+        assert load_config(out / "manifest.json") == want
+
     def test_table1_emits_files(self, tmp_path, capsys):
         rc = cli.main(["table1", "--out", str(tmp_path / "t1")])
         assert rc == 0

@@ -109,7 +109,7 @@ def test_cache_policy_is_imported_from_its_home():
 
 
 #: a measured timing: a duration, the host it ran on or the tool that took it
-TIMING = re.compile(r"\d\s?(?:us|µs|ms)\b|Xeon|timeit|best of \d|\bp50\b")
+TIMING = re.compile(r"\d\s?(?:s|us|µs|ms)\b|Xeon|vCPU|timeit|best of \d|\bp50\b")
 
 
 def test_no_measured_timings_in_the_sources_or_readme():
@@ -119,3 +119,50 @@ def test_no_measured_timings_in_the_sources_or_readme():
     hits = [f"{path.name}:{i}: {line.strip()}" for path in files
             for i, line in enumerate(path.read_text().splitlines(), 1) if TIMING.search(line)]
     assert not hits
+
+
+README = ROOT / "README.md"
+#: the modules of the package, private ones such as ``_cache`` included
+PACKAGE = {p.stem for p in Path(fracsis.__file__).parent.glob("*.py")}
+#: a backticked span that is one dotted name, such as `fracsis.series.evaluate`
+CITED = re.compile(r"`([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*)`")
+
+
+def readme_names():
+    """Each dotted name README cites in backticks, with its line number;
+    fenced code blocks are left out."""
+    text = re.sub(r"```.*?```", lambda m: "\n" * m[0].count("\n"), README.read_text(), flags=re.S)
+    return [(i, name) for i, line in enumerate(text.splitlines(), 1) for name in CITED.findall(line)]
+
+
+def test_readme_names_no_private_name():
+    # README points at the public modules and functions whose docstrings
+    # state each mechanism: a private helper is a detail of its module
+    private = [(i, name) for i, name in readme_names()
+               if any(part.startswith("_") and part not in PACKAGE for part in name.split("."))]
+    assert not private
+
+
+def resolve(name: str):
+    """The object a dotted name such as ``fracsis.coeffs.MAX_ORDER`` names:
+    the longest importable prefix, then attributes."""
+    parts = name.split(".")
+    for i in range(len(parts), 0, -1):
+        try:
+            obj = importlib.import_module(".".join(parts[:i]))
+        except ImportError:
+            continue
+        for part in parts[i:]:
+            obj = getattr(obj, part)
+        return obj
+    raise ImportError(name)
+
+
+def test_readme_citations_resolve():
+    # every fracsis.- or module-qualified name README cites exists
+    cited = [name if name.split(".")[0] == "fracsis" else f"fracsis.{name}"
+             for _, name in readme_names()
+             if name.split(".")[0] == "fracsis" or ("." in name and name.split(".")[0] in PACKAGE)]
+    assert len(cited) > 10
+    for name in cited:
+        resolve(name)
