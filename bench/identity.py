@@ -16,8 +16,9 @@ Prints one SHA-256 per output class, one ``name hash`` line each:
   change to one half-axis leaves the other's hash as it was;
 * ``table1``, ``c0``: every file that ``run_table1`` and
   ``run_c0_suite`` write (CSV, JSON manifest and SVG);
-* ``schemes``: ``solve_pece`` and ``solve_l1`` trajectories and the
-  ``discrete_caputo_l1`` of each, or the error each raised.
+* ``pece``, ``l1``: the ``solve_pece`` and the ``solve_l1`` trajectories
+  and the ``discrete_caputo_l1`` of each, or the error each raised, apart,
+  so that a change to one scheme leaves the other's hash as it was.
 
 The draws are ``DRAWS`` (alpha, K, kind, a0, grid, beta) tuples from a
 fixed seed, over more distinct alphas than the package's cache bound,
@@ -219,24 +220,25 @@ def scheme_draws(fx, out, rng):
             params = fx.model.ModelParams(beta, gamma, gamma, alpha, float(rng.uniform(0.01, 1.0)))
             f = fx.model.logistic_rhs(params, fx.model.derive(params))
             grid = fx.solvers.TimeGrid(N * 0.025, 0.025)
-            for solve, a in ((fx.solvers.solve_pece, alpha), (fx.solvers.solve_pece, 1.0),
-                             (fx.solvers.solve_l1, alpha)):
-                scheme_outcome(fx, out, solve, f, params.i0, grid, a)
+            for name, a in (("pece", alpha), ("pece", 1.0), ("l1", alpha)):
+                scheme_outcome(fx, out, name, f, params.i0, grid, a)
     grid = fx.solvers.TimeGrid(1.0, 0.1)
-    for solve in (fx.solvers.solve_pece, fx.solvers.solve_l1):
-        scheme_outcome(fx, out, solve, lambda u: u * u, 1e100, grid, 0.5)
+    for name in ("pece", "l1"):
+        scheme_outcome(fx, out, name, lambda u: u * u, 1e100, grid, 0.5)
 
 
-def scheme_outcome(fx, out, solve, f, u0, grid, alpha):
-    """Hash one march and its discrete Caputo derivative, or its refusal."""
+def scheme_outcome(fx, out, name, f, u0, grid, alpha):
+    """Hash one march of the scheme ``name`` ("pece" or "l1") and its
+    discrete Caputo derivative, or its refusal, on that scheme's line."""
+    solve = getattr(fx.solvers, f"solve_{name}")
     try:
         u = solve(f, u0, grid, alpha).u
     except fx.errors.FracsisError as e:
-        out.add("schemes", f"{type(e).__name__}: {e}")
+        out.add(name, f"{type(e).__name__}: {e}")
         return
-    out.add("schemes", u)
+    out.add(name, u)
     if alpha < 1.0:
-        out.add("schemes", fx.solvers.discrete_caputo_l1(u, alpha, grid.dt))
+        out.add(name, fx.solvers.discrete_caputo_l1(u, alpha, grid.dt))
 
 
 def harness_files(fx, out):
@@ -262,7 +264,7 @@ def main(argv=None) -> int:
     import fracsis as fx
 
     out = Hashes(["u", "terms_used", "converged", "beyond_theoretical_radius", "radii",
-                  "tables", "raised", "E_alpha", "E_alpha_pos", "table1", "c0", "schemes"])
+                  "tables", "raised", "E_alpha", "E_alpha_pos", "table1", "c0", "pece", "l1"])
     rng = np.random.default_rng(SEED)
     series_draws(fx, out, rng)
     stress_draws(fx, out)

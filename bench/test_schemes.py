@@ -9,6 +9,8 @@ N = 1000, so ``test_solve_pece`` and ``test_solve_l1`` time the march
 alone there; the ``_cold`` cases clear the plan cache before every
 round, so each round also builds its plan, as a fresh alpha does.  At
 N = 2000 and 4000 no plan is cached, and both kinds of case build it.
+``test_pece_kernels`` and ``test_l1_kernel`` time the kernel builds
+alone, at the ``long_horizon`` grid sizes.
 The directory lies outside the test paths, so the tier-1 suite does not
 run it.  From the root of a checkout:
 
@@ -19,7 +21,14 @@ import pytest
 
 from fracsis import solvers
 from fracsis.model import ModelParams, derive, logistic_rhs
-from fracsis.solvers import TimeGrid, discrete_caputo_l1, solve_l1, solve_pece
+from fracsis.solvers import (
+    TimeGrid,
+    discrete_caputo_l1,
+    l1_kernel,
+    pece_kernels,
+    solve_l1,
+    solve_pece,
+)
 
 ALPHA = 0.6
 DT = 0.025
@@ -67,6 +76,17 @@ def test_solve_l1_cold(benchmark, N):
         setup=solvers._l1_plan.cache_clear, rounds=ROUNDS[N],
     )
     assert traj.u.size == N + 1
+
+
+@pytest.mark.parametrize("N", [2000, 4000])
+def test_pece_kernels(benchmark, N):
+    b, a, a0 = benchmark(pece_kernels, ALPHA, N, DT)
+    assert b.size == a.size == a0.size == N
+
+
+@pytest.mark.parametrize("N", [2000, 4000])
+def test_l1_kernel(benchmark, N):
+    assert benchmark(l1_kernel, ALPHA, N).size == N
 
 
 @pytest.mark.parametrize("N", SIZES)

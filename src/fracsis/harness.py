@@ -137,8 +137,10 @@ _KEYS = {
     "methods": _Key(*_NAMES, _SUBSET(",".join(m.value for m in Method)), ("pece", "l1")),
     "terms": _Key(lambda v: isinstance(v, numbers.Integral) and not isinstance(v, bool),
                   "an integer", {"type": int}, "series truncation order", 120),
-    "out": _Key(lambda v: isinstance(v, (str, os.PathLike)), "a path", {"type": Path},
-                "output directory"),
+    # "" is refused, not read as "no output" or as the working directory;
+    # the flag keeps the raw string, as Path("") would be "."
+    "out": _Key(lambda v: isinstance(v, (str, os.PathLike)) and os.fspath(v) != "",
+                "a non-empty path", {}, "output directory"),
     "formats": _Key(*_NAMES, _SUBSET(",".join(sorted(_FORMATS))), ("csv", "json")),
 }
 CONFIG_KEYS = set(_KEYS)
@@ -255,6 +257,12 @@ def _parse_formats(raw) -> tuple[str, ...]:
     return formats
 
 
+def _check_key(key: str, value) -> None:
+    """Refuse a value of a config key, other than None, that fails the key's test."""
+    if value is not None and not _KEYS[key].test(value):
+        raise ValidationError(f"config key {key!r} must be {_KEYS[key].want}, got {value!r}")
+
+
 def config_from_dict(cfg: dict) -> RunConfig:
     """Validate a flat key-value mapping into a RunConfig; bad keys and values are named.
 
@@ -267,22 +275,19 @@ def config_from_dict(cfg: dict) -> RunConfig:
     unknown = set(cfg) - CONFIG_KEYS
     if unknown:
         raise ValidationError(f"unknown config keys: {sorted(unknown)}")
-    for key, k in _KEYS.items():
-        value = cfg.get(key)
-        if value is not None and not k.test(value):
-            raise ValidationError(f"config key {key!r} must be {k.want}, got {value!r}")
+    for key in _KEYS:
+        _check_key(key, cfg.get(key))
     preset = cfg.get("preset")
     if preset is not None and preset not in PRESETS:
         raise ValidationError(f"unknown preset {preset!r}; available: {sorted(PRESETS)}")
     given = {k: v for k, v in cfg.items() if v is not None}
     cfg = {**{k: key.default for k, key in _KEYS.items()}, **PRESETS.get(preset, {}), **given}
-    out = cfg.get("out")
     return RunConfig(
         params=_build_params(cfg),
         grid=TimeGrid(float(cfg["T"]), float(cfg["dt"])),
         methods=_parse_methods(cfg["methods"]),
         series_terms=int(cfg["terms"]),
-        output_dir=Path(out) if out else None,
+        output_dir=None if cfg["out"] is None else Path(cfg["out"]),
         formats=_parse_formats(cfg["formats"]),
     )
 
@@ -397,8 +402,10 @@ def _run_suite(
     """Yield ``(config, trajectories, report)`` of series, PECE and L1 per alpha.
 
     With ``out`` given, each alpha's artifacts are emitted to ``out/alpha-<alpha>``.
+    ``out`` is checked as the config key is, before any path is built, and
     ``formats`` is a config value, parsed by :func:`config_from_dict`.
     """
+    _check_key("out", out)
     for alpha in alphas:
         cfg = preset_config(
             preset, alpha, methods=("series", "pece", "l1"), formats=formats,

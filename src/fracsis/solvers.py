@@ -12,8 +12,9 @@ of a generated block function adds the lags inside it
 O(N^2) multiply-adds, but no step makes a numpy call, indexes a weight,
 appends to a list or iterates: at the grid sizes used here, any of them
 costs more than the step's arithmetic.  The rounding of a march is fixed
-by BLOCK, which sets the far/near split, by the pairing of :func:`_far`
-and by the block functions' left-to-right near sums.
+by its lag kernel's powers (:func:`_libm_powers`), by BLOCK, which sets
+the far/near split, by the pairing of :func:`_far` and by the block
+functions' left-to-right near sums.
 
 * :func:`solve_pece` — fractional Adams-Bashforth-Moulton in PECE form.
   The predictor integrates the memory kernel with a product rectangle
@@ -190,14 +191,25 @@ class TimeGrid:
         return np.arange(self.N + 1) * self.dt
 
 
+def _libm_powers(x: np.ndarray, p: float) -> np.ndarray:
+    """x**p for each entry of the float array x, as the libm ``pow`` of
+    ``math.pow`` on Python floats.
+
+    This is the one power rule of the lag weights and the node powers.
+    A lag weight is a first or second difference of n**p, so it cancels
+    about log10(n) digits, or 2 log10(n) for PECE's ``a``; and numpy's
+    vectorised pow differs from libm by one ulp on some entries on
+    AVX-512 hardware.  Scalar libm calls keep every power, and so every
+    weight, the same on every host.
+    """
+    return np.fromiter(map(math.pow, x.tolist(), repeat(p)), float, x.size)
+
+
 @_per_grid
 def node_powers(alpha: float, grid: TimeGrid) -> np.ndarray:
-    """Read-only t_n**alpha at the nodes of a grid, cached per (alpha, grid).
-
-    Each power is the libm ``pow`` of ``math.pow``: numpy's vectorised
-    pow may differ from it by one ulp.
-    """
-    return _read_only(np.fromiter(map(math.pow, grid.nodes().tolist(), repeat(alpha)), float))
+    """Read-only t_n**alpha at the nodes of a grid, cached per (alpha, grid),
+    by the power rule of :func:`_libm_powers`."""
+    return _read_only(_libm_powers(grid.nodes(), alpha))
 
 
 class Method(enum.Enum):
@@ -242,10 +254,13 @@ def pece_kernels(alpha: float, N: int, dt: float) -> tuple[np.ndarray, ...]:
     by b[n-j] in the rectangle-rule predictor and, in the trapezoidal
     corrector, f(u_0) by a0[n], f(u_j) by a[n-j] for j = 1..n and the
     predicted value by k.  b is positive, decreasing in the lag, and
-    identically dt at alpha = 1.  Every PECE routine builds these first,
-    so this is where alpha outside (0, 1], a negative N and a dt that is
-    not positive and finite are refused.  Each call returns fresh,
-    writable arrays.
+    identically dt at alpha = 1.  The powers come from one table per
+    exponent, by the power rule of :func:`_libm_powers`, and the numpy
+    differences and products follow the formulas' order, so each weight
+    equals its scalar formula on ``math.pow`` bit for bit.  Every PECE
+    routine builds these first, so this is where alpha outside (0, 1], a
+    negative N and a dt that is not positive and finite are refused.
+    Each call returns fresh, writable arrays.
     """
     check_alpha(alpha, "the PECE scheme requires alpha")
     if N < 0:
@@ -253,20 +268,11 @@ def pece_kernels(alpha: float, N: int, dt: float) -> tuple[np.ndarray, ...]:
     if not (dt > 0 and math.isfinite(dt)):
         raise DomainError(f"pece_kernels requires a positive, finite dt, got dt={dt}")
     k = _pece_k(alpha, dt)
-    m = np.arange(N, dtype=float)
-    b = dt**alpha / alpha * ((m + 1.0) ** alpha - m**alpha)
-    a = k * (
-        (m + 2.0) ** (alpha + 1.0) - 2.0 * (m + 1.0) ** (alpha + 1.0) + m ** (alpha + 1.0)
-    )
-    # a0 cancels about log10(n) digits, so its powers are the scalar libm
-    # pow of Python floats: on AVX-512 hardware numpy's vectorised pow
-    # differs from libm by one ulp on 206 of 4001 nodes, and the
-    # cancellation turns that into up to 6e-13 on a logistic PECE
-    # trajectory at N = 4000.  The products and differences are numpy's,
-    # the same IEEE operations in the same order as the scalar expression.
-    up = np.fromiter(map(pow, m.tolist(), repeat(alpha + 1.0)), float, N)
-    down = np.fromiter(map(pow, (m + 1.0).tolist(), repeat(alpha)), float, N)
-    a0 = k * (up - (m - alpha) * down)
+    P = _libm_powers(np.arange(N + 1, dtype=float), alpha)  # P[n] = n^alpha
+    Q = _libm_powers(np.arange(N + 2, dtype=float), alpha + 1.0)  # Q[n] = n^(alpha+1)
+    b = dt**alpha / alpha * (P[1:] - P[:-1])
+    a = k * (Q[2:] - 2.0 * Q[1:-1] + Q[:-2])
+    a0 = k * (Q[:N] - (np.arange(N, dtype=float) - alpha) * P[1:])
     return b, a, a0
 
 
@@ -340,12 +346,17 @@ def l1_kernel(alpha: float, N: int) -> np.ndarray:
     g decreases in m, and sum_{m<N} g[m] telescopes to N^(1-alpha).  Every
     L1 routine builds it first, so this is where alpha outside (0, 1) and
     a negative N are refused.  Each call returns a fresh, writable array.
+
+    g cancels digits as the PECE weights do (:func:`_libm_powers`), but its
+    one power table is numpy's: numpy's pow gives each entry the same bits
+    wherever it sits in the array, and a libm table costs about a dozen
+    times as much (CHANGES.md) in every L1 plan and discrete derivative.
     """
     check_alpha(alpha, "the L1 scheme requires alpha", closed=False)
     if N < 0:
         raise DomainError(f"l1_kernel requires N >= 0, got N={N}")
-    m = np.arange(N, dtype=float)
-    g = (m + 1.0) ** (1.0 - alpha) - m ** (1.0 - alpha)
+    R = np.arange(N + 1, dtype=float) ** (1.0 - alpha)  # R[n] = n^(1-alpha)
+    g = R[1:] - R[:-1]
     g[:1] = 1.0
     return g
 

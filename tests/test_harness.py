@@ -531,6 +531,26 @@ class TestRefusals:
         argv = ["compare", *self.PRESET, "--methods", "pece,rk4"]
         self.assert_cli_error(argv, message, capsys)
 
+    EMPTY_OUT = "config key 'out' must be a non-empty path, got ''"
+
+    def test_empty_out_in_a_config(self):
+        # "" is neither "no output" nor the working directory
+        with pytest.raises(ValidationError, match=f"^{re.escape(self.EMPTY_OUT)}$"):
+            config_from_dict({"preset": "c-nonzero", "alpha": 0.7, "out": ""})
+        for run in (run_table1, run_c0_suite):
+            with pytest.raises(ValidationError, match=f"^{re.escape(self.EMPTY_OUT)}$"):
+                run(out="")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["solve", "--method", "pece", *PRESET], ["compare", *PRESET], ["table1"], ["c0-suite"]],
+        ids=["solve", "compare", "table1", "c0-suite"],
+    )
+    def test_empty_out_flag(self, argv, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        self.assert_cli_error([*argv, "--out", ""], self.EMPTY_OUT, capsys)
+        assert list(tmp_path.iterdir()) == []
+
     def test_compare_needs_two_methods(self, capsys):
         self.assert_cli_error(
             ["compare", *self.PRESET, "--methods", "pece"],

@@ -40,24 +40,28 @@ SUBCRITICAL = dict(beta=0.3, gamma=0.2, mu=0.3)
 # and the marches built on them (O(N^2) weight evaluations per run)
 
 
+def libm_powers(n, p):
+    """m**p for m = 0..n, each the libm pow of ``math.pow``: the package's
+    power rule for the PECE weights, which numpy's vectorised pow can
+    miss by an ulp."""
+    return np.fromiter(map(math.pow, np.arange(n + 1.0).tolist(), itertools.repeat(p)), float, n + 1)
+
+
 def pece_weights_b(alpha, n, dt):
     """Rectangle-rule weights b_{j,n+1}, j = 0..n."""
-    j = np.arange(n + 1, dtype=float)
-    return dt**alpha / alpha * ((n + 1 - j) ** alpha - (n - j) ** alpha)
+    P = libm_powers(n + 1, alpha)  # P[m] = m^alpha
+    j = np.arange(n + 1)
+    return dt**alpha / alpha * (P[n + 1 - j] - P[n - j])
 
 
 def pece_weights_a(alpha, n, dt):
     """Trapezoidal weights a_{j,n+1}, j = 0..n+1."""
     k = dt**alpha / (alpha * (alpha + 1.0))
+    Q = libm_powers(n + 2, alpha + 1.0)  # Q[m] = m^(alpha+1)
     a = np.empty(n + 2)
-    a[0] = k * (n ** (alpha + 1.0) - (n - alpha) * (n + 1.0) ** alpha)
-    if n >= 1:
-        j = np.arange(1, n + 1, dtype=float)
-        a[1 : n + 1] = k * (
-            (n - j + 2.0) ** (alpha + 1.0)
-            - 2.0 * (n - j + 1.0) ** (alpha + 1.0)
-            + (n - j) ** (alpha + 1.0)
-        )
+    a[0] = k * (Q[n] - (n - alpha) * math.pow(n + 1, alpha))
+    j = np.arange(1, n + 1)
+    a[1 : n + 1] = k * (Q[n - j + 2] - 2.0 * Q[n - j + 1] + Q[n - j])
     a[n + 1] = k
     return a
 
@@ -171,6 +175,23 @@ class TestPeceWeights:
             assert np.array_equal(b[n::-1], pece_weights_b(alpha, n, dt))
             want = np.concatenate([[a0[n]], a[:n][::-1], [k]])
             assert np.array_equal(want, pece_weights_a(alpha, n, dt))
+
+    @pytest.mark.parametrize("N", [1, 17, 100, 4000])
+    @pytest.mark.parametrize("alpha", [0.2, 0.5, 0.9, 1.0])
+    def test_kernels_equal_the_scalar_libm_formulas(self, alpha, N):
+        # every power is one math.pow call, as in pece_kernels' power
+        # rule; numpy's vectorised pow misses libm by an ulp on some
+        # entries on AVX-512 hardware
+        dt = 0.025
+        k = dt**alpha / (alpha * (alpha + 1.0))
+        p, q = alpha, alpha + 1.0
+        want = (
+            [dt**alpha / alpha * (math.pow(m + 1, p) - math.pow(m, p)) for m in range(N)],
+            [k * (math.pow(m + 2, q) - 2.0 * math.pow(m + 1, q) + math.pow(m, q)) for m in range(N)],
+            [k * (math.pow(n, q) - (n - alpha) * math.pow(n + 1, p)) for n in range(N)],
+        )
+        for got, w in zip(pece_kernels(alpha, N, dt), want):
+            assert np.array_equal(got, w)
 
     def test_rectangle_weights_alpha_one(self):
         b, _, _ = pece_kernels(1.0, 8, 0.05)
