@@ -14,11 +14,22 @@ c-zero rates (beta = 0.7, gamma = 0.07, mu = 0.63) with I0 = 1/(2 beta)
 on T = 1, dt = 0.01, where every round after the first reads the
 series' node sums from their per-(table, grid) cache.  ``emit``
 writes the same three trajectories, their comparison and the manifest
-(csv and json) from a finished run.  The directory lies outside the test
-paths, so the tier-1 suite does not run it.  From the root of a checkout:
+(csv and json) from a finished run.  ``test_cold_import`` starts a fresh
+interpreter with ``PYTHONDONTWRITEBYTECODE=1``, as perfbench workers
+run, so every module it imports is compiled from source: ``cli`` runs
+``import fracsis, fracsis.cli`` and ``schemes`` also reads
+``fracsis.model`` and ``fracsis.solvers``, what a ``long_horizon``
+worker loads.  The directory lies outside the test paths, so the
+tier-1 suite does not run it.  From the root of a checkout:
 
     PYTHONPATH=src python -m pytest bench --benchmark-only
 """
+
+import os
+import subprocess
+import sys
+
+import pytest
 
 from fracsis import cli
 from fracsis.harness import (
@@ -85,3 +96,16 @@ def test_emit(benchmark, tmp_path):
     assert [f.name for f in files] == [
         "series.csv", "pece.csv", "l1.csv", "comparison.csv", "manifest.json",
     ]
+
+
+COLD = {
+    "cli": "import fracsis, fracsis.cli",
+    "schemes": "import fracsis, fracsis.cli; fracsis.model, fracsis.solvers",
+}
+
+
+@pytest.mark.parametrize("start", sorted(COLD))
+def test_cold_import(benchmark, start):
+    argv = [sys.executable, "-c", COLD[start]]
+    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
+    assert benchmark(subprocess.run, argv, env=env).returncode == 0

@@ -17,7 +17,9 @@ terms, out and formats, ``c0-suite`` out and formats, and ``population``
 T and dt.
 
 The parser is built once per process, on the first :func:`main` call,
-and reused by every later one.
+and reused by every later one.  The module imports ``fracsis.errors``
+alone and reaches ``harness``, ``coeffs`` and ``solvers`` through the
+package, which loads each on first use (see :mod:`fracsis`).
 
 Exit codes: 0 success, 1 validation error, 2 numeric failure.
 """
@@ -29,53 +31,58 @@ import sys
 from functools import lru_cache
 from pathlib import Path
 
-from . import harness
-from .coeffs import a_coeffs, euler_alpha
+import fracsis
 from .errors import NumericError, ValidationError
-from .solvers import Method, TimeGrid
 
 
 def _add_flags(p: argparse.ArgumentParser, *keys: str, default=False, help="{}") -> None:
     """Add the flag of each config key from ``harness._KEYS``, with its default if
     ``default``; ``help`` is the help line, formatted with the key's help and default."""
     for key in keys:
-        k = harness._KEYS[key]
+        k = fracsis.harness._KEYS[key]
         p.add_argument(f"--{key}", **k.flag, default=k.default if default else None,
                        help=help.format(k.help, k.default))
 
 
 def _add_config_flags(p: argparse.ArgumentParser, with_methods: bool = True) -> None:
     p.add_argument("--config", type=Path, help="JSON config or manifest to load")
-    _add_flags(p, *(k for k in harness._KEYS if with_methods or k != "methods"))
+    _add_flags(p, *(k for k in fracsis.harness._KEYS if with_methods or k != "methods"))
 
 
-def _merged_config(args) -> harness.RunConfig:
-    cfg = {} if args.config is None else harness.read_config_dict(args.config)
+def _merged_config(args) -> fracsis.harness.RunConfig:
+    cfg = {} if args.config is None else fracsis.harness.read_config_dict(args.config)
     # explicit flags override the file; dests match the config keys
-    cfg.update((k, v) for k, v in vars(args).items() if k in harness.CONFIG_KEYS and v is not None)
-    return harness.config_from_dict(cfg)
+    keys = fracsis.harness.CONFIG_KEYS
+    cfg.update((k, v) for k, v in vars(args).items() if k in keys and v is not None)
+    return fracsis.harness.config_from_dict(cfg)
+
+
+def _write_csv(out, text: str):
+    """Write ``text`` to stdout if ``out`` is None, else to the file ``out``,
+    refused if empty as the config key ``out`` is; return the file or None."""
+    if out is None:
+        sys.stdout.write(text)
+        return None
+    fracsis.harness._check_key("out", out)
+    return fracsis.harness._write(Path(out), text)
 
 
 def _cmd_coeffs(args) -> int:
-    build = euler_alpha if args.kind == "euler" else a_coeffs
+    build = fracsis.coeffs.euler_alpha if args.kind == "euler" else fracsis.coeffs.a_coeffs
     table = build(args.alpha, args.K)
-    text = harness.csv_text("k,value", enumerate(table.values))
-    if args.out is not None:
-        harness._write(args.out, text)
-    else:
-        sys.stdout.write(text)
+    _write_csv(args.out, fracsis.harness.csv_text("k,value", enumerate(table.values)))
     return 0
 
 
 def _cmd_solve(args) -> int:
     cfg = _merged_config(args)
     method = cfg.methods[0]
-    traj = harness.solve_method(cfg, method)
+    traj = fracsis.harness.solve_method(cfg, method)
     if cfg.output_dir is not None:
-        for f in harness.emit({method: traj}, [], cfg):
+        for f in fracsis.harness.emit({method: traj}, [], cfg):
             print(f)
     else:
-        sys.stdout.write(harness.trajectory_csv(traj))
+        sys.stdout.write(fracsis.harness.trajectory_csv(traj))
     return 0
 
 
@@ -83,24 +90,24 @@ def _cmd_compare(args) -> int:
     cfg = _merged_config(args)
     if len(cfg.methods) < 2:
         raise ValidationError("compare needs at least two methods (use --methods)")
-    trajs = harness.run_methods(cfg)
-    report = harness.compare_methods(trajs, cfg.params.alpha)
+    trajs = fracsis.harness.run_methods(cfg)
+    report = fracsis.harness.compare_methods(trajs, cfg.params.alpha)
     for ma, mb, dist in report.pairs:
         print(f"{ma} vs {mb}: {dist:.6e}")
     if cfg.output_dir is not None:
-        for f in harness.emit(trajs, [report], cfg):
+        for f in fracsis.harness.emit(trajs, [report], cfg):
             print(f)
     return 0
 
 
 def _cmd_table1(args) -> int:
-    reports = harness.run_table1(terms=args.terms, out=args.out, formats=args.formats)
-    print(harness.format_report_table(reports))
+    reports = fracsis.harness.run_table1(terms=args.terms, out=args.out, formats=args.formats)
+    print(fracsis.harness.format_report_table(reports))
     return 0
 
 
 def _cmd_c0_suite(args) -> int:
-    entries = harness.run_c0_suite(out=args.out, formats=args.formats)
+    entries = fracsis.harness.run_c0_suite(out=args.out, formats=args.formats)
     for e in entries:
         status = (
             "converged on the whole grid"
@@ -115,14 +122,12 @@ def _cmd_c0_suite(args) -> int:
 
 
 def _cmd_population(args) -> int:
-    grid = TimeGrid(args.T, args.dt)
-    n = harness.population_curve(args.alpha, args.lam, args.mu, args.n0, grid)
-    text = harness.csv_text("t,N", zip(grid.nodes().tolist(), n.tolist()))
-    if args.out is not None:
-        harness._write(args.out, text)
-        print(args.out)
-    else:
-        sys.stdout.write(text)
+    grid = fracsis.solvers.TimeGrid(args.T, args.dt)
+    n = fracsis.harness.population_curve(args.alpha, args.lam, args.mu, args.n0, grid)
+    text = fracsis.harness.csv_text("t,N", zip(grid.nodes().tolist(), n.tolist()))
+    path = _write_csv(args.out, text)
+    if path is not None:
+        print(path)
     return 0
 
 
@@ -138,11 +143,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", choices=("euler", "a"), required=True)
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("-K", type=int, default=40, help="table order (default 40)")
-    p.add_argument("--out", type=Path, help="CSV file (default: stdout)")
+    p.add_argument("--out", help="CSV file (default: stdout)")
     p.set_defaults(func=_cmd_coeffs)
 
     p = sub.add_parser("solve", help="run a single method")
-    p.add_argument("--method", dest="methods", choices=[m.value for m in Method], required=True)
+    methods = [m.value for m in fracsis.solvers.Method]
+    p.add_argument("--method", dest="methods", choices=methods, required=True)
     _add_config_flags(p, with_methods=False)
     p.set_defaults(func=_cmd_solve)
 
@@ -165,7 +171,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mu", type=float, required=True)
     p.add_argument("--n0", type=float, default=1.0)
     _add_flags(p, "T", "dt", default=True)
-    p.add_argument("--out", type=Path, help="CSV file (default: stdout)")
+    p.add_argument("--out", help="CSV file (default: stdout)")
     p.set_defaults(func=_cmd_population)
 
     return parser

@@ -12,6 +12,18 @@ fractional order that every public routine taking alpha runs.
 import math
 import sys
 
+__all__ = [
+    "DomainError",
+    "FracsisError",
+    "GridMismatchError",
+    "HypothesisError",
+    "InsufficientDataError",
+    "NumericError",
+    "NumericOverflowError",
+    "ValidationError",
+    "check_alpha",
+]
+
 
 class FracsisError(Exception):
     """Base class for all package-specific errors."""

@@ -543,8 +543,10 @@ class TestRefusals:
 
     @pytest.mark.parametrize(
         "argv",
-        [["solve", "--method", "pece", *PRESET], ["compare", *PRESET], ["table1"], ["c0-suite"]],
-        ids=["solve", "compare", "table1", "c0-suite"],
+        [["solve", "--method", "pece", *PRESET], ["compare", *PRESET], ["table1"], ["c0-suite"],
+         ["coeffs", "--kind", "a", "--alpha", "0.7"],
+         ["population", "--alpha", "0.7", "--lambda", "1", "--mu", "0.5"]],
+        ids=["solve", "compare", "table1", "c0-suite", "coeffs", "population"],
     )
     def test_empty_out_flag(self, argv, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)

@@ -2,7 +2,11 @@
 
 import ast
 import importlib
+import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -21,19 +25,75 @@ def test_version_read_from_the_package():
 
 
 def test_exports_match_module_all():
-    # every name the package imports from a submodule is in that module's
-    # __all__, and every __all__ entry resolves
-    tree = ast.parse(Path(fracsis.__file__).read_text())
-    for node in tree.body:
-        if not (isinstance(node, ast.ImportFrom) and node.level == 1):
-            continue
-        module = importlib.import_module(f"fracsis.{node.module}")
-        if not hasattr(module, "__all__"):
-            continue
-        for alias in node.names:
-            assert alias.name in module.__all__, (node.module, alias.name)
+    # every name of the export table is in its submodule's __all__ and reads
+    # as that submodule's object, and every __all__ entry resolves
+    assert fracsis.__all__ == [*fracsis._EXPORTS, *fracsis._SUBMODULES]
+    for name, owner in fracsis._EXPORTS.items():
+        module = importlib.import_module(f"fracsis.{owner}")
+        assert name in module.__all__, (owner, name)
+        assert getattr(fracsis, name) is getattr(module, name), (owner, name)
+    for owner in fracsis._SUBMODULES:
+        module = importlib.import_module(f"fracsis.{owner}")
         for name in module.__all__:
-            assert hasattr(module, name), (node.module, name)
+            assert hasattr(module, name), (owner, name)
+
+
+#: what ``from fracsis import *`` binds: the exports and the seven submodules
+STAR_NAMES = set("""
+    CoeffKind CoeffTable ComparisonReport DerivedParams DomainError EvalResult
+    FracsisError GridMismatchError HypothesisError InsufficientDataError Method
+    ModelParams NumericError NumericOverflowError RadiusEstimate RunConfig
+    SeriesSolution TimeGrid Trajectory ValidationError a_coeffs
+    carrying_capacity_series classical_sis compare_methods crossing_node derive
+    discrete_caputo_l1 emit empirical_radius euler_alpha evaluate
+    format_report_table l1_kernel linf_distance load_config logistic_rhs
+    mittag_leffler pece_kernels population_curve preset_config
+    radius_carrying_capacity radius_zero_capacity rescaled_zero_capacity_series
+    run_c0_suite run_methods run_table1 sample_trajectory solve_l1 solve_method
+    solve_pece zero_capacity_series
+    coeffs errors harness model series solvers specfn
+""".split())
+
+#: run in a fresh interpreter: the package modules loaded after each step
+LOADING = """
+import json, sys
+
+def loaded():
+    return sorted(m for m in sys.modules if m.startswith("fracsis"))
+
+import fracsis
+seen = {"import": loaded()}
+import fracsis.cli
+seen["cli"] = loaded()
+grid = fracsis.TimeGrid(1.0, 0.25)
+pece = fracsis.solve_pece(lambda u: u * (1 - u), 0.5, grid, 0.7)
+fracsis.solve_l1(lambda u: u * (1 - u), 0.5, grid, 0.7)
+fracsis.discrete_caputo_l1(pece.u, 0.7, 0.25)
+seen["schemes"] = loaded()
+try:
+    fracsis.no_such_name
+except AttributeError as e:
+    seen["unknown"] = str(e)
+seen["dir"] = dir(fracsis)
+star = {}
+exec("from fracsis import *", star)
+seen["star"] = sorted(set(star) - {"__builtins__"})
+print(json.dumps(seen))
+"""
+
+
+def test_submodules_load_on_first_use():
+    env = {**os.environ, "PYTHONPATH": str(Path(fracsis.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", LOADING], env=env,
+                          capture_output=True, text=True, check=True)
+    seen = json.loads(proc.stdout)
+    assert seen["import"] == ["fracsis"]
+    assert seen["cli"] == ["fracsis", "fracsis.cli", "fracsis.errors"]
+    assert not {"fracsis.harness", "fracsis.series", "fracsis.specfn"} & set(seen["schemes"])
+    assert len(STAR_NAMES) == 58
+    assert set(seen["star"]) == STAR_NAMES
+    assert STAR_NAMES <= set(seen["dir"])
+    assert seen["unknown"] == "module 'fracsis' has no attribute 'no_such_name'"
 
 
 def modules():
