@@ -26,7 +26,7 @@ for e in entries:
         dev = np.max(np.abs(series.u - pece.u))
         print(f"  series converged on the whole grid, {dev:.1e} from PECE")
     else:
-        ok = np.array(e.series_converged)
+        ok = np.array(series.meta["converged"])
         dev = np.max(np.abs(series.u[ok] - pece.u[ok]))
         flagged = np.abs(series.u[~ok] - pece.u[~ok])
         print(f"  series flagged non-converged from t = {e.series_diverged_at:g}")

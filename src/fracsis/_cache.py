@@ -28,6 +28,7 @@ first use, so importing the package compiles nothing.
 
 from __future__ import annotations
 
+import linecache
 from functools import lru_cache, wraps
 from typing import Callable
 
@@ -70,9 +71,13 @@ def _compiled(source: Callable[[], str]) -> Callable:
     function named as ``source`` less its ``_source`` suffix.  Every
     generated function adds its terms with ``+``, left to right from 0.0,
     and calls no ``sum``, which compensates float rounding from Python
-    3.12 on: so its bits are the same on every Python version.
+    3.12 on: so its bits are the same on every Python version.  Its source
+    goes into :mod:`linecache` with no mtime, which ``checkcache`` never
+    drops, so tracebacks and ``inspect.getsource`` show its lines.
     """
     name = source.__name__.removesuffix("_source")
+    text, filename = source(), f"<{source.__module__}.{name}>"
+    linecache.cache[filename] = (len(text), None, text.splitlines(True), filename)
     scope: dict = {}
-    exec(compile(source(), f"<{source.__module__}.{name}>", "exec"), scope)
+    exec(compile(text, filename, "exec"), scope)
     return scope[name]

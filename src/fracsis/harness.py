@@ -85,6 +85,8 @@ TOOL_NAME = "fracsis"
 _FMT = "%.17g"
 
 _FORMATS = {"csv", "json", "svg"}
+#: the series trajectory's meta keys that its manifest entry records
+_SERIES_FLAGS = ("converged", "beyond_theoretical_radius", "all_converged")
 
 TABLE1_ALPHAS = (0.99, 0.7, 0.3)
 #: the method pairs of the table1 columns, in order
@@ -237,9 +239,13 @@ def _build_params(cfg: dict) -> ModelParams:
     return params
 
 
+def _split(raw):
+    """The names of a comma/space-separated string, or ``raw`` as it is."""
+    return raw.replace(",", " ").split() if isinstance(raw, str) else raw
+
+
 def _parse_methods(raw) -> tuple[Method, ...]:
-    if isinstance(raw, str):
-        raw = [m for m in raw.replace(",", " ").split() if m]
+    raw = _split(raw)
     try:
         return tuple(Method(str(m).lower()) for m in raw)
     except ValueError as e:
@@ -251,7 +257,7 @@ def _parse_methods(raw) -> tuple[Method, ...]:
 
 def _parse_formats(raw) -> tuple[str, ...]:
     """Formats from a comma/space-separated string or a sequence of names."""
-    formats = tuple(raw.replace(",", " ").split() if isinstance(raw, str) else raw)
+    formats = tuple(_split(raw))
     if not formats:
         raise ValidationError(f"formats must name one of {sorted(_FORMATS)}, got {raw!r}")
     return formats
@@ -357,7 +363,7 @@ def run_methods(config: RunConfig) -> dict[Method, Trajectory]:
 def linf_distance(a: Trajectory, b: Trajectory) -> float:
     """max_n |a.u[n] - b.u[n]| over a shared grid."""
     ga, gb = a.grid, b.grid
-    if ga.N != gb.N or ga.dt != gb.dt or ga.T != gb.T:
+    if ga != gb:
         raise GridMismatchError(
             f"grids differ: (T={ga.T}, dt={ga.dt}) vs (T={gb.T}, dt={gb.dt})"
         )
@@ -397,19 +403,19 @@ def crossing_node(traj: Trajectory) -> Optional[float]:
 
 
 def _run_suite(
-    preset: str, alphas: Sequence[float], out: Optional[Path], formats=None, **overrides
+    preset: str, alphas: Sequence[float], out: Optional[Path], formats=None, terms=None
 ) -> Iterator[tuple[RunConfig, dict[Method, Trajectory], ComparisonReport]]:
     """Yield ``(config, trajectories, report)`` of series, PECE and L1 per alpha.
 
     With ``out`` given, each alpha's artifacts are emitted to ``out/alpha-<alpha>``.
     ``out`` is checked as the config key is, before any path is built, and
-    ``formats`` is a config value, parsed by :func:`config_from_dict`.
+    ``formats`` and ``terms`` are config values, None for the key's default.
     """
     _check_key("out", out)
     for alpha in alphas:
         cfg = preset_config(
             preset, alpha, methods=("series", "pece", "l1"), formats=formats,
-            out=None if out is None else Path(out) / f"alpha-{alpha:g}", **overrides,
+            out=None if out is None else Path(out) / f"alpha-{alpha:g}", terms=terms,
         )
         trajs = run_methods(cfg)
         report = compare_methods(trajs, alpha)
@@ -451,11 +457,10 @@ def format_report_table(reports: Sequence[ComparisonReport]) -> str:
 
 @dataclass(frozen=True)
 class C0SuiteEntry:
-    """One alpha of the zero-capacity suite."""
+    """One alpha of the zero-capacity suite; the series flags are in its trajectory's meta."""
 
     alpha: float
     trajectories: dict[Method, Trajectory]
-    series_converged: list[bool]
     series_diverged_at: Optional[float]
     schemes_bounded: bool
     crossing: dict[str, Optional[float]]
@@ -476,12 +481,7 @@ def run_c0_suite(
     entries = []
     for cfg, trajs, report in _run_suite("c-zero", C0_SUITE_ALPHAS, out, formats):
         flags = trajs[Method.SERIES].meta["converged"]
-        nodes = cfg.grid.nodes()
-        diverged_at = None
-        for idx, ok in enumerate(flags):
-            if not ok:
-                diverged_at = float(nodes[idx])
-                break
+        diverged_at = None if all(flags) else float(cfg.grid.nodes()[flags.index(False)])
         bounded = all(
             bool(np.all((trajs[m].u >= 0.0) & (trajs[m].u <= 1.0)))
             for m in (Method.PECE, Method.L1)
@@ -491,7 +491,6 @@ def run_c0_suite(
             C0SuiteEntry(
                 alpha=report.alpha,
                 trajectories=trajs,
-                series_converged=flags,
                 series_diverged_at=diverged_at,
                 schemes_bounded=bounded,
                 crossing=crossing,
@@ -640,29 +639,19 @@ def emit(
     derived parameters, the series radius recorded in the series
     trajectory's meta, per-node series convergence flags and the emitted
     CSV names.  Requires ``config.output_dir``, which is created with its
-    parents if missing; returns the written paths.
+    parents if missing; returns the written paths, in the order
+    ``<method>.csv``, ``trajectories.svg``, ``comparison.csv``, manifest.
     """
     if config.output_dir is None:
         raise ValidationError("emit requires an output directory in the config")
-    out = Path(config.output_dir)
-    written: list[Path] = []
-    manifest_trajs = {}
-    for method, traj in trajectories.items():
-        entry: dict = {}
-        if "csv" in config.formats:
-            f = _write(out / f"{method.value}.csv", trajectory_csv(traj))
-            written.append(f)
-            entry["file"] = f.name
-        if method is Method.SERIES:
-            entry["converged"] = traj.meta["converged"]
-            entry["beyond_theoretical_radius"] = traj.meta["beyond_theoretical_radius"]
-            entry["all_converged"] = traj.meta["all_converged"]
-        manifest_trajs[method.value] = entry
+    csv = "csv" in config.formats
+    names = {m: f"{m.value}.csv" for m in trajectories}
+    files = {names[m]: trajectory_csv(t) for m, t in trajectories.items()} if csv else {}
     if "svg" in config.formats:
-        written.append(_write(out / "trajectories.svg", _svg_text(trajectories)))
-    if reports and "csv" in config.formats:
+        files["trajectories.svg"] = _svg_text(trajectories)
+    if csv and reports:
         rows = (p for r in reports for p in r.pairs)
-        written.append(_write(out / "comparison.csv", csv_text("method_a,method_b,linf", rows)))
+        files["comparison.csv"] = csv_text("method_a,method_b,linf", rows)
     series = trajectories.get(Method.SERIES)
     manifest = {
         "tool": TOOL_NAME,
@@ -670,12 +659,14 @@ def emit(
         "config": _config_dict(config),
         "derived": asdict(config.derived),
         "series_radius": None if series is None else series.meta["radius"],
-        "comparisons": [
-            {"alpha": r.alpha, "pairs": [list(p) for p in r.pairs]}
-            for r in reports
-        ],
-        "trajectories": manifest_trajs,
+        "comparisons": [{"alpha": r.alpha, "pairs": [list(p) for p in r.pairs]} for r in reports],
+        "trajectories": {
+            m.value: {
+                **({"file": names[m]} if names[m] in files else {}),
+                **({k: t.meta[k] for k in _SERIES_FLAGS} if m is Method.SERIES else {}),
+            }
+            for m, t in trajectories.items()
+        },
     }
-    text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
-    written.append(_write(out / "manifest.json", text))
-    return written
+    files["manifest.json"] = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
+    return [_write(Path(config.output_dir) / name, text) for name, text in files.items()]

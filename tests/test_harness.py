@@ -245,7 +245,7 @@ class TestC0Suite:
             e = by_alpha[alpha]
             s = e.trajectories[Method.SERIES]
             p = e.trajectories[Method.PECE]
-            ok = np.array(e.series_converged)
+            ok = np.array(s.meta["converged"])
             assert np.max(np.abs(s.u[ok] - p.u[ok])) < 1e-3
 
     def test_crossing_moves_right_for_small_alpha(self, entries):

@@ -226,3 +226,16 @@ def test_readme_citations_resolve():
     assert len(cited) > 10
     for name in cited:
         resolve(name)
+
+
+def test_identity_script_runs_on_the_checkout():
+    # bench/identity.py reaches private names (series._sum_nodes,
+    # CoeffTable._root): a rename that breaks it fails here, not at the
+    # next comparison of two checkouts
+    proc = subprocess.run([sys.executable, str(ROOT / "bench" / "identity.py")],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    names = [m[1] if (m := re.fullmatch(r"(\w+) [0-9a-f]{64}", line)) else line
+             for line in proc.stdout.splitlines()]
+    assert names == ["u", "terms_used", "converged", "beyond_theoretical_radius", "radii",
+                     "tables", "raised", "E_alpha", "E_alpha_pos", "table1", "c0", "pece", "l1"]

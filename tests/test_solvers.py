@@ -1,11 +1,13 @@
 """Scheme kernels, marches, discrete-operator properties, limits and orders."""
 
+import inspect
 import itertools
 import math
 import os
 import re
 import subprocess
 import sys
+import traceback
 from pathlib import Path
 
 import numpy as np
@@ -893,6 +895,19 @@ def test_block_functions_compile_on_the_first_march():
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["[0,", "0,", "1,", "1,", "2,", "2,", "3,", "3]", "3"]
+
+
+def test_generated_functions_show_their_source():
+    # an overflow's traceback ends in the generated block, and shows its line
+    with pytest.raises(NumericOverflowError) as info:
+        solve_pece(lambda u: u * u, 1e100, TimeGrid(1.0, 0.25), 0.7)
+    last = traceback.format_tb(info.value.__traceback__)[-1]
+    assert '"<fracsis.solvers._pece_block>"' in last
+    assert "raise NumericOverflowError(" in last
+    for source, name in ((solvers._pece_block_source, "_pece_block"),
+                         (solvers._l1_block_source, "_l1_block"),
+                         (coeffs._sq_block_source, "_sq_block")):
+        assert inspect.getsource(_cache._compiled(source)).startswith(f"def {name}(")
 
 
 class TestPlanCache:
