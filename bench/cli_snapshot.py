@@ -79,6 +79,9 @@ CALLS = [
     ["compare", "--config", "missing.json"],
     # a run whose one format is svg still writes its manifest
     ["solve", "--method", "pece", *_C_NONZERO, "--out", "d", "--formats", "svg"],
+    # N = 97 = 6 BLOCK + 1: both marches end on a one-step block after a far history
+    ["compare", *_C_NONZERO, "--methods", "pece,l1", "--T", "4.85", "--dt", "0.05",
+     "--out", "d"],
 ]
 
 

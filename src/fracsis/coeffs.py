@@ -93,8 +93,8 @@ class CoeffTable:
     """A finite prefix ``d[0..K]`` of a normalised coefficient sequence.
 
     ``d[k] = c_k / Gamma(alpha k + 1)``; ``d[0] = c_0``.  The entries'
-    logarithms, the root test of :func:`empirical_radius` and the hash are
-    kept on the table, out of its fields.
+    logarithms and the root test of :func:`empirical_radius` are kept on
+    the table, out of its fields.
     """
 
     alpha: float
@@ -139,15 +139,6 @@ class CoeffTable:
     def _root(self) -> tuple[float, int, int]:
         """:func:`_root_test` of the table, computed once per table object."""
         return _root_test(self._log_abs)
-
-    @cached_property
-    def _hash(self) -> int:
-        return hash((self.alpha, self.kind, self.d))
-
-    def __hash__(self) -> int:
-        """The hash of the fields, as the dataclass's own, computed once per
-        table object: a cache keyed by the table does not hash ``d`` again."""
-        return self._hash
 
 
 @dataclass(frozen=True)

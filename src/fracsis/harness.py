@@ -166,6 +166,8 @@ class RunConfig:
             raise ValidationError("at least one method is required")
         if len(set(self.methods)) != len(self.methods):
             raise ValidationError("duplicate methods in config")
+        if len(set(self.formats)) != len(self.formats):
+            raise ValidationError("duplicate formats in config")
         unknown = set(self.formats) - _FORMATS
         if unknown:
             raise ValidationError(f"unknown output formats: {sorted(unknown)}")

@@ -324,7 +324,7 @@ def _windows(x: np.ndarray, n: int, pick, out: np.ndarray) -> np.ndarray:
 @lru_cache(maxsize=_CACHE_SIZE)
 def _series_table(table: CoeffTable) -> _Table:
     """The kernel form of ``table``, with its thresholds, built once per
-    table and cached by it: a lookup hashes through the table's cached hash."""
+    table and cached by it."""
     a = np.array(table.d)
     with np.errstate(divide="ignore", invalid="ignore"):
         log_abs = np.log(np.abs(a))

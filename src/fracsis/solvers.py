@@ -6,15 +6,14 @@ On a uniform grid the memory weights depend only on the lag m = n - j,
 so a march's lag kernel is part of its plan (:func:`_pece_plan`,
 :func:`_l1_plan`), not built per step.  A march runs in blocks of
 :data:`BLOCK` steps: one ``np.correlate`` per kernel prices the
-history before a block for every step in it (:func:`_far`), and one call
-of a generated block function adds the lags inside it
+history before a block, stored reversed, for every step in it, and one
+call of a generated block function adds the lags inside it
 (:func:`_pece_block_source`, :func:`_l1_block_source`).  The work stays
 O(N^2) multiply-adds, but no step makes a numpy call, indexes a weight,
 appends to a list or iterates: at the grid sizes used here, any of them
 costs more than the step's arithmetic.  The rounding of a march is fixed
 by its lag kernel's powers (:func:`_libm_powers`), by BLOCK, which sets
-the far/near split, by the pairing of :func:`_far` and by the block
-functions' left-to-right near sums.
+the far/near split, and by the block functions' left-to-right near sums.
 
 * :func:`solve_pece` — fractional Adams-Bashforth-Moulton in PECE form.
   The predictor integrates the memory kernel with a product rectangle
@@ -135,23 +134,6 @@ def _block_return(n: int, values: list[str]) -> list[str]:
 
 #: the far sums of block 0, which has no history before it
 _ZEROS = (0.0,) * BLOCK
-
-
-def _far(w: np.ndarray, h: np.ndarray) -> list:
-    """The far sums of a block, ``np.convolve(h[::-1], w, "valid")``, as a
-    list; w is the kernel slice, h the history before the block, stored
-    reversed.
-
-    ``np.convolve`` puts its longer argument first and correlates it with
-    the other reversed, which copies the other.  While w is the longer,
-    that is ``np.correlate(w, h)`` on the stored order, with no copy.  At
-    equal lengths, in a one-step last block, convolve keeps h[::-1] first
-    and so does this: the other pairing adds the products in another
-    order.
-    """
-    if w.size > h.size:
-        return np.correlate(w, h, "valid").tolist()
-    return np.convolve(h[::-1], w, "valid").tolist()
 
 
 #: numpy's largest array, in bytes; read once, as ``np.iinfo`` costs microseconds
@@ -326,8 +308,8 @@ def solve_pece(
         e = min(s + BLOCK, N)
         if s:
             # f(u_0) takes the weight a0[n], so the a sums start at u_1
-            far_b = _far(b[1:e], R[N - s + 1 :])
-            far_a = _far(a[1 : e - 1], R[N - s + 1 : N])
+            far_b = np.correlate(b[1:e], R[N - s + 1 :], "valid").tolist()
+            far_a = np.correlate(a[1 : e - 1], R[N - s + 1 : N], "valid").tolist()
             us, fs = block(e - s, s, f, u0, inv_gamma, k, w, fn, fn, far_b, far_a, a0f[s:e])
         else:  # and in block 0 f(u_0) takes no a weight: H0 is 0.0
             us, fs = block(e, 0, f, u0, inv_gamma, k, w, fn, 0.0, _ZEROS, _ZEROS, a0f)
@@ -409,7 +391,7 @@ def solve_l1(
     R = np.empty(N + 1)  # R[N - n] = u_{n+1} - u_n: the increments reversed, for the far sums
     for s in range(0, N, BLOCK):
         e = min(s + BLOCK, N)
-        far = _far(g[1:e], R[N - s + 1 :]) if s else _ZEROS
+        far = np.correlate(g[1:e], R[N - s + 1 :], "valid").tolist() if s else _ZEROS
         us, ds = block(e - s, s, f, u[-1], gain, w, far)
         u += us
         R[N - e + 1 : N - s + 1] = ds

@@ -515,6 +515,14 @@ class TestRefusals:
         argv = ["compare", *self.PRESET, "--methods", "pece,pece"]
         self.assert_cli_error(argv, "duplicate methods in config", capsys)
 
+    def test_duplicate_formats(self, tmp_path, capsys):
+        with pytest.raises(ValidationError, match="^duplicate formats in config$"):
+            config_from_dict({**BASE, "formats": ["csv", "json", "csv"]})
+        argv = ["compare", *self.PRESET, "--methods", "pece,l1", "--formats", "csv,csv",
+                "--out", str(tmp_path / "d")]
+        self.assert_cli_error(argv, "duplicate formats in config", capsys)
+        assert not (tmp_path / "d").exists()
+
     def test_unknown_output_formats(self, capsys):
         message = "unknown output formats: ['pdf', 'png']"
         with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
