@@ -10,11 +10,11 @@ capacity c = (sigma - 1)/sigma.  The package provides three independent
 routes to I(t) and the machinery to cross-validate them:
 
 * explicit fractional power-series solutions (`fracsis.series`), with
-  coefficient recursions and convergence-radius tooling in
-  `fracsis.coeffs`;
+  coefficient recursions and the root-test radius in `fracsis.coeffs`;
 * a fractional Adams-Bashforth-Moulton (PECE) scheme and an L1-type
   scheme for general scalar Caputo problems (`fracsis.solvers`);
-* the alpha = 1 closed forms as oracles (`fracsis.model`).
+* the regime, the series hypothesis with both guaranteed radii, and the
+  alpha = 1 closed forms as oracles (`fracsis.model`).
 
 `fracsis.harness` orchestrates reproducible experiments (presets,
 pairwise L-infinity reports, CSV/JSON/SVG emission), also reachable via
@@ -37,7 +37,7 @@ __version__ = "0.1.0"
 _SUBMODULES = {
     "coeffs": (
         "CoeffKind", "CoeffTable", "RadiusEstimate", "a_coeffs", "empirical_radius",
-        "euler_alpha", "radius_carrying_capacity", "radius_zero_capacity",
+        "euler_alpha",
     ),
     "errors": (
         "DomainError", "FracsisError", "GridMismatchError", "HypothesisError",
@@ -48,7 +48,10 @@ _SUBMODULES = {
         "format_report_table", "linf_distance", "load_config", "population_curve",
         "preset_config", "run_c0_suite", "run_methods", "run_table1", "solve_method",
     ),
-    "model": ("DerivedParams", "ModelParams", "classical_sis", "derive", "logistic_rhs"),
+    "model": (
+        "DerivedParams", "ModelParams", "classical_sis", "derive", "logistic_rhs",
+        "radius_carrying_capacity", "radius_zero_capacity",
+    ),
     "series": (
         "EvalResult", "SeriesSolution", "carrying_capacity_series", "evaluate",
         "rescaled_zero_capacity_series", "sample_trajectory", "zero_capacity_series",

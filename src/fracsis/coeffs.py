@@ -24,9 +24,9 @@ fixes their rounding (:func:`_recurse` derives each table from it).
 :func:`log_gamma_orders` is the one source of the log-Gammas by which
 every series of the package is normalised, and :attr:`CoeffTable.values`
 the one view of the unnormalised ``c_k`` (``E_k`` or ``A_k``).  The
-module also provides the guaranteed convergence radii of both series and
-an empirical root-test estimate from a finite coefficient table
-(:func:`empirical_radius`).
+module also provides an empirical root-test radius estimate from a
+finite coefficient table (:func:`empirical_radius`); the guaranteed
+radii are :mod:`fracsis.model`'s.
 """
 
 from __future__ import annotations
@@ -43,7 +43,6 @@ import numpy as np
 from ._cache import _CACHE_SIZE, _compiled
 from .errors import (
     DomainError,
-    HypothesisError,
     InsufficientDataError,
     NumericOverflowError,
     check_alpha,
@@ -57,9 +56,6 @@ __all__ = [
     "MAX_ORDER",
     "euler_alpha",
     "a_coeffs",
-    "carrying_capacity_hypothesis",
-    "radius_carrying_capacity",
-    "radius_zero_capacity",
     "empirical_radius",
 ]
 
@@ -279,53 +275,6 @@ def a_coeffs(alpha: float, K: int, a0: float = 0.5) -> CoeffTable:
         raise DomainError(f"a_coeffs requires a0 in (0, 1), got {a0}")
     _check_order(K)
     return _table(alpha, K, a0, CoeffKind.A_COEFF)
-
-
-def carrying_capacity_hypothesis(b: float) -> bool:
-    """The carrying-capacity series hypothesis b > 0 and b^(1/alpha) < 1: 0 < b < 1.
-
-    b > 0 is the endemic regime c > 0; b^(1/alpha) < 1, which for alpha in
-    (0, 1] is b < 1, keeps :func:`radius_carrying_capacity` meaningful.
-    """
-    return 0.0 < b < 1.0
-
-
-def _inverse_root(b: float, alpha: float) -> float:
-    """b^(-1/alpha) for b > 0, or ``math.inf`` past binary64.
-
-    The one home of this power: ``M`` of :func:`fracsis.model.derive` and
-    the scale of :func:`radius_carrying_capacity`.
-    """
-    try:
-        return b ** (-1.0 / alpha)
-    except OverflowError:
-        return math.inf
-
-
-def radius_carrying_capacity(alpha: float, b: float) -> float:
-    """Guaranteed convergence radius of the carrying-capacity series.
-
-        r = b^(-1/alpha) * (Gamma(alpha+1) Gamma(3 alpha+1)
-                            / Gamma(2 alpha+1))^(1/(2 alpha))
-
-    Requires the series hypothesis b^(1/alpha) < 1.  At alpha = 1 this is
-    sqrt(3)/b.  A radius past binary64 is returned as ``math.inf``.
-    """
-    check_alpha(alpha, "radius requires alpha")
-    if not carrying_capacity_hypothesis(b):
-        raise HypothesisError(
-            f"carrying-capacity series needs 0 < b^(1/alpha) < 1; "
-            f"got b={b}, alpha={alpha}"
-        )
-    lg = log_gamma_orders(alpha, 3)
-    g = math.exp(lg[1] + lg[3] - lg[2])
-    return _inverse_root(b, alpha) * g ** (1.0 / (2.0 * alpha))
-
-
-def radius_zero_capacity(alpha: float) -> float:
-    """Guaranteed radius (1/2)^(1/alpha) of the zero-capacity series."""
-    check_alpha(alpha, "radius requires alpha")
-    return 0.5 ** (1.0 / alpha)
 
 
 def empirical_radius(table: CoeffTable, b_scale: float = 1.0) -> RadiusEstimate:

@@ -7,8 +7,10 @@ scalar logistic equation for the infected fraction,
 
 with basic reproduction number ``sigma = beta / (gamma + mu)`` and
 carrying capacity ``c = (sigma - 1) / sigma``.  This module owns the
-parameter containers, the derivation of (sigma, c, b, M, radius) and the
-alpha = 1 closed forms used as oracles.  The population curve
+parameter containers, the derivation of (sigma, c, b, M, radius), the
+carrying-capacity series hypothesis with both series' guaranteed radii
+(:func:`radius_carrying_capacity`, :func:`radius_zero_capacity`), and
+the alpha = 1 closed forms used as oracles.  The population curve
 N(t) = N0 E_alpha((lambda - mu) t^alpha) of the non-constant-population
 variant is :func:`fracsis.harness.population_curve`; the birth rate
 lambda appears only there, since the constant-population model has
@@ -24,14 +26,16 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from . import coeffs
-from .errors import DomainError, ValidationError, check_alpha
+from .errors import DomainError, HypothesisError, ValidationError, check_alpha
 
 __all__ = [
     "SIGMA_ONE_TOL",
     "ModelParams",
     "DerivedParams",
     "derive",
+    "carrying_capacity_hypothesis",
+    "radius_carrying_capacity",
+    "radius_zero_capacity",
     "classical_sis",
     "logistic_rhs",
 ]
@@ -104,7 +108,7 @@ def derive(params: ModelParams) -> DerivedParams:
     ``c = b = 0.0`` exactly, so that rates which misround around
     sigma = 1 take the zero-capacity route instead of a carrying
     capacity of +-1e-16.  It also decides the carrying-capacity series
-    hypothesis (:func:`~fracsis.coeffs.carrying_capacity_hypothesis`):
+    hypothesis (:func:`carrying_capacity_hypothesis`):
     ``r_alpha`` is None exactly where it fails.
     """
     sigma = params.beta / (params.gamma + params.mu)
@@ -112,11 +116,58 @@ def derive(params: ModelParams) -> DerivedParams:
         return DerivedParams(sigma=1.0, c=0.0, b=0.0)
     c = (sigma - 1.0) / sigma
     b = params.beta * c
-    M = coeffs._inverse_root(b, params.alpha) if c > 0 else None
+    M = _inverse_root(b, params.alpha) if c > 0 else None
     r_alpha = None
-    if coeffs.carrying_capacity_hypothesis(b):
-        r_alpha = coeffs.radius_carrying_capacity(params.alpha, b)
+    if carrying_capacity_hypothesis(b):
+        r_alpha = radius_carrying_capacity(params.alpha, b)
     return DerivedParams(sigma=sigma, c=c, b=b, M=M, r_alpha=r_alpha)
+
+
+def carrying_capacity_hypothesis(b: float) -> bool:
+    """The carrying-capacity series hypothesis b > 0 and b^(1/alpha) < 1: 0 < b < 1.
+
+    b > 0 is the endemic regime c > 0; b^(1/alpha) < 1, which for alpha in
+    (0, 1] is b < 1, keeps :func:`radius_carrying_capacity` meaningful.
+    """
+    return 0.0 < b < 1.0
+
+
+def _inverse_root(b: float, alpha: float) -> float:
+    """b^(-1/alpha) for b > 0, or ``math.inf`` past binary64.
+
+    The one home of this power: ``M`` of :func:`derive` and the scale of
+    :func:`radius_carrying_capacity`.
+    """
+    try:
+        return b ** (-1.0 / alpha)
+    except OverflowError:
+        return math.inf
+
+
+def radius_carrying_capacity(alpha: float, b: float) -> float:
+    """Guaranteed convergence radius of the carrying-capacity series.
+
+        r = b^(-1/alpha) * (Gamma(alpha+1) Gamma(3 alpha+1)
+                            / Gamma(2 alpha+1))^(1/(2 alpha))
+
+    Requires the series hypothesis b^(1/alpha) < 1.  At alpha = 1 this is
+    sqrt(3)/b.  A radius past binary64 is returned as ``math.inf``.
+    """
+    check_alpha(alpha, "radius requires alpha")
+    if not carrying_capacity_hypothesis(b):
+        raise HypothesisError(
+            f"carrying-capacity series needs 0 < b^(1/alpha) < 1; "
+            f"got b={b}, alpha={alpha}"
+        )
+    lg1, lg2, lg3 = (math.lgamma(alpha * k + 1.0) for k in (1, 2, 3))
+    g = math.exp(lg1 + lg3 - lg2)
+    return _inverse_root(b, alpha) * g ** (1.0 / (2.0 * alpha))
+
+
+def radius_zero_capacity(alpha: float) -> float:
+    """Guaranteed radius (1/2)^(1/alpha) of the zero-capacity series."""
+    check_alpha(alpha, "radius requires alpha")
+    return 0.5 ** (1.0 / alpha)
 
 
 def classical_sis(params: ModelParams, t):

@@ -52,16 +52,9 @@ from typing import NamedTuple
 import numpy as np
 
 from ._cache import _CACHE_SIZE, _per_grid, _read_only
-from .coeffs import (
-    CoeffKind,
-    CoeffTable,
-    RadiusEstimate,
-    empirical_radius,
-    radius_carrying_capacity,
-    radius_zero_capacity,
-)
+from .coeffs import CoeffKind, CoeffTable, RadiusEstimate, empirical_radius
 from .errors import DomainError, HypothesisError, InsufficientDataError
-from .model import DerivedParams
+from .model import DerivedParams, radius_carrying_capacity, radius_zero_capacity
 from .solvers import Method, TimeGrid, Trajectory, node_powers
 
 __all__ = [
@@ -140,7 +133,7 @@ def carrying_capacity_series(
     """Series solution I(t) for the endemic case c > 0.
 
     Hypotheses: c > 0 and b^(1/alpha) < 1, with initial datum I(0) = c/2;
-    :func:`~fracsis.coeffs.radius_carrying_capacity` raises
+    :func:`~fracsis.model.radius_carrying_capacity` raises
     :class:`HypothesisError` where they fail.
     """
     _check_table(coeff_table, CoeffKind.EULER_ALPHA, alpha)

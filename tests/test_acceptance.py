@@ -12,7 +12,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from fracsis.coeffs import a_coeffs, empirical_radius, euler_alpha, radius_zero_capacity
+from fracsis.coeffs import a_coeffs, empirical_radius, euler_alpha
 from fracsis.harness import (
     population_curve,
     preset_config,
@@ -20,7 +20,7 @@ from fracsis.harness import (
     run_methods,
     run_table1,
 )
-from fracsis.model import ModelParams, classical_sis, derive
+from fracsis.model import ModelParams, classical_sis, derive, radius_zero_capacity
 from fracsis.solvers import TimeGrid, discrete_caputo_l1, solve_l1, solve_pece
 from fracsis.specfn import mittag_leffler
 

@@ -15,17 +15,19 @@ from fracsis.coeffs import (
     CoeffKind,
     CoeffTable,
     a_coeffs,
-    carrying_capacity_hypothesis,
     empirical_radius,
     euler_alpha,
-    radius_carrying_capacity,
-    radius_zero_capacity,
 )
 from fracsis.errors import (
     DomainError,
     HypothesisError,
     InsufficientDataError,
     NumericOverflowError,
+)
+from fracsis.model import (
+    carrying_capacity_hypothesis,
+    radius_carrying_capacity,
+    radius_zero_capacity,
 )
 mpmath.mp.dps = 40
 

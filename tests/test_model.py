@@ -11,10 +11,17 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from fracsis import cli
-from fracsis.coeffs import a_coeffs, euler_alpha, radius_carrying_capacity, radius_zero_capacity
+from fracsis.coeffs import a_coeffs, euler_alpha
 from fracsis.errors import DomainError, NumericOverflowError, ValidationError, check_alpha
 from fracsis.harness import config_from_dict, population_curve, solve_method
-from fracsis.model import ModelParams, classical_sis, derive, logistic_rhs
+from fracsis.model import (
+    ModelParams,
+    classical_sis,
+    derive,
+    logistic_rhs,
+    radius_carrying_capacity,
+    radius_zero_capacity,
+)
 from fracsis.solvers import Method, TimeGrid, l1_kernel, pece_kernels
 from fracsis.specfn import mittag_leffler
 

@@ -70,6 +70,9 @@ pece = fracsis.solve_pece(lambda u: u * (1 - u), 0.5, grid, 0.7)
 fracsis.solve_l1(lambda u: u * (1 - u), 0.5, grid, 0.7)
 fracsis.discrete_caputo_l1(pece.u, 0.7, 0.25)
 seen["schemes"] = loaded()
+params = fracsis.ModelParams(beta=0.5, gamma=0.1, mu=0.1, alpha=0.7, i0=0.1)
+fracsis.logistic_rhs(params, fracsis.derive(params))
+seen["model"] = loaded()
 try:
     fracsis.no_such_name
 except AttributeError as e:
@@ -90,6 +93,8 @@ def test_submodules_load_on_first_use():
     assert seen["import"] == ["fracsis"]
     assert seen["cli"] == ["fracsis", "fracsis.cli", "fracsis.errors"]
     assert not {"fracsis.harness", "fracsis.series", "fracsis.specfn"} & set(seen["schemes"])
+    # derive decides the series hypothesis and forms the radius without coeffs
+    assert set(seen["model"]) - set(seen["schemes"]) == {"fracsis.model"}
     assert len(STAR_NAMES) == 58
     assert set(seen["star"]) == STAR_NAMES
     assert STAR_NAMES <= set(seen["dir"])
@@ -154,6 +159,24 @@ def test_specfn_is_the_mittag_leffler_module_alone():
             if name == "specfn":
                 assert names is not None, module
                 assert not [n for n in names if n.startswith("_")], (module, names)
+
+
+def test_numeric_modules_import_only_errors_and_cache():
+    # the regime, the series hypothesis and both radii share model, which
+    # reads only the errors; coeffs, model, solvers and specfn read only
+    # the errors and the cache policy, and so none of each other
+    numeric = {"coeffs", "model", "solvers", "specfn"}
+    imported = {}
+    for module in modules():
+        short = module.__name__.removeprefix("fracsis.")
+        if short in numeric:
+            found = package_imports(module)
+            # ``from . import x`` is (None, ["x"])
+            imported[short] = {m for name, names in found for m in ([name] if name else names)}
+    assert imported.keys() == numeric
+    assert imported["model"] == {"errors"}
+    for short, found in imported.items():
+        assert found <= {"errors", "_cache"}, (short, found)
 
 
 def test_cache_policy_is_imported_from_its_home():

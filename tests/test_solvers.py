@@ -1003,12 +1003,12 @@ class TestPlanCache:
             assert cfg.grid.N <= _cache._CACHE_MAX_N
             assert run_methods(cfg)[Method.PECE].u.size == cfg.grid.N + 1
         # one table of each kind, with its root test and thresholds; per
-        # alpha the tables' log-Gammas (K = 120) and the carrying-capacity
-        # radius's (K = 3), each formed once
+        # alpha the tables' log-Gammas (K = 120), formed once (the
+        # carrying-capacity radius forms its own three, in model)
         assert built == {"pece": 8, "l1": 8, "table": 8, "root": 8}
         assert series._series_table.cache_info().misses == 8
         lgammas = coeffs.log_gamma_orders.cache_info()
-        assert (lgammas.misses, lgammas.currsize) == (8, 8)
+        assert (lgammas.misses, lgammas.currsize) == (4, 4)
         # every grid is within the bound, so each miss is one build
         assert node_powers.cache_info().misses == 8
         # one zero-capacity sum per alpha; the 12 carrying samples are never cached
